@@ -8,15 +8,21 @@ Representation conventions used throughout the library:
   field (m = 1) the code is just the residue.  ``GF`` exposes arithmetic on
   integer codes; ``GFElement`` is the operator-overloaded wrapper around one
   code.
-* A polynomial is a coefficient list in ascending powers with no trailing
-  zeros: the canonical form.  The zero polynomial has an empty coefficient
-  list and degree ``-inf`` (a distinguished marker, never the integer 0).
+* A polynomial stores the tuple of its coefficient codes in ascending powers
+  with no trailing zeros: the canonical form.  The zero polynomial has the
+  empty tuple and degree ``-inf`` (a distinguished marker, never the integer
+  0).  Ring operations, GCDs and the irreducibility test work on these
+  tuples directly; ``coeffs`` boxes them as ``GFElement``s on request.
+* Values are validated once, where they enter: ``Polynomial(field, values)``
+  coerces each value through ``GF.element``.  Code that already holds valid
+  codes builds through ``Polynomial.from_codes``, which does not re-check.
 * GCDs are always returned monic, so they are unique.
 
 Extension fields are supported for m <= 4.  The reducing modulus is chosen
 deterministically as the lexicographically smallest monic irreducible of
 degree m over GF(p), comparing ascending-power coefficient vectors with
-0 < 1 < ... < p-1.
+0 < 1 < ... < p-1.  Products are polynomial products over GF(p) reduced by
+the modulus, tabulated once per field when q <= 4096.
 
 Text formats (used by the CLI and the JSON files):
 
@@ -29,6 +35,7 @@ Text formats (used by the CLI and the JSON files):
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -37,6 +44,7 @@ from .errors import (
     FieldMismatch,
     InvalidDegree,
     NotPrime,
+    ParseError,
     ZeroPolynomial,
 )
 
@@ -83,13 +91,11 @@ class GF:
         self.p = p
         self.m = m
         self.q = p**m
-        self._mod_codes: tuple[int, ...] | None = None
-        self._xpow: list[tuple[int, ...]] = []
+        self._modulus: Polynomial | None = None
         self._mul_table: list[int] | None = None
         self._inv_table: list[int] | None = None
         if m > 1:
-            self._mod_codes = _smallest_irreducible_modulus(p, m)
-            self._build_reduction_rows()
+            self._modulus = _smallest_irreducible_modulus(p, m)
             if self.q <= _TABLE_LIMIT:
                 self._build_tables()
 
@@ -104,18 +110,14 @@ class GF:
     def from_spec(cls, spec: str) -> "GF":
         """Parse a field spec string such as ``"2"`` or ``"2^2"``."""
         parts = spec.strip().split("^")
-        if len(parts) == 1:
-            return cls(int(parts[0]))
-        if len(parts) == 2:
-            return cls(int(parts[0]), int(parts[1]))
-        raise InvalidDegree(f"malformed field spec {spec!r}")
+        if len(parts) > 2:
+            raise ParseError(f"malformed field spec {spec!r}")
+        return cls(*(_parse_int(t, spec) for t in parts))
 
     @property
     def modulus(self) -> "Polynomial | None":
         """The reducing modulus as a polynomial over GF(p); None for m = 1."""
-        if self._mod_codes is None:
-            return None
-        return Polynomial(GF(self.p), self._mod_codes)
+        return self._modulus
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GF):
@@ -148,21 +150,17 @@ class GF:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        return self.encode(
-            [(x + y) % self.p for x, y in zip(self.decode(a), self.decode(b))]
-        )
+        return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
     def sub(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a - b) % self.p
-        return self.encode(
-            [(x - y) % self.p for x, y in zip(self.decode(a), self.decode(b))]
-        )
+        return self.encode([x - y for x, y in zip(self.decode(a), self.decode(b))])
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        return self.encode([(-x) % self.p for x in self.decode(a)])
+        return self.encode([-x for x in self.decode(a)])
 
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -179,6 +177,13 @@ class GF:
         if self._inv_table is not None:
             return self._inv_table[a]
         return self.pow(a, self.q - 2)
+
+    def sub_scaled(self, u: Sequence[int], c: int, v: Sequence[int]) -> list[int]:
+        """The vector u - c*v, entrywise on codes: the row operation of elimination."""
+        if self.m == 1:
+            p = self.p
+            return [(x - c * y) % p for x, y in zip(u, v)]
+        return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -244,45 +249,29 @@ class GF:
 
     # -- internal: extension-field machinery -----------------------------------
 
-    def _build_reduction_rows(self) -> None:
-        # _xpow[j] = coefficient vector of X^(m+j) reduced mod the modulus
-        assert self._mod_codes is not None
-        p, m = self.p, self.m
-        head = [(-c) % p for c in self._mod_codes[:m]]  # X^m
-        rows = [tuple(head)]
-        for _ in range(m - 2):
-            prev = rows[-1]
-            shifted = [0] + list(prev[: m - 1])
-            carry = prev[m - 1]
-            rows.append(
-                tuple((shifted[i] + carry * head[i]) % p for i in range(m))
-            )
-        self._xpow = rows
-
     def _mul_slow(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        av, bv = self.decode(a), self.decode(b)
+        # the coefficient vectors multiplied as polynomials over GF(p) and
+        # reduced by the monic modulus, in plain integers; encode takes mod p
+        p, m, mod = self.p, self.m, self._modulus.to_codes()
+        bv = self.decode(b)
         conv = [0] * (2 * m - 1)
-        for i, x in enumerate(av):
+        for i, x in enumerate(self.decode(a)):
             if x:
                 for j, y in enumerate(bv):
                     conv[i + j] += x * y
-        out = [c % p for c in conv[:m]]
-        for j in range(m, 2 * m - 1):
+        for j in range(2 * m - 2, m - 1, -1):
             c = conv[j] % p
             if c:
-                row = self._xpow[j - m]
                 for i in range(m):
-                    out[i] = (out[i] + c * row[i]) % p
-        return self.encode(out)
+                    conv[j - m + i] -= c * mod[i]
+        return self.encode(conv[:m])
 
     def _build_tables(self) -> None:
         q = self.q
         table = [0] * (q * q)
         for a in range(1, q):
-            base = a * q
-            for b in range(1, q):
-                table[base + b] = self._mul_slow(a, b)
+            for b in range(a, q):
+                table[a * q + b] = table[b * q + a] = self._mul_slow(a, b)
         self._mul_table = table
         inv = [0] * q
         for a in range(1, q):
@@ -317,30 +306,25 @@ class GFElement:
     def inverse(self) -> "GFElement":
         return GFElement(self.field, self.field.inv(self.code))
 
-    def _coerce(self, other) -> int:
+    def _apply(self, other, op) -> "GFElement":
+        # op on the two codes; plain ints embed through the prime subfield
         if isinstance(other, GFElement):
             if other.field != self.field:
                 raise FieldMismatch(
                     f"mixing elements of {self.field} and {other.field}"
                 )
-            return other.code
+            return GFElement(self.field, op(self.code, other.code))
         if isinstance(other, int):
-            return other % self.field.p
+            return GFElement(self.field, op(self.code, other % self.field.p))
         return NotImplemented
 
     def __add__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return GFElement(self.field, self.field.add(self.code, code))
+        return self._apply(other, self.field.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return GFElement(self.field, self.field.sub(self.code, code))
+        return self._apply(other, self.field.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -349,18 +333,12 @@ class GFElement:
         return GFElement(self.field, self.field.neg(self.code))
 
     def __mul__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return GFElement(self.field, self.field.mul(self.code, code))
+        return self._apply(other, self.field.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return GFElement(self.field, self.field.mul(self.code, self.field.inv(code)))
+        return self._apply(other, lambda a, b: self.field.mul(a, self.field.inv(b)))
 
     def __pow__(self, n: int):
         return GFElement(self.field, self.field.pow(self.code, n))
@@ -384,60 +362,64 @@ class GFElement:
 class Polynomial:
     """A polynomial over GF(q) in canonical ascending-coefficient form.
 
-    ``coeffs`` holds GFElement coefficients with no trailing zeros; the zero
-    polynomial has no coefficients and degree ``NEG_INF``.  Instances are
+    Holds the tuple of coefficient codes with no trailing zeros (``to_codes``);
+    the zero polynomial has no coefficients and degree ``NEG_INF``.
+    ``coeffs`` is the same tuple boxed as ``GFElement``s.  Instances are
     immutable; all operators allocate fresh results.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "_codes")
 
     def __init__(self, field: GF, coeffs: Iterable[int | Sequence[int] | GFElement] = ()):
         self.field = field
-        elems = [field.element(c) for c in coeffs]
-        while elems and elems[-1].code == 0:
-            elems.pop()
-        self.coeffs = tuple(elems)
+        self._codes = _trim(tuple(field.element(c).code for c in coeffs))
+
+    @classmethod
+    def from_codes(cls, field: GF, codes: Iterable[int]) -> "Polynomial":
+        """Build from ascending integer element codes, trusted to lie in [0, q)."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly._codes = _trim(tuple(codes))
+        return poly
 
     # -- basic structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[GFElement, ...]:
+        return tuple(GFElement(self.field, c) for c in self._codes)
+
+    @property
     def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._codes) - 1 if self._codes else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._codes
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0].code == 1
+        return self._codes == (1,)
 
     def constant_term(self) -> GFElement:
-        return self.coeffs[0] if self.coeffs else self.field.zero
+        return GFElement(self.field, self._codes[0] if self._codes else 0)
 
     def leading(self) -> GFElement:
-        if not self.coeffs:
+        if not self._codes:
             raise ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return GFElement(self.field, self._codes[-1])
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1].code == 1
+        return bool(self._codes) and self._codes[-1] == 1
 
     def monic(self) -> "Polynomial":
         """Rescale so that the leading coefficient is 1."""
         if self.is_zero() or self.is_monic():
             return self
-        lead_inv = self.field.inv(self.coeffs[-1].code)
-        return Polynomial.from_codes(
-            self.field, [self.field.mul(c.code, lead_inv) for c in self.coeffs]
-        )
+        gf = self.field
+        lead_inv = gf.inv(self._codes[-1])
+        return Polynomial.from_codes(gf, [gf.mul(c, lead_inv) for c in self._codes])
 
     def to_codes(self) -> tuple[int, ...]:
         """Ascending coefficient codes; the canonical sort key."""
-        return tuple(c.code for c in self.coeffs)
-
-    @classmethod
-    def from_codes(cls, field: GF, codes: Iterable[int]) -> "Polynomial":
-        """Build from ascending integer element codes (no mod-p embedding)."""
-        return cls(field, [GFElement(field, c) for c in codes])
+        return self._codes
 
     # -- ring operations -----------------------------------------------------------
 
@@ -452,7 +434,7 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         gf = self.field
-        a, b = self.to_codes(), other.to_codes()
+        a, b = self._codes, other._codes
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -461,31 +443,22 @@ class Polynomial:
         return Polynomial.from_codes(gf, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
         gf = self.field
-        return Polynomial.from_codes(gf, [gf.neg(c) for c in self.to_codes()])
+        return Polynomial.from_codes(gf, [gf.neg(c) for c in self._codes])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial(self.field)
-        gf = self.field
-        a, b = self.to_codes(), other.to_codes()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = gf.add(out[i + j], gf.mul(x, y))
-        return Polynomial.from_codes(gf, out)
+        return Polynomial.from_codes(
+            self.field, _mul_codes(self.field, self._codes, other._codes)
+        )
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial(self.field, [1])
+        result = Polynomial.from_codes(self.field, (1,))
         for _ in range(n):
             result = result * self
         return result
@@ -495,21 +468,7 @@ class Polynomial:
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         gf = self.field
-        dd = other.degree
-        rem = list(self.to_codes())
-        if self.degree < dd:
-            return Polynomial(gf), self
-        quot = [0] * (len(rem) - dd)
-        lead_inv = gf.inv(other.coeffs[-1].code)
-        dcodes = other.to_codes()
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            factor = gf.mul(c, lead_inv)
-            quot[i - dd] = factor
-            for j, dc in enumerate(dcodes):
-                rem[i - dd + j] = gf.sub(rem[i - dd + j], gf.mul(factor, dc))
+        quot, rem = _divmod_codes(gf, self._codes, other._codes)
         return Polynomial.from_codes(gf, quot), Polynomial.from_codes(gf, rem)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
@@ -521,9 +480,8 @@ class Polynomial:
     def __call__(self, x: GFElement | int) -> GFElement:
         """Evaluate via Horner's scheme."""
         gf = self.field
-        xc = gf.element(x).code
-        acc = 0
-        for c in reversed(self.to_codes()):
+        xc, acc = gf.element(x).code, 0
+        for c in reversed(self._codes):
             acc = gf.add(gf.mul(acc, xc), c)
         return GFElement(gf, acc)
 
@@ -532,10 +490,10 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self.to_codes() == other.to_codes()
+        return self.field == other.field and self._codes == other._codes
 
     def __hash__(self):
-        return hash((self.field, self.to_codes()))
+        return hash((self.field, self._codes))
 
     def __repr__(self):
         return f"Polynomial({self.to_string()!r}, GF({self.field.spec}))"
@@ -545,46 +503,43 @@ class Polynomial:
 
     # -- text format ------------------------------------------------------------------
 
+    def _coeff_text(self, code: int, brackets: str) -> str:
+        if self.field.m == 1:
+            return str(code)
+        return brackets[0] + ",".join(map(str, self.field.decode(code))) + brackets[1]
+
     def to_string(self) -> str:
         """Canonical comma-separated coefficient string (ascending powers)."""
         if self.is_zero():
             return "0"
-        if self.field.m == 1:
-            return ",".join(str(c) for c in self.to_codes())
-        return ",".join(
-            "[" + ",".join(str(a) for a in c.coeffs) + "]" for c in self.coeffs
-        )
+        return ",".join(self._coeff_text(c, "[]") for c in self._codes)
 
     @classmethod
     def from_string(cls, field: GF, text: str) -> "Polynomial":
         """Parse the comma-separated coefficient format."""
         text = text.strip()
         if not text:
-            raise ValueError("empty polynomial string")
+            raise ParseError("empty polynomial string")
         if "[" in text:
-            coeffs = []
-            for token in _split_bracketed(text):
-                parts = [int(t) for t in token.strip().lstrip("[").rstrip("]").split(",")]
-                if len(parts) != field.m:
-                    raise FieldMismatch(
-                        f"coefficient {token!r} is not a {field.m}-tuple"
-                    )
-                coeffs.append(parts)
+            # "[a,b],[c,d]" -> "a,b" and "c,d"; stray brackets fail as integers
+            coeffs = [
+                [_parse_int(t, text) for t in token.split(",")]
+                for token in re.split(r"\]\s*,\s*\[", text[1:-1])
+            ]
+            if any(len(c) != field.m for c in coeffs):
+                raise FieldMismatch(f"a coefficient of {text!r} is not a {field.m}-tuple")
             return cls(field, coeffs)
-        return cls(field, [int(t) % field.p for t in text.split(",")])
+        return cls(field, [_parse_int(t, text) % field.p for t in text.split(",")])
 
     def display(self) -> str:
         """Human-readable rendering such as ``1 + X + X^2``; never parsed back."""
         if self.is_zero():
             return "0"
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c.code == 0:
+        for i, c in enumerate(self._codes):
+            if c == 0:
                 continue
-            if self.field.m == 1:
-                cs = str(c.code)
-            else:
-                cs = "(" + ",".join(str(a) for a in c.coeffs) + ")"
+            cs = self._coeff_text(c, "()")
             if i == 0:
                 terms.append(cs)
             else:
@@ -593,21 +548,45 @@ class Polynomial:
         return " + ".join(terms)
 
 
-def _split_bracketed(text: str) -> list[str]:
-    # split on commas that are not inside brackets
-    out, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
+def _trim(codes: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(codes)
+    while n and not codes[n - 1]:
+        n -= 1
+    return codes[:n]
+
+
+def _mul_codes(gf: GF, a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Convolution of two code vectors (the product as polynomials)."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = gf.add(out[i + j], gf.mul(x, y))
     return out
+
+
+def _divmod_codes(
+    gf: GF, a: tuple[int, ...], b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Long division of canonical code tuples, b nonzero: (quotient, remainder)."""
+    db = len(b) - 1
+    rem = list(a)
+    quot = [0] * (len(a) - db)
+    lead_inv = gf.inv(b[-1])
+    for i in range(len(a) - 1, db - 1, -1):
+        if rem[i]:
+            factor = gf.mul(rem[i], lead_inv)
+            quot[i - db] = factor
+            rem[i - db : i + 1] = gf.sub_scaled(rem[i - db : i + 1], factor, b)
+    return tuple(quot), _trim(tuple(rem[:db]))
+
+
+def _parse_int(token: str, text: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"malformed integer {token.strip()!r} in {text!r}") from None
 
 
 # -- GCD machinery ---------------------------------------------------------------------
@@ -618,12 +597,14 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
     ``poly_gcd(f, 0)`` is ``f.monic()``; both arguments zero is an error.
     """
+    f._check(g)
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    gf = f.field
+    a, b = f._codes, g._codes
+    while b:
+        a, b = b, _divmod_codes(gf, a, b)[1]
+    return Polynomial.from_codes(gf, a).monic()
 
 
 def poly_xgcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
@@ -631,7 +612,7 @@ def poly_xgcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Pol
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     gf = f.field
-    zero, one = Polynomial(gf), Polynomial(gf, [1])
+    zero, one = Polynomial.from_codes(gf, ()), Polynomial.from_codes(gf, (1,))
     r0, r1 = f, g
     s0, s1 = one, zero
     t0, t1 = zero, one
@@ -642,7 +623,7 @@ def poly_xgcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Pol
         t0, t1 = t1, t0 - q * t1
     if r0.is_monic():
         return r0, s0, t0
-    scale = Polynomial(gf, [GFElement(gf, gf.inv(r0.coeffs[-1].code))])
+    scale = Polynomial.from_codes(gf, (gf.inv(r0.to_codes()[-1]),))
     return r0.monic(), scale * s0, scale * t0
 
 
@@ -658,44 +639,44 @@ def monic_polynomials(field: GF, degree: int) -> Iterator[Polynomial]:
     if degree < 0:
         return
     for lower in itertools.product(range(field.q), repeat=degree):
-        yield Polynomial(field, [GFElement(field, c) for c in lower] + [field.one])
+        yield Polynomial.from_codes(field, lower + (1,))
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Trial-division irreducibility test (desk scale: degrees <= ~12)."""
+    """Trial division by the monic irreducibles of degree <= deg f / 2.
+
+    Desk scale: degrees <= ~12.  Degree 1 comes first, which is the root
+    scan: every monic linear polynomial is irreducible.
+    """
     d = f.degree
-    if d is NEG_INF or d < 1:
+    if d < 1:
         return False
-    if d == 1:
-        return True
-    # linear factors first: cheap root scan
-    for code in range(f.field.q):
-        if f(GFElement(f.field, code)).code == 0:
-            return False
-    if d <= 3:
-        return True
-    for e in range(2, int(d) // 2 + 1):
-        for g in _irreducibles_cached(f.field, e):
-            if (f % g).is_zero():
-                return False
-    return True
+    gf, codes = f.field, f.to_codes()
+    return all(
+        _divmod_codes(gf, codes, g)[1]
+        for e in range(1, int(d) // 2 + 1)
+        for g in irreducible_codes(gf, e)
+    )
 
 
-_IRR_CACHE: dict[tuple[int, int, int], tuple[Polynomial, ...]] = {}
+_IRR_CACHE: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
 
 
-def _irreducibles_cached(field: GF, degree: int) -> tuple[Polynomial, ...]:
+def irreducible_codes(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Code tuples of the monic irreducibles of one degree, lexicographic order.
+
+    Found by trial division over all monic polynomials and kept per field.
+    """
     key = (field.p, field.m, degree)
     if key not in _IRR_CACHE:
         _IRR_CACHE[key] = tuple(
-            g for g in monic_polynomials(field, degree) if is_irreducible(g)
+            g.to_codes() for g in monic_polynomials(field, degree) if is_irreducible(g)
         )
     return _IRR_CACHE[key]
 
 
-def _smallest_irreducible_modulus(p: int, m: int) -> tuple[int, ...]:
-    base = GF(p)
-    for candidate in monic_polynomials(base, m):
+def _smallest_irreducible_modulus(p: int, m: int) -> Polynomial:
+    for candidate in monic_polynomials(GF(p), m):
         if is_irreducible(candidate):
-            return candidate.to_codes()
+            return candidate
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # unreachable

@@ -30,7 +30,7 @@ from .errors import (
     SeedLengthMismatch,
     ZeroPolynomial,
 )
-from .linalg import MatrixGF
+from .linalg import Echelon, MatrixGF
 from .subspaces import Subspace
 
 
@@ -53,9 +53,10 @@ class LinearRule:
         d = poly.degree
         if poly.is_zero() or d < 1:
             raise DegreeZero("a rule polynomial must have degree at least 1")
-        if poly.coeffs[0].code == 0:
+        codes = poly.to_codes()
+        if codes[0] == 0:
             raise NotBipermutive("rule constant term a_0 must be nonzero")
-        if poly.coeffs[-1].code != 1:
+        if codes[-1] != 1:
             raise NotBipermutive(
                 "rule leading coefficient a_k must be 1; see normalize_monic"
             )
@@ -117,11 +118,8 @@ class LinearCA:
         """The (n-k) x n banded matrix: row i carries a_0..a_k from column i."""
         codes = self.rule.poly.to_codes()
         n, k = self.n, self.k
-        rows = [
-            tuple([0] * i + list(codes) + [0] * (n - i - k - 1))
-            for i in range(n - k)
-        ]
-        return MatrixGF(self.field, rows, ncols=n)
+        rows = tuple((0,) * i + codes + (0,) * (n - i - k - 1) for i in range(n - k))
+        return MatrixGF.from_codes(self.field, rows, n)
 
     def __call__(self, x: Sequence[int | GFElement]) -> tuple[int, ...]:
         """Apply the CA to a configuration; returns n-k output codes.
@@ -152,10 +150,14 @@ class LinearCA:
         which is the unique choice making every rule window vanish (using
         a_k = 1).
         """
-        gf = self.field
-        vec = [gf.code_of(c) for c in seed]
+        vec = [self.field.code_of(c) for c in seed]
         if len(vec) != self.k:
             raise SeedLengthMismatch(f"seed length {len(vec)} != k = {self.k}")
+        return self._run(vec)
+
+    def _run(self, vec: list[int]) -> tuple[int, ...]:
+        # the recurrence on a validated k-cell seed of codes
+        gf = self.field
         codes = self.rule.poly.to_codes()
         for i in range(self.k, self.n):
             acc = 0
@@ -169,16 +171,13 @@ class LinearCA:
     def kernel(self) -> Subspace:
         """The kernel of the CA: a k-dimensional subspace of GF(q)^n.
 
-        Spanned by the preimages of the k unit seeds; canonicalized.  Always
-        equals the null space of the transition matrix.
+        Spanned by the preimages of the k unit seeds.  They carry the
+        identity on the first k cells, so they already are the reduced
+        basis.  Always equals the null space of the transition matrix.
         """
         k = self.k
-        rows = []
-        for i in range(k):
-            seed = [0] * k
-            seed[i] = 1
-            rows.append(self.lfsr_preimage(seed))
-        return Subspace(self.field, self.n, rows)
+        rows = [self._run([int(i == j) for j in range(k)]) for i in range(k)]
+        return Subspace.from_echelon(Echelon(self.field, self.n, rows))
 
     def __repr__(self):
         return f"LinearCA({self.rule.poly.display()}, n={self.n} over GF({self.field.spec}))"

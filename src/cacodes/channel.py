@@ -9,7 +9,7 @@ receiver sees U = W + E and must guess V from U alone.
 The decoder picks the codeword closest to U in the subspace metric.  Ties
 are never broken silently: an ambiguous trial reports every tied index, and
 the statistics count it as a failure.  Whenever 2 d(U, V) < D(code) the
-metric guarantees unique decoding, which the simulator asserts per trial.
+metric guarantees unique decoding, which the simulator checks per trial.
 
 Determinism: each trial draws from ``random.Random(f"{seed}:{trial}")``, so
 results are bit-identical for a fixed seed regardless of trial order or
@@ -21,8 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import EmptyCode, TooManyErasures
-from .linalg import MatrixGF
+from .errors import EmptyCode, GuaranteeViolated, NegativeCount, NonPositive, TooManyErasures
+from .linalg import Echelon
 from .subspaces import GrassmannianCode, Subspace, subspace_distance
 
 _MAX_REDRAWS = 256  # per needed vector; failure means a broken RNG, not bad luck
@@ -38,7 +38,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         if self.erasures < 0 or self.error_dims < 0:
-            raise ValueError("erasures and error_dims must be >= 0")
+            raise NegativeCount("erasures and error_dims must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -70,38 +70,23 @@ class TrialResult:
 
 def _random_vector_of(sub: Subspace, rng: random.Random) -> tuple[int, ...]:
     # uniform over the subspace: random coefficients against the RREF basis
-    gf = sub.field
-    vec = [0] * sub.ambient_n
-    for row in sub.basis.rows:
-        c = rng.randrange(gf.q)
-        if c:
-            for j, r in enumerate(row):
-                if r:
-                    vec[j] = gf.add(vec[j], gf.mul(c, r))
-    return tuple(vec)
+    return sub.combination([rng.randrange(sub.field.q) for _ in sub.basis.rows])
 
 
 def _random_ambient_vector(field, n: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(rng.randrange(field.q) for _ in range(n))
 
 
-def _extend_independent(field, n, rows, draw, count) -> list:
-    """Append ``count`` vectors from ``draw()``, each independent of ``rows``."""
-    current = list(rows)
-    have = MatrixGF(field, current, ncols=n).rank()
+def _extend_independent(ech: Echelon, draw, count: int) -> None:
+    """Insert ``count`` vectors from ``draw()``, redrawing any dependent one."""
     for _ in range(count):
         for _attempt in range(_MAX_REDRAWS):
-            v = draw()
-            trial_rank = MatrixGF(field, current + [v], ncols=n).rank()
-            if trial_rank > have:
-                current.append(v)
-                have = trial_rank
+            if ech.insert(draw()):
                 break
         else:
             raise RuntimeError(
                 "exceeded redraw budget while sampling an independent vector"
             )
-    return current
 
 
 def transmit(V: Subspace, cfg: ChannelConfig, trial: int) -> Subspace:
@@ -118,18 +103,13 @@ def transmit(V: Subspace, cfg: ChannelConfig, trial: int) -> Subspace:
         )
     rng = random.Random(f"{cfg.seed}:{trial}")
     keep = V.dim - cfg.erasures
-    rows = _extend_independent(
-        V.field, V.ambient_n, [], lambda: _random_vector_of(V, rng), keep
-    )
+    ech = Echelon(V.field, V.ambient_n)
+    _extend_independent(ech, lambda: _random_vector_of(V, rng), keep)
     inject = min(cfg.error_dims, V.ambient_n - keep)
-    rows = _extend_independent(
-        V.field,
-        V.ambient_n,
-        rows,
-        lambda: _random_ambient_vector(V.field, V.ambient_n, rng),
-        inject,
+    _extend_independent(
+        ech, lambda: _random_ambient_vector(V.field, V.ambient_n, rng), inject
     )
-    return Subspace(V.field, V.ambient_n, rows)
+    return Subspace.from_echelon(ech)
 
 
 def decode_min_distance(
@@ -160,12 +140,12 @@ def simulate(code: GrassmannianCode, cfg: ChannelConfig, trials: int) -> dict:
     Returns a JSON-ready dict (sorted serialization is byte-stable): success
     and ambiguity rates, mean distance to the sent codeword, and the
     histogram of those distances.  Every trial with 2 d(U, sent) < D must
-    decode correctly; the guarantee is asserted here, not just sampled.
+    decode correctly; a trial that does not raises ``GuaranteeViolated``.
     """
     if len(code) == 0:
         raise EmptyCode("cannot simulate an empty code")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise NonPositive("trials must be >= 1")
     big_d = code.min_distance() if len(code) >= 2 else None
     successes = ambiguities = 0
     dist_sum = 0
@@ -176,12 +156,14 @@ def simulate(code: GrassmannianCode, cfg: ChannelConfig, trials: int) -> dict:
         sent = random.Random(f"{cfg.seed}:{trial}:sent").randrange(len(code))
         received = transmit(code[sent], cfg, trial)
         result = decode_min_distance(code, received, sent_index=sent)
-        d_sent = result.distance_to_sent
-        assert d_sent is not None
+        d_sent = result.distance_to_sent  # set: sent_index was given
         dist_sum += d_sent
         histogram[d_sent] = histogram.get(d_sent, 0) + 1
-        if big_d is not None and 2 * d_sent < big_d:
-            assert result.success, "unique-decoding guarantee violated"
+        if big_d is not None and 2 * d_sent < big_d and not result.success:
+            raise GuaranteeViolated(
+                f"trial {trial}: d(U, sent) = {d_sent} < D/2 = {big_d / 2} "
+                "but the sent codeword was not decoded uniquely"
+            )
         if result.ambiguous:
             ambiguities += 1
         elif result.decoded_index == sent:

@@ -33,6 +33,7 @@ from .channel import ChannelConfig, simulate
 from .errors import DomainError
 from .families import (
     CAFamily,
+    GcdProfile,
     code_from_family,
     count_irreducibles,
     expected_uniform_gcd_size,
@@ -47,11 +48,7 @@ from .subspaces import GrassmannianCode
 
 def _manifest(args: argparse.Namespace) -> dict:
     flags = {k: v for k, v in vars(args).items() if k != "command"}
-    manifest = {
-        "subcommand": args.command,
-        "version": __version__,
-        "args": flags,
-    }
+    manifest = {"subcommand": args.command, "version": __version__, "args": flags}
     if "q" in flags:
         manifest["field"] = flags["q"]
     if "seed" in flags:
@@ -113,12 +110,10 @@ def _cmd_build_code(args) -> dict:
         "expected_size": expected_uniform_gcd_size(args.k, t, field),
         "n": 2 * args.k,
         "code": code.to_json(),
+        "predicted_min_distance": (
+            predicted_min_distance(fam)[0] if len(members) >= 2 else None
+        ),
     }
-    if len(members) >= 2:
-        d, _profile = predicted_min_distance(fam)
-        payload["predicted_min_distance"] = d
-    else:
-        payload["predicted_min_distance"] = None
     return payload
 
 
@@ -126,11 +121,7 @@ def _cmd_analyze(args) -> dict:
     code, document = _load_code_file(args.code)
     params = code.params()
     inter = code.pairwise_intersection_dims()
-    max_deg, witness = 0, None
-    for i, row in enumerate(inter):
-        for j, d in enumerate(row):
-            if witness is None or d > max_deg:
-                max_deg, witness = d, (j, i)
+    profile = GcdProfile.from_table(inter) if len(code) >= 2 else None
     payload = {
         "manifest": _manifest(args),
         "q": code.field.spec,
@@ -143,8 +134,8 @@ def _cmd_analyze(args) -> dict:
             "constant_dim": code.constant_dim,
         },
         "gcd_profile": {
-            "max_gcd_degree": max_deg if witness is not None else None,
-            "witness_pair": list(witness) if witness is not None else None,
+            "max_gcd_degree": None if profile is None else profile.max_gcd_degree,
+            "witness_pair": None if profile is None else list(profile.witness_pair),
             "table": [list(r) for r in inter],
         },
     }
@@ -154,48 +145,63 @@ def _cmd_analyze(args) -> dict:
         fam = CAFamily(members)
         check = {"family": document["family"]}
         if len(members) >= 2:
-            d, profile = predicted_min_distance(fam)
+            d, gcds = predicted_min_distance(fam)
             check["predicted_min_distance"] = d
-            check["consistent"] = (
-                d == params.min_distance
-                and profile.table == inter
-            )
+            check["consistent"] = d == params.min_distance and _generates(fam, gcds, code)
         payload["family_check"] = check
     return payload
+
+
+def _generates(fam: CAFamily, profile: GcdProfile, code: GrassmannianCode) -> bool:
+    """True when the members' kernels are exactly the codewords and each pair's
+    GCD degree is the intersection dimension of its kernels, in any member order.
+    """
+    index = {word: i for i, word in enumerate(code)}
+    pos = [index.get(LinearCA(f, 2 * fam.k).kernel()) for f in fam]
+    if None in pos or len(pos) != len(code):
+        return False
+    inter = code.pairwise_intersection_dims()
+    return all(
+        d == inter[max(pos[i], pos[j])][min(pos[i], pos[j])]
+        for i, row in enumerate(profile.table)
+        for j, d in enumerate(row)
+    )
 
 
 def _cmd_count(args) -> dict:
     field = GF.from_spec(args.q)
     k = args.k
-    terms = {}
-    for j in range(1, k + 1):
-        terms[str(j)] = {
+    terms = {
+        str(j): {
             "gauss": count_irreducibles(j, field),
             "x_excluded": count_irreducibles(j, field, exclude_x=True),
         }
+        for j in range(1, k + 1)
+    }
     n_k = max_coprime_family_size(k, field)
-    literal = count_irreducibles(k, field) + sum(
-        count_irreducibles(j, field) for j in range(1, k // 2 + 1)
-    )
     payload = {
         "manifest": _manifest(args),
         "q": field.spec,
         "k": k,
         "terms": terms,
         "N_k": n_k,
-        "N_k_with_x": literal,
+        "N_k_with_x": _with_x(n_k, k),
     }
     if args.t is not None:
+        size = expected_uniform_gcd_size(k, args.t, field)
         payload["t"] = args.t
-        payload["uniform_gcd_size"] = expected_uniform_gcd_size(k, args.t, field)
-        r = k - args.t
-        payload["uniform_gcd_size_with_x"] = (
-            1
-            if r == 0
-            else count_irreducibles(r, field)
-            + sum(count_irreducibles(i, field) for i in range(1, r // 2 + 1))
-        )
+        payload["uniform_gcd_size"] = size
+        payload["uniform_gcd_size_with_x"] = _with_x(size, k - args.t)
     return payload
+
+
+def _with_x(size: int, r: int) -> int:
+    """A family size for cofactor degree r, with X counted too.
+
+    X is the one irreducible the primed counts leave out; every count with
+    r >= 1 has exactly one degree-1 term.
+    """
+    return size + (r >= 1)
 
 
 def _cmd_search_max(args) -> dict:

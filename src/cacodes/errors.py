@@ -31,6 +31,10 @@ class DivisionByZero(DomainError):
     pass
 
 
+class ParseError(DomainError):
+    """Malformed field-spec or polynomial text."""
+
+
 # -- polynomials -------------------------------------------------------------
 
 class BothZero(DomainError):
@@ -109,3 +113,11 @@ class BudgetExceeded(DomainError):
 
 class TooManyErasures(DomainError):
     pass
+
+
+class NegativeCount(DomainError):
+    pass
+
+
+class GuaranteeViolated(DomainError):
+    """A trial inside the 2 d < D region did not decode to the sent codeword."""

@@ -31,11 +31,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import GF, Polynomial, is_irreducible, monic_polynomials, poly_gcd
+from .algebra import GF, Polynomial, irreducible_codes, monic_polynomials, poly_gcd
 from .ca import LinearCA, LinearRule
 from .errors import (
     BudgetExceeded,
     DegreeTooLarge,
+    DomainError,
     DuplicateMember,
     EmptyFamily,
     GNotMonic,
@@ -104,22 +105,27 @@ class GcdProfile:
     witness_pair: tuple[int, int]
     table: tuple[tuple[int, ...], ...]
 
+    @classmethod
+    def from_table(cls, table: tuple[tuple[int, ...], ...]) -> "GcdProfile":
+        """Maximum and witness of a triangular table with at least one entry."""
+        best, witness = -1, (1, 0)
+        for i, row in enumerate(table):
+            for j, d in enumerate(row):
+                if d > best:
+                    best, witness = d, (j, i)
+        return cls(best, witness, table)
+
 
 def gcd_profile(fam: CAFamily) -> GcdProfile:
     """All pairwise GCD degrees of a family (needs >= 2 members)."""
     if len(fam) < 2:
         raise TooFewMembers("a GCD profile needs at least two members")
-    best, witness = -1, (1, 0)
-    table = []
-    for i, f in enumerate(fam.members):
-        row = []
-        for j, g in enumerate(fam.members[:i]):
-            d = int(poly_gcd(f, g).degree)
-            row.append(d)
-            if d > best:
-                best, witness = d, (j, i)
-        table.append(tuple(row))
-    return GcdProfile(best, witness, tuple(table))
+    members = fam.members
+    table = tuple(
+        tuple(int(poly_gcd(f, g).degree) for g in members[:i])
+        for i, f in enumerate(members)
+    )
+    return GcdProfile.from_table(table)
 
 
 def predicted_min_distance(fam: CAFamily) -> tuple[int, GcdProfile]:
@@ -136,8 +142,6 @@ def code_from_family(fam: CAFamily) -> GrassmannianCode:
     equals the family size; any collapse is visible in the returned code's
     ``duplicates_removed``.
     """
-    if not fam.members:
-        raise EmptyFamily("cannot build a code from an empty family")
     n = 2 * fam.k
     kernels = [LinearCA(f, n).kernel() for f in fam.members]
     return GrassmannianCode(fam.field, n, kernels)
@@ -192,28 +196,22 @@ def enumerate_irreducibles(
 ) -> tuple[Polynomial, ...]:
     """All monic irreducibles of degree n, lexicographic order (oracle route).
 
-    Independent of the Gauss formula: plain trial division over the full
-    list of monic polynomials.  ``exclude_x`` drops X (degree 1 only).
+    Independent of the Gauss formula: trial division over the full list of
+    monic polynomials (``algebra.irreducible_codes``).  ``exclude_x`` drops
+    X, the only irreducible with a zero constant term.
     """
     if n < 1:
         raise NonPositive(f"degree must be >= 1, got {n}")
-    out = []
-    for f in monic_polynomials(field, n):
-        if exclude_x and n == 1 and f.coeffs[0].code == 0:
-            continue
-        if is_irreducible(f):
-            out.append(f)
-    return tuple(out)
+    return tuple(
+        Polynomial.from_codes(field, c)
+        for c in irreducible_codes(field, n)
+        if not (exclude_x and c[0] == 0)
+    )
 
 
 def max_coprime_family_size(k: int, field: GF) -> int:
     """Largest pairwise-coprime subset of Poly_k(F_q): N_k from the primed counts."""
-    if k < 1:
-        raise NonPositive(f"degree must be >= 1, got {k}")
-    total = count_irreducibles(k, field, exclude_x=True)
-    for j in range(1, k // 2 + 1):
-        total += count_irreducibles(j, field, exclude_x=True)
-    return total
+    return expected_uniform_gcd_size(k, 0, field)
 
 
 def enumerate_rule_polynomials(k: int, field: GF) -> tuple[Polynomial, ...]:
@@ -221,7 +219,7 @@ def enumerate_rule_polynomials(k: int, field: GF) -> tuple[Polynomial, ...]:
     if k < 1:
         raise NonPositive(f"degree must be >= 1, got {k}")
     return tuple(
-        f for f in monic_polynomials(field, k) if f.coeffs[0].code != 0
+        f for f in monic_polynomials(field, k) if f.to_codes()[0] != 0
     )
 
 
@@ -240,16 +238,7 @@ def uniform_gcd_family(k: int, g: Polynomial) -> tuple[Polynomial, ...]:
     order; t = k returns just (g,).
     """
     field = g.field
-    if k < 1:
-        raise NonPositive(f"degree must be >= 1, got {k}")
-    if not g.is_monic():
-        raise GNotMonic("common gcd g must be monic")
-    if g.constant_term().code == 0:
-        raise GZeroConstant("common gcd g must have a nonzero constant term")
-    t = int(g.degree)
-    if t > k:
-        raise DegreeTooLarge(f"deg(g) = {t} exceeds the family degree k = {k}")
-    r = k - t
+    r = k - _gcd_degree(k, g)
     if r == 0:
         return (g,)
     cofactors = list(enumerate_irreducibles(r, field, exclude_x=True))
@@ -264,6 +253,20 @@ def uniform_gcd_family(k: int, g: Polynomial) -> tuple[Polynomial, ...]:
     return tuple(members)
 
 
+def _gcd_degree(k: int, g: Polynomial) -> int:
+    """deg g, once g is checked as a common gcd for degree-k families."""
+    if k < 1:
+        raise NonPositive(f"degree must be >= 1, got {k}")
+    if not g.is_monic():
+        raise GNotMonic("common gcd g must be monic")
+    if g.to_codes()[0] == 0:
+        raise GZeroConstant("common gcd g must have a nonzero constant term")
+    t = int(g.degree)
+    if t > k:
+        raise DegreeTooLarge(f"deg(g) = {t} exceeds the family degree k = {k}")
+    return t
+
+
 def expected_uniform_gcd_size(k: int, t: int, field: GF) -> int:
     """Predicted cardinality of uniform_gcd_family: I'_(k-t) + sum_{i<=r/2} I'_i."""
     if k < 1:
@@ -273,10 +276,9 @@ def expected_uniform_gcd_size(k: int, t: int, field: GF) -> int:
     r = k - t
     if r == 0:
         return 1
-    total = count_irreducibles(r, field, exclude_x=True)
-    for i in range(1, r // 2 + 1):
-        total += count_irreducibles(i, field, exclude_x=True)
-    return total
+    return sum(
+        count_irreducibles(i, field, exclude_x=True) for i in [r, *range(1, r // 2 + 1)]
+    )
 
 
 @dataclass(frozen=True)
@@ -305,36 +307,25 @@ def verify_family(
         raise ValueError("pass exactly one of g (exact mode) or t (bound mode)")
     mode = "exact-gcd" if g is not None else "max-degree"
     polys = list(members)
-    if not polys:
-        return FamilyReport(False, mode, None, 0, "family is empty")
-    k = polys[0].degree
-    for i, f in enumerate(polys):
-        if f.is_zero() or not f.is_monic():
-            return FamilyReport(False, mode, None, 0, f"member {i} is not monic")
-        if f.degree != k:
-            return FamilyReport(
-                False, mode, None, 0,
-                f"member {i} has degree {f.degree}, expected {k}",
-            )
-        if f.constant_term().code == 0:
-            return FamilyReport(
-                False, mode, None, 0, f"member {i} has zero constant term"
-            )
+    try:
+        k = CAFamily(polys).k
+    except DomainError as exc:  # not a family of distinct Poly_k members
+        return FamilyReport(False, mode, None, 0, str(exc))
     pairs = 0
     for i, j in itertools.combinations(range(len(polys)), 2):
         d = poly_gcd(polys[i], polys[j])
         pairs += 1
         if g is not None and d != g:
             return FamilyReport(
-                False, mode, int(k), pairs,
+                False, mode, k, pairs,
                 f"gcd of members {i},{j} is {d.to_string()}, expected {g.to_string()}",
             )
         if t is not None and d.degree > t:
             return FamilyReport(
-                False, mode, int(k), pairs,
+                False, mode, k, pairs,
                 f"gcd of members {i},{j} has degree {d.degree} > {t}",
             )
-    return FamilyReport(True, mode, int(k), pairs)
+    return FamilyReport(True, mode, k, pairs)
 
 
 # -- exact maximum-family search --------------------------------------------------------
@@ -402,15 +393,7 @@ def search_max_exact_gcd(
     pairwise-coprime set of cofactors in Poly_(k-t), scaled back by g.
     """
     field = g.field
-    if k < 1:
-        raise NonPositive(f"degree must be >= 1, got {k}")
-    if not g.is_monic():
-        raise GNotMonic("common gcd g must be monic")
-    if g.constant_term().code == 0:
-        raise GZeroConstant("common gcd g must have a nonzero constant term")
-    t = int(g.degree)
-    if t > k:
-        raise DegreeTooLarge(f"deg(g) = {t} exceeds the family degree k = {k}")
+    t = _gcd_degree(k, g)
     if t == k:
         return (g,)
     vertices = enumerate_rule_polynomials(k - t, field)

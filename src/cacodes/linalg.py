@@ -1,8 +1,12 @@
 """Exact linear algebra over GF(q): RREF, rank, null spaces, resultants.
 
 Matrices store their entries as integer element codes (see ``algebra.GF``),
-one row per tuple.  All eliminations are exact; there is no floating point
-anywhere, so rank and nullity are always the true algebraic values.
+one row per tuple.  ``MatrixGF(field, rows)`` validates each entry; code that
+already holds valid codes (RREF output, stacks, Sylvester and transition
+matrices, kernels) builds through ``MatrixGF.from_codes`` instead.
+``Echelon.insert`` is the one elimination routine: RREF, rank, null spaces,
+determinants and the subspace layer all grow an echelon row by row.  All
+arithmetic is exact, so rank and nullity are the true algebraic values.
 
 The Sylvester matrix here follows the convolution layout: for nonzero f and
 g, the first deg(g) rows are right-shifted copies of f's ascending
@@ -13,6 +17,7 @@ classic coprimality test: res(f, g) != 0 iff gcd(f, g) = 1.
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Sequence
 
 from .algebra import GF, GFElement, Polynomial
@@ -36,9 +41,7 @@ class MatrixGF:
         ncols: int | None = None,
     ):
         self.field = field
-        packed = []
-        for row in rows:
-            packed.append(tuple(field.code_of(c) for c in row))
+        packed = [tuple(field.code_of(c) for c in row) for row in rows]
         if packed:
             width = len(packed[0])
             if any(len(r) != width for r in packed):
@@ -53,15 +56,20 @@ class MatrixGF:
     # -- constructors -------------------------------------------------------------
 
     @classmethod
+    def from_codes(cls, field: GF, rows: tuple[tuple[int, ...], ...], ncols: int) -> "MatrixGF":
+        """Wrap rows of valid codes, each of length ``ncols``, without re-checking."""
+        matrix = cls.__new__(cls)
+        matrix.field, matrix.rows, matrix.ncols = field, rows, ncols
+        return matrix
+
+    @classmethod
     def zero(cls, field: GF, nrows: int, ncols: int) -> "MatrixGF":
-        return cls(field, [(0,) * ncols for _ in range(nrows)], ncols=ncols)
+        return cls.from_codes(field, ((0,) * ncols,) * nrows, ncols)
 
     @classmethod
     def identity(cls, field: GF, n: int) -> "MatrixGF":
-        return cls(
-            field,
-            [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)],
-            ncols=n,
+        return cls.from_codes(
+            field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n
         )
 
     # -- shape and access ------------------------------------------------------------
@@ -81,11 +89,7 @@ class MatrixGF:
     def __eq__(self, other):
         if not isinstance(other, MatrixGF):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        return (self.field, self.ncols, self.rows) == (other.field, other.ncols, other.rows)
 
     def __hash__(self):
         return hash((self.field, self.ncols, self.rows))
@@ -117,7 +121,7 @@ class MatrixGF:
                         acc = gf.add(acc, gf.mul(a, b))
                 new_row.append(acc)
             out.append(tuple(new_row))
-        return MatrixGF(gf, out, ncols=other.ncols)
+        return MatrixGF.from_codes(gf, tuple(out), other.ncols)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector of codes; returns a tuple of codes."""
@@ -135,8 +139,8 @@ class MatrixGF:
 
     def transpose(self) -> "MatrixGF":
         if not self.rows:
-            return MatrixGF(self.field, [() for _ in range(self.ncols)], ncols=0)
-        return MatrixGF(self.field, list(zip(*self.rows)), ncols=self.nrows)
+            return MatrixGF.from_codes(self.field, ((),) * self.ncols, 0)
+        return MatrixGF.from_codes(self.field, tuple(zip(*self.rows)), self.nrows)
 
     def stack(self, other: "MatrixGF") -> "MatrixGF":
         """Vertical concatenation (rows of self above rows of other)."""
@@ -146,45 +150,21 @@ class MatrixGF:
             raise LengthMismatch(
                 f"column counts differ: {self.ncols} vs {other.ncols}"
             )
-        return MatrixGF(self.field, self.rows + other.rows, ncols=self.ncols)
+        return MatrixGF.from_codes(self.field, self.rows + other.rows, self.ncols)
 
     # -- elimination ------------------------------------------------------------------------
 
     def rref(self) -> tuple["MatrixGF", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot column indices."""
-        gf = self.field
-        work = [list(r) for r in self.rows]
-        nrows, ncols = len(work), self.ncols
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot = next((i for i in range(r, nrows) if work[i][c]), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = gf.inv(work[r][c])
-            if inv != 1:
-                work[r] = [gf.mul(inv, x) for x in work[r]]
-            for i in range(nrows):
-                if i != r and work[i][c]:
-                    factor = work[i][c]
-                    work[i] = [
-                        gf.sub(x, gf.mul(factor, y))
-                        for x, y in zip(work[i], work[r])
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
-        return MatrixGF(gf, [tuple(row) for row in work], ncols=ncols), tuple(pivots)
+        ech = Echelon(self.field, self.ncols, self.rows)
+        zeros = ((0,) * self.ncols,) * (self.nrows - ech.rank)
+        return (
+            MatrixGF.from_codes(self.field, ech.matrix().rows + zeros, self.ncols),
+            tuple(ech.pivots),
+        )
 
     def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def row_space_basis(self) -> "MatrixGF":
-        """Nonzero rows of the RREF: the canonical basis of the row space."""
-        reduced, pivots = self.rref()
-        return MatrixGF(self.field, reduced.rows[: len(pivots)], ncols=self.ncols)
+        return Echelon(self.field, self.ncols, self.rows).rank
 
     def nullspace_basis(self) -> "MatrixGF":
         """Basis of the right null space {x : M x = 0}, one vector per row.
@@ -193,45 +173,26 @@ class MatrixGF:
         with a 1 in its free position: the canonical complement of the RREF.
         """
         gf = self.field
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
+        ech = Echelon(self.field, self.ncols, self.rows)
+        pivot_set = set(ech.pivots)
         basis = []
-        for fc in free:
+        for fc in range(self.ncols):
+            if fc in pivot_set:
+                continue
             vec = [0] * self.ncols
             vec[fc] = 1
-            for r, pc in enumerate(pivots):
-                coeff = reduced.rows[r][fc]
-                if coeff:
-                    vec[pc] = gf.neg(coeff)
+            for pc, row in zip(ech.pivots, ech.rows):
+                if row[fc]:
+                    vec[pc] = gf.neg(row[fc])
             basis.append(tuple(vec))
-        return MatrixGF(gf, basis, ncols=self.ncols)
+        return MatrixGF.from_codes(gf, tuple(basis), self.ncols)
 
     def det(self) -> GFElement:
-        """Determinant by fraction-free forward elimination."""
+        """Determinant: the product of the pivots and the sign of their order."""
         if self.nrows != self.ncols:
             raise LengthMismatch(f"determinant of non-square {self.shape} matrix")
-        gf = self.field
-        n = self.nrows
-        work = [list(r) for r in self.rows]
-        det_code = 1
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if work[i][c]), None)
-            if pivot is None:
-                return gf.zero
-            if pivot != c:
-                work[c], work[pivot] = work[pivot], work[c]
-                det_code = gf.neg(det_code)
-            det_code = gf.mul(det_code, work[c][c])
-            inv = gf.inv(work[c][c])
-            for i in range(c + 1, n):
-                if work[i][c]:
-                    factor = gf.mul(work[i][c], inv)
-                    work[i] = [
-                        gf.sub(x, gf.mul(factor, y))
-                        for x, y in zip(work[i], work[c])
-                    ]
-        return GFElement(gf, det_code)
+        ech = Echelon(self.field, self.ncols, self.rows)
+        return GFElement(self.field, ech.scale if ech.rank == self.nrows else 0)
 
     # -- serialization -----------------------------------------------------------------------
 
@@ -245,12 +206,10 @@ class MatrixGF:
 
     @classmethod
     def from_json(cls, field: GF, data: Sequence, ncols: int | None = None) -> "MatrixGF":
-        rows = []
-        for row in data:
-            if field.m == 1:
-                rows.append([int(c) for c in row])
-            else:
-                rows.append([field.encode([int(a) for a in entry]) for entry in row])
+        if field.m == 1:
+            rows = [[int(c) for c in row] for row in data]
+        else:
+            rows = [[field.encode([int(a) for a in e]) for e in row] for row in data]
         return cls(field, rows, ncols=ncols)
 
 
@@ -267,15 +226,68 @@ def sylvester(f: Polynomial, g: Polynomial) -> MatrixGF:
         raise FieldMismatch("Sylvester matrix of polynomials over different fields")
     df, dg = int(f.degree), int(g.degree)
     n = df + dg
-    rows = []
-    fc, gc = f.to_codes(), g.to_codes()
-    for i in range(dg):
-        rows.append(tuple([0] * i + list(fc) + [0] * (n - i - len(fc))))
-    for i in range(df):
-        rows.append(tuple([0] * i + list(gc) + [0] * (n - i - len(gc))))
-    return MatrixGF(f.field, rows, ncols=n)
+    rows = tuple(
+        (0,) * i + c + (0,) * (n - i - len(c))
+        for c, shifts in ((f.to_codes(), dg), (g.to_codes(), df))
+        for i in range(shifts)
+    )
+    return MatrixGF.from_codes(f.field, rows, n)
 
 
 def resultant(f: Polynomial, g: Polynomial) -> GFElement:
     """Determinant of the Sylvester matrix; nonzero iff gcd(f, g) = 1."""
     return sylvester(f, g).det()
+
+
+class Echelon:
+    """The RREF of the rows inserted so far, grown one row at a time.
+
+    ``rows`` holds the reduced nonzero rows in ascending pivot order and
+    ``pivots`` their pivot columns.  ``scale`` is the product of the leading
+    entries met, negated once per pivot inserted out of column order: for the
+    rows of a square matrix of full rank it ends as the determinant.  Rows
+    that are already reduced, such as a subspace's basis, go in without any
+    row operation.
+    """
+
+    __slots__ = ("field", "ncols", "rows", "pivots", "scale")
+
+    def __init__(self, field: GF, ncols: int, rows: Iterable[Sequence[int]] = ()):
+        self.field, self.ncols = field, ncols
+        self.rows: list[Sequence[int]] = []
+        self.pivots: list[int] = []
+        self.scale = 1
+        for row in rows:
+            self.insert(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def insert(self, row: Sequence[int]) -> bool:
+        """Add a row of codes; True when it was independent of the held rows."""
+        gf = self.field
+        for c, held in zip(self.pivots, self.rows):
+            if row[c]:
+                row = gf.sub_scaled(row, row[c], held)
+        lead_col = next((c for c, x in enumerate(row) if x), None)
+        if lead_col is None:
+            return False
+        lead = row[lead_col]
+        if lead != 1:
+            inv = gf.inv(lead)
+            row = [gf.mul(inv, x) for x in row]
+        for i, held in enumerate(self.rows):
+            if held[lead_col]:
+                self.rows[i] = gf.sub_scaled(held, held[lead_col], row)
+        pos = bisect.bisect(self.pivots, lead_col)
+        self.scale = gf.mul(self.scale, lead)
+        if (len(self.pivots) - pos) % 2:
+            self.scale = gf.neg(self.scale)
+        self.pivots.insert(pos, lead_col)
+        self.rows.insert(pos, row)
+        return True
+
+    def matrix(self) -> MatrixGF:
+        """The held rows as a matrix: the canonical basis of their span."""
+        return MatrixGF.from_codes(self.field, tuple(map(tuple, self.rows)), self.ncols)

@@ -6,7 +6,8 @@ objects are equal exactly when they describe the same subspace.  The distance
     d(A, B) = dim A + dim B - 2 dim(A intersect B)
 
 is computed via dim(A i B) = dim A + dim B - rank(stack(A, B)), which needs
-one elimination instead of an explicit intersection.  Intersections, when a
+one elimination instead of an explicit intersection: an echelon seeded with
+A's basis, which is already reduced, takes B's rows.  Intersections, when a
 basis is actually wanted, use the Zassenhaus block trick.
 
 A Grassmannian code is a finite set of such subspaces; here they usually all
@@ -23,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .algebra import GF
 from .errors import AmbientMismatch, EmptyCode, TooFewCodewords
-from .linalg import MatrixGF
+from .linalg import Echelon, MatrixGF
 
 
 class Subspace:
@@ -32,15 +33,21 @@ class Subspace:
     __slots__ = ("field", "ambient_n", "basis")
 
     def __init__(self, field: GF, ambient_n: int, rows: Iterable[Sequence[int]] = ()):
-        self.field = field
-        self.ambient_n = ambient_n
-        reduced, pivots = MatrixGF(field, rows, ncols=ambient_n).rref()
-        self.basis = MatrixGF(field, reduced.rows[: len(pivots)], ncols=ambient_n)
+        self.field, self.ambient_n = field, ambient_n
+        rows = MatrixGF(field, rows, ncols=ambient_n).rows
+        self.basis = Echelon(field, ambient_n, rows).matrix()
 
     @classmethod
     def from_matrix(cls, rows: MatrixGF) -> "Subspace":
         """Span of the rows of a matrix, canonicalized."""
-        return cls(rows.field, rows.ncols, rows.rows)
+        return cls.from_echelon(Echelon(rows.field, rows.ncols, rows.rows))
+
+    @classmethod
+    def from_echelon(cls, ech: Echelon) -> "Subspace":
+        """The span of an echelon's rows, which already hold valid codes."""
+        sub = cls.__new__(cls)
+        sub.field, sub.ambient_n, sub.basis = ech.field, ech.ncols, ech.matrix()
+        return sub
 
     @property
     def dim(self) -> int:
@@ -61,32 +68,31 @@ class Subspace:
             )
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        stacked = self.basis.stack(MatrixGF(self.field, [vec], ncols=self.ambient_n))
-        return stacked.rank() == self.dim
+        rows = self.basis.rows + MatrixGF(self.field, [vec], ncols=self.ambient_n).rows
+        return Echelon(self.field, self.ambient_n, rows).rank == self.dim
 
     def __le__(self, other: "Subspace") -> bool:
         self._check(other)
-        return self.basis.stack(other.basis).rank() == other.dim
+        return _joint_rank(other, self) == other.dim
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Exact intersection by the Zassenhaus block elimination."""
+        """Exact intersection by the Zassenhaus block elimination.
+
+        The rows of the RREF of [A | A; B | 0] whose left half vanishes are,
+        in their right half, the reduced basis of A intersect B.
+        """
         self._check(other)
         n = self.ambient_n
-        rows = [tuple(r) + tuple(r) for r in self.basis.rows]
-        rows += [tuple(r) + (0,) * n for r in other.basis.rows]
-        reduced, pivots = MatrixGF(self.field, rows, ncols=2 * n).rref()
-        inter = [
-            row[n:] for row in reduced.rows if not any(row[:n]) and any(row[n:])
-        ]
-        return Subspace(self.field, n, inter)
+        blocks = [r + r for r in self.basis.rows] + [r + (0,) * n for r in other.basis.rows]
+        ech = Echelon(self.field, 2 * n, blocks)
+        inter = [row[n:] for c, row in zip(ech.pivots, ech.rows) if c >= n]
+        return Subspace.from_echelon(Echelon(self.field, n, inter))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (
-            self.field == other.field
-            and self.ambient_n == other.ambient_n
-            and self.basis.rows == other.basis.rows
+        return (self.field, self.ambient_n, self.basis.rows) == (
+            other.field, other.ambient_n, other.basis.rows
         )
 
     def __hash__(self):
@@ -102,17 +108,19 @@ class Subspace:
 
     # -- enumeration (desk scale) -----------------------------------------------------
 
+    def combination(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """sum_i coeffs[i] * (basis row i), as a tuple of element codes."""
+        gf = self.field
+        vec = [0] * self.ambient_n
+        for c, row in zip(coeffs, self.basis.rows):
+            if c:
+                vec = [gf.add(x, gf.mul(c, r)) if r else x for x, r in zip(vec, row)]
+        return tuple(vec)
+
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the subspace, as tuples of element codes."""
-        gf = self.field
-        for combo in itertools.product(range(gf.q), repeat=self.dim):
-            vec = [0] * self.ambient_n
-            for c, row in zip(combo, self.basis.rows):
-                if c:
-                    for j, r in enumerate(row):
-                        if r:
-                            vec[j] = gf.add(vec[j], gf.mul(c, r))
-            yield tuple(vec)
+        for combo in itertools.product(range(self.field.q), repeat=self.dim):
+            yield self.combination(combo)
 
     # -- serialization ------------------------------------------------------------------
 
@@ -131,9 +139,12 @@ def subspace_distance(a: Subspace, b: Subspace) -> int:
     intersection basis is built.
     """
     a._check(b)
-    joint = a.basis.stack(b.basis).rank()
-    inter = a.dim + b.dim - joint
-    return a.dim + b.dim - 2 * inter
+    return 2 * _joint_rank(a, b) - a.dim - b.dim
+
+
+def _joint_rank(a: Subspace, b: Subspace) -> int:
+    """dim(A + B): A's basis, already reduced, goes in first; B's rows follow."""
+    return Echelon(a.field, a.ambient_n, a.basis.rows + b.basis.rows).rank
 
 
 @dataclass(frozen=True)
@@ -159,7 +170,9 @@ class GrassmannianCode:
     how many inputs collapsed onto an earlier codeword.
     """
 
-    __slots__ = ("field", "ambient_n", "codewords", "constant_dim", "duplicates_removed")
+    __slots__ = (
+        "field", "ambient_n", "codewords", "constant_dim", "duplicates_removed", "_pairwise"
+    )
 
     def __init__(self, field: GF, ambient_n: int, subspaces: Iterable[Subspace]):
         self.field = field
@@ -177,6 +190,7 @@ class GrassmannianCode:
         self.duplicates_removed = total - len(self.codewords)
         dims = {s.dim for s in self.codewords}
         self.constant_dim = dims.pop() if len(dims) == 1 else None
+        self._pairwise: tuple[tuple[int, ...], ...] | None = None
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -191,21 +205,25 @@ class GrassmannianCode:
         """Brute-force minimum of the subspace distance over all unordered pairs."""
         if len(self.codewords) < 2:
             raise TooFewCodewords("minimum distance needs at least two codewords")
+        dims = [s.dim for s in self.codewords]
         return min(
-            subspace_distance(a, b)
-            for a, b in itertools.combinations(self.codewords, 2)
+            dims[i] + dims[j] - 2 * d
+            for i, row in enumerate(self.pairwise_intersection_dims())
+            for j, d in enumerate(row)
         )
 
     def pairwise_intersection_dims(self) -> tuple[tuple[int, ...], ...]:
-        """Triangular table: row i lists dim(C_i intersect C_j) for j < i."""
-        table = []
-        for i, a in enumerate(self.codewords):
-            row = []
-            for b in self.codewords[:i]:
-                joint = a.basis.stack(b.basis).rank()
-                row.append(a.dim + b.dim - joint)
-            table.append(tuple(row))
-        return tuple(table)
+        """Triangular table: row i lists dim(C_i intersect C_j) for j < i.
+
+        Computed on first use and kept: the codewords never change.
+        """
+        if self._pairwise is None:
+            words = self.codewords
+            self._pairwise = tuple(
+                tuple(a.dim + b.dim - _joint_rank(a, b) for b in words[:i])
+                for i, a in enumerate(words)
+            )
+        return self._pairwise
 
     def params(self) -> CodeParams:
         """The [n, max dim, log_q size, min distance] parameter tuple."""

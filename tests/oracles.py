@@ -107,6 +107,30 @@ def span_set(rows, n: int, p: int) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
+def gf4_mul(a: int, b: int) -> int:
+    """Product in GF(4) = F_2[X]/(1 + X + X^2), elements coded a_0 + 2 a_1."""
+    prod = 0
+    for i in range(2):
+        if b >> i & 1:
+            prod ^= a << i
+    if prod & 4:  # X^2 = 1 + X
+        prod ^= 0b111
+    return prod
+
+
+def span_set_gf4(rows, n: int) -> frozenset[tuple[int, ...]]:
+    """All linear combinations of the given row vectors over GF(4)."""
+    rows = [tuple(r) for r in rows]
+    out = set()
+    for combo in itertools.product(range(4), repeat=len(rows)):
+        vec = [0] * n
+        for c, row in zip(combo, rows):
+            for j, r in enumerate(row):
+                vec[j] ^= gf4_mul(c, r)
+        out.add(tuple(vec))
+    return frozenset(out)
+
+
 def set_dim(vectors: frozenset, p: int) -> int:
     """Dimension of a subspace given as its full vector set (size p^d)."""
     d = 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import cacodes.channel as channel_module
 from cacodes.algebra import GF, Polynomial
 from cacodes.channel import ChannelConfig, decode_min_distance, simulate, transmit
 from cacodes.errors import EmptyCode, TooManyErasures
@@ -101,6 +102,40 @@ def test_transmit_deterministic_per_trial():
     outs = [transmit(V, cfg, t) for t in range(10)]
     assert outs == [transmit(V, again, t) for t in range(10)]
     assert len(set(outs)) > 1  # trials draw from distinct streams
+
+
+# (q, k, erasures, error_dims, seed, trial) -> (candidate vectors drawn, basis
+# of U) for the coprime code of degree k; sent codeword index trial % size.
+# Recorded from the implementation that re-ran a full RREF per draw; equal
+# draw counts and bases show that the incremental echelon accepts and
+# rejects exactly the same candidates.
+PINNED_TRANSMIT = {
+    ("2", 3, 1, 2, 5, 0): (6, ((1, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1), (0, 0, 1, 0, 0, 1), (0, 0, 0, 0, 1, 0))),
+    ("2", 3, 1, 2, 5, 1): (5, ((1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0), (0, 0, 1, 0, 1, 0), (0, 0, 0, 1, 0, 1))),
+    ("2", 3, 1, 2, 5, 2): (5, ((0, 1, 0, 0, 0, 1), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0))),
+    ("3", 2, 1, 1, 11, 7): (3, ((1, 0, 0, 1), (0, 1, 1, 0))),
+    ("3", 2, 1, 1, 11, 8): (3, ((1, 0, 0, 2), (0, 1, 0, 1))),
+    ("2^2", 3, 1, 1, 3, 0): (3, ((1, 0, 2, 0, 0, 0), (0, 1, 0, 0, 3, 2), (0, 0, 0, 1, 2, 3))),
+    ("2^2", 3, 1, 1, 3, 7): (3, ((1, 0, 0, 2, 1, 3), (0, 1, 0, 1, 2, 1), (0, 0, 1, 2, 1, 2))),
+    ("2", 2, 0, 2, 7, 1): (7, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRANSMIT), ids=str)
+def test_transmit_pinned_draws_and_bases(case, monkeypatch):
+    q, k, erasures, error_dims, seed, trial = case
+    field = GF.from_spec(q)
+    code = code_from_family(CAFamily(list(uniform_gcd_family(k, Polynomial(field, [1])))))
+    draws = []
+    for name in ("_random_vector_of", "_random_ambient_vector"):
+        original = getattr(channel_module, name)
+        monkeypatch.setattr(
+            channel_module, name,
+            lambda *args, _original=original: draws.append(1) or _original(*args),
+        )
+    cfg = ChannelConfig(erasures=erasures, error_dims=error_dims, seed=seed)
+    U = transmit(code[trial % len(code)], cfg, trial)
+    assert (len(draws), U.basis.rows) == PINNED_TRANSMIT[case]
 
 
 def test_transmit_rejects_excess_erasures():

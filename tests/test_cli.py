@@ -1,11 +1,15 @@
 """End-to-end CLI tests: run main() in process and parse stdout."""
 
+import itertools
 import json
 
 import pytest
 
+import cacodes.channel as channel_module
 from cacodes import __version__
+from cacodes.algebra import GF, Polynomial
 from cacodes.cli import main
+from cacodes.families import CAFamily, code_from_family
 
 
 def run(capsys, *argv):
@@ -121,6 +125,46 @@ def test_analyze_bare_code_file(capsys, tmp_path):
     assert analysis["params"]["min_distance"] == 4
 
 
+# GF(2), k = 3: gcd(1 + X^3, (1 + X)^3) = 1 + X, every other pair coprime
+ORDER_FAMILY = ["1,0,0,1", "1,1,1,1", "1,1,0,1"]
+
+
+def write_family_doc(path, family, code_family=ORDER_FAMILY):
+    fam = CAFamily([Polynomial.from_string(GF(2), s) for s in code_family])
+    doc = {"q": "2", "k": 3, "family": family, "code": code_from_family(fam).to_json()}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("family", list(itertools.permutations(ORDER_FAMILY)), ids=",".join)
+def test_family_check_ignores_member_order(capsys, tmp_path, family):
+    path = write_family_doc(tmp_path / "family.json", list(family))
+    code, doc = run_json(capsys, "analyze", "--code", path)
+    assert code == 0
+    assert doc["params"]["min_distance"] == 4
+    assert doc["family_check"]["predicted_min_distance"] == 4
+    assert doc["family_check"]["consistent"] is True
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # 1 + X^2 + X^3 in place of 1 + X + X^3: the same GCD table, entry
+        # for entry, and the same distance, but its kernel is not a codeword
+        ["1,0,0,1", "1,0,1,1", "1,1,1,1"],
+        # the pair at distance 4 alone: it generates only part of the code
+        ["1,0,0,1", "1,1,1,1"],
+    ],
+    ids=["outside", "subset"],
+)
+def test_family_check_needs_exactly_the_codewords(capsys, tmp_path, family):
+    path = write_family_doc(tmp_path / "family.json", family)
+    code, doc = run_json(capsys, "analyze", "--code", path)
+    assert code == 0
+    assert doc["family_check"]["predicted_min_distance"] == doc["params"]["min_distance"] == 4
+    assert doc["family_check"]["consistent"] is False
+
+
 # -- search-max -------------------------------------------------------------------------------
 
 
@@ -216,6 +260,39 @@ def test_missing_code_file(capsys):
     code, doc = run_json(capsys, "analyze", "--code", "/nonexistent/code.json")
     assert code == 1
     assert doc["error"]["name"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--q", "2^", "--k", "2"),
+        ("count", "--q", "2^x", "--k", "2"),
+        ("kernel", "--q", "2", "--poly", "1,a", "--n", "4"),
+        ("kernel", "--q", "2", "--poly", ",", "--n", "4"),
+        ("simulate", "--code", "{code}", "--erasures", "-1"),
+        ("simulate", "--code", "{code}", "--trials", "0"),
+    ],
+    ids=" ".join,
+)
+def test_malformed_input_is_a_json_error(capsys, code_file, argv):
+    code, doc = run_json(capsys, *(a.format(code=code_file) for a in argv))
+    assert code == 1
+    assert set(doc["error"]) == {"name", "message"}
+
+
+def test_broken_decoding_guarantee_is_a_json_error(capsys, code_file, monkeypatch):
+    # a decoder that always answers codeword 0 breaks 2 d < D whenever 1 is sent
+    def always_zero(code, U, sent_index=None):
+        return channel_module.TrialResult(
+            received=U, decoded_index=0, ambiguous=False, tied=(0,),
+            min_distance_found=0, sent_index=sent_index,
+            distance_to_sent=channel_module.subspace_distance(code[sent_index], U),
+        )
+
+    monkeypatch.setattr(channel_module, "decode_min_distance", always_zero)
+    code, doc = run_json(capsys, "simulate", "--code", code_file, "--trials", "20")
+    assert code == 1
+    assert doc["error"]["name"] == "GuaranteeViolated"
 
 
 def test_usage_error_exit_two(capsys):

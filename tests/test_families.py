@@ -285,6 +285,13 @@ def test_verify_zero_constant_fails():
     assert not report.ok
 
 
+def test_verify_rejects_duplicate_members():
+    # a repeated rule is not a family, even when its self-gcd meets the bound
+    report = verify_family([P(F2, 1, 1, 1), P(F2, 1, 1, 1)], t=2)
+    assert not report.ok
+    assert "distinct" in report.detail
+
+
 def test_verify_exact_mode_mismatch():
     report = verify_family([P(F2, 1, 1, 1), P(F2, 1, 0, 1)], g=P(F2, 1, 1))
     assert not report.ok

@@ -1,0 +1,81 @@
+"""Structural properties of the implementation, checked from outside.
+
+* ``src/`` states its invariants as explicit checks, never ``assert``
+  (which ``python -O`` strips).
+* Values are validated once, where they enter: internal producers of
+  polynomials, matrices and subspaces never go back through ``GF.code_of``.
+* A code's pairwise intersection table is computed once per code.
+"""
+
+import ast
+import json
+import pathlib
+
+import cacodes
+from cacodes import subspaces
+from cacodes.algebra import GF, Polynomial, poly_gcd
+from cacodes.ca import LinearCA
+from cacodes.channel import ChannelConfig, decode_min_distance, simulate, transmit
+from cacodes.cli import main
+from cacodes.families import (
+    CAFamily,
+    code_from_family,
+    gcd_profile,
+    search_max_family,
+    uniform_gcd_family,
+)
+from cacodes.linalg import resultant, sylvester
+
+SRC = pathlib.Path(cacodes.__file__).parent
+
+
+def test_no_assert_statements_in_src():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+def test_internal_producers_skip_code_of(monkeypatch):
+    calls = []
+    original = GF.code_of
+    monkeypatch.setattr(
+        GF, "code_of", lambda self, value: calls.append(value) or original(self, value)
+    )
+    for field, g in ((GF(2), (1, 1)), (GF(3), (1,)), (GF(2, 2), (2, 1))):
+        fam = CAFamily(uniform_gcd_family(3, Polynomial.from_codes(field, g)))
+        code = code_from_family(fam)
+        code.params()
+        gcd_profile(fam)
+        a, b = code[0], code[1]
+        a.intersection(b)
+        assert a <= a and not a <= b
+        LinearCA(fam[0], 6).transition_matrix().nullspace_basis()
+        f, h = fam[0], fam[1]
+        poly_gcd(f, h)
+        sylvester(f, h).rref()
+        resultant(f, h)
+        cfg = ChannelConfig(erasures=1, error_dims=1, seed=3)
+        decode_min_distance(code, transmit(a, cfg, trial=0), sent_index=0)
+        simulate(code, cfg, trials=3)
+    search_max_family(3, 0, GF(2))
+    assert calls == []
+
+
+def test_analyze_eliminates_each_pair_once(capsys, tmp_path, monkeypatch):
+    assert main(["build-code", "--q", "2", "--k", "5"]) == 0
+    document = capsys.readouterr().out
+    size = len(json.loads(document)["code"]["codewords"])
+    path = tmp_path / "code.json"
+    path.write_text(document, encoding="utf-8")
+
+    pairs = []
+    original = subspaces._joint_rank
+    monkeypatch.setattr(subspaces, "_joint_rank", lambda a, b: pairs.append(1) or original(a, b))
+    assert main(["analyze", "--code", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["family_check"]["consistent"] is True
+    assert size >= 5
+    assert len(pairs) == size * (size - 1) // 2

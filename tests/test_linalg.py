@@ -8,12 +8,14 @@ import pytest
 from cacodes.algebra import GF, Polynomial, poly_gcd
 from cacodes.errors import FieldMismatch, LengthMismatch, ZeroPolynomial
 from cacodes.linalg import MatrixGF, resultant, sylvester
+from cacodes.subspaces import Subspace
 
 import oracles
 
 F2 = GF(2)
 F3 = GF(3)
 F4 = GF(2, 2)
+F5 = GF(5)
 
 
 def P(field, *coeffs):
@@ -253,3 +255,92 @@ def test_json_round_trip_prime_and_extension():
     data = e.to_json()
     assert data == [[[0, 1], [1, 0]], [[1, 1], [0, 0]]]
     assert MatrixGF.from_json(F4, data, ncols=2) == e
+
+
+# -- the echelon routine against the oracles -------------------------------------------------
+
+
+def span(field, rows, n):
+    if field.m == 1:
+        return oracles.span_set(rows, n, field.p)
+    return oracles.span_set_gf4(rows, n)
+
+
+def dot(field, row, vec):
+    if field.m == 1:
+        return sum(a * b for a, b in zip(row, vec)) % field.p
+    acc = 0
+    for a, b in zip(row, vec):
+        acc ^= oracles.gf4_mul(a, b)
+    return acc
+
+
+def random_rows(field, rng, nrows, ncols):
+    """Random rows in one of four shapes: plain, rank-deficient, duplicated, zero."""
+    shape = rng.choice(("plain", "deficient", "duplicate", "zero"))
+    if shape == "zero" or nrows == 0:
+        return [[0] * ncols for _ in range(nrows)]
+    base = [[rng.randrange(field.q) for _ in range(ncols)] for _ in range(nrows)]
+    if shape == "duplicate":
+        base[-1] = list(base[0])
+    elif shape == "deficient":  # every row a combination of two rows
+        x, y = base[0], base[-1]
+        base = [
+            [field.add(field.mul(a, u), field.mul(b, v)) for u, v in zip(x, y)]
+            for a, b in ((rng.randrange(field.q), rng.randrange(field.q)) for _ in base)
+        ]
+    return base
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F4], ids=lambda f: f.spec)
+def test_echelon_matches_oracles_randomized(field):
+    rng = random.Random(f"echelon:{field.spec}")
+    shapes = [(0, 3), (3, 0), (0, 0)] + [
+        (rng.randint(1, 5), rng.randint(1, 4)) for _ in range(80)
+    ]
+    for nrows, ncols in shapes:
+        rows = random_rows(field, rng, nrows, ncols)
+        m = MatrixGF(field, rows, ncols=ncols)
+        reduced, pivots = m.rref()
+        spanned = span(field, rows, ncols)
+        rank = oracles.set_dim(spanned, field.q)
+        assert m.rank() == len(pivots) == rank
+        if field.m == 1:
+            assert rank == oracles.rank_over_q(rows, field.p)
+        # RREF: same row space, unit pivots, zero pivot columns, zero rows last
+        assert reduced.shape == m.shape
+        assert span(field, reduced.rows, ncols) == spanned
+        assert list(pivots) == sorted(pivots)
+        for r, row in enumerate(reduced.rows):
+            if r < rank:
+                assert row[pivots[r]] == 1 and not any(row[: pivots[r]])
+                assert all(reduced.rows[i][pivots[r]] == 0 for i in range(rank) if i != r)
+            else:
+                assert not any(row)
+        assert reduced.rref() == (reduced, pivots)
+        # null space: solutions, independent, rank + nullity = ncols
+        null = m.nullspace_basis()
+        assert null.shape == (ncols - rank, ncols)
+        assert all(dot(field, row, v) == 0 for v in null.rows for row in rows)
+        assert oracles.set_dim(span(field, null.rows, ncols), field.q) == ncols - rank
+        if nrows == ncols and field.m == 1:
+            assert m.det().code == oracles.odet(rows, field.p)
+        if nrows == ncols:
+            assert (m.det().code != 0) == (rank == ncols)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F4], ids=lambda f: f.spec)
+def test_intersection_and_containment_match_span_sets(field):
+    rng = random.Random(f"intersection:{field.spec}")
+    n = 3 if field.q > 3 else 4
+    for _ in range(40):
+        a_rows = random_rows(field, rng, rng.randint(0, 3), n)
+        b_rows = random_rows(field, rng, rng.randint(0, 3), n)
+        a, b = Subspace(field, n, a_rows), Subspace(field, n, b_rows)
+        sa, sb = span(field, a_rows, n), span(field, b_rows, n)
+        inter = a.intersection(b)
+        assert span(field, inter.basis.rows, n) == sa & sb
+        assert inter == Subspace(field, n, inter.basis.rows)  # already canonical
+        assert (a <= b) == (sa <= sb)
+        vec = tuple(rng.randrange(field.q) for _ in range(n))
+        assert a.contains_vector(vec) == (vec in sa)
