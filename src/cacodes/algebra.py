@@ -17,6 +17,10 @@ Representation conventions used throughout the library:
   coerces each value through ``GF.element``.  Code that already holds valid
   codes builds through ``Polynomial.from_codes``, which does not re-check.
 * GCDs are always returned monic, so they are unique.
+* For elimination a row of codes is packed into one Python int, in a format
+  the field picks from p and m (``GF.row_format``, ``RowFormat``): a row
+  operation is then a few whole-integer operations, XOR in characteristic 2,
+  instead of one field operation per entry.
 
 Extension fields are supported for m <= 4.  The reducing modulus is chosen
 deterministically as the lexicographically smallest monic irreducible of
@@ -75,8 +79,11 @@ class GF:
 
     Arithmetic methods (``add``, ``mul``, ``inv``, ...) operate on integer
     element codes in [0, q); ``element`` wraps a code into a ``GFElement``.
-    Instances are immutable and hashable; two instances of the same order
-    compare equal.
+    Two instances of the same order compare equal and hash alike.  The field
+    itself never changes; each instance only caches its product tables and
+    one packed row format per row length it has been asked for
+    (``row_format``), since elimination asks for the same few lengths again
+    and again.
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -94,6 +101,7 @@ class GF:
         self._modulus: Polynomial | None = None
         self._mul_table: list[int] | None = None
         self._inv_table: list[int] | None = None
+        self._row_formats: dict[int, RowFormat] = {}
         if m > 1:
             self._modulus = _smallest_irreducible_modulus(p, m)
             if self.q <= _TABLE_LIMIT:
@@ -147,17 +155,27 @@ class GF:
 
     # -- arithmetic on integer codes -------------------------------------------
 
+    # In characteristic 2 the digits are bits, so digit-wise addition and
+    # subtraction are both XOR of the codes and every element is its own
+    # negative.
+
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.m == 1:
             return (a + b) % self.p
         return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
     def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self.m == 1:
             return (a - b) % self.p
         return self.encode([x - y for x, y in zip(self.decode(a), self.decode(b))])
 
     def neg(self, a: int) -> int:
+        if self.p == 2:
+            return a
         if self.m == 1:
             return (-a) % self.p
         return self.encode([-x for x in self.decode(a)])
@@ -184,6 +202,19 @@ class GF:
             p = self.p
             return [(x - c * y) % p for x, y in zip(u, v)]
         return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
+
+    def row_format(self, ncols: int) -> "RowFormat":
+        """The packed format of rows of ``ncols`` entries over this field."""
+        fmt = self._row_formats.get(ncols)
+        if fmt is None:
+            if self.p == 2:
+                kind = _XorFormat
+            elif self.m == 1 and self.p <= _MOD_LANE_MAX_P:
+                kind = _ModFormat
+            else:
+                kind = RowFormat
+            fmt = self._row_formats[ncols] = kind(self, ncols)
+        return fmt
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -281,6 +312,107 @@ class GF:
                     inv[a] = b
                     break
         self._inv_table = inv
+
+
+# -- packed rows ----------------------------------------------------------------------
+
+
+class RowFormat:
+    """Rows of ``ncols`` field entries, each packed into one Python int.
+
+    Entry j sits in lane j, the ``width`` bits from bit j * width, so column 0
+    is the lowest lane and the leading (lowest nonzero) column of a row is
+    read off its lowest set bit.  The zero row is 0, and rows with disjoint
+    columns combine with ``|``.  ``GF.row_format`` picks the format from p
+    and m:
+
+    * p = 2 (``_XorFormat``): a lane is the m-bit code itself, so adding rows
+      is XOR and scaling is m masked shifts and small multiplications;
+    * odd p <= 13, m = 1 (``_ModFormat``): 8-bit lanes; u - c*v is the integer
+      u + (p - c)*v, whose lanes stay below p^2 < 256 so no carry crosses a
+      lane, reduced mod p by one ``bytes.translate``;
+    * every other field (this base class): lanes just wide enough for a
+      code, and a row operation unpacks both rows and applies the field's
+      per-entry arithmetic (``GF.sub_scaled``).
+
+    Packing trusts its codes to lie in [0, q).
+    """
+
+    __slots__ = ("field", "ncols", "width", "mask", "shifts")
+
+    def __init__(self, field: GF, ncols: int):
+        self.field, self.ncols = field, ncols
+        self.width = self._lane_width(field)
+        self.mask = (1 << self.width) - 1
+        self.shifts = range(0, ncols * self.width, self.width)  # lane j at j * width
+
+    @staticmethod
+    def _lane_width(field: GF) -> int:
+        return (field.q - 1).bit_length()
+
+    def pack(self, codes: Sequence[int]) -> int:
+        row, w = 0, self.width
+        for c in reversed(codes):
+            row = row << w | c
+        return row
+
+    def unpack(self, row: int) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple([row >> s & mask for s in self.shifts])
+
+    def sub_scaled(self, u: int, c: int, v: int) -> int:
+        """The row u - c*v: the row operation of elimination."""
+        return self.pack(self.field.sub_scaled(self.unpack(u), c, self.unpack(v)))
+
+
+class _XorFormat(RowFormat):
+    # c * x for a lane x = sum_i x_i 2^i is XOR_i x_i * (c * 2^i): the bits x_i
+    # of every lane at once, times the code c * 2^i, which fits in the lane
+    __slots__ = ("low", "times")
+
+    def __init__(self, field: GF, ncols: int):
+        super().__init__(field, ncols)
+        self.low = sum(1 << (j * field.m) for j in range(ncols))
+        self.times = [
+            tuple(field.mul(c, 1 << i) for i in range(field.m)) for c in range(field.q)
+        ]
+
+    @staticmethod
+    def _lane_width(field: GF) -> int:
+        return field.m
+
+    def sub_scaled(self, u: int, c: int, v: int) -> int:
+        if c == 1:
+            return u ^ v
+        low = self.low
+        for i, t in enumerate(self.times[c]):
+            u ^= (v >> i & low) * t
+        return u
+
+
+_MOD_LANE_MAX_P = 13  # largest p with p * (p - 1) < 256: u + (p - c)*v fits a byte
+
+
+class _ModFormat(RowFormat):
+    __slots__ = ("reduce",)
+
+    def __init__(self, field: GF, ncols: int):
+        super().__init__(field, ncols)
+        self.reduce = bytes(x % field.p for x in range(256))
+
+    @staticmethod
+    def _lane_width(field: GF) -> int:
+        return 8  # byte lanes: packing goes through ``bytes``
+
+    def pack(self, codes: Sequence[int]) -> int:
+        return int.from_bytes(bytes(codes), "little")
+
+    def unpack(self, row: int) -> tuple[int, ...]:
+        return tuple(row.to_bytes(self.ncols, "little"))
+
+    def sub_scaled(self, u: int, c: int, v: int) -> int:
+        lanes = (u + (self.field.p - c) * v).to_bytes(self.ncols, "little")
+        return int.from_bytes(lanes.translate(self.reduce), "little")
 
 
 class GFElement:

@@ -157,12 +157,12 @@ class LinearCA:
 
     def _run(self, vec: list[int]) -> tuple[int, ...]:
         # the recurrence on a validated k-cell seed of codes
-        gf = self.field
+        gf, k = self.field, self.k
         codes = self.rule.poly.to_codes()
-        for i in range(self.k, self.n):
+        for i in range(k, self.n):
             acc = 0
-            for j in range(self.k):
-                a, xj = codes[j], vec[i - self.k + j]
+            for j in range(k):
+                a, xj = codes[j], vec[i - k + j]
                 if a and xj:
                     acc = gf.add(acc, gf.mul(a, xj))
             vec.append(gf.neg(acc))

@@ -78,10 +78,11 @@ def _random_ambient_vector(field, n: int, rng: random.Random) -> tuple[int, ...]
 
 
 def _extend_independent(ech: Echelon, draw, count: int) -> None:
-    """Insert ``count`` vectors from ``draw()``, redrawing any dependent one."""
+    """Insert ``count`` vectors from ``draw()``, packed, redrawing any dependent one."""
+    pack = ech.format.pack
     for _ in range(count):
         for _attempt in range(_MAX_REDRAWS):
-            if ech.insert(draw()):
+            if ech.insert(pack(draw())):
                 break
         else:
             raise RuntimeError(

@@ -64,8 +64,8 @@ def _load_code_file(path: str) -> tuple[GrassmannianCode, dict]:
     """Read a code file: bare {"q","n","codewords"} or a build-code document."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    bare = data.get("code", data)
-    if "codewords" not in bare:
+    bare = data.get("code", data) if isinstance(data, dict) else None
+    if not isinstance(bare, dict) or "codewords" not in bare:
         raise DomainError(f"{path} does not contain a code object")
     return GrassmannianCode.from_json(bare), data
 

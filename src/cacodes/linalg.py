@@ -5,8 +5,12 @@ one row per tuple.  ``MatrixGF(field, rows)`` validates each entry; code that
 already holds valid codes (RREF output, stacks, Sylvester and transition
 matrices, kernels) builds through ``MatrixGF.from_codes`` instead.
 ``Echelon.insert`` is the one elimination routine: RREF, rank, null spaces,
-determinants and the subspace layer all grow an echelon row by row.  All
-arithmetic is exact, so rank and nullity are the true algebraic values.
+determinants, intersections and the subspace layer all grow an echelon row
+by row.  An echelon holds each row packed into one Python int, in the
+format its field defines (``algebra.RowFormat``), so a row operation is a
+few whole-integer operations; rows of codes are packed on the way in and
+unpacked only by ``Echelon.matrix``.  All arithmetic is exact, so rank and
+nullity are the true algebraic values.
 
 The Sylvester matrix here follows the convolution layout: for nonzero f and
 g, the first deg(g) rows are right-shifted copies of f's ascending
@@ -21,7 +25,7 @@ import bisect
 from typing import Iterable, Sequence
 
 from .algebra import GF, GFElement, Polynomial
-from .errors import FieldMismatch, LengthMismatch, ZeroPolynomial
+from .errors import FieldMismatch, LengthMismatch, ParseError, ZeroPolynomial
 
 
 class MatrixGF:
@@ -174,14 +178,14 @@ class MatrixGF:
         """
         gf = self.field
         ech = Echelon(self.field, self.ncols, self.rows)
-        pivot_set = set(ech.pivots)
+        reduced, pivot_set = ech.matrix().rows, set(ech.pivots)
         basis = []
         for fc in range(self.ncols):
             if fc in pivot_set:
                 continue
             vec = [0] * self.ncols
             vec[fc] = 1
-            for pc, row in zip(ech.pivots, ech.rows):
+            for pc, row in zip(ech.pivots, reduced):
                 if row[fc]:
                     vec[pc] = gf.neg(row[fc])
             basis.append(tuple(vec))
@@ -206,11 +210,24 @@ class MatrixGF:
 
     @classmethod
     def from_json(cls, field: GF, data: Sequence, ncols: int | None = None) -> "MatrixGF":
+        """Parse the ``to_json`` layout; any other shape is a ``ParseError``."""
         if field.m == 1:
-            rows = [[int(c) for c in row] for row in data]
+            entry = _json_int
         else:
-            rows = [[field.encode([int(a) for a in e]) for e in row] for row in data]
-        return cls(field, rows, ncols=ncols)
+            def entry(e):
+                if not isinstance(e, list) or len(e) != field.m:
+                    raise ParseError(f"entry {e!r} is not a list of {field.m} integers")
+                return field.encode([_json_int(a) for a in e])
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ParseError("a matrix must be a list of row lists")
+        return cls(field, [[entry(e) for e in row] for row in data], ncols=ncols)
+
+
+def _json_int(value) -> int:
+    # JSON true and false load as bool, an int subclass, but are no integers
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{value!r} is not an integer")
+    return value
 
 
 def sylvester(f: Polynomial, g: Polynomial) -> MatrixGF:
@@ -242,52 +259,92 @@ def resultant(f: Polynomial, g: Polynomial) -> GFElement:
 class Echelon:
     """The RREF of the rows inserted so far, grown one row at a time.
 
+    Rows are packed ints in the field's row format (``GF.row_format``): the
+    format does the row operations, and ``insert`` reads an entry straight
+    from its lane (``width`` bits at column * width, under ``mask``).
     ``rows`` holds the reduced nonzero rows in ascending pivot order and
     ``pivots`` their pivot columns.  ``scale`` is the product of the leading
-    entries met, negated once per pivot inserted out of column order: for the
-    rows of a square matrix of full rank it ends as the determinant.  Rows
-    that are already reduced, such as a subspace's basis, go in without any
-    row operation.
+    entries met, negated once per pivot inserted out of column order: for
+    the rows of a square matrix of full rank it ends as the determinant.
+    Rows that are already reduced, such as a subspace's basis, go in without
+    any row operation, and ``copy`` seeds a new echelon with them without
+    repacking.
     """
 
-    __slots__ = ("field", "ncols", "rows", "pivots", "scale")
+    __slots__ = ("field", "ncols", "format", "rows", "pivots", "scale")
 
     def __init__(self, field: GF, ncols: int, rows: Iterable[Sequence[int]] = ()):
+        """An echelon of ``rows`` given as sequences of codes, packed on entry."""
         self.field, self.ncols = field, ncols
-        self.rows: list[Sequence[int]] = []
+        self.format = field.row_format(ncols)
+        self.rows: list[int] = []
         self.pivots: list[int] = []
         self.scale = 1
+        pack = self.format.pack
         for row in rows:
-            self.insert(row)
+            self.insert(pack(row))
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def insert(self, row: Sequence[int]) -> bool:
-        """Add a row of codes; True when it was independent of the held rows."""
-        gf = self.field
-        for c, held in zip(self.pivots, self.rows):
-            if row[c]:
-                row = gf.sub_scaled(row, row[c], held)
-        lead_col = next((c for c, x in enumerate(row) if x), None)
-        if lead_col is None:
+    def copy(self) -> "Echelon":
+        ech = Echelon.__new__(Echelon)
+        ech.field, ech.ncols, ech.format, ech.scale = (
+            self.field, self.ncols, self.format, self.scale
+        )
+        ech.rows, ech.pivots = self.rows[:], self.pivots[:]
+        return ech
+
+    def insert(self, row: int) -> bool:
+        """Add a packed row; True when it was independent of the held rows."""
+        fmt, rows, pivots = self.format, self.rows, self.pivots
+        w, mask, sub_scaled = fmt.width, fmt.mask, fmt.sub_scaled
+        for c, held in zip(pivots, rows):
+            x = row >> (c * w) & mask
+            if x:
+                row = sub_scaled(row, x, held)
+        if not row:
             return False
-        lead = row[lead_col]
+        gf = self.field
+        lead_col = ((row & -row).bit_length() - 1) // w
+        shift = lead_col * w
+        lead = row >> shift & mask
         if lead != 1:
-            inv = gf.inv(lead)
-            row = [gf.mul(inv, x) for x in row]
-        for i, held in enumerate(self.rows):
-            if held[lead_col]:
-                self.rows[i] = gf.sub_scaled(held, held[lead_col], row)
-        pos = bisect.bisect(self.pivots, lead_col)
-        self.scale = gf.mul(self.scale, lead)
-        if (len(self.pivots) - pos) % 2:
+            row = sub_scaled(0, gf.neg(gf.inv(lead)), row)  # row / lead
+            self.scale = gf.mul(self.scale, lead)
+        for i, held in enumerate(rows):
+            x = held >> shift & mask
+            if x:
+                rows[i] = sub_scaled(held, x, row)
+        pos = bisect.bisect(pivots, lead_col)
+        if (len(pivots) - pos) % 2:
             self.scale = gf.neg(self.scale)
-        self.pivots.insert(pos, lead_col)
-        self.rows.insert(pos, row)
+        pivots.insert(pos, lead_col)
+        rows.insert(pos, row)
         return True
+
+    def intersection(self, other: "Echelon") -> "Echelon":
+        """The echelon of the intersection of two row spaces, by Zassenhaus.
+
+        The rows of the RREF of [A | A; B | 0] whose left half vanishes are,
+        in their right half, the reduced basis of A intersect B.
+        """
+        n = self.ncols
+        half = n * self.format.width  # the bits of the left half
+        blocks = Echelon(self.field, 2 * n)
+        for row in self.rows:
+            blocks.insert(row | row << half)
+        for row in other.rows:
+            blocks.insert(row)
+        inter = Echelon(self.field, n)
+        for c, row in zip(blocks.pivots, blocks.rows):
+            if c >= n:
+                inter.insert(row >> half)
+        return inter
 
     def matrix(self) -> MatrixGF:
         """The held rows as a matrix: the canonical basis of their span."""
-        return MatrixGF.from_codes(self.field, tuple(map(tuple, self.rows)), self.ncols)
+        return MatrixGF.from_codes(
+            self.field, tuple(map(self.format.unpack, self.rows)), self.ncols
+        )

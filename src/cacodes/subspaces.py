@@ -6,9 +6,11 @@ objects are equal exactly when they describe the same subspace.  The distance
     d(A, B) = dim A + dim B - 2 dim(A intersect B)
 
 is computed via dim(A i B) = dim A + dim B - rank(stack(A, B)), which needs
-one elimination instead of an explicit intersection: an echelon seeded with
-A's basis, which is already reduced, takes B's rows.  Intersections, when a
-basis is actually wanted, use the Zassenhaus block trick.
+one elimination instead of an explicit intersection: a copy of A's echelon,
+whose packed rows are already reduced, takes B's packed rows.  Each subspace
+keeps that echelon from its construction, so no codeword is repacked.
+Intersections, when a basis is actually wanted, use the Zassenhaus block
+trick.
 
 A Grassmannian code is a finite set of such subspaces; here they usually all
 share one dimension k (constant-dimension code) because they arise as
@@ -23,19 +25,23 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import GF
-from .errors import AmbientMismatch, EmptyCode, TooFewCodewords
+from .errors import AmbientMismatch, EmptyCode, ParseError, TooFewCodewords
 from .linalg import Echelon, MatrixGF
 
 
 class Subspace:
-    """A subspace of GF(q)^n held in canonical (RREF basis) form."""
+    """A subspace of GF(q)^n held in canonical (RREF basis) form.
 
-    __slots__ = ("field", "ambient_n", "basis")
+    ``basis`` is the RREF as a matrix of codes.  The echelon it came from is
+    kept alongside, its rows packed, so the distance, containment and
+    intersection routines seed their eliminations from it without repacking.
+    """
+
+    __slots__ = ("field", "ambient_n", "basis", "_echelon")
 
     def __init__(self, field: GF, ambient_n: int, rows: Iterable[Sequence[int]] = ()):
-        self.field, self.ambient_n = field, ambient_n
         rows = MatrixGF(field, rows, ncols=ambient_n).rows
-        self.basis = Echelon(field, ambient_n, rows).matrix()
+        self._set(Echelon(field, ambient_n, rows))
 
     @classmethod
     def from_matrix(cls, rows: MatrixGF) -> "Subspace":
@@ -44,10 +50,14 @@ class Subspace:
 
     @classmethod
     def from_echelon(cls, ech: Echelon) -> "Subspace":
-        """The span of an echelon's rows, which already hold valid codes."""
+        """The span of an echelon's rows; the subspace keeps the echelon."""
         sub = cls.__new__(cls)
-        sub.field, sub.ambient_n, sub.basis = ech.field, ech.ncols, ech.matrix()
+        sub._set(ech)
         return sub
+
+    def _set(self, ech: Echelon) -> None:
+        self.field, self.ambient_n, self._echelon = ech.field, ech.ncols, ech
+        self.basis = ech.matrix()
 
     @property
     def dim(self) -> int:
@@ -68,25 +78,18 @@ class Subspace:
             )
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        rows = self.basis.rows + MatrixGF(self.field, [vec], ncols=self.ambient_n).rows
-        return Echelon(self.field, self.ambient_n, rows).rank == self.dim
+        (row,) = MatrixGF(self.field, [vec], ncols=self.ambient_n).rows
+        ech = self._echelon.copy()
+        return not ech.insert(ech.format.pack(row))
 
     def __le__(self, other: "Subspace") -> bool:
         self._check(other)
         return _joint_rank(other, self) == other.dim
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        """Exact intersection by the Zassenhaus block elimination.
-
-        The rows of the RREF of [A | A; B | 0] whose left half vanishes are,
-        in their right half, the reduced basis of A intersect B.
-        """
+        """Exact intersection by the Zassenhaus block elimination."""
         self._check(other)
-        n = self.ambient_n
-        blocks = [r + r for r in self.basis.rows] + [r + (0,) * n for r in other.basis.rows]
-        ech = Echelon(self.field, 2 * n, blocks)
-        inter = [row[n:] for c, row in zip(ech.pivots, ech.rows) if c >= n]
-        return Subspace.from_echelon(Echelon(self.field, n, inter))
+        return Subspace.from_echelon(self._echelon.intersection(other._echelon))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -143,8 +146,11 @@ def subspace_distance(a: Subspace, b: Subspace) -> int:
 
 
 def _joint_rank(a: Subspace, b: Subspace) -> int:
-    """dim(A + B): A's basis, already reduced, goes in first; B's rows follow."""
-    return Echelon(a.field, a.ambient_n, a.basis.rows + b.basis.rows).rank
+    """dim(A + B): a copy of A's echelon takes B's packed rows."""
+    ech = a._echelon.copy()
+    for row in b._echelon.rows:
+        ech.insert(row)
+    return ech.rank
 
 
 @dataclass(frozen=True)
@@ -251,7 +257,13 @@ class GrassmannianCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannianCode":
-        field = GF.from_spec(data["q"])
-        n = int(data["n"])
-        subs = [Subspace.from_json(field, n, rows) for rows in data["codewords"]]
-        return cls(field, n, subs)
+        """Parse the code file format; a malformed document is a ``ParseError``."""
+        q, n, words = data["q"], data["n"], data["codewords"]
+        if not isinstance(q, str):
+            raise ParseError(f"field spec {q!r} is not a string")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ParseError(f"ambient dimension {n!r} is not a non-negative integer")
+        if not isinstance(words, list):
+            raise ParseError(f"codewords {words!r} is not a list")
+        field = GF.from_spec(q)
+        return cls(field, n, [Subspace.from_json(field, n, rows) for rows in words])

@@ -1,14 +1,16 @@
 """Independent reference implementations used as test oracles.
 
-Everything here works on plain integer tuples modulo a prime p, written
-from scratch against the definitions: convolution products, brute-force
-kernel enumeration, span-set subspace arithmetic, cofactor determinants.
+Everything here works on plain integer tuples modulo a prime p, or on the
+integer codes of GF(p^m) given its modulus, written from scratch against
+the definitions: convolution products, brute-force kernel enumeration,
+span-set subspace arithmetic, cofactor determinants, plain elimination.
 Nothing imports the library's arithmetic, so agreement between these and
 the package is a genuine two-route check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 
@@ -186,5 +188,82 @@ def rank_over_q(rows, p: int) -> int:
             if i != rank and work[i][c] % p:
                 f = work[i][c]
                 work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def gfq_mul(a: int, b: int, p: int, modulus) -> int:
+    """Product in GF(p^m) = F_p[X]/(modulus), modulus monic of degree m.
+
+    Elements are coded a_0 + a_1 p + ... + a_{m-1} p^(m-1); the digit vectors
+    are multiplied as polynomials and reduced by long division.
+    """
+    m = len(modulus) - 1
+    prod = list(omul(_digits(a, p, m), _digits(b, p, m), p))
+    for d in range(len(prod) - 1, m - 1, -1):
+        c = prod[d]
+        for i, r in enumerate(modulus):
+            prod[d - m + i] = (prod[d - m + i] - c * r) % p
+    return sum(x * p**i for i, x in enumerate(prod[:m]))
+
+
+def gfq_add(a: int, b: int, p: int, m: int) -> int:
+    """Sum in GF(p^m): digit-wise mod p."""
+    da, db = _digits(a, p, m), _digits(b, p, m)
+    return sum(((x + y) % p) * p**i for i, (x, y) in enumerate(zip(da, db)))
+
+
+def _digits(code: int, p: int, m: int) -> tuple[int, ...]:
+    return tuple(code // p**i % p for i in range(m))
+
+
+@functools.cache
+def gfq_tables(p: int, modulus: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
+    """The addition and multiplication tables of GF(p^m), indexed [a][b].
+
+    Kept per field: callers only read them.
+    """
+    m = len(modulus) - 1
+    q = p**m
+    add = [[gfq_add(a, b, p, m) for b in range(q)] for a in range(q)]
+    mul = [[gfq_mul(a, b, p, modulus) for b in range(q)] for a in range(q)]
+    return add, mul
+
+
+def span_set_gfq(rows, n: int, p: int, modulus) -> frozenset[tuple[int, ...]]:
+    """All linear combinations of the given row vectors over GF(p^m)."""
+    q = p ** (len(modulus) - 1)
+    add, mul = gfq_tables(p, modulus)
+    rows = [tuple(r) for r in rows]
+    out = set()
+    for combo in itertools.product(range(q), repeat=len(rows)):
+        vec = [0] * n
+        for c, row in zip(combo, rows):
+            for j, r in enumerate(row):
+                vec[j] = add[vec[j]][mul[c][r]]
+        out.add(tuple(vec))
+    return frozenset(out)
+
+
+def rank_over_gfq(rows, p: int, modulus) -> int:
+    """Row rank over GF(p^m) by plain elimination, inverses found by search."""
+    add, mul = gfq_tables(p, modulus)
+    q = len(add)
+    neg = [add[x].index(0) for x in range(q)]
+    inv = [0] + [mul[x].index(1) for x in range(1, q)]
+    work = [list(r) for r in rows]
+    rank = 0
+    cols = len(work[0]) if work else 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        s = inv[work[rank][c]]
+        work[rank] = [mul[s][x] for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][c]:
+                f = neg[work[i][c]]
+                work[i] = [add[x][mul[f][y]] for x, y in zip(work[i], work[rank])]
         rank += 1
     return rank

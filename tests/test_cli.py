@@ -280,6 +280,33 @@ def test_malformed_input_is_a_json_error(capsys, code_file, argv):
     assert set(doc["error"]) == {"name", "message"}
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"q": "2", "n": 2, "codewords": [[[1, "a"]]]},
+        {"q": "2", "n": 2, "codewords": [[[1, 1.5]]]},
+        {"q": "2", "n": 2, "codewords": [[[1, True]]]},
+        {"q": "2^2", "n": 2, "codewords": [[[[1, 0], [0, "1"]]]]},
+        {"q": "2", "n": 2, "codewords": 5},
+        {"q": "2", "n": 2, "codewords": [5]},
+        {"q": "2", "n": 2, "codewords": [[[1, 0], 7]]},
+        {"q": "2^2", "n": 2, "codewords": [[[[1], [0, 1]]]]},
+        {"q": "2^2", "n": 2, "codewords": [[[[1, 0], 3]]]},
+        {"q": 2, "n": 2, "codewords": []},
+        {"q": "2", "n": "two", "codewords": []},
+        {"q": "2", "n": -1, "codewords": [[]]},
+    ],
+    ids=json.dumps,
+)
+def test_malformed_code_document_is_a_json_error(capsys, tmp_path, document):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for command in ("analyze", "simulate"):
+        code, doc = run_json(capsys, command, "--code", str(path))
+        assert code == 1
+        assert doc["error"]["name"] == "ParseError"
+
+
 def test_broken_decoding_guarantee_is_a_json_error(capsys, code_file, monkeypatch):
     # a decoder that always answers codeword 0 breaks 2 d < D whenever 1 is sent
     def always_zero(code, U, sent_index=None):

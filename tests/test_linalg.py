@@ -1,5 +1,6 @@
 """Exact linear algebra: RREF, nullspaces, Sylvester matrices, resultants."""
 
+import functools
 import itertools
 import random
 
@@ -260,19 +261,44 @@ def test_json_round_trip_prime_and_extension():
 # -- the echelon routine against the oracles -------------------------------------------------
 
 
+# One field per packed row format and its edges: GF(2) and GF(2^m) (XOR
+# lanes), GF(3) to GF(13) (whole-row mod-p byte lanes; p = 13 is the largest
+# whose lanes stay below 256), GF(3^2) and GF(17) (per-entry row operations
+# on lanes just wide enough for a code).  GF(257) and GF(17^2) have lanes
+# wider than a byte; their span sets are too large to list, so only the rank
+# test takes them.
+ORACLE_FIELDS = [F2, F3, F5, F4, GF(2, 3), GF(2, 4), GF(7), GF(13), GF(3, 2), GF(17)]
+WIDE_FIELDS = ORACLE_FIELDS + [GF(257), GF(17, 2)]
+
+
+@functools.cache
+def modulus(field):
+    """The documented modulus: the lexicographically smallest irreducible."""
+    return min(oracles.irreducibles(field.m, field.p))
+
+
 def span(field, rows, n):
     if field.m == 1:
         return oracles.span_set(rows, n, field.p)
-    return oracles.span_set_gf4(rows, n)
+    if field == F4:
+        return oracles.span_set_gf4(rows, n)
+    return oracles.span_set_gfq(rows, n, field.p, modulus(field))
 
 
 def dot(field, row, vec):
     if field.m == 1:
         return sum(a * b for a, b in zip(row, vec)) % field.p
+    add, mul = oracles.gfq_tables(field.p, modulus(field))
     acc = 0
     for a, b in zip(row, vec):
-        acc ^= oracles.gf4_mul(a, b)
+        acc = add[acc][mul[a][b]]
     return acc
+
+
+def oracle_rank(field, rows):
+    if field.m == 1:
+        return oracles.rank_over_q(rows, field.p)
+    return oracles.rank_over_gfq(rows, field.p, modulus(field))
 
 
 def random_rows(field, rng, nrows, ncols):
@@ -292,11 +318,13 @@ def random_rows(field, rng, nrows, ncols):
     return base
 
 
-@pytest.mark.parametrize("field", [F2, F3, F5, F4], ids=lambda f: f.spec)
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec)
 def test_echelon_matches_oracles_randomized(field):
     rng = random.Random(f"echelon:{field.spec}")
+    # span sets hold q^rank vectors: keep them small on the larger fields
+    most_rows, most_cols, count = (5, 4, 80) if field.q <= 5 else (3, 3, 30)
     shapes = [(0, 3), (3, 0), (0, 0)] + [
-        (rng.randint(1, 5), rng.randint(1, 4)) for _ in range(80)
+        (rng.randint(1, most_rows), rng.randint(1, most_cols)) for _ in range(count)
     ]
     for nrows, ncols in shapes:
         rows = random_rows(field, rng, nrows, ncols)
@@ -305,8 +333,7 @@ def test_echelon_matches_oracles_randomized(field):
         spanned = span(field, rows, ncols)
         rank = oracles.set_dim(spanned, field.q)
         assert m.rank() == len(pivots) == rank
-        if field.m == 1:
-            assert rank == oracles.rank_over_q(rows, field.p)
+        assert rank == oracle_rank(field, rows)
         # RREF: same row space, unit pivots, zero pivot columns, zero rows last
         assert reduced.shape == m.shape
         assert span(field, reduced.rows, ncols) == spanned
@@ -329,7 +356,33 @@ def test_echelon_matches_oracles_randomized(field):
             assert (m.det().code != 0) == (rank == ncols)
 
 
-@pytest.mark.parametrize("field", [F2, F3, F5, F4], ids=lambda f: f.spec)
+@pytest.mark.parametrize("field", WIDE_FIELDS, ids=lambda f: f.spec)
+def test_wide_rows_match_oracle_rank(field):
+    # up to 40 columns: a packed GF(2^4) row then runs past 128 bits, a byte
+    # lane row past 256; entries drawn from {0, q - 1} fill every lane to
+    # its largest value
+    rng = random.Random(f"wide:{field.spec}")
+    shapes = [(0, 40), (40, 0)]
+    shapes += [(rng.randint(1, 12), rng.randint(20, 40)) for _ in range(8)]
+    shapes += [(rng.randint(20, 40), rng.randint(1, 8)) for _ in range(3)]
+    for nrows, ncols in shapes:
+        extreme = [[rng.choice((0, field.q - 1)) for _ in range(ncols)] for _ in range(nrows)]
+        for rows in (random_rows(field, rng, nrows, ncols), extreme):
+            m = MatrixGF(field, rows, ncols=ncols)
+            reduced, pivots = m.rref()
+            rank = oracle_rank(field, rows)
+            assert m.rank() == len(pivots) == rank
+            assert oracle_rank(field, rows + list(reduced.rows)) == rank  # same row space
+            for r, c in enumerate(pivots):
+                assert [row[c] for row in reduced.rows] == [int(i == r) for i in range(nrows)]
+            null = m.nullspace_basis()
+            assert null.nrows == ncols - rank
+            assert oracle_rank(field, null.rows) == ncols - rank
+            assert all(dot(field, row, v) == 0 for v in null.rows for row in rows)
+            assert Subspace(field, ncols, rows) == Subspace(field, ncols, reduced.rows)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec)
 def test_intersection_and_containment_match_span_sets(field):
     rng = random.Random(f"intersection:{field.spec}")
     n = 3 if field.q > 3 else 4
