@@ -30,7 +30,7 @@ import sys
 from . import __version__
 from .algebra import GF, Polynomial
 from .channel import ChannelConfig, simulate
-from .errors import DomainError
+from .errors import DomainError, NonPositive
 from .families import (
     CAFamily,
     GcdProfile,
@@ -205,6 +205,8 @@ def _with_x(size: int, r: int) -> int:
 
 
 def _cmd_search_max(args) -> dict:
+    if args.budget < 1:
+        raise NonPositive(f"--budget must be >= 1, got {args.budget}")
     field = GF.from_spec(args.q)
     members = search_max_family(args.k, args.t, field, budget=args.budget)
     payload = {

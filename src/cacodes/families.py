@@ -20,9 +20,13 @@ with I_j the Gauss-formula count of monic irreducibles of degree j.  The
 best coprime-family size is N_k = I'_k + sum_{j <= floor(k/2)} I'_j, and the
 uniform-GCD construction realizes the analogous bound for any common gcd g.
 
-``search_max_family`` is the independent oracle: exact branch-and-bound
-maximum clique on the compatibility graph, deterministic lexicographic
-tie-break, no heuristics.
+``search_max_family`` is the independent oracle: exact maximum clique on the
+compatibility graph of Poly_k in lex order, held as one int of neighbour
+bits per vertex.  Bit-parallel branch-and-bound (Tomita & Seki 2003; San
+Segundo et al. 2011) is pruned by a greedy colouring of the candidates,
+computed in descending order so that it bounds every suffix the ascending
+branch loop has left.  The bound never cuts a branch that could strictly
+beat the incumbent, so the lexicographically smallest optimum is returned.
 """
 
 from __future__ import annotations
@@ -331,33 +335,55 @@ def verify_family(
 # -- exact maximum-family search --------------------------------------------------------
 
 
-def _max_clique(adjacency: list[set[int]]) -> tuple[int, ...]:
-    """Exact branch-and-bound maximum clique; first (lex-smallest) optimum wins.
+def _max_clique(nbr: Sequence[int]) -> tuple[int, ...]:
+    """Exact maximum clique of a bitset graph; the lex-smallest optimum wins.
 
-    Vertices are expanded in index order and the incumbent is replaced only
-    on strict improvement, so the result is the lexicographically smallest
-    maximum clique.
+    ``nbr[v]`` has bit u set when u and v are adjacent, and a candidate set is
+    one int.  The search branches on candidates in ascending vertex order and
+    replaces the incumbent only on strict improvement, so of all maximum
+    cliques it keeps the first it meets: the lexicographically smallest.
+
+    Colouring bound: the candidates are split into independent classes, each
+    taken greedily from the highest uncoloured vertex down.  A clique meets
+    a class at most once, and the vertices at or above v lie in the classes
+    whose top is at or above v, so their number bounds any clique in the
+    suffix the ascending loop has left at v.  Colouring in descending order
+    makes those classes the greedy colouring of that suffix alone, so one
+    colouring bounds every suffix as tightly as its own would; classes grown
+    upwards are shaped by the prefix instead.  The loop stops once
+    ``len(cur) + bound <= len(best)``, which cuts only branches that cannot
+    strictly beat the incumbent, never the lex-smallest maximum clique.
     """
-    n = len(adjacency)
     best: list[int] = []
+    cur: list[int] = []
 
-    def expand(current: list[int], candidates: list[int]) -> None:
+    def expand(cands: int) -> None:
         nonlocal best
-        if not candidates:
-            if len(current) > len(best):
-                best = current[:]
-            return
-        if len(current) + len(candidates) <= len(best):
-            return
-        for idx, v in enumerate(candidates):
-            if len(current) + len(candidates) - idx <= len(best):
+        tops = []  # top vertex of each colour class, descending
+        rest = cands
+        while rest:
+            free = rest
+            tops.append(free.bit_length() - 1)
+            while free:
+                v = free.bit_length() - 1
+                rest ^= 1 << v
+                free &= ~nbr[v] & ((1 << v) - 1)
+        while cands:
+            v = (cands & -cands).bit_length() - 1
+            need = max(len(best) - len(cur), 0)
+            # bound(v) = #{classes with top >= v} <= need: nothing left beats best
+            if need >= len(tops) or v > tops[need]:
                 return
-            current.append(v)
-            nxt = [u for u in candidates[idx + 1:] if u in adjacency[v]]
-            expand(current, nxt)
-            current.pop()
+            cands ^= 1 << v  # cands now holds only vertices above v
+            nxt = cands & nbr[v]
+            cur.append(v)
+            if nxt:
+                expand(nxt)
+            elif len(cur) > len(best):
+                best = cur[:]
+            cur.pop()
 
-    expand([], list(range(n)))
+    expand((1 << len(nbr)) - 1)
     return tuple(best)
 
 
@@ -407,10 +433,11 @@ def search_max_exact_gcd(
     return tuple(members)
 
 
-def _compatibility(vertices: Sequence[Polynomial], accept) -> list[set[int]]:
-    adjacency: list[set[int]] = [set() for _ in vertices]
+def _compatibility(vertices: Sequence[Polynomial], accept) -> list[int]:
+    """Bitset adjacency: bit j of entry i is set when gcd(v_i, v_j) is accepted."""
+    nbr = [0] * len(vertices)
     for i, j in itertools.combinations(range(len(vertices)), 2):
         if accept(poly_gcd(vertices[i], vertices[j])):
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-    return adjacency
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+    return nbr

@@ -3,7 +3,8 @@
 Everything here works on plain integer tuples modulo a prime p, or on the
 integer codes of GF(p^m) given its modulus, written from scratch against
 the definitions: convolution products, brute-force kernel enumeration,
-span-set subspace arithmetic, cofactor determinants, plain elimination.
+span-set subspace arithmetic, cofactor determinants, plain elimination,
+exhaustive clique search.
 Nothing imports the library's arithmetic, so agreement between these and
 the package is a genuine two-route check.
 """
@@ -267,3 +268,22 @@ def rank_over_gfq(rows, p: int, modulus) -> int:
                 work[i] = [add[x][mul[f][y]] for x, y in zip(work[i], work[rank])]
         rank += 1
     return rank
+
+
+def lex_first_max_clique(n: int, edges) -> tuple[int, ...]:
+    """The lexicographically first maximum clique of a graph on 0..n-1.
+
+    ``edges`` holds pairs (i, j).  Tries sizes from n down and returns the
+    first clique in ``itertools.combinations`` order.  A member of a clique
+    of size s has at least s - 1 neighbours, so only such vertices are
+    combined; combinations of that sorted subset come in the same relative
+    order as those of range(n).
+    """
+    adjacent = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
+    degree = [sum((v, u) in adjacent for u in range(n)) for v in range(n)]
+    for size in range(n, 0, -1):
+        pool = [v for v in range(n) if degree[v] >= size - 1]
+        for combo in itertools.combinations(pool, size):
+            if all(pair in adjacent for pair in itertools.combinations(combo, 2)):
+                return combo
+    return ()

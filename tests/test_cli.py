@@ -185,6 +185,16 @@ def test_search_max_budget_error(capsys):
     assert doc["error"]["name"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_search_max_budget_must_be_positive(capsys, budget):
+    code, doc = run_json(
+        capsys, "search-max", "--q", "2", "--k", "3", "--t", "0", "--budget", budget
+    )
+    assert code == 1
+    assert doc["error"]["name"] == "NonPositive"
+    assert "--budget" in doc["error"]["message"]
+
+
 # -- simulate ----------------------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Rule families: construction, distance prediction, counting, exact search."""
 
 import itertools
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from cacodes.errors import (
 )
 from cacodes.families import (
     CAFamily,
+    _max_clique,
     code_from_family,
     count_irreducibles,
     enumerate_irreducibles,
@@ -344,6 +346,100 @@ def test_search_output_is_valid_family():
     S = search_max_family(3, 0, F3)
     assert len(S) == max_coprime_family_size(3, F3)
     assert verify_family(list(S), t=0).ok
+
+
+def _bitsets(n, edges):
+    nbr = [0] * n
+    for i, j in edges:
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+    return nbr
+
+
+def _random_edges(rng, n, density):
+    return [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+
+
+def test_max_clique_matches_lex_first_oracle_on_random_graphs():
+    rng = random.Random(4)
+    for _ in range(1500):
+        n = rng.randint(0, 14)
+        edges = _random_edges(rng, n, rng.uniform(0.1, 0.95))
+        assert _max_clique(_bitsets(n, edges)) == oracles.lex_first_max_clique(n, edges)
+
+
+def _blocks(rng, sizes, within):
+    """Randomly labelled vertex blocks; edges inside blocks iff ``within``."""
+    labels = list(range(sum(sizes)))
+    rng.shuffle(labels)
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(sorted(labels[start:start + size]))
+        start += size
+    block_of = {v: i for i, block in enumerate(blocks) for v in block}
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(len(labels)), 2)
+        if (block_of[u] == block_of[v]) == within
+    ]
+    return blocks, edges
+
+
+def _tied_graphs(rng):
+    """(n, edges, lex-first maximum clique) for graphs with many tied optima."""
+    for n in (0, 1, 2, 9, 14, 40):
+        yield n, [], (0,) if n else ()
+        yield n, list(itertools.combinations(range(n), 2)), tuple(range(n))
+    for sizes in ((2, 2, 2), (3, 3, 3, 3), (4, 4, 4), (2, 3, 3, 1, 3), (5,) * 8):
+        # disjoint equal cliques: the largest block holding the smallest label
+        blocks, edges = _blocks(rng, sizes, within=True)
+        top = max(sizes)
+        yield sum(sizes), edges, tuple(min(b for b in blocks if len(b) == top))
+        # complete multipartite: one vertex per part, the smallest of each
+        blocks, edges = _blocks(rng, sizes, within=False)
+        yield sum(sizes), edges, tuple(sorted(b[0] for b in blocks))
+
+
+def test_max_clique_ties_take_the_lex_first_optimum():
+    rng = random.Random(5)
+    for _ in range(20):
+        for n, edges, expected in _tied_graphs(rng):
+            assert _max_clique(_bitsets(n, edges)) == expected
+            if n <= 14:
+                assert oracles.lex_first_max_clique(n, edges) == expected
+
+
+def test_max_clique_ties_under_noise():
+    # equal cliques joined by a few random edges keep many tied optima
+    rng = random.Random(6)
+    for _ in range(200):
+        sizes = [rng.randint(2, 4)] * rng.randint(2, 4)
+        _, edges = _blocks(rng, sizes, within=True)
+        n = sum(sizes)
+        edges += [e for e in _random_edges(rng, n, 0.15) if e not in edges]
+        assert _max_clique(_bitsets(n, edges)) == oracles.lex_first_max_clique(n, edges)
+
+
+@pytest.mark.parametrize(
+    "field, k",
+    [(F2, 6), (F2, 7), (F2, 8), (F3, 4), (F3, 5), (GF(5), 3), (F4, 3), (F4, 4)],
+    ids=lambda v: getattr(v, "spec", v),
+)
+def test_search_certifies_coprime_bound_beyond_criterion_4(field, k):
+    found = search_max_family(k, 0, field)
+    assert len(found) == max_coprime_family_size(k, field)
+    assert verify_family(list(found), t=0).ok
+
+
+def test_search_certifies_uniform_gcd_sizes_beyond_criterion_5():
+    found = search_max_family(7, 1, F2)
+    assert len(found) >= expected_uniform_gcd_size(7, 1, F2)
+    assert verify_family(list(found), t=1).ok
+    g = P(F2, 1, 1)
+    built = uniform_gcd_family(6, g)
+    found = search_max_exact_gcd(6, g)
+    assert len(found) == len(built)
+    assert verify_family(list(found), g=g).ok
 
 
 def test_search_exact_gcd_matches_construction():
