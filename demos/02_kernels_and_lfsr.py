@@ -24,7 +24,8 @@ for row in M.rows:
     print("  ", row)
 
 x = (1, 1, 0, 0, 1, 0)
-print("\nF(", x, ") =", ca(x), "=", tuple(M.apply(x)))
+Mx = tuple(sum(a * b for a, b in zip(row, x)) % 2 for row in M.rows)
+print("\nF(", x, ") =", ca(x), "=", Mx)
 
 # Kernel basis via the LFSR recurrence: seed the first k cells, then each
 # next cell is forced by requiring every window to vanish.

@@ -21,9 +21,8 @@ from .algebra import (
     is_prime,
     monic_polynomials,
     poly_gcd,
-    poly_xgcd,
 )
-from .ca import LinearCA, LinearRule, normalize_monic
+from .ca import LinearCA, LinearRule
 from .channel import ChannelConfig, TrialResult, decode_min_distance, simulate, transmit
 from .errors import DomainError
 from .families import (
@@ -61,10 +60,8 @@ __all__ = [
     "is_prime",
     "monic_polynomials",
     "poly_gcd",
-    "poly_xgcd",
     "LinearCA",
     "LinearRule",
-    "normalize_monic",
     "MatrixGF",
     "sylvester",
     "resultant",

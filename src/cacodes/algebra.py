@@ -49,12 +49,13 @@ from .errors import (
     InvalidDegree,
     NotPrime,
     ParseError,
-    ZeroPolynomial,
+    PrimeTooLarge,
 )
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 _MAX_EXTENSION_DEGREE = 4
+MAX_SPEC_PRIME = 2**31 - 1  # is_prime's trial division takes milliseconds up to here
 _TABLE_LIMIT = 4096  # build q x q multiplication tables below this order
 
 
@@ -116,11 +117,17 @@ class GF:
 
     @classmethod
     def from_spec(cls, spec: str) -> "GF":
-        """Parse a field spec string such as ``"2"`` or ``"2^2"``."""
+        """Parse a field spec string such as ``"2"`` or ``"2^2"``.
+
+        A prime above ``MAX_SPEC_PRIME`` is refused before the primality test.
+        """
         parts = spec.strip().split("^")
         if len(parts) > 2:
             raise ParseError(f"malformed field spec {spec!r}")
-        return cls(*(_parse_int(t, spec) for t in parts))
+        p, *m = (_parse_int(t, spec) for t in parts)
+        if p > MAX_SPEC_PRIME:
+            raise PrimeTooLarge(f"prime {p} exceeds {MAX_SPEC_PRIME}")
+        return cls(p, *m)
 
     @property
     def modulus(self) -> "Polynomial | None":
@@ -530,14 +537,6 @@ class Polynomial:
     def is_one(self) -> bool:
         return self._codes == (1,)
 
-    def constant_term(self) -> GFElement:
-        return GFElement(self.field, self._codes[0] if self._codes else 0)
-
-    def leading(self) -> GFElement:
-        if not self._codes:
-            raise ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return GFElement(self.field, self._codes[-1])
-
     def is_monic(self) -> bool:
         return bool(self._codes) and self._codes[-1] == 1
 
@@ -609,14 +608,6 @@ class Polynomial:
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
 
-    def __call__(self, x: GFElement | int) -> GFElement:
-        """Evaluate via Horner's scheme."""
-        gf = self.field
-        xc, acc = gf.element(x).code, 0
-        for c in reversed(self._codes):
-            acc = gf.add(gf.mul(acc, xc), c)
-        return GFElement(gf, acc)
-
     # -- identity -------------------------------------------------------------------
 
     def __eq__(self, other):
@@ -648,20 +639,27 @@ class Polynomial:
 
     @classmethod
     def from_string(cls, field: GF, text: str) -> "Polynomial":
-        """Parse the comma-separated coefficient format."""
+        """Parse the comma-separated coefficient format.
+
+        Every digit must be a residue in [0, p): nothing is reduced mod p.
+        """
         text = text.strip()
         if not text:
             raise ParseError("empty polynomial string")
+
+        def digit(token: str) -> int:
+            return check_residue(_parse_int(token, text), field.p)
+
         if "[" in text:
             # "[a,b],[c,d]" -> "a,b" and "c,d"; stray brackets fail as integers
             coeffs = [
-                [_parse_int(t, text) for t in token.split(",")]
+                [digit(t) for t in token.split(",")]
                 for token in re.split(r"\]\s*,\s*\[", text[1:-1])
             ]
             if any(len(c) != field.m for c in coeffs):
                 raise FieldMismatch(f"a coefficient of {text!r} is not a {field.m}-tuple")
             return cls(field, coeffs)
-        return cls(field, [_parse_int(t, text) % field.p for t in text.split(",")])
+        return cls(field, [digit(t) for t in text.split(",")])
 
     def display(self) -> str:
         """Human-readable rendering such as ``1 + X + X^2``; never parsed back."""
@@ -714,6 +712,13 @@ def _divmod_codes(
     return tuple(quot), _trim(tuple(rem[:db]))
 
 
+def check_residue(value: int, p: int) -> int:
+    """``value`` itself when it lies in [0, p); outside input is never reduced."""
+    if not 0 <= value < p:
+        raise ParseError(f"{value} is not a residue in [0, {p})")
+    return value
+
+
 def _parse_int(token: str, text: str) -> int:
     try:
         return int(token)
@@ -737,26 +742,6 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     while b:
         a, b = b, _divmod_codes(gf, a, b)[1]
     return Polynomial.from_codes(gf, a).monic()
-
-
-def poly_xgcd(f: Polynomial, g: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
-    """Extended Euclid: returns (d, u, v) with u*f + v*g = d, d monic."""
-    if f.is_zero() and g.is_zero():
-        raise BothZero("gcd(0, 0) is undefined")
-    gf = f.field
-    zero, one = Polynomial.from_codes(gf, ()), Polynomial.from_codes(gf, (1,))
-    r0, r1 = f, g
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_monic():
-        return r0, s0, t0
-    scale = Polynomial.from_codes(gf, (gf.inv(r0.to_codes()[-1]),))
-    return r0.monic(), scale * s0, scale * t0
 
 
 # -- irreducibility ----------------------------------------------------------------------

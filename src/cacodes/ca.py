@@ -5,7 +5,7 @@ a_0 + a_1 X + ... + a_k X^k.  Bipermutivity (the rule permutes the field in
 its first and last variable) requires a_0 != 0 and a_k != 0; this library
 additionally normalizes to a_k = 1 at construction so that the kernel
 recurrence below holds verbatim.  Rules with a_k not 1 are rejected, not
-silently rescaled; ``normalize_monic`` is the explicit opt-in.
+silently rescaled; ``Polynomial.monic()`` is the explicit opt-in.
 
 The CA applies the rule to each of the n-k windows of k+1 adjacent cells
 (one-shot, no wraparound), so it is the banded transition matrix acting on
@@ -28,17 +28,9 @@ from .errors import (
     LengthMismatch,
     NotBipermutive,
     SeedLengthMismatch,
-    ZeroPolynomial,
 )
 from .linalg import Echelon, MatrixGF
 from .subspaces import Subspace
-
-
-def normalize_monic(poly: Polynomial) -> Polynomial:
-    """Explicitly rescale a would-be rule polynomial to leading coefficient 1."""
-    if poly.is_zero():
-        raise ZeroPolynomial("cannot normalize the zero polynomial")
-    return poly.monic()
 
 
 class LinearRule:
@@ -58,7 +50,7 @@ class LinearRule:
             raise NotBipermutive("rule constant term a_0 must be nonzero")
         if codes[-1] != 1:
             raise NotBipermutive(
-                "rule leading coefficient a_k must be 1; see normalize_monic"
+                "rule leading coefficient a_k must be 1; see Polynomial.monic()"
             )
         self.poly = poly
         self.field = poly.field
@@ -109,10 +101,6 @@ class LinearCA:
     @property
     def k(self) -> int:
         return self.rule.k
-
-    @property
-    def out_len(self) -> int:
-        return self.n - self.rule.k
 
     def transition_matrix(self) -> MatrixGF:
         """The (n-k) x n banded matrix: row i carries a_0..a_k from column i."""

@@ -30,7 +30,7 @@ import sys
 from . import __version__
 from .algebra import GF, Polynomial
 from .channel import ChannelConfig, simulate
-from .errors import DomainError, NonPositive
+from .errors import DomainError, NonPositive, ParseError
 from .families import (
     CAFamily,
     GcdProfile,
@@ -140,10 +140,15 @@ def _cmd_analyze(args) -> dict:
         },
     }
     if "family" in document and "q" in document and "k" in document:
-        field = GF.from_spec(document["q"])
-        members = [Polynomial.from_string(field, s) for s in document["family"]]
+        spec, family = document["q"], document["family"]
+        if not isinstance(spec, str) or not isinstance(family, list) or not all(
+            isinstance(s, str) for s in family
+        ):
+            raise ParseError("a build-code document needs a string q and a family of strings")
+        field = GF.from_spec(spec)
+        members = [Polynomial.from_string(field, s) for s in family]
         fam = CAFamily(members)
-        check = {"family": document["family"]}
+        check = {"family": family}
         if len(members) >= 2:
             d, gcds = predicted_min_distance(fam)
             check["predicted_min_distance"] = d
@@ -309,6 +314,9 @@ def _csv_lines(args, payload: dict) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # what argparse makes of "--name=--"
+                raise ParseError(f"--{name} takes one value")
         payload = _HANDLERS[args.command](args)
     except DomainError as exc:
         _emit({"error": {"name": exc.name, "message": str(exc)}})

@@ -23,6 +23,10 @@ class InvalidDegree(DomainError):
     pass
 
 
+class PrimeTooLarge(DomainError):
+    """A field spec names a prime too large to test by trial division."""
+
+
 class FieldMismatch(DomainError):
     pass
 

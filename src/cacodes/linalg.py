@@ -2,8 +2,8 @@
 
 Matrices store their entries as integer element codes (see ``algebra.GF``),
 one row per tuple.  ``MatrixGF(field, rows)`` validates each entry; code that
-already holds valid codes (RREF output, stacks, Sylvester and transition
-matrices, kernels) builds through ``MatrixGF.from_codes`` instead.
+already holds valid codes (RREF output, Sylvester and transition matrices,
+kernels) builds through ``MatrixGF.from_codes`` instead.
 ``Echelon.insert`` is the one elimination routine: RREF, rank, null spaces,
 determinants, intersections and the subspace layer all grow an echelon row
 by row.  An echelon holds each row packed into one Python int, in the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Sequence
 
-from .algebra import GF, GFElement, Polynomial
+from .algebra import GF, GFElement, Polynomial, check_residue
 from .errors import FieldMismatch, LengthMismatch, ParseError, ZeroPolynomial
 
 
@@ -66,16 +66,6 @@ class MatrixGF:
         matrix.field, matrix.rows, matrix.ncols = field, rows, ncols
         return matrix
 
-    @classmethod
-    def zero(cls, field: GF, nrows: int, ncols: int) -> "MatrixGF":
-        return cls.from_codes(field, ((0,) * ncols,) * nrows, ncols)
-
-    @classmethod
-    def identity(cls, field: GF, n: int) -> "MatrixGF":
-        return cls.from_codes(
-            field, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n
-        )
-
     # -- shape and access ------------------------------------------------------------
 
     @property
@@ -85,10 +75,6 @@ class MatrixGF:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), self.ncols)
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        return self.rows[i][j]
 
     def __eq__(self, other):
         if not isinstance(other, MatrixGF):
@@ -101,60 +87,6 @@ class MatrixGF:
     def __repr__(self):
         body = "; ".join(" ".join(str(c) for c in row) for row in self.rows)
         return f"MatrixGF({self.shape[0]}x{self.shape[1]} over GF({self.field.spec}): {body})"
-
-    # -- algebra ------------------------------------------------------------------------
-
-    def __matmul__(self, other: "MatrixGF") -> "MatrixGF":
-        if not isinstance(other, MatrixGF):
-            return NotImplemented
-        if other.field != self.field:
-            raise FieldMismatch("matrix product across different fields")
-        if self.ncols != other.nrows:
-            raise LengthMismatch(
-                f"inner dimensions differ: {self.shape} @ {other.shape}"
-            )
-        gf = self.field
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        out = []
-        for row in self.rows:
-            new_row = []
-            for col in cols:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = gf.add(acc, gf.mul(a, b))
-                new_row.append(acc)
-            out.append(tuple(new_row))
-        return MatrixGF.from_codes(gf, tuple(out), other.ncols)
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix times column vector of codes; returns a tuple of codes."""
-        if len(vec) != self.ncols:
-            raise LengthMismatch(f"vector length {len(vec)} != {self.ncols} columns")
-        gf = self.field
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, b in zip(row, vec):
-                if a and b:
-                    acc = gf.add(acc, gf.mul(a, b))
-            out.append(acc)
-        return tuple(out)
-
-    def transpose(self) -> "MatrixGF":
-        if not self.rows:
-            return MatrixGF.from_codes(self.field, ((),) * self.ncols, 0)
-        return MatrixGF.from_codes(self.field, tuple(zip(*self.rows)), self.nrows)
-
-    def stack(self, other: "MatrixGF") -> "MatrixGF":
-        """Vertical concatenation (rows of self above rows of other)."""
-        if other.field != self.field:
-            raise FieldMismatch("stacking matrices over different fields")
-        if self.ncols != other.ncols:
-            raise LengthMismatch(
-                f"column counts differ: {self.ncols} vs {other.ncols}"
-            )
-        return MatrixGF.from_codes(self.field, self.rows + other.rows, self.ncols)
 
     # -- elimination ------------------------------------------------------------------------
 
@@ -210,24 +142,25 @@ class MatrixGF:
 
     @classmethod
     def from_json(cls, field: GF, data: Sequence, ncols: int | None = None) -> "MatrixGF":
-        """Parse the ``to_json`` layout; any other shape is a ``ParseError``."""
-        if field.m == 1:
-            entry = _json_int
-        else:
-            def entry(e):
-                if not isinstance(e, list) or len(e) != field.m:
-                    raise ParseError(f"entry {e!r} is not a list of {field.m} integers")
-                return field.encode([_json_int(a) for a in e])
+        """Parse the ``to_json`` layout, digits in [0, p); anything else is a ``ParseError``."""
+
+        def entry(e):
+            if field.m == 1:
+                return _json_digit(e, field.p)
+            if not isinstance(e, list) or len(e) != field.m:
+                raise ParseError(f"entry {e!r} is not a list of {field.m} integers")
+            return field.encode([_json_digit(a, field.p) for a in e])
+
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ParseError("a matrix must be a list of row lists")
         return cls(field, [[entry(e) for e in row] for row in data], ncols=ncols)
 
 
-def _json_int(value) -> int:
+def _json_digit(value, p: int) -> int:
     # JSON true and false load as bool, an int subclass, but are no integers
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{value!r} is not an integer")
-    return value
+    return check_residue(value, p)
 
 
 def sylvester(f: Polynomial, g: Polynomial) -> MatrixGF:

@@ -77,11 +77,6 @@ class Subspace:
                 f"GF({other.field.spec})^{other.ambient_n} are incomparable"
             )
 
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        (row,) = MatrixGF(self.field, [vec], ncols=self.ambient_n).rows
-        ech = self._echelon.copy()
-        return not ech.insert(ech.format.pack(row))
-
     def __le__(self, other: "Subspace") -> bool:
         self._check(other)
         return _joint_rank(other, self) == other.dim

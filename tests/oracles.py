@@ -231,6 +231,24 @@ def gfq_tables(p: int, modulus: tuple[int, ...]) -> tuple[list[list[int]], list[
     return add, mul
 
 
+def matvec(rows, vec, p: int, modulus=None) -> tuple[int, ...]:
+    """The matrix with these rows times a column vector, over GF(p) or GF(p^m).
+
+    Over GF(p) each entry is a plain dot product mod p; pass the modulus of
+    GF(p^m) to work on its codes through ``gfq_tables``.
+    """
+    if modulus is None:
+        return tuple(sum(a * b for a, b in zip(row, vec)) % p for row in rows)
+    add, mul = gfq_tables(p, tuple(modulus))
+    out = []
+    for row in rows:
+        acc = 0
+        for a, b in zip(row, vec):
+            acc = add[acc][mul[a][b]]
+        out.append(acc)
+    return tuple(out)
+
+
 def span_set_gfq(rows, n: int, p: int, modulus) -> frozenset[tuple[int, ...]]:
     """All linear combinations of the given row vectors over GF(p^m)."""
     q = p ** (len(modulus) - 1)

@@ -6,13 +6,12 @@ import random
 import pytest
 
 from cacodes.algebra import GF, Polynomial
-from cacodes.ca import LinearCA, LinearRule, normalize_monic
+from cacodes.ca import LinearCA, LinearRule
 from cacodes.errors import (
     DegreeZero,
     LengthMismatch,
     NotBipermutive,
     SeedLengthMismatch,
-    ZeroPolynomial,
 )
 from cacodes.subspaces import Subspace
 
@@ -66,11 +65,9 @@ def test_nonmonic_rejected_with_explicit_helper():
     f = P(F3, 2, 2)
     with pytest.raises(NotBipermutive):
         LinearRule(f)
-    g = normalize_monic(f)
+    g = f.monic()
     assert g.to_codes() == (1, 1)
     LinearRule(g)
-    with pytest.raises(ZeroPolynomial):
-        normalize_monic(Polynomial(F3))
 
 
 def test_lattice_shorter_than_diameter():
@@ -128,7 +125,7 @@ def test_eval_equals_matrix_action():
             n = rng.randint(k + 1, 8)
             ca = LinearCA(rule, n)
             x = [rng.randrange(field.q) for _ in range(n)]
-            assert ca(x) == ca.transition_matrix().apply(x)
+            assert ca(x) == oracles.matvec(ca.transition_matrix().rows, x, field.p)
 
 
 def test_linearity():
@@ -178,7 +175,7 @@ def test_preimages_lie_in_kernel():
                 ca = LinearCA(rule, 2 * k if 2 * k > k else k + 1)
                 for seed in itertools.product(range(field.q), repeat=k):
                     x = ca.lfsr_preimage(seed)
-                    assert ca(x) == (0,) * ca.out_len
+                    assert ca(x) == (0,) * (ca.n - k)
                     assert x[:k] == seed
 
 
@@ -194,8 +191,8 @@ def test_kernel_smallest():
 def test_kernel_quadratic_contains_unit_preimages():
     kern = LinearCA(P(F2, 1, 1, 1), 4).kernel()
     assert kern.dim == 2
-    assert kern.contains_vector((1, 0, 1, 1))
-    assert kern.contains_vector((0, 1, 1, 0))
+    assert Subspace(F2, 4, [(1, 0, 1, 1)]) <= kern
+    assert Subspace(F2, 4, [(0, 1, 1, 0)]) <= kern
 
 
 def test_kernel_matches_enumeration_oracle():

@@ -279,6 +279,11 @@ def test_missing_code_file(capsys):
         ("count", "--q", "2^x", "--k", "2"),
         ("kernel", "--q", "2", "--poly", "1,a", "--n", "4"),
         ("kernel", "--q", "2", "--poly", ",", "--n", "4"),
+        # digits outside [0, p) are refused, not reduced mod p
+        ("kernel", "--q", "2", "--poly", "1,5", "--n", "4"),
+        ("kernel", "--q", "3", "--poly=-1,1", "--n", "4"),
+        ("kernel", "--q", "2^2", "--poly", "[1,0],[5,0]", "--n", "4"),
+        ("build-code", "--q", "3", "--k", "2", "--gcd", "4"),
         ("simulate", "--code", "{code}", "--erasures", "-1"),
         ("simulate", "--code", "{code}", "--trials", "0"),
     ],
@@ -305,6 +310,9 @@ def test_malformed_input_is_a_json_error(capsys, code_file, argv):
         {"q": 2, "n": 2, "codewords": []},
         {"q": "2", "n": "two", "codewords": []},
         {"q": "2", "n": -1, "codewords": [[]]},
+        {"q": "3", "n": 2, "codewords": [[[1, 7]]]},
+        {"q": "3", "n": 2, "codewords": [[[-1, 1]]]},
+        {"q": "2^2", "n": 2, "codewords": [[[[1, 0], [5, 0]]]]},
     ],
     ids=json.dumps,
 )
@@ -315,6 +323,37 @@ def test_malformed_code_document_is_a_json_error(capsys, tmp_path, document):
         code, doc = run_json(capsys, command, "--code", str(path))
         assert code == 1
         assert doc["error"]["name"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"family": [5, 6]}, {"family": [None]}, {"family": 5}, {"q": 2}, {"q": None}],
+    ids=json.dumps,
+)
+def test_malformed_family_document_is_a_json_error(capsys, tmp_path, changes):
+    path = tmp_path / "family.json"
+    write_family_doc(path, ORDER_FAMILY)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**doc, **changes}), encoding="utf-8")
+    code, out = run_json(capsys, "analyze", "--code", str(path))
+    assert code == 1
+    assert out["error"]["name"] == "ParseError"
+
+
+@pytest.mark.parametrize("p", [2**31 + 11, 2**61 - 1])
+def test_prime_above_the_spec_bound_is_refused(capsys, p):
+    # 2^31 + 11 is the first prime past the bound; 2^61 - 1 would keep trial
+    # division busy for minutes
+    code, doc = run_json(capsys, "count", "--q", str(p), "--k", "2")
+    assert code == 1
+    assert doc["error"]["name"] == "PrimeTooLarge"
+
+
+def test_option_given_the_separator_is_a_json_error(capsys):
+    # argparse turns "--q=--" into an empty list instead of a string
+    code, doc = run_json(capsys, "count", "--q=--", "--k", "2")
+    assert code == 1
+    assert doc["error"]["name"] == "ParseError"
 
 
 def test_broken_decoding_guarantee_is_a_json_error(capsys, code_file, monkeypatch):

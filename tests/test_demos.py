@@ -15,7 +15,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 STDOUT_SHA256 = {
-    "01_field_arithmetic.py": "251af20227fa30b5faf7e91d054f907ac406d2953d1a0bd74fb90ee33a0cb145",
+    "01_field_arithmetic.py": "bf82ac1d5790d6274fcb1fc65b088c385919e2758876d740e71e75c9fdb12b4d",
     "02_kernels_and_lfsr.py": "7e993cb45c7fd4be5f2532e3bd5829a25e23db0d27c2cfb3e35adf442436b27a",
     "03_distance_prediction.py": "51cb69c90b9ed3a410f775b70789c203a4c5abfa3626ecc3baf4254418cc91eb",
     "04_code_construction.py": "c7902592d4d83117c91d31186c3375f3bc38e8ec7730d9f65e4c7b1bd14c3974",

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cacodes.algebra import GF, Polynomial, poly_gcd
-from cacodes.errors import FieldMismatch, LengthMismatch, ZeroPolynomial
+from cacodes.errors import LengthMismatch, ZeroPolynomial
 from cacodes.linalg import MatrixGF, resultant, sylvester
 from cacodes.subspaces import Subspace
 
@@ -23,6 +23,10 @@ def P(field, *coeffs):
     return Polynomial(field, coeffs)
 
 
+def eye(field, n):
+    return MatrixGF(field, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def random_poly(field, max_deg, rng, nonzero=False):
     while True:
         f = Polynomial.from_codes(
@@ -36,15 +40,15 @@ def random_poly(field, max_deg, rng, nonzero=False):
 
 
 def test_rref_identity():
-    eye = MatrixGF.identity(F2, 3)
-    reduced, pivots = eye.rref()
-    assert reduced == eye
+    m = eye(F2, 3)
+    reduced, pivots = m.rref()
+    assert reduced == m
     assert pivots == (0, 1, 2)
-    assert eye.rank() == 3
+    assert m.rank() == 3
 
 
 def test_rref_zero_matrix():
-    z = MatrixGF.zero(F2, 2, 4)
+    z = MatrixGF(F2, [[0] * 4] * 2)
     reduced, pivots = z.rref()
     assert reduced == z
     assert pivots == ()
@@ -88,7 +92,7 @@ def test_rank_plus_nullity():
 
 
 def test_nullspace_of_identity_is_empty():
-    basis = MatrixGF.identity(F3, 4).nullspace_basis()
+    basis = eye(F3, 4).nullspace_basis()
     assert basis.nrows == 0
     assert basis.ncols == 4
 
@@ -114,7 +118,7 @@ def test_nullspace_vectors_satisfy_system():
             ]
             m = MatrixGF(field, rows)
             for v in m.nullspace_basis().rows:
-                assert m.apply(v) == (0,) * m.nrows
+                assert not any(matvec(field, rows, v))
 
 
 def test_sylvester_repeated_factor_nullity():
@@ -212,35 +216,10 @@ def test_nullity_equals_gcd_degree_small_sweep():
 # -- matrix mechanics ----------------------------------------------------------------------------
 
 
-def test_matmul_identity_and_shapes():
-    m = MatrixGF(F3, [[1, 2, 0], [0, 1, 1]])
-    assert MatrixGF.identity(F3, 2) @ m == m
-    assert m @ MatrixGF.identity(F3, 3) == m
-    with pytest.raises(LengthMismatch):
-        m @ m
-    with pytest.raises(FieldMismatch):
-        m @ MatrixGF.identity(F2, 3)
-
-
-def test_matmul_values():
-    a = MatrixGF(F3, [[1, 2], [0, 1]])
-    b = MatrixGF(F3, [[2, 0], [1, 1]])
-    assert (a @ b).rows == ((1, 2), (1, 1))
-
-
-def test_stack_and_transpose():
-    a = MatrixGF(F2, [[1, 0]])
-    b = MatrixGF(F2, [[0, 1]])
-    assert a.stack(b).rows == ((1, 0), (0, 1))
-    assert a.transpose().rows == ((1,), (0,))
-    with pytest.raises(LengthMismatch):
-        a.stack(MatrixGF(F2, [[1, 0, 1]]))
-
-
 def test_det_errors_and_values():
     with pytest.raises(LengthMismatch):
         MatrixGF(F2, [[1, 0]]).det()
-    assert MatrixGF.identity(GF(5), 3).det().code == 1
+    assert eye(GF(5), 3).det().code == 1
     assert MatrixGF(F3, [[1, 2], [2, 1]]).det().code == oracles.odet([(1, 2), (2, 1)], 3)
 
 
@@ -285,14 +264,8 @@ def span(field, rows, n):
     return oracles.span_set_gfq(rows, n, field.p, modulus(field))
 
 
-def dot(field, row, vec):
-    if field.m == 1:
-        return sum(a * b for a, b in zip(row, vec)) % field.p
-    add, mul = oracles.gfq_tables(field.p, modulus(field))
-    acc = 0
-    for a, b in zip(row, vec):
-        acc = add[acc][mul[a][b]]
-    return acc
+def matvec(field, rows, vec):
+    return oracles.matvec(rows, vec, field.p, modulus(field) if field.m > 1 else None)
 
 
 def oracle_rank(field, rows):
@@ -348,7 +321,7 @@ def test_echelon_matches_oracles_randomized(field):
         # null space: solutions, independent, rank + nullity = ncols
         null = m.nullspace_basis()
         assert null.shape == (ncols - rank, ncols)
-        assert all(dot(field, row, v) == 0 for v in null.rows for row in rows)
+        assert all(not any(matvec(field, rows, v)) for v in null.rows)
         assert oracles.set_dim(span(field, null.rows, ncols), field.q) == ncols - rank
         if nrows == ncols and field.m == 1:
             assert m.det().code == oracles.odet(rows, field.p)
@@ -378,7 +351,7 @@ def test_wide_rows_match_oracle_rank(field):
             null = m.nullspace_basis()
             assert null.nrows == ncols - rank
             assert oracle_rank(field, null.rows) == ncols - rank
-            assert all(dot(field, row, v) == 0 for v in null.rows for row in rows)
+            assert all(not any(matvec(field, rows, v)) for v in null.rows)
             assert Subspace(field, ncols, rows) == Subspace(field, ncols, reduced.rows)
 
 
@@ -396,4 +369,4 @@ def test_intersection_and_containment_match_span_sets(field):
         assert inter == Subspace(field, n, inter.basis.rows)  # already canonical
         assert (a <= b) == (sa <= sb)
         vec = tuple(rng.randrange(field.q) for _ in range(n))
-        assert a.contains_vector(vec) == (vec in sa)
+        assert (Subspace(field, n, [vec]) <= a) == (vec in sa)
