@@ -11,16 +11,19 @@ Representation conventions used throughout the library:
 * A polynomial stores the tuple of its coefficient codes in ascending powers
   with no trailing zeros: the canonical form.  The zero polynomial has the
   empty tuple and degree ``-inf`` (a distinguished marker, never the integer
-  0).  Ring operations, GCDs and the irreducibility test work on these
-  tuples directly; ``coeffs`` boxes them as ``GFElement``s on request.
+  0).  ``coeffs`` boxes the codes as ``GFElement``s on request.
 * Values are validated once, where they enter: ``Polynomial(field, values)``
   coerces each value through ``GF.element``.  Code that already holds valid
   codes builds through ``Polynomial.from_codes``, which does not re-check.
 * GCDs are always returned monic, so they are unique.
-* For elimination a row of codes is packed into one Python int, in a format
-  the field picks from p and m (``GF.row_format``, ``RowFormat``): a row
-  operation is then a few whole-integer operations, XOR in characteristic 2,
-  instead of one field operation per entry.
+* A vector of codes is packed into one Python int, in a format the field
+  picks from p and m (``GF.row_format``, ``RowFormat``), and
+  ``RowFormat.sub_scaled`` is its one operation: u - c*v in a few
+  whole-integer operations, XOR in characteristic 2, instead of one field
+  operation per entry.  Elimination works on packed rows, and so does
+  polynomial arithmetic: lane i holds the coefficient of X^i, so X^s * b is
+  b shifted s lanes up, a long-division step is ``sub_scaled(a, c, b << s)``
+  and a product is a sum of shifted rows.
 
 Extension fields are supported for m <= 4.  The reducing modulus is chosen
 deterministically as the lexicographically smallest monic irreducible of
@@ -83,8 +86,8 @@ class GF:
     Two instances of the same order compare equal and hash alike.  The field
     itself never changes; each instance only caches its product tables and
     one packed row format per row length it has been asked for
-    (``row_format``), since elimination asks for the same few lengths again
-    and again.
+    (``row_format``), since elimination and polynomial arithmetic ask for the
+    same few lengths again and again.
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -202,13 +205,6 @@ class GF:
         if self._inv_table is not None:
             return self._inv_table[a]
         return self.pow(a, self.q - 2)
-
-    def sub_scaled(self, u: Sequence[int], c: int, v: Sequence[int]) -> list[int]:
-        """The vector u - c*v, entrywise on codes: the row operation of elimination."""
-        if self.m == 1:
-            p = self.p
-            return [(x - c * y) % p for x, y in zip(u, v)]
-        return [self.sub(x, self.mul(c, y)) for x, y in zip(u, v)]
 
     def row_format(self, ncols: int) -> "RowFormat":
         """The packed format of rows of ``ncols`` entries over this field."""
@@ -330,8 +326,10 @@ class RowFormat:
     Entry j sits in lane j, the ``width`` bits from bit j * width, so column 0
     is the lowest lane and the leading (lowest nonzero) column of a row is
     read off its lowest set bit.  The zero row is 0, and rows with disjoint
-    columns combine with ``|``.  ``GF.row_format`` picks the format from p
-    and m:
+    columns combine with ``|``.  A polynomial's row has the coefficient of
+    X^i in lane i: its degree is read off the highest set bit, and times X^s
+    it is the row shifted s lanes up.  ``GF.row_format`` picks the format
+    from p and m:
 
     * p = 2 (``_XorFormat``): a lane is the m-bit code itself, so adding rows
       is XOR and scaling is m masked shifts and small multiplications;
@@ -339,8 +337,7 @@ class RowFormat:
       u + (p - c)*v, whose lanes stay below p^2 < 256 so no carry crosses a
       lane, reduced mod p by one ``bytes.translate``;
     * every other field (this base class): lanes just wide enough for a
-      code, and a row operation unpacks both rows and applies the field's
-      per-entry arithmetic (``GF.sub_scaled``).
+      code, and a row operation unpacks both rows and works entry by entry.
 
     Packing trusts its codes to lie in [0, q).
     """
@@ -368,8 +365,12 @@ class RowFormat:
         return tuple([row >> s & mask for s in self.shifts])
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
-        """The row u - c*v: the row operation of elimination."""
-        return self.pack(self.field.sub_scaled(self.unpack(u), c, self.unpack(v)))
+        """The row u - c*v: the one row operation, of elimination and polynomials."""
+        gf, pairs = self.field, zip(self.unpack(u), self.unpack(v))
+        if gf.m == 1:
+            p = gf.p
+            return self.pack([(x - c * y) % p for x, y in pairs])
+        return self.pack([gf.sub(x, gf.mul(c, y)) for x, y in pairs])
 
 
 class _XorFormat(RowFormat):
@@ -379,7 +380,7 @@ class _XorFormat(RowFormat):
 
     def __init__(self, field: GF, ncols: int):
         super().__init__(field, ncols)
-        self.low = sum(1 << (j * field.m) for j in range(ncols))
+        self.low = ((1 << field.m * ncols) - 1) // ((1 << field.m) - 1)  # bit 0 of each lane
         self.times = [
             tuple(field.mul(c, 1 << i) for i in range(field.m)) for c in range(field.q)
         ]
@@ -545,8 +546,7 @@ class Polynomial:
         if self.is_zero() or self.is_monic():
             return self
         gf = self.field
-        lead_inv = gf.inv(self._codes[-1])
-        return Polynomial.from_codes(gf, [gf.mul(c, lead_inv) for c in self._codes])
+        return Polynomial(gf)._sub_scaled(gf.neg(gf.inv(self._codes[-1])), self)
 
     def to_codes(self) -> tuple[int, ...]:
         """Ascending coefficient codes; the canonical sort key."""
@@ -562,29 +562,33 @@ class Polynomial:
                 f"mixing polynomials over {self.field} and {other.field}"
             )
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def _sub_scaled(self, c: int, other: "Polynomial") -> "Polynomial":
+        # self - c * other, one row operation
         self._check(other)
         gf = self.field
-        a, b = self._codes, other._codes
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = gf.add(out[i], c)
-        return Polynomial.from_codes(gf, out)
+        fmt = gf.row_format(max(len(self._codes), len(other._codes)))
+        row = fmt.sub_scaled(fmt.pack(self._codes), c, fmt.pack(other._codes))
+        return Polynomial.from_codes(gf, fmt.unpack(row))
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        return self._sub_scaled(self.field.neg(1), other)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._sub_scaled(1, other)
 
     def __neg__(self) -> "Polynomial":
-        gf = self.field
-        return Polynomial.from_codes(gf, [gf.neg(c) for c in self._codes])
+        return Polynomial(self.field) - self
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        # the sum over i of a_i * (b shifted i lanes up)
         self._check(other)
-        return Polynomial.from_codes(
-            self.field, _mul_codes(self.field, self._codes, other._codes)
-        )
+        gf, a, b = self.field, self._codes, other._codes
+        fmt = gf.row_format(max(len(a) + len(b) - 1, 0))
+        w, row, acc = fmt.width, fmt.pack(b), 0
+        for i, x in enumerate(a):
+            if x:
+                acc = fmt.sub_scaled(acc, gf.neg(x), row << i * w)
+        return Polynomial.from_codes(gf, fmt.unpack(acc))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -598,9 +602,10 @@ class Polynomial:
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        gf = self.field
-        quot, rem = _divmod_codes(gf, self._codes, other._codes)
-        return Polynomial.from_codes(gf, quot), Polynomial.from_codes(gf, rem)
+        gf, a, b = self.field, self._codes, other._codes
+        fmt = gf.row_format(max(len(a), len(b)))
+        quot, rem = _divmod_rows(fmt, fmt.pack(a), fmt.pack(b))
+        return tuple(Polynomial.from_codes(gf, fmt.unpack(r)) for r in (quot, rem))
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -685,31 +690,24 @@ def _trim(codes: tuple[int, ...]) -> tuple[int, ...]:
     return codes[:n]
 
 
-def _mul_codes(gf: GF, a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Convolution of two code vectors (the product as polynomials)."""
-    out = [0] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = gf.add(out[i + j], gf.mul(x, y))
-    return out
+def _divmod_rows(fmt: RowFormat, a: int, b: int) -> tuple[int, int]:
+    """Long division of polynomials packed in ``fmt``, b nonzero: (quotient, remainder).
 
-
-def _divmod_codes(
-    gf: GF, a: tuple[int, ...], b: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Long division of canonical code tuples, b nonzero: (quotient, remainder)."""
-    db = len(b) - 1
-    rem = list(a)
-    quot = [0] * (len(a) - db)
-    lead_inv = gf.inv(b[-1])
-    for i in range(len(a) - 1, db - 1, -1):
-        if rem[i]:
-            factor = gf.mul(rem[i], lead_inv)
-            quot[i - db] = factor
-            rem[i - db : i + 1] = gf.sub_scaled(rem[i - db : i + 1], factor, b)
-    return tuple(quot), _trim(tuple(rem[:db]))
+    The degree of a row is the lane of its highest set bit.  Each step
+    cancels the leading term of a with c * X^s * b, one ``sub_scaled`` on b
+    shifted s lanes up, and puts c in lane s of the quotient.  ``fmt`` must
+    hold as many lanes as the longer of a and b.
+    """
+    gf, w, mask = fmt.field, fmt.width, fmt.mask
+    top = (b.bit_length() - 1) // w * w  # the lowest bit of b's leading lane
+    lead_inv = gf.inv(b >> top & mask)
+    quot = 0
+    while a.bit_length() > top:  # deg a >= deg b
+        lead = (a.bit_length() - 1) // w * w
+        c = gf.mul(a >> lead & mask, lead_inv)
+        quot |= c << lead - top
+        a = fmt.sub_scaled(a, c, b << lead - top)
+    return quot, a
 
 
 def check_residue(value: int, p: int) -> int:
@@ -738,10 +736,11 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     gf = f.field
-    a, b = f._codes, g._codes
+    fmt = gf.row_format(max(len(f._codes), len(g._codes)))
+    a, b = fmt.pack(f._codes), fmt.pack(g._codes)
     while b:
-        a, b = b, _divmod_codes(gf, a, b)[1]
-    return Polynomial.from_codes(gf, a).monic()
+        a, b = b, _divmod_rows(fmt, a, b)[1]
+    return Polynomial.from_codes(gf, fmt.unpack(a)).monic()
 
 
 # -- irreducibility ----------------------------------------------------------------------
@@ -768,11 +767,12 @@ def is_irreducible(f: Polynomial) -> bool:
     d = f.degree
     if d < 1:
         return False
-    gf, codes = f.field, f.to_codes()
+    fmt = f.field.row_format(len(f._codes))
+    a = fmt.pack(f._codes)
     return all(
-        _divmod_codes(gf, codes, g)[1]
+        _divmod_rows(fmt, a, fmt.pack(g))[1]
         for e in range(1, int(d) // 2 + 1)
-        for g in irreducible_codes(gf, e)
+        for g in irreducible_codes(f.field, e)
     )
 
 

@@ -400,13 +400,16 @@ def search_max_family(
         raise NonPositive(f"degree must be >= 1, got {k}")
     if t < 0:
         raise NonPositive(f"gcd degree bound must be >= 0, got {t}")
-    vertices = enumerate_rule_polynomials(k, field)
-    if len(vertices) > budget:
+    q = field.q
+    # checked before Poly_k is built: |Poly_k| = q^(k-1) (q - 1) >= 2^(k-1), so
+    # a k past the budget's bit length exceeds it before q^k is computed, and
+    # the message names the count, which can have too many digits to print
+    if k > budget.bit_length() or q**k - q ** (k - 1) > budget:
         raise BudgetExceeded(
-            f"|Poly_{k}(F_{field.q})| = {len(vertices)} exceeds budget {budget}"
+            f"|Poly_{k}(F_{q})| = {q}^{k} - {q}^{k - 1} exceeds budget {budget}"
         )
-    adjacency = _compatibility(vertices, lambda d: int(d.degree) <= t)
-    clique = _max_clique(adjacency)
+    vertices = enumerate_rule_polynomials(k, field)
+    clique = _max_clique(_compatibility(vertices, t))
     return tuple(vertices[i] for i in clique)
 
 
@@ -415,29 +418,22 @@ def search_max_exact_gcd(
 ) -> tuple[Polynomial, ...]:
     """Exact maximum family of multiples of g in Poly_k with pairwise gcd = g.
 
-    Oracle counterpart of uniform_gcd_family.  Equivalent to a maximum
-    pairwise-coprime set of cofactors in Poly_(k-t), scaled back by g.
+    Oracle counterpart of uniform_gcd_family: g times a maximum
+    pairwise-coprime family of cofactors in Poly_(k-t), the search above with
+    t = 0, whose budget bounds the cofactors.
     """
-    field = g.field
     t = _gcd_degree(k, g)
     if t == k:
         return (g,)
-    vertices = enumerate_rule_polynomials(k - t, field)
-    if len(vertices) > budget:
-        raise BudgetExceeded(
-            f"{len(vertices)} candidate cofactors exceed budget {budget}"
-        )
-    adjacency = _compatibility(vertices, lambda d: d.is_one())
-    clique = _max_clique(adjacency)
-    members = sorted((g * vertices[i] for i in clique), key=Polynomial.to_codes)
-    return tuple(members)
+    cofactors = search_max_family(k - t, 0, g.field, budget)
+    return tuple(sorted((g * h for h in cofactors), key=Polynomial.to_codes))
 
 
-def _compatibility(vertices: Sequence[Polynomial], accept) -> list[int]:
-    """Bitset adjacency: bit j of entry i is set when gcd(v_i, v_j) is accepted."""
+def _compatibility(vertices: Sequence[Polynomial], t: int) -> list[int]:
+    """Bitset adjacency: bit j of entry i is set when deg gcd(v_i, v_j) <= t."""
     nbr = [0] * len(vertices)
     for i, j in itertools.combinations(range(len(vertices)), 2):
-        if accept(poly_gcd(vertices[i], vertices[j])):
+        if poly_gcd(vertices[i], vertices[j]).degree <= t:
             nbr[i] |= 1 << j
             nbr[j] |= 1 << i
     return nbr

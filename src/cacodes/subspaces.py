@@ -108,12 +108,12 @@ class Subspace:
 
     def combination(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         """sum_i coeffs[i] * (basis row i), as a tuple of element codes."""
-        gf = self.field
-        vec = [0] * self.ambient_n
-        for c, row in zip(coeffs, self.basis.rows):
+        ech, neg = self._echelon, self.field.neg
+        vec = 0
+        for c, row in zip(coeffs, ech.rows):
             if c:
-                vec = [gf.add(x, gf.mul(c, r)) if r else x for x, r in zip(vec, row)]
-        return tuple(vec)
+                vec = ech.format.sub_scaled(vec, neg(c), row)
+        return ech.format.unpack(vec)
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the subspace, as tuples of element codes."""

@@ -2,9 +2,9 @@
 
 Everything here works on plain integer tuples modulo a prime p, or on the
 integer codes of GF(p^m) given its modulus, written from scratch against
-the definitions: convolution products, brute-force kernel enumeration,
-span-set subspace arithmetic, cofactor determinants, plain elimination,
-exhaustive clique search.
+the definitions: convolution products, schoolbook long division and
+Euclid, brute-force kernel enumeration, span-set subspace arithmetic,
+cofactor determinants, plain elimination, exhaustive clique search.
 Nothing imports the library's arithmetic, so agreement between these and
 the package is a genuine two-route check.
 """
@@ -23,25 +23,80 @@ def trim(coeffs) -> tuple[int, ...]:
     return tuple(c)
 
 
-def omul(a, b, p: int) -> tuple[int, ...]:
-    """Polynomial product by direct convolution mod p."""
+def scalar_ops(p: int, modulus=None):
+    """Functions add, mul, neg and inv on element codes.
+
+    Over GF(p) they work on plain residues mod p.  Pass the modulus of
+    GF(p^m) to read them from its ``gfq_tables``, inverses and negatives
+    found by search.
+    """
+    if modulus is None:
+        return (
+            lambda x, y: (x + y) % p,
+            lambda x, y: x * y % p,
+            lambda x: -x % p,
+            lambda x: pow(x, p - 2, p),
+        )
+    add, mul = gfq_tables(p, tuple(modulus))
+    return (
+        lambda x, y: add[x][y],
+        lambda x, y: mul[x][y],
+        lambda x: add[x].index(0),
+        lambda x: mul[x].index(1),
+    )
+
+
+def omul(a, b, p: int, modulus=None) -> tuple[int, ...]:
+    """Polynomial product by direct convolution, over GF(p) or GF(p^m)."""
+    add, mul, _, _ = scalar_ops(p, modulus)
     a, b = trim(a), trim(b)
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
+            out[i + j] = add(out[i + j], mul(x, y))
     return trim(out)
 
 
-def oadd(a, b, p: int) -> tuple[int, ...]:
+def oadd(a, b, p: int, modulus=None) -> tuple[int, ...]:
+    add = scalar_ops(p, modulus)[0]
     out = [0] * max(len(a), len(b))
     for i, x in enumerate(a):
         out[i] = x
     for i, y in enumerate(b):
-        out[i] = (out[i] + y) % p
+        out[i] = add(out[i], y)
     return trim(out)
+
+
+def oneg(a, p: int, modulus=None) -> tuple[int, ...]:
+    neg = scalar_ops(p, modulus)[2]
+    return trim(neg(x) for x in a)
+
+
+def odivmod(a, b, p: int, modulus=None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of a by nonzero b, by schoolbook long division."""
+    add, mul, neg, inv = scalar_ops(p, modulus)
+    a, b = list(trim(a)), trim(b)
+    db = len(b) - 1
+    lead_inv = inv(b[-1])
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = mul(a[i], lead_inv)
+        quot[i - db] = c
+        for j, y in enumerate(b):
+            a[i - db + j] = add(a[i - db + j], neg(mul(c, y)))
+    return trim(quot), trim(a[:db])
+
+
+def ogcd(a, b, p: int, modulus=None) -> tuple[int, ...]:
+    """Monic gcd of two polynomials, not both zero, by Euclid on ``odivmod``."""
+    _, mul, _, inv = scalar_ops(p, modulus)
+    a, b = trim(a), trim(b)
+    while b:
+        a, b = b, odivmod(a, b, p, modulus)[1]
+    lead_inv = inv(a[-1])
+    return tuple(mul(x, lead_inv) for x in a)
 
 
 def oeval(coeffs, x: int, p: int) -> int:

@@ -31,9 +31,24 @@ F3 = GF(3)
 F4 = GF(2, 2)
 F5 = GF(5)
 
+# one or more fields per row format: XOR lanes (p = 2), byte lanes (odd
+# p <= 13) and per-entry lanes (every other field)
+PACKED_FIELDS = [F2, GF(2, 3), GF(2, 4), F3, GF(13), GF(17), GF(3, 2), GF(257)]
+
 
 def P(field, *coeffs):
     return Polynomial(field, coeffs)
+
+
+def modulus(field):
+    """The oracles' description of a field: None for GF(p), else its modulus."""
+    return None if field.m == 1 else field.modulus.to_codes()
+
+
+def random_poly(rng, field, max_len):
+    return Polynomial.from_codes(
+        field, [rng.randrange(field.q) for _ in range(rng.randint(0, max_len))]
+    )
 
 
 # -- field construction -------------------------------------------------------------
@@ -182,7 +197,7 @@ def test_divrem_hand_oracle():
 
 def test_divrem_law_random():
     rng = random.Random(20240815)
-    for field in (F2, F3, F4):
+    for field in (F2, F3, F4, *PACKED_FIELDS):
         for _ in range(200):
             f = Polynomial.from_codes(
                 field, [rng.randrange(field.q) for _ in range(rng.randint(0, 7))]
@@ -195,6 +210,8 @@ def test_divrem_law_random():
             q, r = divmod(f, g)
             assert q * g + r == f
             assert r.is_zero() or r.degree < g.degree
+            expected = oracles.odivmod(f.to_codes(), g.to_codes(), field.p, modulus(field))
+            assert (q.to_codes(), r.to_codes()) == expected
 
 
 def test_division_by_zero_poly():
@@ -225,13 +242,26 @@ def test_degree_law_no_zero_divisors():
 
 def test_product_matches_convolution_oracle():
     rng = random.Random(99)
-    for p in (2, 3, 5):
-        field = GF(p)
+    for field in (F2, F3, F5, *PACKED_FIELDS):
         for _ in range(100):
-            a = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
-            b = [rng.randrange(p) for _ in range(rng.randint(0, 6))]
-            lib = (Polynomial(field, a) * Polynomial(field, b)).to_codes()
-            assert lib == oracles.omul(a, b, p)
+            a = [rng.randrange(field.q) for _ in range(rng.randint(0, 6))]
+            b = [rng.randrange(field.q) for _ in range(rng.randint(0, 6))]
+            lib = Polynomial.from_codes(field, a) * Polynomial.from_codes(field, b)
+            assert lib.to_codes() == oracles.omul(a, b, field.p, modulus(field))
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=lambda f: f.spec)
+def test_sum_difference_negation_match_oracle(field):
+    rng = random.Random(31)
+    for _ in range(100):
+        f, g = random_poly(rng, field, 7), random_poly(rng, field, 7)
+        a, b, mod = f.to_codes(), g.to_codes(), modulus(field)
+        assert (f + g).to_codes() == oracles.oadd(a, b, field.p, mod)
+        assert (-g).to_codes() == oracles.oneg(b, field.p, mod)
+        minus_b = oracles.oneg(b, field.p, mod)
+        assert (f - g).to_codes() == oracles.oadd(a, minus_b, field.p, mod)
+        if a:
+            assert f.monic().to_codes() == oracles.ogcd(a, (), field.p, mod)
 
 
 # -- gcd ------------------------------------------------------------------------------------
@@ -264,7 +294,7 @@ def test_gcd_with_zero():
 
 def test_gcd_is_monic_and_divides_both():
     rng = random.Random(20240815)
-    for field in (F2, F3, F4):
+    for field in (F2, F3, F4, *PACKED_FIELDS):
         for _ in range(150):
             f = Polynomial.from_codes(
                 field, [rng.randrange(field.q) for _ in range(rng.randint(0, 6))]
@@ -278,13 +308,16 @@ def test_gcd_is_monic_and_divides_both():
             assert d.is_monic()
             assert (f % d).is_zero()
             assert (g % d).is_zero()
+            assert d.to_codes() == oracles.ogcd(
+                f.to_codes(), g.to_codes(), field.p, modulus(field)
+            )
 
 
 # -- irreducibility and enumeration order ------------------------------------------------------
 
 
 def test_irreducibles_match_product_oracle():
-    for p in (2, 3):
+    for p in (2, 3, 5, 7):
         for n in range(1, 5):
             lib = {
                 f.to_codes()
@@ -292,6 +325,12 @@ def test_irreducibles_match_product_oracle():
                 if is_irreducible(f)
             }
             assert lib == oracles.irreducibles(n, p)
+
+
+def test_xor_format_low_has_bit_zero_of_every_lane():
+    for m in range(1, 5):
+        for n in (0, 1, 7, 64):
+            assert GF(2, m).row_format(n).low == sum(1 << j * m for j in range(n))
 
 
 def test_units_and_zero_not_irreducible():

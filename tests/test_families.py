@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from cacodes import families
 from cacodes.algebra import GF, Polynomial, poly_gcd
 from cacodes.ca import LinearCA
 from cacodes.errors import (
@@ -332,6 +333,17 @@ def test_search_vacuous_bound_returns_everything():
 def test_search_budget():
     with pytest.raises(BudgetExceeded):
         search_max_family(5, 0, F2, budget=10)
+
+
+def test_search_budget_is_checked_before_enumerating(monkeypatch):
+    def refuse(k, field):
+        raise AssertionError("Poly_k enumerated before the budget check")
+
+    monkeypatch.setattr(families, "enumerate_rule_polynomials", refuse)
+    with pytest.raises(BudgetExceeded):
+        search_max_family(1, 0, GF(100003))
+    with pytest.raises(BudgetExceeded):  # 2^19999 has too many digits to print
+        search_max_family(20000, 0, F2, budget=2**64)
 
 
 def test_search_deterministic():

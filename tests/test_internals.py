@@ -5,9 +5,11 @@
 * Values are validated once, where they enter: internal producers of
   polynomials, matrices and subspaces never go back through ``GF.code_of``.
 * A code's pairwise intersection table is computed once per code.
+* Every entry point the benchmark's layer tracer wraps exists in ``src/``.
 """
 
 import ast
+import importlib.util
 import json
 import pathlib
 
@@ -27,6 +29,7 @@ from cacodes.families import (
 from cacodes.linalg import resultant, sylvester
 
 SRC = pathlib.Path(cacodes.__file__).parent
+LAYERTRACE = pathlib.Path(__file__).parents[1] / "benchmarks" / "layertrace.py"
 
 
 def test_no_assert_statements_in_src():
@@ -79,3 +82,19 @@ def test_analyze_eliminates_each_pair_once(capsys, tmp_path, monkeypatch):
     assert json.loads(capsys.readouterr().out)["family_check"]["consistent"] is True
     assert size >= 5
     assert len(pairs) == size * (size - 1) // 2
+
+
+def test_layer_tracer_targets_exist():
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = []
+    for module, path in [*layertrace.SPANS.values(), *layertrace.DRAWS]:
+        owner = importlib.import_module(module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        # the tracer replaces the attribute found in the owner's own namespace
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}:{path}")
+    assert missing == []
