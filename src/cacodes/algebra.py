@@ -29,7 +29,8 @@ Extension fields are supported for m <= 4.  The reducing modulus is chosen
 deterministically as the lexicographically smallest monic irreducible of
 degree m over GF(p), comparing ascending-power coefficient vectors with
 0 < 1 < ... < p-1.  Products are polynomial products over GF(p) reduced by
-the modulus, tabulated once per field when q <= 4096.
+the modulus.  When q <= 4096 they and inverses are read instead from the
+exp/log tables of the first generator g of GF(q)*: a*b = g^(log a + log b).
 
 Text formats (used by the CLI and the JSON files):
 
@@ -59,7 +60,7 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 _MAX_EXTENSION_DEGREE = 4
 MAX_SPEC_PRIME = 2**31 - 1  # is_prime's trial division takes milliseconds up to here
-_TABLE_LIMIT = 4096  # build q x q multiplication tables below this order
+_TABLE_LIMIT = 4096  # build exp/log tables of GF(q)* up to this order
 
 
 def is_prime(n: int) -> bool:
@@ -84,8 +85,9 @@ class GF:
     Arithmetic methods (``add``, ``mul``, ``inv``, ...) operate on integer
     element codes in [0, q); ``element`` wraps a code into a ``GFElement``.
     Two instances of the same order compare equal and hash alike.  The field
-    itself never changes; each instance only caches its product tables and
-    one packed row format per row length it has been asked for
+    itself never changes; each instance only caches the exp/log tables of an
+    extension field with q <= 4096 and one packed row format per row length
+    it has been asked for
     (``row_format``), since elimination and polynomial arithmetic ask for the
     same few lengths again and again.
     """
@@ -103,8 +105,8 @@ class GF:
         self.m = m
         self.q = p**m
         self._modulus: Polynomial | None = None
-        self._mul_table: list[int] | None = None
-        self._inv_table: list[int] | None = None
+        self._exp: list[int] | None = None
+        self._log: list[int] | None = None
         self._row_formats: dict[int, RowFormat] = {}
         if m > 1:
             self._modulus = _smallest_irreducible_modulus(p, m)
@@ -193,8 +195,8 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a * self.q + b]
+        if self._log is not None:
+            return self._exp[self._log[a] + self._log[b]] if a and b else 0
         return self._mul_slow(a, b)
 
     def inv(self, a: int) -> int:
@@ -202,8 +204,8 @@ class GF:
             raise DivisionByZero("zero has no multiplicative inverse")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
+        if self._log is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)
 
     def row_format(self, ncols: int) -> "RowFormat":
@@ -284,37 +286,25 @@ class GF:
     # -- internal: extension-field machinery -----------------------------------
 
     def _mul_slow(self, a: int, b: int) -> int:
-        # the coefficient vectors multiplied as polynomials over GF(p) and
-        # reduced by the monic modulus, in plain integers; encode takes mod p
-        p, m, mod = self.p, self.m, self._modulus.to_codes()
-        bv = self.decode(b)
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(self.decode(a)):
-            if x:
-                for j, y in enumerate(bv):
-                    conv[i + j] += x * y
-        for j in range(2 * m - 2, m - 1, -1):
-            c = conv[j] % p
-            if c:
-                for i in range(m):
-                    conv[j - m + i] -= c * mod[i]
-        return self.encode(conv[:m])
+        # the coefficient vectors as polynomials over GF(p), reduced by the modulus
+        mod = self._modulus
+        x, y = (Polynomial.from_codes(mod.field, self.decode(c)) for c in (a, b))
+        return self.encode((x * y % mod).to_codes())
 
     def _build_tables(self) -> None:
-        q = self.q
-        table = [0] * (q * q)
-        for a in range(1, q):
-            for b in range(a, q):
-                table[a * q + b] = table[b * q + a] = self._mul_slow(a, b)
-        self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            base = a * q
-            for b in range(1, q):
-                if table[base + b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+        # exp[i] = g^i for the first g whose powers reach all of GF(q)*, kept
+        # twice over so that exp[log a + log b] needs no reduction mod q - 1
+        for g in range(2, self.q):
+            exp, x = [1], g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_slow(x, g)
+            if len(exp) == self.q - 1:
+                break
+        log = [0] * self.q
+        for i, x in enumerate(exp):
+            log[x] = i
+        self._exp, self._log = exp + exp, log
 
 
 # -- packed rows ----------------------------------------------------------------------

@@ -16,6 +16,9 @@ the feedback recurrence
 
 from the k unit seeds: the kernel elements are precisely the truncated
 linear recurring sequences with feedback polynomial equal to the rule.
+The remainders X^i mod f, f the rule polynomial, obey the same recurrence,
+so cell i of the j-th unit-seed preimage is the coefficient of X^j in
+X^i mod f: ``kernel`` is polynomial arithmetic on packed rows.
 """
 
 from __future__ import annotations
@@ -113,22 +116,19 @@ class LinearCA:
         """Apply the CA to a configuration; returns n-k output codes.
 
         Output cell i is sum_j a_j x_{i+j}, the rule evaluated on the window
-        starting at cell i.
+        starting at cell i: the packed input shifted j lanes down, times a_j,
+        summed over j, of which the low n-k lanes are the output.
         """
         gf = self.field
         vec = [gf.code_of(c) for c in x]
         if len(vec) != self.n:
             raise LengthMismatch(f"configuration length {len(vec)} != n = {self.n}")
-        codes = self.rule.poly.to_codes()
-        out = []
-        for i in range(self.n - self.k):
-            acc = 0
-            for j, a in enumerate(codes):
-                xj = vec[i + j]
-                if a and xj:
-                    acc = gf.add(acc, gf.mul(a, xj))
-            out.append(acc)
-        return tuple(out)
+        fmt = gf.row_format(self.n)
+        row, acc = fmt.pack(vec), 0
+        for j, a in enumerate(self.rule.poly.to_codes()):
+            if a:
+                acc = fmt.sub_scaled(acc, gf.neg(a), row >> j * fmt.width)
+        return fmt.unpack(acc)[: self.n - self.k]
 
     def lfsr_preimage(self, seed: Sequence[int | GFElement]) -> tuple[int, ...]:
         """Extend a k-cell seed to a full kernel configuration.
@@ -136,36 +136,32 @@ class LinearCA:
         The first k cells equal the seed; each later cell is forced by the
         feedback recurrence x_i = -(a_0 x_{i-k} + ... + a_{k-1} x_{i-1}),
         which is the unique choice making every rule window vanish (using
-        a_k = 1).
+        a_k = 1): the kernel basis combined with the seed as coefficients.
         """
         vec = [self.field.code_of(c) for c in seed]
         if len(vec) != self.k:
             raise SeedLengthMismatch(f"seed length {len(vec)} != k = {self.k}")
-        return self._run(vec)
-
-    def _run(self, vec: list[int]) -> tuple[int, ...]:
-        # the recurrence on a validated k-cell seed of codes
-        gf, k = self.field, self.k
-        codes = self.rule.poly.to_codes()
-        for i in range(k, self.n):
-            acc = 0
-            for j in range(k):
-                a, xj = codes[j], vec[i - k + j]
-                if a and xj:
-                    acc = gf.add(acc, gf.mul(a, xj))
-            vec.append(gf.neg(acc))
-        return tuple(vec)
+        return self.kernel().combination(vec)
 
     def kernel(self) -> Subspace:
         """The kernel of the CA: a k-dimensional subspace of GF(q)^n.
 
-        Spanned by the preimages of the k unit seeds.  They carry the
-        identity on the first k cells, so they already are the reduced
-        basis.  Always equals the null space of the transition matrix.
+        Spanned by the preimages of the k unit seeds: cell i of the j-th is
+        the coefficient of X^j in X^i mod f, f the rule.  Each remainder is
+        the last one shifted one lane up, lane k cancelled by one row
+        operation with f.  The first k remainders are the unit vectors, so
+        the preimages already are the reduced basis.  Always equals the null
+        space of the transition matrix.
         """
-        k = self.k
-        rows = [self._run([int(i == j) for j in range(k)]) for i in range(k)]
-        return Subspace.from_echelon(Echelon(self.field, self.n, rows))
+        gf, k = self.field, self.k
+        fmt = gf.row_format(k + 1)
+        rule, top = fmt.pack(self.rule.poly.to_codes()), k * fmt.width
+        rem, cells = 1, []
+        for _ in range(self.n):
+            cells.append(fmt.unpack(rem)[:k])
+            rem <<= fmt.width
+            rem = fmt.sub_scaled(rem, rem >> top, rule)
+        return Subspace.from_echelon(Echelon(gf, self.n, zip(*cells)))
 
     def __repr__(self):
         return f"LinearCA({self.rule.poly.display()}, n={self.n} over GF({self.field.spec}))"

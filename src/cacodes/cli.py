@@ -30,7 +30,7 @@ import sys
 from . import __version__
 from .algebra import GF, Polynomial
 from .channel import ChannelConfig, simulate
-from .errors import DomainError, NonPositive, ParseError
+from .errors import DegreeTooLarge, DomainError, NonPositive, ParseError
 from .families import (
     CAFamily,
     GcdProfile,
@@ -176,6 +176,11 @@ def _generates(fam: CAFamily, profile: GcdProfile, code: GrassmannianCode) -> bo
 def _cmd_count(args) -> dict:
     field = GF.from_spec(args.q)
     k = args.k
+    # every count is at most q^k, and Python prints no int of more than
+    # ``limit`` digits (0: no limit); q^k > 16^limit > 10^limit when k > 4*limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before 3.10.7
+    if limit and (k > 4 * limit or field.q**k >= 10**limit):
+        raise DegreeTooLarge(f"counts for k = {k} can exceed the {limit} digits Python prints")
     terms = {
         str(j): {
             "gauss": count_irreducibles(j, field),

@@ -143,7 +143,9 @@ def test_field_mismatch():
         F4.element(F2.one)
 
 
-@pytest.mark.parametrize("field", [F2, F3, F4, F5, GF(2, 3), GF(2, 4)], ids=lambda f: f.spec)
+@pytest.mark.parametrize(
+    "field", [F2, F3, F4, F5, GF(2, 3), GF(2, 4), GF(3, 2), GF(5, 2)], ids=lambda f: f.spec
+)
 def test_field_axioms_exhaustive(field):
     q = field.q
     for a in range(q):
@@ -162,6 +164,23 @@ def test_field_axioms_exhaustive(field):
                 )
     for a in range(1, q):
         assert field.mul(a, field.inv(a)) == 1
+
+
+@pytest.mark.parametrize("field", [GF(7, 4), GF(11, 4)], ids=lambda f: f.spec)
+def test_products_and_inverses_reduce_by_the_modulus(field):
+    # GF(7^4) multiplies through its exp/log tables, GF(11^4) (q > 4096)
+    # through polynomials over GF(p); the oracle convolves the coefficient
+    # vectors and divides by the modulus
+    p, mod = field.p, field.modulus.to_codes()
+
+    def reduced(a, b):
+        return oracles.odivmod(oracles.omul(field.decode(a), field.decode(b), p), mod, p)[1]
+
+    rng = random.Random(field.q)
+    for _ in range(300):
+        a, b = rng.randrange(field.q), rng.randrange(1, field.q)
+        assert oracles.trim(field.decode(field.mul(a, b))) == reduced(a, b)
+        assert reduced(b, field.inv(b)) == (1,)
 
 
 def test_element_operators():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -71,6 +72,29 @@ def test_count_csv(capsys):
         "2,1,1",
         "3,2,2",
     ]
+
+
+@pytest.mark.parametrize("q, k", [("2", "20000"), ("7", "6000")])
+@pytest.mark.parametrize("csv", [[], ["--csv"]])
+def test_count_beyond_printable_digits_is_a_json_error(capsys, q, k, csv):
+    # 2^20000 and 7^6000 have 6,021 and 5,071 digits, past Python's default
+    # limit of 4,300; k = 20000 is refused before q^k is computed
+    code, doc = run_json(capsys, "count", "--q", q, "--k", k, *csv)
+    assert code == 1
+    assert doc["error"]["name"] == "DegreeTooLarge"
+
+
+def test_count_digit_bound_is_q_to_the_k(capsys):
+    # 2^2126 has 640 digits, the least limit Python accepts; 2^2127 has 641
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run(capsys, "count", "--q", "2", "--k", "2126", "--csv")[0] == 0
+        code, doc = run_json(capsys, "count", "--q", "2", "--k", "2127")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 1
+    assert doc["error"]["name"] == "DegreeTooLarge"
 
 
 # -- kernel ------------------------------------------------------------------------------
