@@ -15,7 +15,9 @@ Representation conventions used throughout the library:
 * Values are validated once, where they enter: ``Polynomial(field, values)``
   coerces each value through ``GF.element``.  Code that already holds valid
   codes builds through ``Polynomial.from_codes``, which does not re-check.
-* GCDs are always returned monic, so they are unique.
+* GCDs are always returned monic, so they are unique.  ``FactorTable``
+  factors all monic polynomials up to a degree with one sieve, for callers
+  that need the GCDs of many pairs; ``poly_gcd`` serves one pair.
 * A vector of codes is packed into one Python int, in a format the field
   picks from p and m (``GF.row_format``, ``RowFormat``), and
   ``RowFormat.sub_scaled`` is its one operation: u - c*v in a few
@@ -224,12 +226,13 @@ class GF:
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result, base = 1, a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
+        if n == 0:
+            return 1
+        result = a
+        for bit in bin(n)[3:]:  # below the top bit: square, and times a on a 1
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
         return result
 
     # -- element construction ---------------------------------------------------
@@ -293,14 +296,17 @@ class GF:
 
     def _build_tables(self) -> None:
         # exp[i] = g^i for the first g whose powers reach all of GF(q)*, kept
-        # twice over so that exp[log a + log b] needs no reduction mod q - 1
-        for g in range(2, self.q):
-            exp, x = [1], g
-            while x != 1:
-                exp.append(x)
-                x = self._mul_slow(x, g)
-            if len(exp) == self.q - 1:
-                break
+        # twice over so that exp[log a + log b] needs no reduction mod q - 1;
+        # g has order q - 1 unless g^((q - 1)/r) = 1 for a prime r | q - 1
+        n = self.q - 1
+        cofactors = [n // r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        g = next(
+            g for g in range(2, self.q) if all(self.pow(g, c) != 1 for c in cofactors)
+        )
+        exp, x = [1], g
+        while x != 1:
+            exp.append(x)
+            x = self._mul_slow(x, g)
         log = [0] * self.q
         for i, x in enumerate(exp):
             log[x] = i
@@ -570,15 +576,10 @@ class Polynomial:
         return Polynomial(self.field) - self
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        # the sum over i of a_i * (b shifted i lanes up)
         self._check(other)
         gf, a, b = self.field, self._codes, other._codes
         fmt = gf.row_format(max(len(a) + len(b) - 1, 0))
-        w, row, acc = fmt.width, fmt.pack(b), 0
-        for i, x in enumerate(a):
-            if x:
-                acc = fmt.sub_scaled(acc, gf.neg(x), row << i * w)
-        return Polynomial.from_codes(gf, fmt.unpack(acc))
+        return Polynomial.from_codes(gf, fmt.unpack(_mul_rows(fmt, fmt.pack(a), fmt.pack(b))))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -700,6 +701,20 @@ def _divmod_rows(fmt: RowFormat, a: int, b: int) -> tuple[int, int]:
     return quot, a
 
 
+def _mul_rows(fmt: RowFormat, a: int, b: int) -> int:
+    """Product of polynomials packed in ``fmt``: the sum over the lanes i of a
+    of a_i * (b shifted i lanes up).  ``fmt`` must hold the product's lanes.
+    """
+    gf, w, mask = fmt.field, fmt.width, fmt.mask
+    acc = shift = 0
+    while a:
+        if a & mask:
+            acc = fmt.sub_scaled(acc, gf.neg(a & mask), b << shift)
+        a >>= w
+        shift += w
+    return acc
+
+
 def check_residue(value: int, p: int) -> int:
     """``value`` itself when it lies in [0, p); outside input is never reduced."""
     if not 0 <= value < p:
@@ -749,10 +764,11 @@ def monic_polynomials(field: GF, degree: int) -> Iterator[Polynomial]:
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Trial division by the monic irreducibles of degree <= deg f / 2.
+    """True when f has degree >= 1 and no monic divisor of degree 1 .. deg f / 2.
 
-    Desk scale: degrees <= ~12.  Degree 1 comes first, which is the root
-    scan: every monic linear polynomial is irreducible.
+    Trial division by every monic polynomial of those degrees, with no table:
+    desk scale, for the modulus of GF(p^m), m <= 4, and as a check.
+    ``FactorTable`` factors many polynomials at once.
     """
     d = f.degree
     if d < 1:
@@ -760,26 +776,84 @@ def is_irreducible(f: Polynomial) -> bool:
     fmt = f.field.row_format(len(f._codes))
     a = fmt.pack(f._codes)
     return all(
-        _divmod_rows(fmt, a, fmt.pack(g))[1]
+        _divmod_rows(fmt, a, fmt.pack(low + (1,)))[1]
         for e in range(1, int(d) // 2 + 1)
-        for g in irreducible_codes(f.field, e)
+        for low in itertools.product(range(f.field.q), repeat=e)
     )
 
 
-_IRR_CACHE: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+class FactorTable:
+    """The monic polynomials of degree <= d over GF(q), factored by one sieve.
 
-
-def irreducible_codes(field: GF, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Code tuples of the monic irreducibles of one degree, lexicographic order.
-
-    Found by trial division over all monic polynomials and kept per field.
+    Rows are packed polynomials (``RowFormat``).  The sieve walks the monic
+    polynomials by degree, then lexicographically; one that nothing has
+    marked is irreducible and joins ``irreducibles``, which keeps that order.
+    From each f it marks p * f, one product on packed rows, for every
+    irreducible p up to f's smallest factor, so each composite is marked
+    once, from its smallest factor (Euler's sieve).  The sieve divides
+    nothing and uses no Moebius function: the irreducibles it finds count
+    them independently of Gauss's formula.  ``factor`` reads a polynomial
+    off the table or trial-divides it by the table's irreducibles.  Nothing
+    is kept beyond the table's own life.
     """
-    key = (field.p, field.m, degree)
-    if key not in _IRR_CACHE:
-        _IRR_CACHE[key] = tuple(
-            g.to_codes() for g in monic_polynomials(field, degree) if is_irreducible(g)
-        )
-    return _IRR_CACHE[key]
+
+    __slots__ = ("field", "d", "irreducibles", "_factors", "_width")
+
+    def __init__(self, field: GF, d: int):
+        self.field, self.d = field, d
+        fmt = field.row_format(d + 1)
+        self._width = fmt.width
+        irr: list[int] = []
+        # row -> positions in irr of its irreducible factors, ascending, repeated
+        factors: dict[int, tuple[int, ...]] = {1: ()}
+        for e in range(1, d + 1):
+            for low in itertools.product(range(field.q), repeat=e):
+                f = fmt.pack(low + (1,))
+                fs = factors.get(f)
+                if fs is None:  # unmarked: irreducible
+                    fs = factors[f] = (len(irr),)
+                    irr.append(f)
+                for i in range(fs[0] + 1):
+                    p = irr[i]
+                    if self.degree(p) > d - e:
+                        break  # irr is sorted by degree
+                    factors[_mul_rows(fmt, p, f)] = (i, *fs)
+        self.irreducibles, self._factors = irr, factors
+
+    def degree(self, row: int) -> int:
+        """Degree of a nonzero packed polynomial."""
+        return (row.bit_length() - 1) // self._width
+
+    def polynomial(self, row: int) -> Polynomial:
+        """The polynomial of a nonzero packed row."""
+        fmt = self.field.row_format(self.degree(row) + 1)
+        return Polynomial.from_codes(self.field, fmt.unpack(row))
+
+    def factor(self, f: Polynomial) -> list[int]:
+        """Rows of the monic irreducible factors of f, with multiplicity.
+
+        f is nonzero with deg f <= 2d + 1, and is factored as its monic
+        multiple.  Equal factors are adjacent.  A row above degree d is
+        divided by the irreducibles in order until its cofactor is in the
+        table, or has a degree below twice the next divisor's: a proper
+        factor of it would have no smaller degree, so it is irreducible.
+        """
+        f = f.monic()
+        if not 0 <= f.degree <= 2 * self.d + 1:
+            raise InvalidDegree(f"cannot factor degree {f.degree} from a table to {self.d}")
+        fmt = self.field.row_format(len(f._codes))
+        row, out = fmt.pack(f._codes), []
+        for p in self.irreducibles:
+            if row in self._factors or self.degree(row) < 2 * self.degree(p):
+                break
+            quot, rem = _divmod_rows(fmt, row, p)
+            while not rem:
+                out.append(p)
+                row = quot
+                quot, rem = _divmod_rows(fmt, row, p)
+        known = self._factors.get(row)
+        out += [row] if known is None else [self.irreducibles[i] for i in known]
+        return out
 
 
 def _smallest_irreducible_modulus(p: int, m: int) -> Polynomial:

@@ -8,7 +8,11 @@ polynomials yields a constant-dimension code whose minimum distance is
     D = 2k - 2 * max over pairs of deg(gcd(P_f, P_g)),
 
 so distance prediction is pure polynomial GCD work, with pairwise-coprime
-families giving equidistant codes of distance 2k.
+families giving equidistant codes of distance 2k.  The GCD degrees come from
+factorizations: each polynomial is factored once (``algebra.FactorTable``),
+and deg gcd(f, g) is the sum of min(multiplicity) * degree over the shared
+irreducible factors, one AND of two bitmasks (``_gcd_masks``).  ``poly_gcd``
+stays as the independent route of ``verify_family`` and the tests.
 
 Family membership is restricted to Poly_k(F_q): monic, degree k, nonzero
 constant term.  The degree-1 irreducible X is therefore excluded everywhere
@@ -35,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import GF, Polynomial, irreducible_codes, monic_polynomials, poly_gcd
+from .algebra import GF, FactorTable, Polynomial, monic_polynomials, poly_gcd
 from .ca import LinearCA, LinearRule
 from .errors import (
     BudgetExceeded,
@@ -120,16 +124,56 @@ class GcdProfile:
         return cls(best, witness, table)
 
 
+_SIEVE_LIMIT = 4096  # largest q^(k // 2), about the size of gcd_profile's table
+
+
 def gcd_profile(fam: CAFamily) -> GcdProfile:
-    """All pairwise GCD degrees of a family (needs >= 2 members)."""
+    """All pairwise GCD degrees of a family (needs >= 2 members).
+
+    N factorizations instead of N(N-1)/2 GCDs: a table to degree k // 2
+    factors every member of degree k by trial division.  That table grows
+    like q^(k/2) whatever the family's size, so past ``_SIEVE_LIMIT`` (GF(2)
+    from k = 26) the profile takes each pair's GCD instead.
+    """
     if len(fam) < 2:
         raise TooFewMembers("a GCD profile needs at least two members")
-    members = fam.members
-    table = tuple(
-        tuple(int(poly_gcd(f, g).degree) for g in members[:i])
-        for i, f in enumerate(members)
-    )
+    members, d = fam.members, fam.k // 2
+    if fam.field.q**d > _SIEVE_LIMIT:
+        table = tuple(
+            tuple(int(poly_gcd(f, g).degree) for g in members[:i])
+            for i, f in enumerate(members)
+        )
+    else:
+        masks = _gcd_masks(FactorTable(fam.field, d), members)
+        table = tuple(
+            tuple((a & b).bit_count() for b in masks[:i]) for i, a in enumerate(masks)
+        )
     return GcdProfile.from_table(table)
+
+
+def _gcd_masks(table: FactorTable, polys: Iterable[Polynomial]) -> list[int]:
+    """One int per polynomial such that deg gcd(f, g) = (mask f & mask g).bit_count().
+
+    The c-th copy (c = 0, 1, ...) of an irreducible factor p owns deg p bits,
+    the same bits in every mask.  Two masks then share deg p bits for each
+    copy of p that both polynomials hold: min(multiplicity) * deg p over the
+    shared factors, which is the degree of the gcd.  Coprime is an AND of 0.
+    """
+    blocks: dict[tuple[int, int], int] = {}  # (factor row, copy) -> its bits
+    masks, top = [], 0
+    for f in polys:
+        mask, prev, copy = 0, 0, 0
+        for p in table.factor(f):  # equal factors are adjacent
+            copy = copy + 1 if p == prev else 0
+            prev = p
+            block = blocks.get((p, copy))
+            if block is None:
+                e = table.degree(p)
+                block = blocks[p, copy] = ((1 << e) - 1) << top
+                top += e
+            mask |= block
+        masks.append(mask)
+    return masks
 
 
 def predicted_min_distance(fam: CAFamily) -> tuple[int, GcdProfile]:
@@ -200,17 +244,20 @@ def enumerate_irreducibles(
 ) -> tuple[Polynomial, ...]:
     """All monic irreducibles of degree n, lexicographic order (oracle route).
 
-    Independent of the Gauss formula: trial division over the full list of
-    monic polynomials (``algebra.irreducible_codes``).  ``exclude_x`` drops
-    X, the only irreducible with a zero constant term.
+    Independent of the Gauss formula: the entries a sieve to degree n left
+    unmarked (``algebra.FactorTable``), found with no Moebius function.
+    ``exclude_x`` drops X, the only irreducible with a zero constant term.
     """
     if n < 1:
         raise NonPositive(f"degree must be >= 1, got {n}")
-    return tuple(
-        Polynomial.from_codes(field, c)
-        for c in irreducible_codes(field, n)
-        if not (exclude_x and c[0] == 0)
-    )
+    return _irreducibles_of_degree(FactorTable(field, n), n, exclude_x)
+
+
+def _irreducibles_of_degree(
+    table: FactorTable, n: int, exclude_x: bool
+) -> tuple[Polynomial, ...]:
+    polys = (table.polynomial(p) for p in table.irreducibles if table.degree(p) == n)
+    return tuple(f for f in polys if not (exclude_x and f.to_codes()[0] == 0))
 
 
 def max_coprime_family_size(k: int, field: GF) -> int:
@@ -239,20 +286,19 @@ def uniform_gcd_family(k: int, g: Polynomial) -> tuple[Polynomial, ...]:
     (squares when i = r - i).  Injective pairing keeps cofactors pairwise
     coprime, so gcd(g*h1, g*h2) = g exactly.  Cardinality:
     I'_r + sum_{i=1}^{floor(r/2)} I'_i.  Returns members in lexicographic
-    order; t = k returns just (g,).
+    order; t = k returns just (g,).  Every degree is read from one sieve to r.
     """
-    field = g.field
     r = k - _gcd_degree(k, g)
     if r == 0:
         return (g,)
-    cofactors = list(enumerate_irreducibles(r, field, exclude_x=True))
+    table = FactorTable(g.field, r)
+
+    def primed(n: int) -> tuple[Polynomial, ...]:  # I'_n, lexicographic
+        return _irreducibles_of_degree(table, n, exclude_x=True)
+
+    cofactors = list(primed(r))
     for i in range(1, r // 2 + 1):
-        low = enumerate_irreducibles(i, field, exclude_x=True)
-        if i < r - i:
-            high = enumerate_irreducibles(r - i, field, exclude_x=True)
-            cofactors += [u * v for u, v in zip(low, high)]
-        else:
-            cofactors += [u * u for u in low]
+        cofactors += [u * v for u, v in zip(primed(i), primed(r - i))]
     members = sorted((g * h for h in cofactors), key=Polynomial.to_codes)
     return tuple(members)
 
@@ -430,10 +476,15 @@ def search_max_exact_gcd(
 
 
 def _compatibility(vertices: Sequence[Polynomial], t: int) -> list[int]:
-    """Bitset adjacency: bit j of entry i is set when deg gcd(v_i, v_j) <= t."""
+    """Bitset adjacency: bit j of entry i is set when deg gcd(v_i, v_j) <= t.
+
+    Every vertex is read off one table to the highest vertex degree.
+    """
+    top = max(int(v.degree) for v in vertices)
+    masks = _gcd_masks(FactorTable(vertices[0].field, top), vertices)
     nbr = [0] * len(vertices)
     for i, j in itertools.combinations(range(len(vertices)), 2):
-        if poly_gcd(vertices[i], vertices[j]).degree <= t:
+        if (masks[i] & masks[j]).bit_count() <= t:
             nbr[i] |= 1 << j
             nbr[j] |= 1 << i
     return nbr

@@ -106,27 +106,32 @@ def oeval(coeffs, x: int, p: int) -> int:
     return acc
 
 
-def composites(n: int, p: int) -> set[tuple[int, ...]]:
-    """All monic degree-n polynomials over F_p that factor nontrivially."""
+def composites(n: int, p: int, modulus=None) -> set[tuple[int, ...]]:
+    """All monic degree-n polynomials over F_p that factor nontrivially.
+
+    Pass the modulus of GF(p^m) to work over that field's codes instead.
+    """
+    q = p if modulus is None else p ** (len(modulus) - 1)
     out = set()
     for d1 in range(1, n // 2 + 1):
         d2 = n - d1
-        for low1 in itertools.product(range(p), repeat=d1):
+        for low1 in itertools.product(range(q), repeat=d1):
             f = low1 + (1,)
-            for low2 in itertools.product(range(p), repeat=d2):
+            for low2 in itertools.product(range(q), repeat=d2):
                 g = low2 + (1,)
-                out.add(omul(f, g, p))
+                out.add(omul(f, g, p, modulus))
     return out
 
 
-def irreducibles(n: int, p: int) -> set[tuple[int, ...]]:
-    """Monic irreducibles of degree n over F_p: monics minus products."""
+def irreducibles(n: int, p: int, modulus=None) -> set[tuple[int, ...]]:
+    """Monic irreducibles of degree n over F_p (or GF(p^m)): monics minus products."""
+    q = p if modulus is None else p ** (len(modulus) - 1)
     monics = {
-        low + (1,) for low in itertools.product(range(p), repeat=n)
+        low + (1,) for low in itertools.product(range(q), repeat=n)
     }
     if n == 1:
         return monics
-    return monics - composites(n, p)
+    return monics - composites(n, p, modulus)
 
 
 def kernel_set(rule, n: int, p: int) -> frozenset[tuple[int, ...]]:

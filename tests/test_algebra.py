@@ -8,6 +8,7 @@ import pytest
 from cacodes.algebra import (
     GF,
     MAX_SPEC_PRIME,
+    FactorTable,
     NEG_INF,
     Polynomial,
     is_irreducible,
@@ -344,6 +345,85 @@ def test_irreducibles_match_product_oracle():
                 if is_irreducible(f)
             }
             assert lib == oracles.irreducibles(n, p)
+
+
+# (field, table degree d): every monic of degree <= d is read off the table,
+# and degrees d + 1 .. 2d + 1 go through trial division
+FACTOR_CASES = [(F2, 4), (F3, 2), (F4, 2), (F5, 2), (GF(17), 1)]
+
+
+@pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
+def test_factor_table_irreducibles_match_product_oracle(field, d):
+    table = FactorTable(field, d)
+    codes = [table.polynomial(row).to_codes() for row in table.irreducibles]
+    assert codes == sorted(codes, key=lambda c: (len(c), c))  # by degree, then lex
+    for n in range(1, d + 1):
+        found = {c for c in codes if len(c) == n + 1}
+        assert found == oracles.irreducibles(n, field.p, modulus(field))
+        assert found == {f.to_codes() for f in monic_polynomials(field, n) if is_irreducible(f)}
+
+
+@pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
+def test_factorizations_multiply_back_into_oracle_irreducibles(field, d):
+    rng = random.Random(field.q * 100 + d)
+    table = FactorTable(field, d)
+    oracle_irr = {}
+
+    def irreducible(codes):
+        n = len(codes) - 1
+        if n not in oracle_irr:
+            oracle_irr[n] = oracles.irreducibles(n, field.p, modulus(field))
+        return codes in oracle_irr[n]
+
+    # every table entry, then products of a few random monics (squares and
+    # shared repeated factors included) up to degree 2d + 1, with a scalar
+    polys = [f for n in range(d + 1) for f in monic_polynomials(field, n)]
+    atoms = [f for n in range(1, d + 2) for f in monic_polynomials(field, n)]
+    for _ in range(150):
+        f = Polynomial.from_codes(field, (1,))
+        for _ in range(4):
+            a = rng.choice(atoms)
+            if f.degree + 2 * a.degree <= 2 * d + 1 and rng.random() < 0.5:
+                f = f * a * a
+            elif f.degree + a.degree <= 2 * d + 1:
+                f = f * a
+        polys.append(f)
+    polys.append(Polynomial.from_codes(field, [field.q - 1] * (2 * d + 2)))  # not monic over q > 2
+    for f in polys:
+        factors = [table.polynomial(row) for row in table.factor(f)]
+        product = (1,)
+        for g in factors:
+            assert irreducible(g.to_codes())
+            product = oracles.omul(product, g.to_codes(), field.p, modulus(field))
+        assert product == f.monic().to_codes()
+        rows = table.factor(f)
+        assert rows == sorted(rows, key=rows.index)  # equal factors are adjacent
+
+
+def test_factor_table_refuses_what_it_cannot_factor():
+    table = FactorTable(F2, 2)
+    with pytest.raises(InvalidDegree):
+        table.factor(P(F2, *[1] * 7))  # degree 6 > 2 * 2 + 1
+    with pytest.raises(InvalidDegree):
+        table.factor(Polynomial(F2))
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (7, 2)])
+def test_table_generator_is_the_first_element_of_full_order(p, m):
+    field = GF(p, m)
+    mod = field.modulus.to_codes()
+
+    def order(g):
+        x, n = g, 1
+        while x != 1:
+            x, n = oracles.gfq_mul(x, g, p, mod), n + 1
+        return n
+
+    first = next(g for g in range(2, field.q) if order(g) == field.q - 1)
+    assert field._exp[1] == first
+    assert [field._exp[i] for i in range(field.q - 1)] == [
+        field.pow(first, i) for i in range(field.q - 1)
+    ]
 
 
 def test_xor_format_low_has_bit_zero_of_every_lane():

@@ -1,12 +1,16 @@
 """End-to-end CLI tests: run main() in process and parse stdout."""
 
+import hashlib
 import itertools
 import json
 import sys
+import time
 
 import pytest
 
+import cacodes.algebra as algebra_module
 import cacodes.channel as channel_module
+import cacodes.families as families_module
 from cacodes import __version__
 from cacodes.algebra import GF, Polynomial
 from cacodes.cli import main
@@ -217,6 +221,70 @@ def test_search_max_budget_must_be_positive(capsys, budget):
     assert code == 1
     assert doc["error"]["name"] == "NonPositive"
     assert "--budget" in doc["error"]["message"]
+
+
+# -- GCD degrees from factorizations ----------------------------------------------------------
+
+# SHA-256 of stdout as the pairwise poly_gcd implementation printed it;
+# analyze's digest leaves out the manifest, which names the file.
+NO_GCD_RUNS = {
+    ("build-code", "--q", "3", "--k", "4"):
+        "ccfd355f192ac4bb4cb595598e64eadd02ff2bd18e4d63ac8c35ef6b46d0a295",
+    ("build-code", "--q", "3", "--k", "4", "--gcd", "2,1"):
+        "37bd00e7317048cbb9aea14c8e625d2b081bf5f85b45587b8f38415f58d9b463",
+    ("search-max", "--q", "3", "--k", "4", "--t", "0"):
+        "7e257bb9b742e4f4049b832ff3fccb415d75aedf7578431e1cf85ac1b8efa7b8",
+    ("search-max", "--q", "3", "--k", "4", "--t", "2"):
+        "7001d761826c057fff83cb0eabf4a740bef22c4826fb9070308fa8ca52856fcd",
+}
+NO_GCD_ANALYZE = "19fcec7d9e187f4be3c73d6da5f98a8e3414ed3b1dab1ca384e42e112aba1056"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_cli_takes_no_gcds(capsys, tmp_path, monkeypatch):
+    def refuse(f, g):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(families_module, "poly_gcd", refuse)
+    monkeypatch.setattr(algebra_module, "poly_gcd", refuse)
+    for argv, digest in NO_GCD_RUNS.items():
+        code, out = run(capsys, *argv)
+        assert (code, _sha256(out)) == (0, digest), argv
+        if argv[-1] == "2,1":
+            path = tmp_path / "code.json"
+            path.write_text(out, encoding="utf-8")
+    code, doc = run_json(capsys, "analyze", "--code", str(path))
+    assert code == 0 and doc["family_check"]["consistent"] is True
+    del doc["manifest"]
+    assert _sha256(json.dumps(doc, sort_keys=True)) == NO_GCD_ANALYZE
+
+
+@pytest.mark.parametrize("k", [20, 40])
+def test_analyze_of_a_high_degree_pair_stays_fast(capsys, tmp_path, k):
+    # a table to degree k would hold 2^(k+1) polynomials: at k = 20
+    # gcd_profile sieves to 10, at k = 40 it takes the one pair's GCD
+    gcd = ",".join(["1", "1"] + ["0"] * (k - 4) + ["1"])  # degree k - 2, so r = 2
+    code, out = run(capsys, "build-code", "--q", "2", "--k", str(k), "--gcd", gcd)
+    assert code == 0 and json.loads(out)["size"] == 2
+    path = tmp_path / "code.json"
+    path.write_text(out, encoding="utf-8")
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "analyze", "--code", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and doc["family_check"]["consistent"] is True
+    assert doc["family_check"]["predicted_min_distance"] == 4
+
+
+def test_build_code_of_a_large_field_stays_fast(capsys):
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "build-code", "--q", "31", "--k", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert doc["size"] == doc["expected_size"] == 31 * 30 // 2 + 30
+    assert doc["predicted_min_distance"] == 4
 
 
 # -- simulate ----------------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from cacodes.errors import (
 )
 from cacodes.families import (
     CAFamily,
+    GcdProfile,
+    _compatibility,
     _max_clique,
     code_from_family,
     count_irreducibles,
@@ -111,6 +113,62 @@ def test_prediction_needs_two_members():
         predicted_min_distance(CAFamily([P(F2, 1, 1)]))
     with pytest.raises(TooFewMembers):
         gcd_profile(CAFamily([P(F2, 1, 1)]))
+
+
+# -- factored GCD degrees against Euclid --------------------------------------------------------
+
+
+def _gcd_table(polys):
+    return tuple(
+        tuple(int(poly_gcd(f, g).degree) for g in polys[:i]) for i, f in enumerate(polys)
+    )
+
+
+def _random_families(rng, field, k, count):
+    """Families in Poly_k built from a small pool of factors, so that squares,
+    shared repeated factors and tied maxima are common."""
+    one = Polynomial.from_codes(field, (1,))
+    pool = [
+        Polynomial.from_codes(field, [rng.randrange(1, field.q)] + [
+            rng.randrange(field.q) for _ in range(n - 1)] + [1])
+        for n in [1, 1, 2, 2, 3, rng.randint(1, k)]
+    ]
+    for _ in range(count):
+        members = set()
+        for _ in range(rng.randint(2, 8)):
+            f = one
+            while f.degree < k:
+                f = f * rng.choice([a for a in pool if a.degree <= k - f.degree])
+            members.add(f)
+        if len(members) >= 2:
+            yield CAFamily(sorted(members, key=Polynomial.to_codes))
+
+
+# GF(2) at k = 26 and GF(17) at k = 6 lie past the sieve limit: pairwise GCDs
+@pytest.mark.parametrize("field, k", [(F2, 6), (F3, 5), (F4, 4), (GF(5), 4), (GF(17), 3),
+                                      (F2, 26), (GF(17), 6)], ids=str)
+def test_gcd_profile_matches_poly_gcd_on_random_families(field, k):
+    rng = random.Random(field.q * 10 + k)
+    ties = 0
+    for fam in _random_families(rng, field, k, 40):
+        expected = GcdProfile.from_table(_gcd_table(fam.members))
+        assert gcd_profile(fam) == expected
+        ties += sum(row.count(expected.max_gcd_degree) for row in expected.table) > 1
+    assert ties > 0
+
+
+@pytest.mark.parametrize("field, k", [(F2, 6), (F3, 4), (F4, 3), (GF(5), 3)], ids=str)
+def test_compatibility_matches_poly_gcd_graph_for_every_t(field, k):
+    vertices = enumerate_rule_polynomials(k, field)
+    table = _gcd_table(vertices)
+    for t in range(k + 1):
+        expected = [0] * len(vertices)
+        for i, row in enumerate(table):
+            for j, d in enumerate(row):
+                if d <= t:
+                    expected[i] |= 1 << j
+                    expected[j] |= 1 << i
+        assert _compatibility(vertices, t) == expected
 
 
 # -- code construction ------------------------------------------------------------------------
