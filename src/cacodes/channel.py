@@ -10,6 +10,8 @@ The decoder picks the codeword closest to U in the subspace metric.  Ties
 are never broken silently: an ambiguous trial reports every tied index, and
 the statistics count it as a failure.  Whenever 2 d(U, V) < D(code) the
 metric guarantees unique decoding, which the simulator checks per trial.
+It needs ranks only, and stops each codeword's elimination as soon as that
+codeword cannot reach the best distance found so far.
 
 Determinism: each trial draws from ``random.Random(f"{seed}:{trial}")``, so
 results are bit-identical for a fixed seed regardless of trial order or
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyCode, GuaranteeViolated, NegativeCount, NonPositive, TooManyErasures
 from .linalg import Echelon
-from .subspaces import GrassmannianCode, Subspace, subspace_distance
+from .subspaces import GrassmannianCode, Subspace, _joint_rank
 
 _MAX_REDRAWS = 256  # per needed vector; failure means a broken RNG, not bad luck
 
@@ -116,21 +118,40 @@ def transmit(V: Subspace, cfg: ChannelConfig, trial: int) -> Subspace:
 def decode_min_distance(
     code: GrassmannianCode, U: Subspace, sent_index: int | None = None
 ) -> TrialResult:
-    """Nearest-codeword decoding in the subspace metric, ties reported as such."""
+    """Nearest-codeword decoding in the subspace metric, ties reported as such.
+
+    d(C, U) = 2 rank - dim C - dim U, where the rank of C stacked on U only
+    grows as U's rows go into C's echelon.  Once that lower bound is above
+    the best distance so far, C's elimination stops: C is farther than the
+    minimum, so it can be neither decoded nor tied.  Every codeword at or
+    below the running best is measured exactly, so the visiting order cannot
+    change the decision.  The sent codeword, when given, goes first, because
+    ``distance_to_sent`` needs its exact distance.
+    """
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
-    distances = [subspace_distance(c, U) for c in code.codewords]
-    dmin = min(distances)
-    tied = tuple(i for i, d in enumerate(distances) if d == dmin)
+    words = code.codewords
+    # indexes like a sequence: a negative index counts from the end
+    first = 0 if sent_index is None else range(len(words))[sent_index]
+    words[first]._check(U)
+    best = 2 * U.ambient_n  # no distance is larger: the first runs to the end
+    exact = {}
+    for i in (first, *range(first), *range(first + 1, len(words))):
+        c = words[i]
+        dims = c.dim + U.dim
+        d = 2 * _joint_rank(c, U, cap=(best + dims) // 2) - dims
+        if d <= best:
+            best = exact[i] = d
+    tied = tuple(sorted(i for i, d in exact.items() if d == best))
     ambiguous = len(tied) > 1
     return TrialResult(
         received=U,
         decoded_index=None if ambiguous else tied[0],
         ambiguous=ambiguous,
         tied=tied,
-        min_distance_found=dmin,
+        min_distance_found=best,
         sent_index=sent_index,
-        distance_to_sent=None if sent_index is None else distances[sent_index],
+        distance_to_sent=None if sent_index is None else exact[first],
     )
 
 

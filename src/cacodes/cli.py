@@ -24,6 +24,7 @@ is never parsed back.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -259,6 +260,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache  # built once per process: parsing leaves a parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cacodes",

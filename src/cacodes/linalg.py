@@ -9,8 +9,11 @@ determinants, intersections and the subspace layer all grow an echelon row
 by row.  An echelon holds each row packed into one Python int, in the
 format its field defines (``algebra.RowFormat``), so a row operation is a
 few whole-integer operations; rows of codes are packed on the way in and
-unpacked only by ``Echelon.matrix``.  All arithmetic is exact, so rank and
-nullity are the true algebraic values.
+unpacked only by ``Echelon.matrix``.  ``insert`` only reduces the new row
+against the held ones, which stay in row echelon form: rank, determinants
+and intersections need no more.  The back-substitution that turns them into
+the RREF runs once, in ``Echelon.matrix``, where a reduced basis is read.
+All arithmetic is exact, so rank and nullity are the true algebraic values.
 
 The Sylvester matrix here follows the convolution layout: for nonzero f and
 g, the first deg(g) rows are right-shifted copies of f's ascending
@@ -190,18 +193,19 @@ def resultant(f: Polynomial, g: Polynomial) -> GFElement:
 
 
 class Echelon:
-    """The RREF of the rows inserted so far, grown one row at a time.
+    """The row echelon form of the rows inserted so far, grown one row at a time.
 
     Rows are packed ints in the field's row format (``GF.row_format``): the
     format does the row operations, and ``insert`` reads an entry straight
     from its lane (``width`` bits at column * width, under ``mask``).
-    ``rows`` holds the reduced nonzero rows in ascending pivot order and
-    ``pivots`` their pivot columns.  ``scale`` is the product of the leading
-    entries met, negated once per pivot inserted out of column order: for
-    the rows of a square matrix of full rank it ends as the determinant.
-    Rows that are already reduced, such as a subspace's basis, go in without
-    any row operation, and ``copy`` seeds a new echelon with them without
-    repacking.
+    ``rows`` holds the nonzero rows in ascending pivot order and ``pivots``
+    their pivot columns: each row is zero before its pivot and 1 at it, so
+    every row below a pivot is zero in its column.  ``insert`` never changes
+    a held row; ``matrix`` back-substitutes them into the RREF in place.
+    ``scale`` is the product of the leading entries met, negated once per
+    pivot inserted out of column order: for the rows of a square matrix of
+    full rank it ends as the determinant.  ``copy`` seeds a new echelon with
+    the held rows without repacking.
     """
 
     __slots__ = ("field", "ncols", "format", "rows", "pivots", "scale")
@@ -230,7 +234,11 @@ class Echelon:
         return ech
 
     def insert(self, row: int) -> bool:
-        """Add a packed row; True when it was independent of the held rows."""
+        """Add a packed row; True when it was independent of the held rows.
+
+        The row is reduced by the held rows in ascending pivot order, which
+        clears every pivot column of it, and goes in scaled to a leading 1.
+        """
         fmt, rows, pivots = self.format, self.rows, self.pivots
         w, mask, sub_scaled = fmt.width, fmt.mask, fmt.sub_scaled
         for c, held in zip(pivots, rows):
@@ -246,10 +254,6 @@ class Echelon:
         if lead != 1:
             row = sub_scaled(0, gf.neg(gf.inv(lead)), row)  # row / lead
             self.scale = gf.mul(self.scale, lead)
-        for i, held in enumerate(rows):
-            x = held >> shift & mask
-            if x:
-                rows[i] = sub_scaled(held, x, row)
         pos = bisect.bisect(pivots, lead_col)
         if (len(pivots) - pos) % 2:
             self.scale = gf.neg(self.scale)
@@ -260,8 +264,8 @@ class Echelon:
     def intersection(self, other: "Echelon") -> "Echelon":
         """The echelon of the intersection of two row spaces, by Zassenhaus.
 
-        The rows of the RREF of [A | A; B | 0] whose left half vanishes are,
-        in their right half, the reduced basis of A intersect B.
+        The rows of an echelon form of [A | A; B | 0] whose left half
+        vanishes are, in their right half, a basis of A intersect B.
         """
         n = self.ncols
         half = n * self.format.width  # the bits of the left half
@@ -277,7 +281,17 @@ class Echelon:
         return inter
 
     def matrix(self) -> MatrixGF:
-        """The held rows as a matrix: the canonical basis of their span."""
-        return MatrixGF.from_codes(
-            self.field, tuple(map(self.format.unpack, self.rows)), self.ncols
-        )
+        """The RREF of the held rows as a matrix: the canonical basis of their span.
+
+        Back-substitutes first, clearing each pivot column above its pivot
+        from the last pivot up; the held rows are the RREF afterwards.
+        """
+        fmt, rows = self.format, self.rows
+        w, mask, sub_scaled = fmt.width, fmt.mask, fmt.sub_scaled
+        for j in range(len(rows) - 1, 0, -1):
+            shift, below = self.pivots[j] * w, rows[j]
+            for i in range(j):
+                x = rows[i] >> shift & mask
+                if x:
+                    rows[i] = sub_scaled(rows[i], x, below)
+        return MatrixGF.from_codes(self.field, tuple(map(fmt.unpack, rows)), self.ncols)

@@ -6,11 +6,12 @@ objects are equal exactly when they describe the same subspace.  The distance
     d(A, B) = dim A + dim B - 2 dim(A intersect B)
 
 is computed via dim(A i B) = dim A + dim B - rank(stack(A, B)), which needs
-one elimination instead of an explicit intersection: a copy of A's echelon,
-whose packed rows are already reduced, takes B's packed rows.  Each subspace
-keeps that echelon from its construction, so no codeword is repacked.
-Intersections, when a basis is actually wanted, use the Zassenhaus block
-trick.
+one elimination instead of an explicit intersection: a copy of A's echelon
+takes B's packed rows.  Each subspace keeps that echelon from its
+construction, its rows reduced to the RREF, so no codeword is repacked; a
+rank query only reduces the incoming rows and never back-substitutes into
+the held ones.  Intersections, when a basis is actually wanted, use the
+Zassenhaus block trick.
 
 A Grassmannian code is a finite set of such subspaces; here they usually all
 share one dimension k (constant-dimension code) because they arise as
@@ -140,10 +141,16 @@ def subspace_distance(a: Subspace, b: Subspace) -> int:
     return 2 * _joint_rank(a, b) - a.dim - b.dim
 
 
-def _joint_rank(a: Subspace, b: Subspace) -> int:
-    """dim(A + B): a copy of A's echelon takes B's packed rows."""
+def _joint_rank(a: Subspace, b: Subspace, cap: float = math.inf) -> int:
+    """dim(A + B): a copy of A's echelon takes B's packed rows.
+
+    The rank only grows as rows go in, so once it is above ``cap`` the
+    elimination stops and returns that rank, a lower bound above ``cap``.
+    """
     ech = a._echelon.copy()
     for row in b._echelon.rows:
+        if ech.rank > cap:
+            break
         ech.insert(row)
     return ech.rank
 

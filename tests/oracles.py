@@ -4,9 +4,10 @@ Everything here works on plain integer tuples modulo a prime p, or on the
 integer codes of GF(p^m) given its modulus, written from scratch against
 the definitions: convolution products, schoolbook long division and
 Euclid, brute-force kernel enumeration, span-set subspace arithmetic,
-cofactor determinants, plain elimination, exhaustive clique search.
-Nothing imports the library's arithmetic, so agreement between these and
-the package is a genuine two-route check.
+cofactor determinants, plain elimination, exhaustive clique search and
+exhaustive minimum-distance decoding.  Nothing imports the library's
+arithmetic, so agreement between these and the package is a genuine
+two-route check.
 """
 
 from __future__ import annotations
@@ -210,27 +211,27 @@ def distance_from_sets(a: frozenset, b: frozenset, p: int) -> int:
     return da + db - 2 * dab
 
 
-def odet(rows, p: int) -> int:
-    """Determinant mod p by fraction-free cofactor expansion (exact, slow)."""
+def odet(rows, p: int, modulus=None) -> int:
+    """Determinant by cofactor expansion (exact, slow), over GF(p) or GF(p^m)."""
+    add, mul, neg, _ = scalar_ops(p, modulus)
     n = len(rows)
     if n == 0:
         return 1 % p
     if n == 1:
-        return rows[0][0] % p
+        return rows[0][0] % p if modulus is None else rows[0][0]
     total = 0
-    sign = 1
     for j in range(n):
         if rows[0][j]:
             minor = [
                 [rows[i][l] for l in range(n) if l != j] for i in range(1, n)
             ]
-            total += sign * rows[0][j] * odet(minor, p)
-        sign = -sign
-    return total % p
+            term = mul(rows[0][j], odet(minor, p, modulus))
+            total = add(total, term if j % 2 == 0 else neg(term))
+    return total
 
 
-def rank_over_q(rows, p: int) -> int:
-    """Row rank over F_p by plain mod-p elimination, written independently."""
+def rref_over_q(rows, p: int) -> list[tuple[int, ...]]:
+    """Nonzero rows of the RREF over F_p by plain Gauss-Jordan elimination."""
     work = [list(r) for r in rows]
     rank = 0
     cols = len(work[0]) if work else 0
@@ -250,7 +251,12 @@ def rank_over_q(rows, p: int) -> int:
                 f = work[i][c]
                 work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
         rank += 1
-    return rank
+    return [tuple(r) for r in work[:rank]]
+
+
+def rank_over_q(rows, p: int) -> int:
+    """Row rank over F_p by plain mod-p elimination, written independently."""
+    return len(rref_over_q(rows, p))
 
 
 def gfq_mul(a: int, b: int, p: int, modulus) -> int:
@@ -324,8 +330,8 @@ def span_set_gfq(rows, n: int, p: int, modulus) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
-def rank_over_gfq(rows, p: int, modulus) -> int:
-    """Row rank over GF(p^m) by plain elimination, inverses found by search."""
+def rref_over_gfq(rows, p: int, modulus) -> list[tuple[int, ...]]:
+    """Nonzero rows of the RREF over GF(p^m), inverses found by search."""
     add, mul = gfq_tables(p, modulus)
     q = len(add)
     neg = [add[x].index(0) for x in range(q)]
@@ -345,7 +351,23 @@ def rank_over_gfq(rows, p: int, modulus) -> int:
                 f = neg[work[i][c]]
                 work[i] = [add[x][mul[f][y]] for x, y in zip(work[i], work[rank])]
         rank += 1
-    return rank
+    return [tuple(r) for r in work[:rank]]
+
+
+def rank_over_gfq(rows, p: int, modulus) -> int:
+    """Row rank over GF(p^m) by plain elimination, inverses found by search."""
+    return len(rref_over_gfq(rows, p, modulus))
+
+
+def decode_exhaustive(codewords, received, distance):
+    """Minimum-distance decoding that measures every codeword in full.
+
+    ``distance(c, received)`` gives each codeword's distance.  Returns the
+    minimum, the indices that reach it and the list of all distances.
+    """
+    distances = [distance(c, received) for c in codewords]
+    dmin = min(distances)
+    return dmin, tuple(i for i, d in enumerate(distances) if d == dmin), distances
 
 
 def lex_first_max_clique(n: int, edges) -> tuple[int, ...]:

@@ -1,15 +1,19 @@
 """Operator channel and minimum-distance decoder."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 
 import cacodes.channel as channel_module
 from cacodes.algebra import GF, Polynomial
 from cacodes.channel import ChannelConfig, decode_min_distance, simulate, transmit
-from cacodes.errors import EmptyCode, TooManyErasures
+from cacodes.errors import AmbientMismatch, EmptyCode, TooManyErasures
 from cacodes.families import CAFamily, code_from_family, uniform_gcd_family
 from cacodes.subspaces import GrassmannianCode, Subspace, subspace_distance
+
+import oracles
 
 F2 = GF(2)
 
@@ -187,6 +191,66 @@ def test_decode_reports_tie():
     assert res.tied == (0, 1)
     assert res.min_distance_found == 2
     assert not res.success
+
+
+def random_subspace(field, n, rng, dim=None):
+    dim = rng.randint(0, n) if dim is None else dim
+    return Subspace(field, n, [[rng.randrange(field.q) for _ in range(n)] for _ in range(dim)])
+
+
+def decoder_cases(field, rng):
+    """(code, received) pairs: CA codes and random codes, with ties made on purpose."""
+    k = 3 if field.q == 2 else 2
+    n = 2 * k
+    codes = [
+        code_from_family(CAFamily(list(uniform_gcd_family(k, Polynomial(field, g)))))
+        for g in ((1,), (1, 1))
+    ]
+    codes += [
+        GrassmannianCode(field, n, [random_subspace(field, n, rng) for _ in range(6)])
+        for _ in range(3)
+    ]
+    for code in codes:
+        for _ in range(12):
+            yield code, random_subspace(field, n, rng)
+        for trial in range(8):
+            V = code[rng.randrange(len(code))]
+            erasures, errors = min(rng.randint(0, 2), V.dim), rng.randint(0, 2)
+            yield code, transmit(V, ChannelConfig(erasures, errors, seed=trial), trial)
+        # one vector from each of several codewords: equidistant from them
+        for _ in range(6):
+            picks = rng.sample(range(len(code)), min(len(code), rng.randint(2, 3)))
+            vectors = [next(iter(code[i].basis.rows), (0,) * n) for i in picks]
+            yield code, Subspace(field, n, vectors)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(2, 2)], ids=lambda f: f.spec)
+def test_pruned_decoder_matches_exhaustive_oracle(field):
+    rng = random.Random(f"decoder:{field.spec}")
+    ties = 0
+    for code, U in decoder_cases(field, rng):
+        dmin, tied, distances = oracles.decode_exhaustive(code, U, subspace_distance)
+        blind = decode_min_distance(code, U)
+        assert blind.tied == tied and blind.min_distance_found == dmin
+        assert blind.ambiguous == (len(tied) > 1)
+        assert blind.decoded_index == (None if blind.ambiguous else tied[0])
+        assert blind.sent_index is None and blind.distance_to_sent is None
+        ties += blind.ambiguous
+        for sent in range(len(code)):
+            told = decode_min_distance(code, U, sent_index=sent)
+            expected = dataclasses.replace(
+                blind, sent_index=sent, distance_to_sent=distances[sent]
+            )
+            assert told == expected
+    assert ties >= 5
+
+
+def test_decode_rejects_received_from_another_space():
+    code = coprime_pair_code()  # GF(2)^4
+    for U in (Subspace(F2, 5, [(1, 0, 0, 0, 1)]), Subspace(GF(3), 4, [(1, 2, 0, 0)])):
+        for sent_index in (None, 0, 1):
+            with pytest.raises(AmbientMismatch):
+                decode_min_distance(code, U, sent_index=sent_index)
 
 
 def test_decode_empty_code():

@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 
@@ -13,8 +16,10 @@ import cacodes.channel as channel_module
 import cacodes.families as families_module
 from cacodes import __version__
 from cacodes.algebra import GF, Polynomial
+from cacodes import cli
 from cacodes.cli import main
 from cacodes.families import CAFamily, code_from_family
+from cacodes.subspaces import subspace_distance
 
 
 def run(capsys, *argv):
@@ -454,7 +459,7 @@ def test_broken_decoding_guarantee_is_a_json_error(capsys, code_file, monkeypatc
         return channel_module.TrialResult(
             received=U, decoded_index=0, ambiguous=False, tied=(0,),
             min_distance_found=0, sent_index=sent_index,
-            distance_to_sent=channel_module.subspace_distance(code[sent_index], U),
+            distance_to_sent=subspace_distance(code[sent_index], U),
         )
 
     monkeypatch.setattr(channel_module, "decode_min_distance", always_zero)
@@ -470,3 +475,39 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_reused_parser_leaks_no_state(capsys, code_file):
+    commands = [
+        ("simulate", "--code", code_file, "--erasures", "1", "--trials", "15", "--seed", "4"),
+        ("analyze", "--code", code_file),
+        ("simulate", "--code", code_file, "--errors", "1", "--trials", "12", "--csv"),
+        ("simulate", "--trials", "5"),  # no --code: a usage error
+        ("simulate", "--code", code_file, "--trials", "9"),
+    ]
+    commands.append(commands[0])
+    # each command run first: alone, in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    script = "import sys; from cacodes.cli import main; sys.exit(main(sys.argv[1:]))"
+    alone = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=env, timeout=60, check=False,
+        )
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+
+    def in_process(argv):
+        try:
+            status = main(list(argv))
+        except SystemExit as exc:
+            status = exc.code
+        captured = capsys.readouterr()
+        return status, captured.out, captured.err
+
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser()
+    assert [in_process(argv) for argv in commands] == alone
+    assert cli._build_parser() is parser
+    assert [status for status, _, _ in alone] == [0, 0, 0, 2, 0, 0]
+    assert "--code" in alone[3][2] and alone[3][1] == ""

@@ -8,7 +8,7 @@ import pytest
 
 from cacodes.algebra import GF, Polynomial, poly_gcd
 from cacodes.errors import LengthMismatch, ZeroPolynomial
-from cacodes.linalg import MatrixGF, resultant, sylvester
+from cacodes.linalg import Echelon, MatrixGF, resultant, sylvester
 from cacodes.subspaces import Subspace
 
 import oracles
@@ -327,6 +327,58 @@ def test_echelon_matches_oracles_randomized(field):
             assert m.det().code == oracles.odet(rows, field.p)
         if nrows == ncols:
             assert (m.det().code != 0) == (rank == ncols)
+
+
+def oracle_rref(field, rows):
+    if field.m == 1:
+        return oracles.rref_over_q(rows, field.p)
+    return oracles.rref_over_gfq(rows, field.p, modulus(field))
+
+
+def oracle_det(field, rows):
+    return oracles.odet(rows, field.p, modulus(field) if field.m > 1 else None)
+
+
+def assert_row_echelon(ech):
+    """Held rows sorted by pivot, each zero before its pivot and 1 at it."""
+    assert ech.pivots == sorted(set(ech.pivots))
+    assert len(ech.rows) == len(ech.pivots)
+    for c, row in zip(ech.pivots, map(ech.format.unpack, ech.rows)):
+        assert not any(row[:c]) and row[c] == 1
+
+
+# one field per row format: XOR lanes (GF(2), GF(2^2)), mod-p byte lanes
+# (GF(3), GF(5)) and per-entry lanes (GF(17), GF(3^2))
+ECHELON_FIELDS = [F2, F3, F4, F5, GF(17), GF(3, 2)]
+
+
+@pytest.mark.parametrize("field", ECHELON_FIELDS, ids=lambda f: f.spec)
+def test_insert_keeps_held_rows_and_row_echelon_form(field):
+    rng = random.Random(f"row-echelon:{field.spec}")
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 6)
+        rows = random_rows(field, rng, nrows, ncols)
+        if rng.random() < 0.5:  # square, so the determinant is checked too
+            rows = random_rows(field, rng, ncols, ncols)
+        ech = Echelon(field, ncols)
+        reduce_at = rng.randrange(len(rows))
+        for step, row in enumerate(rows):
+            held = list(ech.rows)
+            independent = ech.insert(ech.format.pack(row))
+            # the new row goes in, or nothing does; no held row changes
+            assert independent == (ech.rank == len(held) + 1)
+            assert [r for r in ech.rows if r in held] == held
+            assert_row_echelon(ech)
+            seen = rows[: step + 1]
+            assert ech.rank == oracle_rank(field, seen)
+            assert ech.copy().matrix().rows == tuple(oracle_rref(field, seen))
+            if step == reduce_at:  # later rows go into a reduced echelon
+                assert ech.matrix().rows == tuple(oracle_rref(field, seen))
+                assert_row_echelon(ech)
+        m = MatrixGF(field, rows, ncols=ncols)
+        assert m.rank() == ech.rank
+        if len(rows) == ncols:
+            assert m.det().code == oracle_det(field, rows)
 
 
 @pytest.mark.parametrize("field", WIDE_FIELDS, ids=lambda f: f.spec)
