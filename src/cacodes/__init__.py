@@ -3,7 +3,7 @@
 The pipeline, bottom to top:
 
 * ``algebra``   exact GF(p^m) and polynomial arithmetic, GCDs, irreducibility
-* ``linalg``    RREF / rank / null spaces / Sylvester matrices / resultants
+* ``linalg``    RREF / rank / null spaces / Sylvester matrices
 * ``ca``        linear cellular automata and their kernels (LFSR preimages)
 * ``subspaces`` canonical subspaces, the subspace metric, Grassmannian codes
 * ``families``  rule families, GCD-based distance prediction, counting, search
@@ -43,7 +43,7 @@ from .families import (
     uniform_gcd_family,
     verify_family,
 )
-from .linalg import MatrixGF, resultant, sylvester
+from .linalg import MatrixGF, sylvester
 from .subspaces import (
     CodeParams,
     GrassmannianCode,
@@ -64,7 +64,6 @@ __all__ = [
     "LinearRule",
     "MatrixGF",
     "sylvester",
-    "resultant",
     "Subspace",
     "GrassmannianCode",
     "CodeParams",

@@ -8,24 +8,26 @@ Representation conventions used throughout the library:
   field (m = 1) the code is just the residue.  ``GF`` exposes arithmetic on
   integer codes; ``GFElement`` is the operator-overloaded wrapper around one
   code.
-* A polynomial stores the tuple of its coefficient codes in ascending powers
-  with no trailing zeros: the canonical form.  The zero polynomial has the
-  empty tuple and degree ``-inf`` (a distinguished marker, never the integer
-  0).  ``coeffs`` boxes the codes as ``GFElement``s on request.
+* A polynomial is one packed row (see below) with the code of the
+  coefficient of X^i in lane i.  A packed int has no trailing zero lanes,
+  so the row is the canonical form.  The zero polynomial is the row 0, of
+  degree ``-inf`` (a distinguished marker, never the integer 0).
+  ``to_codes`` unpacks the ascending coefficient codes and ``coeffs`` boxes
+  them as ``GFElement``s, on request.
 * Values are validated once, where they enter: ``Polynomial(field, values)``
   coerces each value through ``GF.element``.  Code that already holds valid
   codes builds through ``Polynomial.from_codes``, which does not re-check.
 * GCDs are always returned monic, so they are unique.  ``FactorTable``
   factors all monic polynomials up to a degree with one sieve, for callers
   that need the GCDs of many pairs; ``poly_gcd`` serves one pair.
-* A vector of codes is packed into one Python int, in a format the field
-  picks from p and m (``GF.row_format``, ``RowFormat``), and
+* Every vector of codes is packed into one Python int, in the format the
+  field picks once from p and m (``GF.row_format``, ``RowFormat``), and
   ``RowFormat.sub_scaled`` is its one operation: u - c*v in a few
   whole-integer operations, XOR in characteristic 2, instead of one field
   operation per entry.  Elimination works on packed rows, and so does
-  polynomial arithmetic: lane i holds the coefficient of X^i, so X^s * b is
-  b shifted s lanes up, a long-division step is ``sub_scaled(a, c, b << s)``
-  and a product is a sum of shifted rows.
+  polynomial arithmetic: X^s * b is b shifted s lanes up, a long-division
+  step is ``sub_scaled(a, c, b << s)`` and a product is a sum of shifted
+  rows.
 
 Extension fields are supported for m <= 4.  The reducing modulus is chosen
 deterministically as the lexicographically smallest monic irreducible of
@@ -51,6 +53,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     BothZero,
     DivisionByZero,
+    ExtensionTooLarge,
     FieldMismatch,
     InvalidDegree,
     NotPrime,
@@ -62,6 +65,7 @@ NEG_INF = float("-inf")  # degree of the zero polynomial
 
 _MAX_EXTENSION_DEGREE = 4
 MAX_SPEC_PRIME = 2**31 - 1  # is_prime's trial division takes milliseconds up to here
+MAX_MODULUS_SCAN = 2048  # p^(m-1) bound: every field below it takes at most ~0.2 s
 _TABLE_LIMIT = 4096  # build exp/log tables of GF(q)* up to this order
 
 
@@ -87,11 +91,15 @@ class GF:
     Arithmetic methods (``add``, ``mul``, ``inv``, ...) operate on integer
     element codes in [0, q); ``element`` wraps a code into a ``GFElement``.
     Two instances of the same order compare equal and hash alike.  The field
-    itself never changes; each instance only caches the exp/log tables of an
-    extension field with q <= 4096 and one packed row format per row length
-    it has been asked for
-    (``row_format``), since elimination and polynomial arithmetic ask for the
-    same few lengths again and again.
+    fixes its packed row format at construction: the format class and the
+    lane ``width``, with ``mask`` the bits of one lane.  The field itself
+    never changes; each instance only caches the exp/log tables of an
+    extension field with q <= 4096 and one row format per row length it has
+    been asked for (``row_format``), since elimination and polynomial
+    arithmetic ask for the same few lengths again and again.
+
+    An extension field is refused (``ExtensionTooLarge``) when finding its
+    modulus would scan more than ``MAX_MODULUS_SCAN`` candidates.
     """
 
     def __init__(self, p: int, m: int = 1):
@@ -106,11 +114,25 @@ class GF:
         self.p = p
         self.m = m
         self.q = p**m
+        if p == 2:
+            self._row_kind, self.width = _XorFormat, m
+        elif m == 1 and p <= _MOD_LANE_MAX_P:
+            self._row_kind, self.width = _ModFormat, 8  # byte lanes: packing goes through ``bytes``
+        else:
+            self._row_kind, self.width = RowFormat, (self.q - 1).bit_length()
+        self.mask = (1 << self.width) - 1
         self._modulus: Polynomial | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._row_formats: dict[int, RowFormat] = {}
         if m > 1:
+            # the search fails the p^(m-1) candidates with a zero constant
+            # term before its first irreducible: that count is its cost
+            if p ** (m - 1) > MAX_MODULUS_SCAN:
+                raise ExtensionTooLarge(
+                    f"finding the modulus of GF({p}^{m}) scans {p}^{m - 1} candidates,"
+                    f" more than {MAX_MODULUS_SCAN}"
+                )
             self._modulus = _smallest_irreducible_modulus(p, m)
             if self.q <= _TABLE_LIMIT:
                 self._build_tables()
@@ -214,13 +236,7 @@ class GF:
         """The packed format of rows of ``ncols`` entries over this field."""
         fmt = self._row_formats.get(ncols)
         if fmt is None:
-            if self.p == 2:
-                kind = _XorFormat
-            elif self.m == 1 and self.p <= _MOD_LANE_MAX_P:
-                kind = _ModFormat
-            else:
-                kind = RowFormat
-            fmt = self._row_formats[ncols] = kind(self, ncols)
+            fmt = self._row_formats[ncols] = self._row_kind(self, ncols)
         return fmt
 
     def pow(self, a: int, n: int) -> int:
@@ -324,8 +340,8 @@ class RowFormat:
     read off its lowest set bit.  The zero row is 0, and rows with disjoint
     columns combine with ``|``.  A polynomial's row has the coefficient of
     X^i in lane i: its degree is read off the highest set bit, and times X^s
-    it is the row shifted s lanes up.  ``GF.row_format`` picks the format
-    from p and m:
+    it is the row shifted s lanes up.  The field picks the format from p
+    and m, and its lane width, once (``GF.__init__``):
 
     * p = 2 (``_XorFormat``): a lane is the m-bit code itself, so adding rows
       is XOR and scaling is m masked shifts and small multiplications;
@@ -342,13 +358,8 @@ class RowFormat:
 
     def __init__(self, field: GF, ncols: int):
         self.field, self.ncols = field, ncols
-        self.width = self._lane_width(field)
-        self.mask = (1 << self.width) - 1
+        self.width, self.mask = field.width, field.mask
         self.shifts = range(0, ncols * self.width, self.width)  # lane j at j * width
-
-    @staticmethod
-    def _lane_width(field: GF) -> int:
-        return (field.q - 1).bit_length()
 
     def pack(self, codes: Sequence[int]) -> int:
         row, w = 0, self.width
@@ -381,10 +392,6 @@ class _XorFormat(RowFormat):
             tuple(field.mul(c, 1 << i) for i in range(field.m)) for c in range(field.q)
         ]
 
-    @staticmethod
-    def _lane_width(field: GF) -> int:
-        return field.m
-
     def sub_scaled(self, u: int, c: int, v: int) -> int:
         if c == 1:
             return u ^ v
@@ -403,10 +410,6 @@ class _ModFormat(RowFormat):
     def __init__(self, field: GF, ncols: int):
         super().__init__(field, ncols)
         self.reduce = bytes(x % field.p for x in range(256))
-
-    @staticmethod
-    def _lane_width(field: GF) -> int:
-        return 8  # byte lanes: packing goes through ``bytes``
 
     def pack(self, codes: Sequence[int]) -> int:
         return int.from_bytes(bytes(codes), "little")
@@ -496,57 +499,70 @@ class GFElement:
 
 
 class Polynomial:
-    """A polynomial over GF(q) in canonical ascending-coefficient form.
+    """A polynomial over GF(q), held as one packed row.
 
-    Holds the tuple of coefficient codes with no trailing zeros (``to_codes``);
-    the zero polynomial has no coefficients and degree ``NEG_INF``.
-    ``coeffs`` is the same tuple boxed as ``GFElement``s.  Instances are
-    immutable; all operators allocate fresh results.
+    ``row`` is an int in the field's packed row format (``RowFormat``): the
+    code of the coefficient of X^i sits in lane i.  A packed int has no
+    trailing zero lanes, so the row is canonical: equality and hashing read
+    it, the degree is the lane of its highest set bit, and the zero
+    polynomial is the row 0, of degree ``NEG_INF``.  ``to_codes`` unpacks
+    the ascending coefficient codes, for text, sort keys and callers;
+    ``coeffs`` boxes them as ``GFElement``s.  Instances are immutable; all
+    operators allocate fresh results.
     """
 
-    __slots__ = ("field", "_codes")
+    __slots__ = ("field", "row")
 
     def __init__(self, field: GF, coeffs: Iterable[int | Sequence[int] | GFElement] = ()):
-        self.field = field
-        self._codes = _trim(tuple(field.element(c).code for c in coeffs))
+        codes = [field.element(c).code for c in coeffs]
+        self.field, self.row = field, field.row_format(len(codes)).pack(codes)
 
     @classmethod
     def from_codes(cls, field: GF, codes: Iterable[int]) -> "Polynomial":
         """Build from ascending integer element codes, trusted to lie in [0, q)."""
+        codes = tuple(codes)
+        return cls._from_row(field, field.row_format(len(codes)).pack(codes))
+
+    @classmethod
+    def _from_row(cls, field: GF, row: int) -> "Polynomial":
         poly = cls.__new__(cls)
-        poly.field = field
-        poly._codes = _trim(tuple(codes))
+        poly.field, poly.row = field, row
         return poly
 
     # -- basic structure ---------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[GFElement, ...]:
-        return tuple(GFElement(self.field, c) for c in self._codes)
+        return tuple(GFElement(self.field, c) for c in self.to_codes())
 
     @property
     def degree(self) -> int | float:
-        return len(self._codes) - 1 if self._codes else NEG_INF
+        return (self.row.bit_length() - 1) // self.field.width if self.row else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self._codes
+        return not self.row
 
     def is_one(self) -> bool:
-        return self._codes == (1,)
+        return self.row == 1
+
+    def _lead(self) -> int:
+        # the code in the top lane, above which the row has no bits; 0 for zero
+        return self.row >> self.degree * self.field.width if self.row else 0
 
     def is_monic(self) -> bool:
-        return bool(self._codes) and self._codes[-1] == 1
+        return self._lead() == 1
 
     def monic(self) -> "Polynomial":
         """Rescale so that the leading coefficient is 1."""
-        if self.is_zero() or self.is_monic():
+        lead = self._lead()
+        if lead in (0, 1):  # zero, or monic already
             return self
         gf = self.field
-        return Polynomial(gf)._sub_scaled(gf.neg(gf.inv(self._codes[-1])), self)
+        return Polynomial(gf)._sub_scaled(gf.neg(gf.inv(lead)), self)
 
     def to_codes(self) -> tuple[int, ...]:
-        """Ascending coefficient codes; the canonical sort key."""
-        return self._codes
+        """Ascending coefficient codes, no trailing zeros; the canonical sort key."""
+        return _format_of(self.field, self.row).unpack(self.row)
 
     # -- ring operations -----------------------------------------------------------
 
@@ -561,10 +577,8 @@ class Polynomial:
     def _sub_scaled(self, c: int, other: "Polynomial") -> "Polynomial":
         # self - c * other, one row operation
         self._check(other)
-        gf = self.field
-        fmt = gf.row_format(max(len(self._codes), len(other._codes)))
-        row = fmt.sub_scaled(fmt.pack(self._codes), c, fmt.pack(other._codes))
-        return Polynomial.from_codes(gf, fmt.unpack(row))
+        gf, a, b = self.field, self.row, other.row
+        return Polynomial._from_row(gf, _format_of(gf, max(a, b)).sub_scaled(a, c, b))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._sub_scaled(self.field.neg(1), other)
@@ -577,14 +591,14 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        gf, a, b = self.field, self._codes, other._codes
-        fmt = gf.row_format(max(len(a) + len(b) - 1, 0))
-        return Polynomial.from_codes(gf, fmt.unpack(_mul_rows(fmt, fmt.pack(a), fmt.pack(b))))
+        gf = self.field
+        fmt = gf.row_format(max(self.degree + other.degree + 1, 0))
+        return Polynomial._from_row(gf, _mul_rows(fmt, self.row, other.row))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial powers are not defined")
-        result = Polynomial.from_codes(self.field, (1,))
+        result = Polynomial._from_row(self.field, 1)
         for _ in range(n):
             result = result * self
         return result
@@ -593,10 +607,9 @@ class Polynomial:
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        gf, a, b = self.field, self._codes, other._codes
-        fmt = gf.row_format(max(len(a), len(b)))
-        quot, rem = _divmod_rows(fmt, fmt.pack(a), fmt.pack(b))
-        return tuple(Polynomial.from_codes(gf, fmt.unpack(r)) for r in (quot, rem))
+        gf, a, b = self.field, self.row, other.row
+        quot, rem = _divmod_rows(_format_of(gf, max(a, b)), a, b)
+        return Polynomial._from_row(gf, quot), Polynomial._from_row(gf, rem)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -609,10 +622,10 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.field == other.field and self._codes == other._codes
+        return self.field == other.field and self.row == other.row
 
     def __hash__(self):
-        return hash((self.field, self._codes))
+        return hash((self.field, self.row))
 
     def __repr__(self):
         return f"Polynomial({self.to_string()!r}, GF({self.field.spec}))"
@@ -631,7 +644,7 @@ class Polynomial:
         """Canonical comma-separated coefficient string (ascending powers)."""
         if self.is_zero():
             return "0"
-        return ",".join(self._coeff_text(c, "[]") for c in self._codes)
+        return ",".join(self._coeff_text(c, "[]") for c in self.to_codes())
 
     @classmethod
     def from_string(cls, field: GF, text: str) -> "Polynomial":
@@ -662,7 +675,7 @@ class Polynomial:
         if self.is_zero():
             return "0"
         terms = []
-        for i, c in enumerate(self._codes):
+        for i, c in enumerate(self.to_codes()):
             if c == 0:
                 continue
             cs = self._coeff_text(c, "()")
@@ -674,11 +687,9 @@ class Polynomial:
         return " + ".join(terms)
 
 
-def _trim(codes: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(codes)
-    while n and not codes[n - 1]:
-        n -= 1
-    return codes[:n]
+def _format_of(gf: GF, row: int) -> RowFormat:
+    """The row format of ``gf`` with as many lanes as ``row`` fills."""
+    return gf.row_format(-(-row.bit_length() // gf.width))
 
 
 def _divmod_rows(fmt: RowFormat, a: int, b: int) -> tuple[int, int]:
@@ -740,12 +751,11 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     f._check(g)
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
-    gf = f.field
-    fmt = gf.row_format(max(len(f._codes), len(g._codes)))
-    a, b = fmt.pack(f._codes), fmt.pack(g._codes)
+    gf, a, b = f.field, f.row, g.row
+    fmt = _format_of(gf, max(a, b))
     while b:
         a, b = b, _divmod_rows(fmt, a, b)[1]
-    return Polynomial.from_codes(gf, fmt.unpack(a)).monic()
+    return Polynomial._from_row(gf, a).monic()
 
 
 # -- irreducibility ----------------------------------------------------------------------
@@ -759,8 +769,9 @@ def monic_polynomials(field: GF, degree: int) -> Iterator[Polynomial]:
     """
     if degree < 0:
         return
+    pack = field.row_format(degree + 1).pack
     for lower in itertools.product(range(field.q), repeat=degree):
-        yield Polynomial.from_codes(field, lower + (1,))
+        yield Polynomial._from_row(field, pack(lower + (1,)))
 
 
 def is_irreducible(f: Polynomial) -> bool:
@@ -773,10 +784,9 @@ def is_irreducible(f: Polynomial) -> bool:
     d = f.degree
     if d < 1:
         return False
-    fmt = f.field.row_format(len(f._codes))
-    a = fmt.pack(f._codes)
+    fmt = _format_of(f.field, f.row)
     return all(
-        _divmod_rows(fmt, a, fmt.pack(low + (1,)))[1]
+        _divmod_rows(fmt, f.row, fmt.pack(low + (1,)))[1]
         for e in range(1, int(d) // 2 + 1)
         for low in itertools.product(range(f.field.q), repeat=e)
     )
@@ -785,24 +795,24 @@ def is_irreducible(f: Polynomial) -> bool:
 class FactorTable:
     """The monic polynomials of degree <= d over GF(q), factored by one sieve.
 
-    Rows are packed polynomials (``RowFormat``).  The sieve walks the monic
-    polynomials by degree, then lexicographically; one that nothing has
-    marked is irreducible and joins ``irreducibles``, which keeps that order.
-    From each f it marks p * f, one product on packed rows, for every
-    irreducible p up to f's smallest factor, so each composite is marked
-    once, from its smallest factor (Euler's sieve).  The sieve divides
-    nothing and uses no Moebius function: the irreducibles it finds count
-    them independently of Gauss's formula.  ``factor`` reads a polynomial
-    off the table or trial-divides it by the table's irreducibles.  Nothing
-    is kept beyond the table's own life.
+    The sieve walks the monic polynomials by degree, then lexicographically,
+    as packed rows (``RowFormat``); one that nothing has marked is
+    irreducible and joins ``irreducibles``, which keeps that order.  From
+    each f it marks p * f, one product on packed rows, for every irreducible
+    p up to f's smallest factor, so each composite is marked once, from its
+    smallest factor (Euler's sieve).  The sieve divides nothing and uses no
+    Moebius function: the irreducibles it finds count them independently of
+    Gauss's formula.  ``factor`` reads a polynomial off the table or
+    trial-divides it by the table's irreducibles.  ``irreducibles`` and
+    ``factor`` hand out ``Polynomial``s; the table's own loops stay on rows.
+    Nothing is kept beyond the table's own life.
     """
 
-    __slots__ = ("field", "d", "irreducibles", "_factors", "_width")
+    __slots__ = ("field", "d", "irreducibles", "_factors")
 
     def __init__(self, field: GF, d: int):
         self.field, self.d = field, d
-        fmt = field.row_format(d + 1)
-        self._width = fmt.width
+        fmt, w = field.row_format(d + 1), field.width
         irr: list[int] = []
         # row -> positions in irr of its irreducible factors, ascending, repeated
         factors: dict[int, tuple[int, ...]] = {1: ()}
@@ -815,22 +825,14 @@ class FactorTable:
                     irr.append(f)
                 for i in range(fs[0] + 1):
                     p = irr[i]
-                    if self.degree(p) > d - e:
+                    if (p.bit_length() - 1) // w > d - e:
                         break  # irr is sorted by degree
                     factors[_mul_rows(fmt, p, f)] = (i, *fs)
-        self.irreducibles, self._factors = irr, factors
+        self.irreducibles = [Polynomial._from_row(field, p) for p in irr]
+        self._factors = factors
 
-    def degree(self, row: int) -> int:
-        """Degree of a nonzero packed polynomial."""
-        return (row.bit_length() - 1) // self._width
-
-    def polynomial(self, row: int) -> Polynomial:
-        """The polynomial of a nonzero packed row."""
-        fmt = self.field.row_format(self.degree(row) + 1)
-        return Polynomial.from_codes(self.field, fmt.unpack(row))
-
-    def factor(self, f: Polynomial) -> list[int]:
-        """Rows of the monic irreducible factors of f, with multiplicity.
+    def factor(self, f: Polynomial) -> list[Polynomial]:
+        """The monic irreducible factors of f, with multiplicity.
 
         f is nonzero with deg f <= 2d + 1, and is factored as its monic
         multiple.  Equal factors are adjacent.  A row above degree d is
@@ -841,19 +843,20 @@ class FactorTable:
         f = f.monic()
         if not 0 <= f.degree <= 2 * self.d + 1:
             raise InvalidDegree(f"cannot factor degree {f.degree} from a table to {self.d}")
-        fmt = self.field.row_format(len(f._codes))
-        row, out = fmt.pack(f._codes), []
+        w, row, out = self.field.width, f.row, []
+        fmt = _format_of(self.field, row)
         for p in self.irreducibles:
-            if row in self._factors or self.degree(row) < 2 * self.degree(p):
+            if row in self._factors or (row.bit_length() - 1) // w < 2 * p.degree:
                 break
-            quot, rem = _divmod_rows(fmt, row, p)
+            quot, rem = _divmod_rows(fmt, row, p.row)
             while not rem:
                 out.append(p)
                 row = quot
-                quot, rem = _divmod_rows(fmt, row, p)
+                quot, rem = _divmod_rows(fmt, row, p.row)
         known = self._factors.get(row)
-        out += [row] if known is None else [self.irreducibles[i] for i in known]
-        return out
+        if known is None:
+            return out + [Polynomial._from_row(self.field, row)]
+        return out + [self.irreducibles[i] for i in known]
 
 
 def _smallest_irreducible_modulus(p: int, m: int) -> Polynomial:

@@ -45,13 +45,11 @@ class LinearRule:
     __slots__ = ("poly", "field")
 
     def __init__(self, poly: Polynomial):
-        d = poly.degree
-        if poly.is_zero() or d < 1:
+        if poly.degree < 1:  # the zero polynomial's NEG_INF included
             raise DegreeZero("a rule polynomial must have degree at least 1")
-        codes = poly.to_codes()
-        if codes[0] == 0:
+        if not poly.row & poly.field.mask:
             raise NotBipermutive("rule constant term a_0 must be nonzero")
-        if codes[-1] != 1:
+        if not poly.is_monic():
             raise NotBipermutive(
                 "rule leading coefficient a_k must be 1; see Polynomial.monic()"
             )
@@ -155,7 +153,7 @@ class LinearCA:
         """
         gf, k = self.field, self.k
         fmt = gf.row_format(k + 1)
-        rule, top = fmt.pack(self.rule.poly.to_codes()), k * fmt.width
+        rule, top = self.rule.poly.row, k * fmt.width
         rem, cells = 1, []
         for _ in range(self.n):
             cells.append(fmt.unpack(rem)[:k])

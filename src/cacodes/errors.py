@@ -27,6 +27,10 @@ class PrimeTooLarge(DomainError):
     """A field spec names a prime too large to test by trial division."""
 
 
+class ExtensionTooLarge(DomainError):
+    """An extension field whose modulus search would scan too many candidates."""
+
+
 class FieldMismatch(DomainError):
     pass
 

@@ -164,12 +164,13 @@ def _gcd_masks(table: FactorTable, polys: Iterable[Polynomial]) -> list[int]:
     for f in polys:
         mask, prev, copy = 0, 0, 0
         for p in table.factor(f):  # equal factors are adjacent
-            copy = copy + 1 if p == prev else 0
-            prev = p
-            block = blocks.get((p, copy))
+            row = p.row
+            copy = copy + 1 if row == prev else 0
+            prev = row
+            block = blocks.get((row, copy))
             if block is None:
-                e = table.degree(p)
-                block = blocks[p, copy] = ((1 << e) - 1) << top
+                e = p.degree
+                block = blocks[row, copy] = ((1 << e) - 1) << top
                 top += e
             mask |= block
         masks.append(mask)
@@ -256,8 +257,10 @@ def enumerate_irreducibles(
 def _irreducibles_of_degree(
     table: FactorTable, n: int, exclude_x: bool
 ) -> tuple[Polynomial, ...]:
-    polys = (table.polynomial(p) for p in table.irreducibles if table.degree(p) == n)
-    return tuple(f for f in polys if not (exclude_x and f.to_codes()[0] == 0))
+    const = table.field.mask  # the lane of the constant term
+    return tuple(
+        f for f in table.irreducibles if f.degree == n and (f.row & const or not exclude_x)
+    )
 
 
 def max_coprime_family_size(k: int, field: GF) -> int:
@@ -269,9 +272,7 @@ def enumerate_rule_polynomials(k: int, field: GF) -> tuple[Polynomial, ...]:
     """Poly_k(F_q): monic degree-k polynomials with nonzero constant term, lex order."""
     if k < 1:
         raise NonPositive(f"degree must be >= 1, got {k}")
-    return tuple(
-        f for f in monic_polynomials(field, k) if f.to_codes()[0] != 0
-    )
+    return tuple(f for f in monic_polynomials(field, k) if f.row & field.mask)
 
 
 # -- uniform-GCD construction ---------------------------------------------------------
@@ -309,7 +310,7 @@ def _gcd_degree(k: int, g: Polynomial) -> int:
         raise NonPositive(f"degree must be >= 1, got {k}")
     if not g.is_monic():
         raise GNotMonic("common gcd g must be monic")
-    if g.to_codes()[0] == 0:
+    if not g.row & g.field.mask:
         raise GZeroConstant("common gcd g must have a nonzero constant term")
     t = int(g.degree)
     if t > k:

@@ -1,25 +1,24 @@
-"""Exact linear algebra over GF(q): RREF, rank, null spaces, resultants.
+"""Exact linear algebra over GF(q): RREF, rank, null spaces, Sylvester matrices.
 
 Matrices store their entries as integer element codes (see ``algebra.GF``),
 one row per tuple.  ``MatrixGF(field, rows)`` validates each entry; code that
 already holds valid codes (RREF output, Sylvester and transition matrices,
-kernels) builds through ``MatrixGF.from_codes`` instead.
+kernels) builds through ``MatrixGF.from_codes`` instead, and
+``MatrixGF.from_json`` checks each digit of its input once.
 ``Echelon.insert`` is the one elimination routine: RREF, rank, null spaces,
-determinants, intersections and the subspace layer all grow an echelon row
-by row.  An echelon holds each row packed into one Python int, in the
-format its field defines (``algebra.RowFormat``), so a row operation is a
-few whole-integer operations; rows of codes are packed on the way in and
-unpacked only by ``Echelon.matrix``.  ``insert`` only reduces the new row
-against the held ones, which stay in row echelon form: rank, determinants
-and intersections need no more.  The back-substitution that turns them into
-the RREF runs once, in ``Echelon.matrix``, where a reduced basis is read.
-All arithmetic is exact, so rank and nullity are the true algebraic values.
+intersections and the subspace layer all grow an echelon row by row.  An
+echelon holds each row packed into one Python int, in the format its field
+defines (``algebra.RowFormat``), so a row operation is a few whole-integer
+operations; rows of codes are packed on the way in and unpacked only by
+``Echelon.matrix``.  ``insert`` only reduces the new row against the held
+ones, which stay in row echelon form: rank and intersections need no more.
+The back-substitution that turns them into the RREF runs once, in
+``Echelon.matrix``, where a reduced basis is read.  All arithmetic is exact, so rank and nullity are the true algebraic values.
 
 The Sylvester matrix here follows the convolution layout: for nonzero f and
 g, the first deg(g) rows are right-shifted copies of f's ascending
 coefficient vector and the next deg(f) rows are shifted copies of g's.  Its
-null space has dimension deg(gcd(f, g)), which the resultant turns into the
-classic coprimality test: res(f, g) != 0 iff gcd(f, g) = 1.
+null space has dimension deg(gcd(f, g)).
 """
 
 from __future__ import annotations
@@ -48,17 +47,9 @@ class MatrixGF:
         ncols: int | None = None,
     ):
         self.field = field
-        packed = [tuple(field.code_of(c) for c in row) for row in rows]
-        if packed:
-            width = len(packed[0])
-            if any(len(r) != width for r in packed):
-                raise LengthMismatch("matrix rows have unequal lengths")
-            if ncols is not None and ncols != width:
-                raise LengthMismatch(f"rows have {width} columns, expected {ncols}")
-            self.ncols = width
-        else:
-            self.ncols = 0 if ncols is None else ncols
-        self.rows = tuple(packed)
+        self.rows, self.ncols = _shaped(
+            [tuple(field.code_of(c) for c in row) for row in rows], ncols
+        )
 
     # -- constructors -------------------------------------------------------------
 
@@ -126,13 +117,6 @@ class MatrixGF:
             basis.append(tuple(vec))
         return MatrixGF.from_codes(gf, tuple(basis), self.ncols)
 
-    def det(self) -> GFElement:
-        """Determinant: the product of the pivots and the sign of their order."""
-        if self.nrows != self.ncols:
-            raise LengthMismatch(f"determinant of non-square {self.shape} matrix")
-        ech = Echelon(self.field, self.ncols, self.rows)
-        return GFElement(self.field, ech.scale if ech.rank == self.nrows else 0)
-
     # -- serialization -----------------------------------------------------------------------
 
     def to_json(self) -> list:
@@ -156,7 +140,21 @@ class MatrixGF:
 
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ParseError("a matrix must be a list of row lists")
-        return cls(field, [[entry(e) for e in row] for row in data], ncols=ncols)
+        return cls.from_codes(field, *_shaped([tuple(map(entry, row)) for row in data], ncols))
+
+
+def _shaped(
+    rows: list[tuple[int, ...]], ncols: int | None
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The rows and their common length, which must equal ``ncols`` if given."""
+    if not rows:
+        return (), 0 if ncols is None else ncols
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        raise LengthMismatch("matrix rows have unequal lengths")
+    if ncols is not None and ncols != width:
+        raise LengthMismatch(f"rows have {width} columns, expected {ncols}")
+    return tuple(rows), width
 
 
 def _json_digit(value, p: int) -> int:
@@ -187,11 +185,6 @@ def sylvester(f: Polynomial, g: Polynomial) -> MatrixGF:
     return MatrixGF.from_codes(f.field, rows, n)
 
 
-def resultant(f: Polynomial, g: Polynomial) -> GFElement:
-    """Determinant of the Sylvester matrix; nonzero iff gcd(f, g) = 1."""
-    return sylvester(f, g).det()
-
-
 class Echelon:
     """The row echelon form of the rows inserted so far, grown one row at a time.
 
@@ -202,13 +195,10 @@ class Echelon:
     their pivot columns: each row is zero before its pivot and 1 at it, so
     every row below a pivot is zero in its column.  ``insert`` never changes
     a held row; ``matrix`` back-substitutes them into the RREF in place.
-    ``scale`` is the product of the leading entries met, negated once per
-    pivot inserted out of column order: for the rows of a square matrix of
-    full rank it ends as the determinant.  ``copy`` seeds a new echelon with
-    the held rows without repacking.
+    ``copy`` seeds a new echelon with the held rows without repacking.
     """
 
-    __slots__ = ("field", "ncols", "format", "rows", "pivots", "scale")
+    __slots__ = ("field", "ncols", "format", "rows", "pivots")
 
     def __init__(self, field: GF, ncols: int, rows: Iterable[Sequence[int]] = ()):
         """An echelon of ``rows`` given as sequences of codes, packed on entry."""
@@ -216,7 +206,6 @@ class Echelon:
         self.format = field.row_format(ncols)
         self.rows: list[int] = []
         self.pivots: list[int] = []
-        self.scale = 1
         pack = self.format.pack
         for row in rows:
             self.insert(pack(row))
@@ -227,9 +216,7 @@ class Echelon:
 
     def copy(self) -> "Echelon":
         ech = Echelon.__new__(Echelon)
-        ech.field, ech.ncols, ech.format, ech.scale = (
-            self.field, self.ncols, self.format, self.scale
-        )
+        ech.field, ech.ncols, ech.format = self.field, self.ncols, self.format
         ech.rows, ech.pivots = self.rows[:], self.pivots[:]
         return ech
 
@@ -247,16 +234,12 @@ class Echelon:
                 row = sub_scaled(row, x, held)
         if not row:
             return False
-        gf = self.field
         lead_col = ((row & -row).bit_length() - 1) // w
-        shift = lead_col * w
-        lead = row >> shift & mask
+        lead = row >> lead_col * w & mask
         if lead != 1:
+            gf = self.field
             row = sub_scaled(0, gf.neg(gf.inv(lead)), row)  # row / lead
-            self.scale = gf.mul(self.scale, lead)
         pos = bisect.bisect(pivots, lead_col)
-        if (len(pivots) - pos) % 2:
-            self.scale = gf.neg(self.scale)
         pivots.insert(pos, lead_col)
         rows.insert(pos, row)
         return True

@@ -4,10 +4,9 @@ Everything here works on plain integer tuples modulo a prime p, or on the
 integer codes of GF(p^m) given its modulus, written from scratch against
 the definitions: convolution products, schoolbook long division and
 Euclid, brute-force kernel enumeration, span-set subspace arithmetic,
-cofactor determinants, plain elimination, exhaustive clique search and
-exhaustive minimum-distance decoding.  Nothing imports the library's
-arithmetic, so agreement between these and the package is a genuine
-two-route check.
+plain elimination, exhaustive clique search and exhaustive minimum-distance
+decoding.  Nothing imports the library's arithmetic, so agreement between
+these and the package is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -209,25 +208,6 @@ def distance_from_sets(a: frozenset, b: frozenset, p: int) -> int:
     da, db = set_dim(a, p), set_dim(b, p)
     dab = set_dim(frozenset(a & b), p)
     return da + db - 2 * dab
-
-
-def odet(rows, p: int, modulus=None) -> int:
-    """Determinant by cofactor expansion (exact, slow), over GF(p) or GF(p^m)."""
-    add, mul, neg, _ = scalar_ops(p, modulus)
-    n = len(rows)
-    if n == 0:
-        return 1 % p
-    if n == 1:
-        return rows[0][0] % p if modulus is None else rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [
-                [rows[i][l] for l in range(n) if l != j] for i in range(1, n)
-            ]
-            term = mul(rows[0][j], odet(minor, p, modulus))
-            total = add(total, term if j % 2 == 0 else neg(term))
-    return total
 
 
 def rref_over_q(rows, p: int) -> list[tuple[int, ...]]:

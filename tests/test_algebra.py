@@ -7,6 +7,7 @@ import pytest
 
 from cacodes.algebra import (
     GF,
+    MAX_MODULUS_SCAN,
     MAX_SPEC_PRIME,
     FactorTable,
     NEG_INF,
@@ -19,6 +20,7 @@ from cacodes.algebra import (
 from cacodes.errors import (
     BothZero,
     DivisionByZero,
+    ExtensionTooLarge,
     FieldMismatch,
     InvalidDegree,
     NotPrime,
@@ -91,6 +93,16 @@ def test_extension_degree_bounds():
         GF(2, 0)
     with pytest.raises(InvalidDegree):
         GF(2, 5)
+
+
+def test_modulus_search_bound():
+    # the search fails the p^(m-1) candidates with a zero constant term first
+    assert 11**3 <= MAX_MODULUS_SCAN < 13**3
+    assert GF(11, 4).modulus.degree == 4
+    for p, m in [(13, 4), (47, 3), (2053, 2), (1009, 4), (2**31 - 1, 2)]:
+        assert p ** (m - 1) > MAX_MODULUS_SCAN
+        with pytest.raises(ExtensionTooLarge):
+            GF(p, m)
 
 
 def test_field_spec_round_trip():
@@ -239,6 +251,30 @@ def test_division_by_zero_poly():
         divmod(P(F2, 1, 1), P(F2))
 
 
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=lambda f: f.spec)
+def test_one_polynomial_has_one_identity(field):
+    x = Polynomial.from_codes(field, (0, 1))
+    ones = [
+        Polynomial(field, [1, 0, 0]),
+        Polynomial.from_codes(field, (1,)),
+        Polynomial.from_string(field, "1,0,0"),
+        (x + Polynomial(field, [1])) - x,
+    ]
+    zeros = [
+        Polynomial(field),
+        Polynomial(field, [0, 0]),
+        Polynomial.from_codes(field, (0, 0, 0)),
+        Polynomial.from_string(field, "0,0"),
+        x - x,
+        x % x,
+    ]
+    for group in (ones, zeros):
+        assert all(f == group[0] and hash(f) == hash(group[0]) for f in group)
+        assert len(set(group)) == 1
+    assert all(f.degree == 0 and f.to_codes() == (1,) for f in ones)
+    assert all(f.degree == NEG_INF and f.to_codes() == () for f in zeros)
+
+
 def test_zero_polynomial_degree_marker():
     assert Polynomial(F2).degree == NEG_INF
     assert Polynomial(F2).degree != 0
@@ -355,7 +391,7 @@ FACTOR_CASES = [(F2, 4), (F3, 2), (F4, 2), (F5, 2), (GF(17), 1)]
 @pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
 def test_factor_table_irreducibles_match_product_oracle(field, d):
     table = FactorTable(field, d)
-    codes = [table.polynomial(row).to_codes() for row in table.irreducibles]
+    codes = [f.to_codes() for f in table.irreducibles]
     assert codes == sorted(codes, key=lambda c: (len(c), c))  # by degree, then lex
     for n in range(1, d + 1):
         found = {c for c in codes if len(c) == n + 1}
@@ -390,14 +426,13 @@ def test_factorizations_multiply_back_into_oracle_irreducibles(field, d):
         polys.append(f)
     polys.append(Polynomial.from_codes(field, [field.q - 1] * (2 * d + 2)))  # not monic over q > 2
     for f in polys:
-        factors = [table.polynomial(row) for row in table.factor(f)]
+        factors = table.factor(f)
         product = (1,)
         for g in factors:
             assert irreducible(g.to_codes())
             product = oracles.omul(product, g.to_codes(), field.p, modulus(field))
         assert product == f.monic().to_codes()
-        rows = table.factor(f)
-        assert rows == sorted(rows, key=rows.index)  # equal factors are adjacent
+        assert factors == sorted(factors, key=factors.index)  # equal factors are adjacent
 
 
 def test_factor_table_refuses_what_it_cannot_factor():

@@ -446,6 +446,16 @@ def test_prime_above_the_spec_bound_is_refused(capsys, p):
     assert doc["error"]["name"] == "PrimeTooLarge"
 
 
+@pytest.mark.parametrize("spec", ["1009^4", "2147483647^2"])
+def test_extension_with_too_long_a_modulus_search_is_refused(capsys, spec):
+    # GF(101^4)'s search took 26 s; these would run for hours
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "kernel", "--q", spec, "--poly", "1,1", "--n", "2")
+    assert code == 1
+    assert doc["error"]["name"] == "ExtensionTooLarge"
+    assert time.perf_counter() - start < 1
+
+
 def test_option_given_the_separator_is_a_json_error(capsys):
     # argparse turns "--q=--" into an empty list instead of a string
     code, doc = run_json(capsys, "count", "--q=--", "--k", "2")
