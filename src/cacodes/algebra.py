@@ -126,8 +126,8 @@ class GF:
         self._log: list[int] | None = None
         self._row_formats: dict[int, RowFormat] = {}
         if m > 1:
-            # the search fails the p^(m-1) candidates with a zero constant
-            # term before its first irreducible: that count is its cost
+            # the search skips the p^(m-1) candidates with a zero constant
+            # term, none of them irreducible; their count bounds the fields
             if p ** (m - 1) > MAX_MODULUS_SCAN:
                 raise ExtensionTooLarge(
                     f"finding the modulus of GF({p}^{m}) scans {p}^{m - 1} candidates,"
@@ -860,7 +860,8 @@ class FactorTable:
 
 
 def _smallest_irreducible_modulus(p: int, m: int) -> Polynomial:
-    for candidate in monic_polynomials(GF(p), m):
+    # the first p^(m-1) candidates have constant term 0, so X divides them
+    for candidate in itertools.islice(monic_polynomials(GF(p), m), p ** (m - 1), None):
         if is_irreducible(candidate):
             return candidate
     raise RuntimeError(f"no irreducible of degree {m} over GF({p})")  # unreachable

@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .algebra import GF, GFElement, Polynomial
 from .errors import (
+    AmbientMismatch,
     DegreeZero,
     LengthMismatch,
     NotBipermutive,
@@ -111,22 +112,40 @@ class LinearCA:
         return MatrixGF.from_codes(self.field, rows, n)
 
     def __call__(self, x: Sequence[int | GFElement]) -> tuple[int, ...]:
-        """Apply the CA to a configuration; returns n-k output codes.
-
-        Output cell i is sum_j a_j x_{i+j}, the rule evaluated on the window
-        starting at cell i: the packed input shifted j lanes down, times a_j,
-        summed over j, of which the low n-k lanes are the output.
-        """
+        """Apply the CA to a configuration; returns n-k output codes."""
         gf = self.field
         vec = [gf.code_of(c) for c in x]
         if len(vec) != self.n:
             raise LengthMismatch(f"configuration length {len(vec)} != n = {self.n}")
-        fmt = gf.row_format(self.n)
-        row, acc = fmt.pack(vec), 0
+        return gf.row_format(self.n - self.k).unpack(self._act(gf.row_format(self.n).pack(vec)))
+
+    def _act(self, row: int, count: int = 1) -> int:
+        """The CA on ``count`` packed configurations, n lanes apart: the n-k
+        output cells of each, packed where that configuration starts.
+
+        Output cell i is sum_j a_j x_{i+j}, the rule evaluated on the window
+        starting at cell i: the packed input shifted j lanes down, times a_j,
+        summed over j.  A window that starts in the low n-k cells of a
+        configuration ends inside it, so configurations side by side do not mix.
+        """
+        gf, n = self.field, self.n
+        fmt = gf.row_format(count * n)
+        acc = 0
         for j, a in enumerate(self.rule.poly.to_codes()):
             if a:
                 acc = fmt.sub_scaled(acc, gf.neg(a), row >> j * fmt.width)
-        return fmt.unpack(acc)[: self.n - self.k]
+        low = (1 << (n - self.k) * fmt.width) - 1
+        return acc & sum(low << b * n * fmt.width for b in range(count))
+
+    def annihilates(self, sub: Subspace) -> bool:
+        """True when the CA sends every vector of ``sub`` to zero: its basis,
+        set side by side in one packed row, goes to zero in one pass."""
+        if sub.field != self.field or sub.ambient_n != self.n:
+            raise AmbientMismatch(
+                f"a subspace of GF({sub.field.spec})^{sub.ambient_n} is no input of {self!r}"
+            )
+        rows, block = sub._echelon.rows, self.n * self.field.width
+        return not self._act(sum(r << b * block for b, r in enumerate(rows)), len(rows))
 
     def lfsr_preimage(self, seed: Sequence[int | GFElement]) -> tuple[int, ...]:
         """Extend a k-cell seed to a full kernel configuration.

@@ -161,11 +161,24 @@ def _cmd_analyze(args) -> dict:
 def _generates(fam: CAFamily, profile: GcdProfile, code: GrassmannianCode) -> bool:
     """True when the members' kernels are exactly the codewords and each pair's
     GCD degree is the intersection dimension of its kernels, in any member order.
+
+    Each codeword names its rule: the kernel of a_0 + ... + X^k at n = 2k has
+    the RREF [I_k | M] with column k equal to (-a_0, ..., -a_{k-1}).  A
+    codeword of dimension k is the kernel of the member it names when that
+    member's CA sends its basis to zero, as the kernel has dimension k too.
+    Distinct codewords then name distinct members.
     """
-    index = {word: i for i, word in enumerate(code)}
-    pos = [index.get(LinearCA(f, 2 * fam.k).kernel()) for f in fam]
-    if None in pos or len(pos) != len(code):
+    gf, k, n = code.field, fam.k, code.ambient_n
+    if gf != fam.field or n != 2 * k or len(code) != len(fam):
         return False
+    member = {f.row: i for i, f in enumerate(fam)}
+    pack = gf.row_format(k + 1).pack
+    pos = [0] * len(fam)
+    for c, word in enumerate(code):
+        i = member.get(pack([gf.neg(r[k]) for r in word.basis.rows] + [1]))
+        if i is None or word.dim != k or not LinearCA(fam[i], n).annihilates(word):
+            return False
+        pos[i] = c
     inter = code.pairwise_intersection_dims()
     return all(
         d == inter[max(pos[i], pos[j])][min(pos[i], pos[j])]

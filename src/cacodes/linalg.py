@@ -4,7 +4,8 @@ Matrices store their entries as integer element codes (see ``algebra.GF``),
 one row per tuple.  ``MatrixGF(field, rows)`` validates each entry; code that
 already holds valid codes (RREF output, Sylvester and transition matrices,
 kernels) builds through ``MatrixGF.from_codes`` instead, and
-``MatrixGF.from_json`` checks each digit of its input once.
+``MatrixGF.from_json`` checks each digit of its input once: a prime-field
+row in one pass (all ints, min and max in range), entry by entry otherwise.
 ``Echelon.insert`` is the one elimination routine: RREF, rank, null spaces,
 intersections and the subspace layer all grow an echelon row by row.  An
 echelon holds each row packed into one Python int, in the format its field
@@ -138,9 +139,18 @@ class MatrixGF:
                 raise ParseError(f"entry {e!r} is not a list of {field.m} integers")
             return field.encode([_json_digit(a, field.p) for a in e])
 
+        def codes(row):
+            # a prime-field row of ints in range is its own codes, checked in
+            # one pass; any other row goes entry by entry, which names the fault
+            if field.m == 1 and all(type(x) is int for x in row) and (
+                not row or 0 <= min(row) and max(row) < field.p
+            ):
+                return tuple(row)
+            return tuple(map(entry, row))
+
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ParseError("a matrix must be a list of row lists")
-        return cls.from_codes(field, *_shaped([tuple(map(entry, row)) for row in data], ncols))
+        return cls.from_codes(field, *_shaped([codes(row) for row in data], ncols))
 
 
 def _shaped(

@@ -15,7 +15,16 @@ Zassenhaus block trick.
 
 A Grassmannian code is a finite set of such subspaces; here they usually all
 share one dimension k (constant-dimension code) because they arise as
-kernels of equal-diameter cellular automata.
+kernels of equal-diameter cellular automata.  Such kernels also share one
+pivot set: each is the row space of [I_k | M], the lifting of a k x (n-k)
+matrix M.  For two RREF bases a, b with the same pivots, a_i - b_i vanishes
+on every pivot column, so
+
+    dim(A intersect B) = k - rank{a_i - b_i}    (for lifts, k - rank(M_A - M_B))
+
+and the pairwise table ranks k difference rows per pair instead of
+eliminating 2k stacked ones.  A code whose codewords do not all share one
+pivot set (mixed dimensions, arbitrary subspaces) takes the stacked route.
 """
 
 from __future__ import annotations
@@ -155,6 +164,37 @@ def _joint_rank(a: Subspace, b: Subspace, cap: float = math.inf) -> int:
     return ech.rank
 
 
+def _shared_pivot_table(words: Sequence[Subspace]) -> tuple[tuple[int, ...], ...]:
+    """The intersection table of subspaces that share one pivot set, from
+    dim(A intersect B) = k - rank{a_i - b_i} on their held RREF rows.
+
+    Every row is zero left of the first pivot, and every difference on the
+    pivots, so the rows are shifted past the columns where all differences
+    vanish before they are subtracted.
+    """
+    first = words[0]._echelon
+    pivots = set(first.pivots)
+    skip = min(pivots, default=0)
+    while skip in pivots:
+        skip += 1
+    shift = skip * first.format.width
+    empty = Echelon(first.field, first.ncols - skip)
+    rows = [[r >> shift for r in s._echelon.rows] for s in words]
+    k = len(pivots)
+    return tuple(
+        tuple(k - _difference_rank(empty, a, b) for b in rows[:i])
+        for i, a in enumerate(rows)
+    )
+
+
+def _difference_rank(empty: Echelon, a: Sequence[int], b: Sequence[int]) -> int:
+    """rank{a_i - b_i}: a copy of an empty echelon takes the packed differences."""
+    ech, sub_scaled = empty.copy(), empty.format.sub_scaled
+    for x, y in zip(a, b):
+        ech.insert(sub_scaled(x, 1, y))
+    return ech.rank
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """Parameter tuple (n, max dimension, log_q of size, minimum distance).
@@ -223,14 +263,19 @@ class GrassmannianCode:
     def pairwise_intersection_dims(self) -> tuple[tuple[int, ...], ...]:
         """Triangular table: row i lists dim(C_i intersect C_j) for j < i.
 
-        Computed on first use and kept: the codewords never change.
+        Computed on first use and kept: the codewords never change.  One
+        elimination per pair: of the difference rows when all codewords
+        share one pivot set, else of the stacked bases.
         """
         if self._pairwise is None:
             words = self.codewords
-            self._pairwise = tuple(
-                tuple(a.dim + b.dim - _joint_rank(a, b) for b in words[:i])
-                for i, a in enumerate(words)
-            )
+            if len({tuple(s._echelon.pivots) for s in words}) == 1:
+                self._pairwise = _shared_pivot_table(words)
+            else:
+                self._pairwise = tuple(
+                    tuple(a.dim + b.dim - _joint_rank(a, b) for b in words[:i])
+                    for i, a in enumerate(words)
+                )
         return self._pairwise
 
     def params(self) -> CodeParams:

@@ -105,6 +105,15 @@ def test_modulus_search_bound():
             GF(p, m)
 
 
+def test_modulus_is_the_first_irreducible():
+    # skipping the candidates with a zero constant term finds the same modulus
+    for m in range(2, 5):
+        for p in range(2, 65):
+            if is_prime(p) and p ** (m - 1) <= 64:
+                first = next(f for f in monic_polynomials(GF(p), m) if is_irreducible(f))
+                assert GF(p, m).modulus == first, (p, m)
+
+
 def test_field_spec_round_trip():
     assert GF.from_spec("2").spec == "2"
     assert GF.from_spec("2^2").spec == "2^2"

@@ -8,6 +8,7 @@ import pytest
 from cacodes.algebra import GF, Polynomial
 from cacodes.ca import LinearCA, LinearRule
 from cacodes.errors import (
+    AmbientMismatch,
     DegreeZero,
     LengthMismatch,
     NotBipermutive,
@@ -246,3 +247,24 @@ def test_kernel_agrees_with_nullspace_route():
                     )
                     assert via_lfsr == via_null
                     assert via_lfsr.dim == k
+
+
+def test_annihilates_exactly_the_subspaces_of_the_kernel():
+    # the whole basis goes through the CA in one packed row, configurations
+    # side by side; each must come out as the CA of that configuration alone
+    rng = random.Random(12)
+    for field in CA_FIELDS:
+        for k in (1, 2, 3):
+            for rule in some_rules(field, k, rng):
+                n = 2 * k + rng.randint(0, 2)
+                ca = LinearCA(rule, n)
+                kernel = ca.kernel()
+                assert ca.annihilates(kernel) and ca.annihilates(Subspace(field, n))
+                for extra in range(4):  # a kernel vector, and `extra` random ones
+                    rows = [kernel.combination([rng.randrange(field.q) for _ in range(k)])]
+                    rows += [[rng.randrange(field.q) for _ in range(n)] for _ in range(extra)]
+                    sub = Subspace(field, n, rows)
+                    inside = not any(any(ca(row)) for row in sub.basis.rows)
+                    assert ca.annihilates(sub) is inside is (sub <= kernel)
+                with pytest.raises(AmbientMismatch):
+                    ca.annihilates(Subspace(field, n + 1))

@@ -18,8 +18,9 @@ from cacodes import __version__
 from cacodes.algebra import GF, Polynomial
 from cacodes import cli
 from cacodes.cli import main
+from cacodes.ca import LinearCA
 from cacodes.families import CAFamily, code_from_family
-from cacodes.subspaces import subspace_distance
+from cacodes.subspaces import GrassmannianCode, Subspace, subspace_distance
 
 
 def run(capsys, *argv):
@@ -195,6 +196,40 @@ def test_family_check_needs_exactly_the_codewords(capsys, tmp_path, family):
     code, doc = run_json(capsys, "analyze", "--code", path)
     assert code == 0
     assert doc["family_check"]["predicted_min_distance"] == doc["params"]["min_distance"] == 4
+    assert doc["family_check"]["consistent"] is False
+
+
+def kernel_rows(family, n):
+    return [
+        LinearCA(Polynomial.from_string(GF(2), f), n).kernel().to_json() for f in family
+    ]
+
+
+# Codewords in place of 1 + X + X^3's kernel, [[1, 0, 0, 1, 0, 1],
+# [0, 1, 0, 1, 1, 1], [0, 0, 1, 0, 1, 1]], whose column k still reads
+# (1, 1, 0) and so names that member, though they are not its kernel
+NAMES_A_MEMBER = {
+    # the same pivots 0, 1, 2, one entry past column k flipped
+    "not the kernel": [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 1, 1], [0, 0, 1, 0, 1, 1]],
+    "pivots 0,1,4": [[1, 0, 0, 1, 0, 1], [0, 1, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]],
+}
+
+
+@pytest.mark.parametrize(
+    "q, n, replaced",
+    [("2", 6, "not the kernel"), ("2", 6, "pivots 0,1,4"), ("2", 8, None), ("3", 6, None)],
+    ids=["not the kernel", "pivots 0,1,4", "n = 8 != 2k", "family over GF(3)"],
+)
+def test_family_check_refuses_a_code_it_does_not_generate(capsys, tmp_path, q, n, replaced):
+    words = kernel_rows(ORDER_FAMILY, n)
+    if replaced is not None:
+        assert words[2] != NAMES_A_MEMBER[replaced]
+        words[2] = NAMES_A_MEMBER[replaced]
+    doc = {"q": q, "k": 3, "family": ORDER_FAMILY, "code": {"q": "2", "n": n, "codewords": words}}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, doc = run_json(capsys, "analyze", "--code", str(path))
+    assert code == 0
     assert doc["family_check"]["consistent"] is False
 
 
@@ -420,6 +455,44 @@ def test_malformed_code_document_is_a_json_error(capsys, tmp_path, document):
         code, doc = run_json(capsys, command, "--code", str(path))
         assert code == 1
         assert doc["error"]["name"] == "ParseError"
+
+
+# GF(3) codewords whose first row passes the one-pass row check; the second
+# row fails it and goes entry by entry, which names the fault as before
+@pytest.mark.parametrize(
+    "rows, name, message",
+    [
+        ([[1, 0, 2], [0, 1, True]], "ParseError", "True is not an integer"),
+        ([[1, 0, 2], [0, 1, -1]], "ParseError", "-1 is not a residue in [0, 3)"),
+        ([[1, 0, 2], [0, 1, 3]], "ParseError", "3 is not a residue in [0, 3)"),
+        ([[1, 0, 2], [0, 1, 1.0]], "ParseError", "1.0 is not an integer"),
+        ([[1, 0, 2], [0, 1, "1"]], "ParseError", "'1' is not an integer"),
+        ([[1, 0, 2], [0, 1, [1]]], "ParseError", "[1] is not an integer"),
+        ([[1, 0, 2], [0, 1, None]], "ParseError", "None is not an integer"),
+        ([[1, 0, 2], [0, 1]], "LengthMismatch", "matrix rows have unequal lengths"),
+        ([[1, 0, 2, 0], [0, 1, 1, 0]], "LengthMismatch", "rows have 4 columns, expected 3"),
+    ],
+    ids=json.dumps,
+)
+def test_malformed_row_after_a_clean_row(capsys, tmp_path, rows, name, message):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"q": "3", "n": 3, "codewords": [rows]}), encoding="utf-8")
+    for command in ("analyze", "simulate"):
+        code, doc = run_json(capsys, command, "--code", str(path))
+        assert code == 1
+        assert doc["error"] == {"name": name, "message": message}
+
+
+def test_rows_that_are_no_rref_load_to_their_span(capsys, tmp_path):
+    rows = [[2, 1, 0, 1], [1, 1, 1, 0], [1, 0, 2, 1]]  # the third is the first minus the second
+    document = {"q": "3", "n": 4, "codewords": [rows, [[0, 0, 1, 1]]]}
+    code = GrassmannianCode.from_json(document)
+    assert [w.basis.rows for w in code] == [((0, 0, 1, 1),), ((1, 0, 2, 1), (0, 1, 2, 2))]
+    assert code[1] == Subspace(GF(3), 4, rows)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    status, doc = run_json(capsys, "analyze", "--code", str(path))
+    assert status == 0 and doc["gcd_profile"]["table"] == [[], [0]]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@
   (which ``python -O`` strips).
 * Values are validated once, where they enter: internal producers of
   polynomials, matrices and subspaces never go back through ``GF.code_of``.
-* A code's pairwise intersection table is computed once per code.
+* A code's pairwise intersection table is computed once per code, with one
+  elimination per pair.
 * Every entry point the benchmark's layer tracer wraps exists in ``src/``.
 """
 
@@ -76,13 +77,36 @@ def test_analyze_eliminates_each_pair_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "code.json"
     path.write_text(document, encoding="utf-8")
 
-    pairs = []
-    original = subspaces._joint_rank
-    monkeypatch.setattr(subspaces, "_joint_rank", lambda a, b: pairs.append(1) or original(a, b))
+    # the codewords share the pivots 0..k-1: each pair is one difference rank
+    pairs = count_calls(monkeypatch, "_difference_rank")
+    stacked = count_calls(monkeypatch, "_joint_rank")
     assert main(["analyze", "--code", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["family_check"]["consistent"] is True
     assert size >= 5
     assert len(pairs) == size * (size - 1) // 2
+    assert stacked == []
+
+
+def test_analyze_of_mixed_pivots_eliminates_each_pair_once(capsys, tmp_path, monkeypatch):
+    # pivots {0, 1}, {0, 2}, {1, 2} and {0}: each pair is one stacked elimination
+    words = [[[1, 0, 1], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]], [[1, 0, 0]]]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"q": "2", "n": 3, "codewords": words}), encoding="utf-8")
+    pairs = count_calls(monkeypatch, "_joint_rank")
+    lifted = count_calls(monkeypatch, "_difference_rank")
+    assert main(["analyze", "--code", str(path)]) == 0
+    table = json.loads(capsys.readouterr().out)["gcd_profile"]["table"]
+    assert table == [[], [0], [1, 0], [1, 0, 1]]
+    assert len(pairs) == len(words) * (len(words) - 1) // 2
+    assert lifted == []
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of a ``subspaces`` routine, which still runs."""
+    calls = []
+    original = getattr(subspaces, name)
+    monkeypatch.setattr(subspaces, name, lambda *args: calls.append(1) or original(*args))
+    return calls
 
 
 def test_layer_tracer_targets_exist():

@@ -10,7 +10,8 @@ from cacodes.algebra import GF, Polynomial
 from cacodes.ca import LinearCA
 from cacodes.errors import AmbientMismatch, EmptyCode, TooFewCodewords
 from cacodes.linalg import sylvester
-from cacodes.subspaces import GrassmannianCode, Subspace, subspace_distance
+from cacodes import subspaces
+from cacodes.subspaces import GrassmannianCode, Subspace, _joint_rank, subspace_distance
 
 import oracles
 
@@ -266,3 +267,113 @@ def test_json_round_trip_exact():
     assert back.to_json() == code.to_json()
     assert json.dumps(back.to_json(), sort_keys=True) == blob
     assert list(back.codewords) == list(code.codewords)
+
+
+# -- the pairwise table: shared pivots against the stacked route ------------------------
+
+TABLE_FIELDS = [F2, F3, GF(2, 2), GF(17)]
+
+
+def stacked_table(code):
+    words = code.codewords
+    return tuple(
+        tuple(a.dim + b.dim - _joint_rank(a, b) for b in words[:i])
+        for i, a in enumerate(words)
+    )
+
+
+def oracle_table(code):
+    field, words = code.field, code.codewords
+
+    def rank(rows):
+        if field.m == 1:
+            return oracles.rank_over_q(rows, field.p)
+        return oracles.rank_over_gfq(rows, field.p, field.modulus.to_codes())
+
+    return tuple(
+        tuple(a.dim + b.dim - rank(a.basis.rows + b.basis.rows) for b in words[:i])
+        for i, a in enumerate(words)
+    )
+
+
+def rref_rows(field, n, pivots, rng):
+    """Random RREF rows with these pivot columns."""
+    rows = []
+    for c in pivots:
+        row = [0] * n
+        row[c] = 1
+        for j in range(c + 1, n):
+            if j not in pivots:
+                row[j] = rng.randrange(field.q)
+        rows.append(row)
+    return rows
+
+
+def shared_pivot_inputs(field, n, pivots, rng, count):
+    """Bases of codewords with one pivot set: some take rows of an earlier one
+    (pairs whose blocks tie on those rows), and two more bases span earlier
+    codewords again, rows reversed and mixed, so they collapse onto them."""
+    inputs = []
+    for _ in range(count):
+        rows = rref_rows(field, n, pivots, rng)
+        if inputs and rng.random() < 0.5:
+            other = rng.choice(inputs)
+            for i in rng.sample(range(len(pivots)), rng.randint(1, len(pivots))):
+                rows[i] = other[i]
+        inputs.append(rows)
+    for rows in rng.sample(inputs, 2):
+        rows = rows[::-1]
+        if len(rows) > 1:
+            rows[0] = [field.add(x, y) for x, y in zip(rows[0], rows[1])]
+        inputs.append(rows)
+    return inputs
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(subspaces, name)
+    monkeypatch.setattr(subspaces, name, lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
+def test_shared_pivot_table_matches_stacked_route(field, monkeypatch):
+    rng = random.Random(f"shared pivots over GF({field.spec})")
+    for _ in range(12):
+        k = rng.randint(1, 4)
+        n = k + rng.randint(1, 4)
+        other = sorted(rng.sample(range(n), k))
+        if other == list(range(k)):
+            other = list(range(n - k, n))
+        # the lifted [I | M] form, and one other pivot set
+        for pivots in (list(range(k)), other):
+            inputs = shared_pivot_inputs(field, n, pivots, rng, rng.randint(2, 7))
+            code = GrassmannianCode(field, n, [Subspace(field, n, r) for r in inputs])
+            assert code.duplicates_removed >= 2
+            assert {tuple(s.basis.rows[i].index(1) for i in range(k)) for s in code} == {
+                tuple(pivots)
+            }
+            stacked = stacked_table(code)
+            calls = count_calls(monkeypatch, "_difference_rank")
+            assert code.pairwise_intersection_dims() == stacked == oracle_table(code)
+            assert len(calls) == len(code) * (len(code) - 1) // 2
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
+def test_mixed_pivot_table_takes_the_stacked_route(field, monkeypatch):
+    rng = random.Random(f"mixed pivots over GF({field.spec})")
+    for trial in range(12):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        lifted = [Subspace(field, n, rref_rows(field, n, range(k), rng)) for _ in range(3)]
+        if trial % 2:  # mixed dimensions: one more codeword of another dimension
+            extra = Subspace(field, n, rref_rows(field, n, range(k + 1), rng))
+        else:  # one dimension, another pivot set
+            extra = Subspace(field, n, rref_rows(field, n, range(n - k, n), rng))
+        words = lifted + [extra, random_subspace(field, n, rng, max_rows=n)]
+        code = GrassmannianCode(field, n, words)
+        stacked = stacked_table(code)
+        monkeypatch.setattr(subspaces, "_difference_rank", None)  # the fast path fails
+        assert code.pairwise_intersection_dims() == stacked == oracle_table(code)
+        monkeypatch.undo()
