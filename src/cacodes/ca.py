@@ -34,7 +34,7 @@ from .errors import (
     SeedLengthMismatch,
 )
 from .linalg import Echelon, MatrixGF
-from .subspaces import Subspace
+from .subspaces import MAX_AMBIENT_N, Subspace
 
 
 class LinearRule:
@@ -81,7 +81,7 @@ class LinearCA:
     """A linear CA of lattice length n with a fixed bipermutive rule.
 
     Accepts either a ``LinearRule`` or a raw ``Polynomial`` (validated on the
-    spot).  Requires diameter <= n so at least one output cell exists.
+    spot).  Requires diameter <= n (one output cell at least) and n <= ``MAX_AMBIENT_N``.
     """
 
     __slots__ = ("rule", "n")
@@ -93,6 +93,8 @@ class LinearCA:
             raise LengthMismatch(
                 f"lattice length {n} is shorter than the rule diameter {rule.diameter}"
             )
+        if n > MAX_AMBIENT_N:
+            raise LengthMismatch(f"lattice length {n} exceeds {MAX_AMBIENT_N}")
         self.rule = rule
         self.n = n
 

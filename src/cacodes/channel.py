@@ -72,7 +72,7 @@ class TrialResult:
 
 def _random_vector_of(sub: Subspace, rng: random.Random) -> tuple[int, ...]:
     # uniform over the subspace: random coefficients against the RREF basis
-    return sub.combination([rng.randrange(sub.field.q) for _ in sub.basis.rows])
+    return sub.combination([rng.randrange(sub.field.q) for _ in range(sub.dim)])
 
 
 def _random_ambient_vector(field, n: int, rng: random.Random) -> tuple[int, ...]:

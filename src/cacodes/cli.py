@@ -57,14 +57,18 @@ def _manifest(args: argparse.Namespace) -> dict:
     return manifest
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload: dict, file=None) -> None:
+    """Print a document in the one pinned byte format, to stdout or ``file``."""
+    print(json.dumps(payload, indent=2, sort_keys=True), file=file)
 
 
 def _load_code_file(path: str) -> tuple[GrassmannianCode, dict]:
     """Read a code file: bare {"q","n","codewords"} or a build-code document."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise ParseError(f"{path} is no readable JSON document: {exc}") from None
     bare = data.get("code", data) if isinstance(data, dict) else None
     if not isinstance(bare, dict) or "codewords" not in bare:
         raise DomainError(f"{path} does not contain a code object")
@@ -172,10 +176,12 @@ def _generates(fam: CAFamily, profile: GcdProfile, code: GrassmannianCode) -> bo
     if gf != fam.field or n != 2 * k or len(code) != len(fam):
         return False
     member = {f.row: i for i, f in enumerate(fam)}
-    pack = gf.row_format(k + 1).pack
+    pack, shift = gf.row_format(k + 1).pack, k * gf.width
     pos = [0] * len(fam)
     for c, word in enumerate(code):
-        i = member.get(pack([gf.neg(r[k]) for r in word.basis.rows] + [1]))
+        # column k of the RREF: lane k of each packed row
+        column = [gf.neg(r >> shift & gf.mask) for r in word._echelon.rows]
+        i = member.get(pack(column + [1]))
         if i is None or word.dim != k or not LinearCA(fam[i], n).annihilates(word):
             return False
         pos[i] = c
@@ -258,8 +264,7 @@ def _cmd_simulate(args) -> dict:
     payload = {"manifest": _manifest(args), **stats}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, indent=2, sort_keys=True))
-            fh.write("\n")
+            _emit(payload, fh)
     return payload
 
 

@@ -6,15 +6,16 @@ already holds valid codes (RREF output, Sylvester and transition matrices,
 kernels) builds through ``MatrixGF.from_codes`` instead, and
 ``MatrixGF.from_json`` checks each digit of its input once: a prime-field
 row in one pass (all ints, min and max in range), entry by entry otherwise.
-``Echelon.insert`` is the one elimination routine: RREF, rank, null spaces,
-intersections and the subspace layer all grow an echelon row by row.  An
-echelon holds each row packed into one Python int, in the format its field
-defines (``algebra.RowFormat``), so a row operation is a few whole-integer
-operations; rows of codes are packed on the way in and unpacked only by
-``Echelon.matrix``.  ``insert`` only reduces the new row against the held
-ones, which stay in row echelon form: rank and intersections need no more.
-The back-substitution that turns them into the RREF runs once, in
-``Echelon.matrix``, where a reduced basis is read.  All arithmetic is exact, so rank and nullity are the true algebraic values.
+``Echelon.insert`` is the one elimination routine: RREF, rank, null spaces
+and the subspace layer all grow an echelon row by row.  An echelon holds
+each row packed into one Python int, in the format its field defines
+(``algebra.RowFormat``), so a row operation is a few whole-integer
+operations; rows of codes are packed on the way in and unpacked only where
+codes are read.  ``insert`` only reduces the new row against the held
+ones, which stay in row echelon form: a rank needs no more.  The
+back-substitution into the RREF, ``Echelon.reduce``, runs where a canonical
+basis is wanted.  All arithmetic is exact, so rank and nullity are the
+true algebraic values.
 
 The Sylvester matrix here follows the convolution layout: for nonzero f and
 g, the first deg(g) rows are right-shifted copies of f's ascending
@@ -204,7 +205,7 @@ class Echelon:
     ``rows`` holds the nonzero rows in ascending pivot order and ``pivots``
     their pivot columns: each row is zero before its pivot and 1 at it, so
     every row below a pivot is zero in its column.  ``insert`` never changes
-    a held row; ``matrix`` back-substitutes them into the RREF in place.
+    a held row; ``reduce`` back-substitutes them into the RREF in place.
     ``copy`` seeds a new echelon with the held rows without repacking.
     """
 
@@ -254,31 +255,9 @@ class Echelon:
         rows.insert(pos, row)
         return True
 
-    def intersection(self, other: "Echelon") -> "Echelon":
-        """The echelon of the intersection of two row spaces, by Zassenhaus.
-
-        The rows of an echelon form of [A | A; B | 0] whose left half
-        vanishes are, in their right half, a basis of A intersect B.
-        """
-        n = self.ncols
-        half = n * self.format.width  # the bits of the left half
-        blocks = Echelon(self.field, 2 * n)
-        for row in self.rows:
-            blocks.insert(row | row << half)
-        for row in other.rows:
-            blocks.insert(row)
-        inter = Echelon(self.field, n)
-        for c, row in zip(blocks.pivots, blocks.rows):
-            if c >= n:
-                inter.insert(row >> half)
-        return inter
-
-    def matrix(self) -> MatrixGF:
-        """The RREF of the held rows as a matrix: the canonical basis of their span.
-
-        Back-substitutes first, clearing each pivot column above its pivot
-        from the last pivot up; the held rows are the RREF afterwards.
-        """
+    def reduce(self) -> "Echelon":
+        """Back-substitute the held rows into the RREF in place, clearing each
+        pivot column above its pivot from the last pivot up; returns self."""
         fmt, rows = self.format, self.rows
         w, mask, sub_scaled = fmt.width, fmt.mask, fmt.sub_scaled
         for j in range(len(rows) - 1, 0, -1):
@@ -287,4 +266,9 @@ class Echelon:
                 x = rows[i] >> shift & mask
                 if x:
                     rows[i] = sub_scaled(rows[i], x, below)
-        return MatrixGF.from_codes(self.field, tuple(map(fmt.unpack, rows)), self.ncols)
+        return self
+
+    def matrix(self) -> MatrixGF:
+        """The RREF of the held rows (``reduce`` first) as a matrix of codes."""
+        rows = tuple(map(self.format.unpack, self.reduce().rows))
+        return MatrixGF.from_codes(self.field, rows, self.ncols)

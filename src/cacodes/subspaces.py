@@ -1,17 +1,15 @@
 """Canonical subspaces of GF(q)^n, the subspace metric, and Grassmannian codes.
 
-A subspace is stored by its unique RREF basis with zero rows dropped, so two
-objects are equal exactly when they describe the same subspace.  The distance
+A subspace is one packed RREF: the echelon of its unique RREF basis, each
+row one int in the format that (field, n) fixes, so two objects hold equal
+rows exactly when they describe the same subspace.  The distance
 
     d(A, B) = dim A + dim B - 2 dim(A intersect B)
 
 is computed via dim(A i B) = dim A + dim B - rank(stack(A, B)), which needs
-one elimination instead of an explicit intersection: a copy of A's echelon
-takes B's packed rows.  Each subspace keeps that echelon from its
-construction, its rows reduced to the RREF, so no codeword is repacked; a
-rank query only reduces the incoming rows and never back-substitutes into
-the held ones.  Intersections, when a basis is actually wanted, use the
-Zassenhaus block trick.
+one elimination: a copy of A's echelon takes B's packed rows, and only the
+incoming rows are reduced.  Every intersection question asked here is a
+dimension, so no intersection basis is ever built.
 
 A Grassmannian code is a finite set of such subspaces; here they usually all
 share one dimension k (constant-dimension code) because they arise as
@@ -38,16 +36,21 @@ from .algebra import GF
 from .errors import AmbientMismatch, EmptyCode, ParseError, TooFewCodewords
 from .linalg import Echelon, MatrixGF
 
+# The longest ambient space an input may name: a row of GF(q)^n packs into an
+# n-lane int, so n = 10^13 exhausts memory first.  Codes and CAs in use have n <= 80.
+MAX_AMBIENT_N = 1 << 16
+
 
 class Subspace:
-    """A subspace of GF(q)^n held in canonical (RREF basis) form.
+    """A subspace of GF(q)^n held in canonical form: one packed RREF.
 
-    ``basis`` is the RREF as a matrix of codes.  The echelon it came from is
-    kept alongside, its rows packed, so the distance, containment and
-    intersection routines seed their eliminations from it without repacking.
+    The subspace keeps one ``Echelon``, back-substituted into the RREF once
+    at construction.  Its packed rows are the subspace's identity (equality,
+    hash, sort key) and seed the distance and containment eliminations;
+    ``basis`` unpacks them into a matrix of codes on request.
     """
 
-    __slots__ = ("field", "ambient_n", "basis", "_echelon")
+    __slots__ = ("field", "ambient_n", "_echelon")
 
     def __init__(self, field: GF, ambient_n: int, rows: Iterable[Sequence[int]] = ()):
         rows = MatrixGF(field, rows, ncols=ambient_n).rows
@@ -66,15 +69,19 @@ class Subspace:
         return sub
 
     def _set(self, ech: Echelon) -> None:
-        self.field, self.ambient_n, self._echelon = ech.field, ech.ncols, ech
-        self.basis = ech.matrix()
+        self.field, self.ambient_n, self._echelon = ech.field, ech.ncols, ech.reduce()
+
+    @property
+    def basis(self) -> MatrixGF:
+        """The RREF basis as a matrix of codes, unpacked on each request."""
+        return MatrixGF.from_codes(self.field, self.sort_key(), self.ambient_n)
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return self._echelon.rank
 
     def is_zero(self) -> bool:
-        return self.basis.nrows == 0
+        return not self._echelon.rows
 
     # -- membership and comparison ------------------------------------------------
 
@@ -91,24 +98,22 @@ class Subspace:
         self._check(other)
         return _joint_rank(other, self) == other.dim
 
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Exact intersection by the Zassenhaus block elimination."""
-        self._check(other)
-        return Subspace.from_echelon(self._echelon.intersection(other._echelon))
+    def _identity(self) -> tuple:
+        return (self.field, self.ambient_n, tuple(self._echelon.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.field, self.ambient_n, self.basis.rows) == (
-            other.field, other.ambient_n, other.basis.rows
-        )
+        return self._identity() == other._identity()
 
     def __hash__(self):
-        return hash((self.field, self.ambient_n, self.basis.rows))
+        return hash(self._identity())
 
-    def sort_key(self) -> tuple:
-        """Lexicographic key on the flattened RREF basis entries."""
-        return tuple(itertools.chain.from_iterable(self.basis.rows))
+    def sort_key(self) -> tuple[tuple[int, ...], ...]:
+        """The RREF rows unpacked to codes: lexicographic order on them is that
+        of the flattened entries, as every row has n of them."""
+        ech = self._echelon
+        return tuple(map(ech.format.unpack, ech.rows))
 
     def __repr__(self):
         rows = "; ".join(" ".join(str(c) for c in r) for r in self.basis.rows)
@@ -310,6 +315,8 @@ class GrassmannianCode:
             raise ParseError(f"field spec {q!r} is not a string")
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ParseError(f"ambient dimension {n!r} is not a non-negative integer")
+        if n > MAX_AMBIENT_N:
+            raise ParseError(f"ambient dimension {n} exceeds {MAX_AMBIENT_N}")
         if not isinstance(words, list):
             raise ParseError(f"codewords {words!r} is not a list")
         field = GF.from_spec(q)

@@ -1,12 +1,14 @@
 """Linear CA: rule validation, transition matrices, LFSR preimages, kernels."""
 
 import itertools
+import json
 import random
 
 import pytest
 
 from cacodes.algebra import GF, Polynomial
 from cacodes.ca import LinearCA, LinearRule
+from cacodes.channel import ChannelConfig, transmit
 from cacodes.errors import (
     AmbientMismatch,
     DegreeZero,
@@ -233,20 +235,35 @@ def test_kernel_matches_enumeration_oracle():
 
 
 def test_kernel_agrees_with_nullspace_route():
+    # a subspace is its packed RREF: every construction of one span compares
+    # equal, hashes alike and gives one sort key and one basis, while the
+    # kernels of distinct rules (or degrees) at one length all differ
     rng = random.Random(11)
     for field in CA_FIELDS:
+        kernels = {}
         for k in (1, 2, 3):
             for rule in some_rules(field, k, rng):
-                for n in (k + 1, 2 * k, 2 * k + 1):
-                    if n < k + 1:
-                        continue
+                for n in sorted({k + 1, 2 * k, 2 * k + 1}):
                     ca = LinearCA(rule, n)
                     via_lfsr = ca.kernel()
                     via_null = Subspace.from_matrix(
                         ca.transition_matrix().nullspace_basis()
                     )
-                    assert via_lfsr == via_null
+                    mixed = [via_lfsr.combination([rng.randrange(field.q) for _ in range(k)])]
+                    via_init = Subspace(field, n, mixed + list(via_lfsr.basis.rows[::-1]))
+                    document = json.loads(json.dumps(via_init.to_json()))
+                    via_json = Subspace.from_json(field, n, document)
+                    via_channel = transmit(via_null, ChannelConfig(seed=rng.randrange(99)), 0)
+                    spans = [via_lfsr, via_null, via_init, via_json, via_channel]
+                    assert all(s == via_lfsr for s in spans)
+                    assert {hash(s) for s in spans} == {hash(via_lfsr)}
+                    assert {s.sort_key() for s in spans} == {via_lfsr.sort_key()}
+                    assert {s.basis for s in spans} == {via_lfsr.basis}
                     assert via_lfsr.dim == k
+                    kernels.setdefault(n, []).append(via_lfsr)
+        for same_length in kernels.values():
+            assert all(a != b for a, b in itertools.combinations(same_length, 2))
+            assert len(set(same_length)) == len(same_length)
 
 
 def test_annihilates_exactly_the_subspaces_of_the_kernel():

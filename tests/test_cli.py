@@ -418,11 +418,15 @@ def test_missing_code_file(capsys):
         ("build-code", "--q", "3", "--k", "2", "--gcd", "4"),
         ("simulate", "--code", "{code}", "--erasures", "-1"),
         ("simulate", "--code", "{code}", "--trials", "0"),
+        # a lattice this long would not fit in memory: refused before any row is built
+        ("kernel", "--q", "2", "--poly", "1,1", "--n", "10000000000000"),
     ],
     ids=" ".join,
 )
 def test_malformed_input_is_a_json_error(capsys, code_file, argv):
+    start = time.perf_counter()
     code, doc = run_json(capsys, *(a.format(code=code_file) for a in argv))
+    assert time.perf_counter() - start < 1.0
     assert code == 1
     assert set(doc["error"]) == {"name", "message"}
 
@@ -445,6 +449,8 @@ def test_malformed_input_is_a_json_error(capsys, code_file, argv):
         {"q": "3", "n": 2, "codewords": [[[1, 7]]]},
         {"q": "3", "n": 2, "codewords": [[[-1, 1]]]},
         {"q": "2^2", "n": 2, "codewords": [[[[1, 0], [5, 0]]]]},
+        # an ambient space this long would not fit in memory
+        {"q": "2", "n": 10000000000000, "codewords": [[]]},
     ],
     ids=json.dumps,
 )
@@ -452,9 +458,26 @@ def test_malformed_code_document_is_a_json_error(capsys, tmp_path, document):
     path = tmp_path / "code.json"
     path.write_text(json.dumps(document), encoding="utf-8")
     for command in ("analyze", "simulate"):
+        start = time.perf_counter()
         code, doc = run_json(capsys, command, "--code", str(path))
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert doc["error"]["name"] == "ParseError"
+
+
+# bytes that are no UTF-8, and arrays nested deeper than the JSON decoder recurses
+@pytest.mark.parametrize(
+    "content", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "deep-nesting"]
+)
+def test_undecodable_code_file_is_a_json_error(capsys, tmp_path, content):
+    path = tmp_path / "code.json"
+    path.write_bytes(content)
+    for command in ("analyze", "simulate"):
+        assert main([command, "--code", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert set(json.loads(captured.out)) == {"error"}
+        assert json.loads(captured.out)["error"]["name"] == "ParseError"
 
 
 # GF(3) codewords whose first row passes the one-pass row check; the second

