@@ -20,14 +20,15 @@ Representation conventions used throughout the library:
 * GCDs are always returned monic, so they are unique.  ``FactorTable``
   factors all monic polynomials up to a degree with one sieve, for callers
   that need the GCDs of many pairs; ``poly_gcd`` serves one pair.
-* Every vector of codes is packed into one Python int, in the format the
-  field picks once from p and m (``GF.row_format``, ``RowFormat``), and
+* Every vector of codes is packed into one Python int, in the one format
+  the field builds from p and m (``GF.format``, a ``RowFormat``), and
   ``RowFormat.sub_scaled`` is its one operation: u - c*v in a few
   whole-integer operations, XOR in characteristic 2, instead of one field
-  operation per entry.  Elimination works on packed rows, and so does
-  polynomial arithmetic: X^s * b is b shifted s lanes up, a long-division
-  step is ``sub_scaled(a, c, b << s)`` and a product is a sum of shifted
-  rows.
+  operation per entry.  A row operation takes its length from its
+  operands; only ``unpack`` is told how many entries to read.  Elimination
+  works on packed rows, and so does polynomial arithmetic: X^s * b is b
+  shifted s lanes up, a long-division step is ``sub_scaled(a, c, b << s)``
+  and a product is a sum of shifted rows.
 
 Extension fields are supported for m <= 4.  The reducing modulus is chosen
 deterministically as the lexicographically smallest monic irreducible of
@@ -52,6 +53,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BothZero,
+    BudgetExceeded,
     DivisionByZero,
     ExtensionTooLarge,
     FieldMismatch,
@@ -67,6 +69,7 @@ _MAX_EXTENSION_DEGREE = 4
 MAX_SPEC_PRIME = 2**31 - 1  # is_prime's trial division takes milliseconds up to here
 MAX_MODULUS_SCAN = 2048  # p^(m-1) bound: every field below it takes at most ~0.2 s
 _TABLE_LIMIT = 4096  # build exp/log tables of GF(q)* up to this order
+MAX_FACTOR_TABLE = 1 << 16  # q^d bound of a factor table: GF(2) to degree 16 takes ~0.4 s
 
 
 def is_prime(n: int) -> bool:
@@ -91,12 +94,10 @@ class GF:
     Arithmetic methods (``add``, ``mul``, ``inv``, ...) operate on integer
     element codes in [0, q); ``element`` wraps a code into a ``GFElement``.
     Two instances of the same order compare equal and hash alike.  The field
-    fixes its packed row format at construction: the format class and the
-    lane ``width``, with ``mask`` the bits of one lane.  The field itself
-    never changes; each instance only caches the exp/log tables of an
-    extension field with q <= 4096 and one row format per row length it has
-    been asked for (``row_format``), since elimination and polynomial
-    arithmetic ask for the same few lengths again and again.
+    builds its one packed row format, ``format``, at construction, after the
+    exp/log tables of an extension field with q <= 4096 that its products
+    read; ``width`` is the lane width and ``mask`` the bits of one lane.
+    The field never changes after construction.
 
     An extension field is refused (``ExtensionTooLarge``) when finding its
     modulus would scan more than ``MAX_MODULUS_SCAN`` candidates.
@@ -115,16 +116,15 @@ class GF:
         self.m = m
         self.q = p**m
         if p == 2:
-            self._row_kind, self.width = _XorFormat, m
+            kind, self.width = _XorFormat, m
         elif m == 1 and p <= _MOD_LANE_MAX_P:
-            self._row_kind, self.width = _ModFormat, 8  # byte lanes: packing goes through ``bytes``
+            kind, self.width = _ModFormat, 8  # byte lanes: packing goes through ``bytes``
         else:
-            self._row_kind, self.width = RowFormat, (self.q - 1).bit_length()
+            kind, self.width = RowFormat, (self.q - 1).bit_length()
         self.mask = (1 << self.width) - 1
         self._modulus: Polynomial | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._row_formats: dict[int, RowFormat] = {}
         if m > 1:
             # the search skips the p^(m-1) candidates with a zero constant
             # term, none of them irreducible; their count bounds the fields
@@ -136,6 +136,7 @@ class GF:
             self._modulus = _smallest_irreducible_modulus(p, m)
             if self.q <= _TABLE_LIMIT:
                 self._build_tables()
+        self.format: RowFormat = kind(self)  # _XorFormat multiplies through the tables
 
     # -- identity ------------------------------------------------------------
 
@@ -232,13 +233,6 @@ class GF:
             return self._exp[self.q - 1 - self._log[a]]
         return self.pow(a, self.q - 2)
 
-    def row_format(self, ncols: int) -> "RowFormat":
-        """The packed format of rows of ``ncols`` entries over this field."""
-        fmt = self._row_formats.get(ncols)
-        if fmt is None:
-            fmt = self._row_formats[ncols] = self._row_kind(self, ncols)
-        return fmt
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
@@ -333,15 +327,17 @@ class GF:
 
 
 class RowFormat:
-    """Rows of ``ncols`` field entries, each packed into one Python int.
+    """The packed rows of a field: a vector of codes is one Python int.
 
     Entry j sits in lane j, the ``width`` bits from bit j * width, so column 0
     is the lowest lane and the leading (lowest nonzero) column of a row is
     read off its lowest set bit.  The zero row is 0, and rows with disjoint
     columns combine with ``|``.  A polynomial's row has the coefficient of
     X^i in lane i: its degree is read off the highest set bit, and times X^s
-    it is the row shifted s lanes up.  The field picks the format from p
-    and m, and its lane width, once (``GF.__init__``):
+    it is the row shifted s lanes up.  A row operation takes its length
+    from its operands; ``unpack`` reads as many entries as its caller names.
+    The field picks the format from p and m, and its lane width, and builds
+    it once (``GF.__init__``):
 
     * p = 2 (``_XorFormat``): a lane is the m-bit code itself, so adding rows
       is XOR and scaling is m masked shifts and small multiplications;
@@ -354,12 +350,10 @@ class RowFormat:
     Packing trusts its codes to lie in [0, q).
     """
 
-    __slots__ = ("field", "ncols", "width", "mask", "shifts")
+    __slots__ = ("field", "width", "mask")
 
-    def __init__(self, field: GF, ncols: int):
-        self.field, self.ncols = field, ncols
-        self.width, self.mask = field.width, field.mask
-        self.shifts = range(0, ncols * self.width, self.width)  # lane j at j * width
+    def __init__(self, field: GF):
+        self.field, self.width, self.mask = field, field.width, field.mask
 
     def pack(self, codes: Sequence[int]) -> int:
         row, w = 0, self.width
@@ -367,13 +361,15 @@ class RowFormat:
             row = row << w | c
         return row
 
-    def unpack(self, row: int) -> tuple[int, ...]:
-        mask = self.mask
-        return tuple([row >> s & mask for s in self.shifts])
+    def unpack(self, row: int, n: int) -> tuple[int, ...]:
+        """The codes of the n lanes 0..n-1 of ``row``, which has no more lanes."""
+        w, mask = self.width, self.mask
+        return tuple([row >> s & mask for s in range(0, n * w, w)])
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
         """The row u - c*v: the one row operation, of elimination and polynomials."""
-        gf, pairs = self.field, zip(self.unpack(u), self.unpack(v))
+        n = -(-max(u, v).bit_length() // self.width)  # the longer row's lanes
+        gf, pairs = self.field, zip(self.unpack(u, n), self.unpack(v, n))
         if gf.m == 1:
             p = gf.p
             return self.pack([(x - c * y) % p for x, y in pairs])
@@ -383,11 +379,10 @@ class RowFormat:
 class _XorFormat(RowFormat):
     # c * x for a lane x = sum_i x_i 2^i is XOR_i x_i * (c * 2^i): the bits x_i
     # of every lane at once, times the code c * 2^i, which fits in the lane
-    __slots__ = ("low", "times")
+    __slots__ = ("times",)
 
-    def __init__(self, field: GF, ncols: int):
-        super().__init__(field, ncols)
-        self.low = ((1 << field.m * ncols) - 1) // ((1 << field.m) - 1)  # bit 0 of each lane
+    def __init__(self, field: GF):
+        super().__init__(field)
         self.times = [
             tuple(field.mul(c, 1 << i) for i in range(field.m)) for c in range(field.q)
         ]
@@ -395,7 +390,11 @@ class _XorFormat(RowFormat):
     def sub_scaled(self, u: int, c: int, v: int) -> int:
         if c == 1:
             return u ^ v
-        low = self.low
+        if c == 0:
+            return u
+        # c > 1 occurs only for m >= 2: bit 0 of each of v's lanes
+        m = self.width
+        low = ((1 << -(-v.bit_length() // m) * m) - 1) // self.mask
         for i, t in enumerate(self.times[c]):
             u ^= (v >> i & low) * t
         return u
@@ -407,18 +406,19 @@ _MOD_LANE_MAX_P = 13  # largest p with p * (p - 1) < 256: u + (p - c)*v fits a b
 class _ModFormat(RowFormat):
     __slots__ = ("reduce",)
 
-    def __init__(self, field: GF, ncols: int):
-        super().__init__(field, ncols)
+    def __init__(self, field: GF):
+        super().__init__(field)
         self.reduce = bytes(x % field.p for x in range(256))
 
     def pack(self, codes: Sequence[int]) -> int:
         return int.from_bytes(bytes(codes), "little")
 
-    def unpack(self, row: int) -> tuple[int, ...]:
-        return tuple(row.to_bytes(self.ncols, "little"))
+    def unpack(self, row: int, n: int) -> tuple[int, ...]:
+        return tuple(row.to_bytes(n, "little"))
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
-        lanes = (u + (self.field.p - c) * v).to_bytes(self.ncols, "little")
+        x = u + (self.field.p - c) * v  # no lane carries, so x has the longer row's lanes
+        lanes = x.to_bytes(x.bit_length() + 7 >> 3, "little")
         return int.from_bytes(lanes.translate(self.reduce), "little")
 
 
@@ -515,13 +515,12 @@ class Polynomial:
 
     def __init__(self, field: GF, coeffs: Iterable[int | Sequence[int] | GFElement] = ()):
         codes = [field.element(c).code for c in coeffs]
-        self.field, self.row = field, field.row_format(len(codes)).pack(codes)
+        self.field, self.row = field, field.format.pack(codes)
 
     @classmethod
     def from_codes(cls, field: GF, codes: Iterable[int]) -> "Polynomial":
         """Build from ascending integer element codes, trusted to lie in [0, q)."""
-        codes = tuple(codes)
-        return cls._from_row(field, field.row_format(len(codes)).pack(codes))
+        return cls._from_row(field, field.format.pack(tuple(codes)))
 
     @classmethod
     def _from_row(cls, field: GF, row: int) -> "Polynomial":
@@ -562,7 +561,8 @@ class Polynomial:
 
     def to_codes(self) -> tuple[int, ...]:
         """Ascending coefficient codes, no trailing zeros; the canonical sort key."""
-        return _format_of(self.field, self.row).unpack(self.row)
+        gf, row = self.field, self.row
+        return gf.format.unpack(row, -(-row.bit_length() // gf.width))
 
     # -- ring operations -----------------------------------------------------------
 
@@ -577,8 +577,8 @@ class Polynomial:
     def _sub_scaled(self, c: int, other: "Polynomial") -> "Polynomial":
         # self - c * other, one row operation
         self._check(other)
-        gf, a, b = self.field, self.row, other.row
-        return Polynomial._from_row(gf, _format_of(gf, max(a, b)).sub_scaled(a, c, b))
+        gf = self.field
+        return Polynomial._from_row(gf, gf.format.sub_scaled(self.row, c, other.row))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self._sub_scaled(self.field.neg(1), other)
@@ -592,8 +592,7 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         gf = self.field
-        fmt = gf.row_format(max(self.degree + other.degree + 1, 0))
-        return Polynomial._from_row(gf, _mul_rows(fmt, self.row, other.row))
+        return Polynomial._from_row(gf, _mul_rows(gf.format, self.row, other.row))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -607,8 +606,8 @@ class Polynomial:
         self._check(other)
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
-        gf, a, b = self.field, self.row, other.row
-        quot, rem = _divmod_rows(_format_of(gf, max(a, b)), a, b)
+        gf = self.field
+        quot, rem = _divmod_rows(gf.format, self.row, other.row)
         return Polynomial._from_row(gf, quot), Polynomial._from_row(gf, rem)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
@@ -687,18 +686,12 @@ class Polynomial:
         return " + ".join(terms)
 
 
-def _format_of(gf: GF, row: int) -> RowFormat:
-    """The row format of ``gf`` with as many lanes as ``row`` fills."""
-    return gf.row_format(-(-row.bit_length() // gf.width))
-
-
 def _divmod_rows(fmt: RowFormat, a: int, b: int) -> tuple[int, int]:
     """Long division of polynomials packed in ``fmt``, b nonzero: (quotient, remainder).
 
     The degree of a row is the lane of its highest set bit.  Each step
     cancels the leading term of a with c * X^s * b, one ``sub_scaled`` on b
-    shifted s lanes up, and puts c in lane s of the quotient.  ``fmt`` must
-    hold as many lanes as the longer of a and b.
+    shifted s lanes up, and puts c in lane s of the quotient.
     """
     gf, w, mask = fmt.field, fmt.width, fmt.mask
     top = (b.bit_length() - 1) // w * w  # the lowest bit of b's leading lane
@@ -714,8 +707,7 @@ def _divmod_rows(fmt: RowFormat, a: int, b: int) -> tuple[int, int]:
 
 def _mul_rows(fmt: RowFormat, a: int, b: int) -> int:
     """Product of polynomials packed in ``fmt``: the sum over the lanes i of a
-    of a_i * (b shifted i lanes up).  ``fmt`` must hold the product's lanes.
-    """
+    of a_i * (b shifted i lanes up)."""
     gf, w, mask = fmt.field, fmt.width, fmt.mask
     acc = shift = 0
     while a:
@@ -752,7 +744,7 @@ def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd(0, 0) is undefined")
     gf, a, b = f.field, f.row, g.row
-    fmt = _format_of(gf, max(a, b))
+    fmt = gf.format
     while b:
         a, b = b, _divmod_rows(fmt, a, b)[1]
     return Polynomial._from_row(gf, a).monic()
@@ -769,7 +761,7 @@ def monic_polynomials(field: GF, degree: int) -> Iterator[Polynomial]:
     """
     if degree < 0:
         return
-    pack = field.row_format(degree + 1).pack
+    pack = field.format.pack
     for lower in itertools.product(range(field.q), repeat=degree):
         yield Polynomial._from_row(field, pack(lower + (1,)))
 
@@ -784,7 +776,7 @@ def is_irreducible(f: Polynomial) -> bool:
     d = f.degree
     if d < 1:
         return False
-    fmt = _format_of(f.field, f.row)
+    fmt = f.field.format
     return all(
         _divmod_rows(fmt, f.row, fmt.pack(low + (1,)))[1]
         for e in range(1, int(d) // 2 + 1)
@@ -805,14 +797,21 @@ class FactorTable:
     Gauss's formula.  ``factor`` reads a polynomial off the table or
     trial-divides it by the table's irreducibles.  ``irreducibles`` and
     ``factor`` hand out ``Polynomial``s; the table's own loops stay on rows.
-    Nothing is kept beyond the table's own life.
+    Nothing is kept beyond the table's own life.  A table of more than
+    ``MAX_FACTOR_TABLE`` polynomials is refused (``BudgetExceeded``).
     """
 
     __slots__ = ("field", "d", "irreducibles", "_factors")
 
     def __init__(self, field: GF, d: int):
+        # q^d >= 2^d: a d past the bound's bit length exceeds it, q^d uncomputed
+        if d > MAX_FACTOR_TABLE.bit_length() or field.q**d > MAX_FACTOR_TABLE:
+            raise BudgetExceeded(
+                f"a factor table of GF({field.spec}) to degree {d} sieves"
+                f" about {field.q}^{d} polynomials, more than {MAX_FACTOR_TABLE}"
+            )
         self.field, self.d = field, d
-        fmt, w = field.row_format(d + 1), field.width
+        fmt, w = field.format, field.width
         irr: list[int] = []
         # row -> positions in irr of its irreducible factors, ascending, repeated
         factors: dict[int, tuple[int, ...]] = {1: ()}
@@ -843,8 +842,7 @@ class FactorTable:
         f = f.monic()
         if not 0 <= f.degree <= 2 * self.d + 1:
             raise InvalidDegree(f"cannot factor degree {f.degree} from a table to {self.d}")
-        w, row, out = self.field.width, f.row, []
-        fmt = _format_of(self.field, row)
+        fmt, w, row, out = self.field.format, self.field.width, f.row, []
         for p in self.irreducibles:
             if row in self._factors or (row.bit_length() - 1) // w < 2 * p.degree:
                 break

@@ -119,7 +119,7 @@ class LinearCA:
         vec = [gf.code_of(c) for c in x]
         if len(vec) != self.n:
             raise LengthMismatch(f"configuration length {len(vec)} != n = {self.n}")
-        return gf.row_format(self.n - self.k).unpack(self._act(gf.row_format(self.n).pack(vec)))
+        return gf.format.unpack(self._act(gf.format.pack(vec)), self.n - self.k)
 
     def _act(self, row: int, count: int = 1) -> int:
         """The CA on ``count`` packed configurations, n lanes apart: the n-k
@@ -130,8 +130,7 @@ class LinearCA:
         summed over j.  A window that starts in the low n-k cells of a
         configuration ends inside it, so configurations side by side do not mix.
         """
-        gf, n = self.field, self.n
-        fmt = gf.row_format(count * n)
+        gf, n, fmt = self.field, self.n, self.field.format
         acc = 0
         for j, a in enumerate(self.rule.poly.to_codes()):
             if a:
@@ -172,12 +171,11 @@ class LinearCA:
         the preimages already are the reduced basis.  Always equals the null
         space of the transition matrix.
         """
-        gf, k = self.field, self.k
-        fmt = gf.row_format(k + 1)
+        gf, k, fmt = self.field, self.k, self.field.format
         rule, top = self.rule.poly.row, k * fmt.width
         rem, cells = 1, []
         for _ in range(self.n):
-            cells.append(fmt.unpack(rem)[:k])
+            cells.append(fmt.unpack(rem, k))  # deg rem < k
             rem <<= fmt.width
             rem = fmt.sub_scaled(rem, rem >> top, rule)
         return Subspace.from_echelon(Echelon(gf, self.n, zip(*cells)))

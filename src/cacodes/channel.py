@@ -70,21 +70,20 @@ class TrialResult:
         )
 
 
-def _random_vector_of(sub: Subspace, rng: random.Random) -> tuple[int, ...]:
+def _random_vector_of(sub: Subspace, rng: random.Random) -> int:
     # uniform over the subspace: random coefficients against the RREF basis
-    return sub.combination([rng.randrange(sub.field.q) for _ in range(sub.dim)])
+    return sub._combine([rng.randrange(sub.field.q) for _ in range(sub.dim)])
 
 
-def _random_ambient_vector(field, n: int, rng: random.Random) -> tuple[int, ...]:
-    return tuple(rng.randrange(field.q) for _ in range(n))
+def _random_ambient_vector(field, n: int, rng: random.Random) -> int:
+    return field.format.pack([rng.randrange(field.q) for _ in range(n)])
 
 
 def _extend_independent(ech: Echelon, draw, count: int) -> None:
-    """Insert ``count`` vectors from ``draw()``, packed, redrawing any dependent one."""
-    pack = ech.format.pack
+    """Insert ``count`` packed vectors from ``draw()``, redrawing any dependent one."""
     for _ in range(count):
         for _attempt in range(_MAX_REDRAWS):
-            if ech.insert(pack(draw())):
+            if ech.insert(draw()):
                 break
         else:
             raise RuntimeError(

@@ -176,7 +176,7 @@ def _generates(fam: CAFamily, profile: GcdProfile, code: GrassmannianCode) -> bo
     if gf != fam.field or n != 2 * k or len(code) != len(fam):
         return False
     member = {f.row: i for i, f in enumerate(fam)}
-    pack, shift = gf.row_format(k + 1).pack, k * gf.width
+    pack, shift = gf.format.pack, k * gf.width
     pos = [0] * len(fam)
     for c, word in enumerate(code):
         # column k of the RREF: lane k of each packed row

@@ -199,7 +199,7 @@ def sylvester(f: Polynomial, g: Polynomial) -> MatrixGF:
 class Echelon:
     """The row echelon form of the rows inserted so far, grown one row at a time.
 
-    Rows are packed ints in the field's row format (``GF.row_format``): the
+    Rows are packed ints in the field's row format (``GF.format``): the
     format does the row operations, and ``insert`` reads an entry straight
     from its lane (``width`` bits at column * width, under ``mask``).
     ``rows`` holds the nonzero rows in ascending pivot order and ``pivots``
@@ -209,15 +209,14 @@ class Echelon:
     ``copy`` seeds a new echelon with the held rows without repacking.
     """
 
-    __slots__ = ("field", "ncols", "format", "rows", "pivots")
+    __slots__ = ("field", "ncols", "rows", "pivots")
 
     def __init__(self, field: GF, ncols: int, rows: Iterable[Sequence[int]] = ()):
         """An echelon of ``rows`` given as sequences of codes, packed on entry."""
         self.field, self.ncols = field, ncols
-        self.format = field.row_format(ncols)
         self.rows: list[int] = []
         self.pivots: list[int] = []
-        pack = self.format.pack
+        pack = field.format.pack
         for row in rows:
             self.insert(pack(row))
 
@@ -227,7 +226,7 @@ class Echelon:
 
     def copy(self) -> "Echelon":
         ech = Echelon.__new__(Echelon)
-        ech.field, ech.ncols, ech.format = self.field, self.ncols, self.format
+        ech.field, ech.ncols = self.field, self.ncols
         ech.rows, ech.pivots = self.rows[:], self.pivots[:]
         return ech
 
@@ -237,7 +236,7 @@ class Echelon:
         The row is reduced by the held rows in ascending pivot order, which
         clears every pivot column of it, and goes in scaled to a leading 1.
         """
-        fmt, rows, pivots = self.format, self.rows, self.pivots
+        fmt, rows, pivots = self.field.format, self.rows, self.pivots
         w, mask, sub_scaled = fmt.width, fmt.mask, fmt.sub_scaled
         for c, held in zip(pivots, rows):
             x = row >> (c * w) & mask
@@ -258,7 +257,7 @@ class Echelon:
     def reduce(self) -> "Echelon":
         """Back-substitute the held rows into the RREF in place, clearing each
         pivot column above its pivot from the last pivot up; returns self."""
-        fmt, rows = self.format, self.rows
+        fmt, rows = self.field.format, self.rows
         w, mask, sub_scaled = fmt.width, fmt.mask, fmt.sub_scaled
         for j in range(len(rows) - 1, 0, -1):
             shift, below = self.pivots[j] * w, rows[j]
@@ -270,5 +269,6 @@ class Echelon:
 
     def matrix(self) -> MatrixGF:
         """The RREF of the held rows (``reduce`` first) as a matrix of codes."""
-        rows = tuple(map(self.format.unpack, self.reduce().rows))
-        return MatrixGF.from_codes(self.field, rows, self.ncols)
+        unpack, n = self.field.format.unpack, self.ncols
+        rows = tuple([unpack(row, n) for row in self.reduce().rows])
+        return MatrixGF.from_codes(self.field, rows, n)

@@ -112,8 +112,8 @@ class Subspace:
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """The RREF rows unpacked to codes: lexicographic order on them is that
         of the flattened entries, as every row has n of them."""
-        ech = self._echelon
-        return tuple(map(ech.format.unpack, ech.rows))
+        unpack, n = self.field.format.unpack, self.ambient_n
+        return tuple([unpack(row, n) for row in self._echelon.rows])
 
     def __repr__(self):
         rows = "; ".join(" ".join(str(c) for c in r) for r in self.basis.rows)
@@ -123,12 +123,15 @@ class Subspace:
 
     def combination(self, coeffs: Sequence[int]) -> tuple[int, ...]:
         """sum_i coeffs[i] * (basis row i), as a tuple of element codes."""
-        ech, neg = self._echelon, self.field.neg
+        return self.field.format.unpack(self._combine(coeffs), self.ambient_n)
+
+    def _combine(self, coeffs: Sequence[int]) -> int:
+        sub_scaled, neg = self.field.format.sub_scaled, self.field.neg
         vec = 0
-        for c, row in zip(coeffs, ech.rows):
+        for c, row in zip(coeffs, self._echelon.rows):
             if c:
-                vec = ech.format.sub_scaled(vec, neg(c), row)
-        return ech.format.unpack(vec)
+                vec = sub_scaled(vec, neg(c), row)
+        return vec
 
     def vectors(self) -> Iterator[tuple[int, ...]]:
         """All q^dim vectors of the subspace, as tuples of element codes."""
@@ -182,7 +185,7 @@ def _shared_pivot_table(words: Sequence[Subspace]) -> tuple[tuple[int, ...], ...
     skip = min(pivots, default=0)
     while skip in pivots:
         skip += 1
-    shift = skip * first.format.width
+    shift = skip * first.field.width
     empty = Echelon(first.field, first.ncols - skip)
     rows = [[r >> shift for r in s._echelon.rows] for s in words]
     k = len(pivots)
@@ -194,7 +197,7 @@ def _shared_pivot_table(words: Sequence[Subspace]) -> tuple[tuple[int, ...], ...
 
 def _difference_rank(empty: Echelon, a: Sequence[int], b: Sequence[int]) -> int:
     """rank{a_i - b_i}: a copy of an empty echelon takes the packed differences."""
-    ech, sub_scaled = empty.copy(), empty.format.sub_scaled
+    ech, sub_scaled = empty.copy(), empty.field.format.sub_scaled
     for x, y in zip(a, b):
         ech.insert(sub_scaled(x, 1, y))
     return ech.rank

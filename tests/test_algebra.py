@@ -471,9 +471,14 @@ def test_table_generator_is_the_first_element_of_full_order(p, m):
 
 
 def test_xor_format_low_has_bit_zero_of_every_lane():
+    # c * v must reach every lane of v, the top one included: a row of n lanes
+    # that all hold x comes out with c * x in each
     for m in range(1, 5):
+        field = GF(2, m)
         for n in (0, 1, 7, 64):
-            assert GF(2, m).row_format(n).low == sum(1 << j * m for j in range(n))
+            ones = sum(1 << j * m for j in range(n))
+            for c, x in itertools.product(range(field.q), repeat=2):
+                assert field.format.sub_scaled(0, c, ones * x) == ones * field.mul(c, x)
 
 
 def test_units_and_zero_not_irreducible():

@@ -420,6 +420,9 @@ def test_missing_code_file(capsys):
         ("simulate", "--code", "{code}", "--trials", "0"),
         # a lattice this long would not fit in memory: refused before any row is built
         ("kernel", "--q", "2", "--poly", "1,1", "--n", "10000000000000"),
+        # a factor table this large would not fit either: refused before the sieve
+        ("build-code", "--q", "2", "--k", "40"),
+        ("build-code", "--q", "2", "--k", "1000000000000"),
     ],
     ids=" ".join,
 )

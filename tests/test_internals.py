@@ -6,6 +6,8 @@
   polynomials, matrices and subspaces never go back through ``GF.code_of``.
 * A code's pairwise intersection table is computed once per code, with one
   elimination per pair.
+* Each field builds its one packed row format, and the channel works on
+  packed rows without unpacking any.
 * Every entry point the benchmark's layer tracer wraps exists in ``src/``.
 """
 
@@ -16,7 +18,7 @@ import pathlib
 
 import cacodes
 from cacodes import subspaces
-from cacodes.algebra import GF, Polynomial, poly_gcd
+from cacodes.algebra import GF, Polynomial, RowFormat, poly_gcd
 from cacodes.ca import LinearCA
 from cacodes.channel import ChannelConfig, decode_min_distance, simulate, transmit
 from cacodes.cli import main
@@ -67,6 +69,47 @@ def test_internal_producers_skip_code_of(monkeypatch):
         decode_min_distance(code, transmit(a, cfg, trial=0), sent_index=0)
         simulate(code, cfg, trials=3)
     search_max_family(3, 0, GF(2))
+    assert calls == []
+
+
+def test_each_field_builds_one_row_format(capsys, tmp_path, monkeypatch):
+    made, built = [], []  # kept alive, so that no two share an id
+    new_field, new_format = GF.__init__, RowFormat.__init__
+    monkeypatch.setattr(
+        GF, "__init__", lambda self, *args: made.append(self) or new_field(self, *args)
+    )
+    monkeypatch.setattr(
+        RowFormat, "__init__", lambda self, field: built.append(field) or new_format(self, field)
+    )
+    for q in ("2", "3", "2^2"):
+        assert main(["build-code", "--q", q, "--k", "3"]) == 0
+        path = tmp_path / f"code-{q}.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        assert main(["analyze", "--code", str(path)]) == 0
+        argv = ["simulate", "--code", str(path), "--erasures", "1", "--errors", "1"]
+        assert main([*argv, "--trials", "5"]) == 0
+        capsys.readouterr()
+    assert len(made) >= 6
+    assert sorted(map(id, built)) == sorted(map(id, made))
+
+
+def test_channel_unpacks_nothing(monkeypatch):
+    codes = [
+        code_from_family(CAFamily(uniform_gcd_family(3, Polynomial.from_codes(field, (1,)))))
+        for field in (GF(2), GF(3), GF(2, 2))
+    ]
+    calls = []
+    for cls in (RowFormat, *RowFormat.__subclasses__()):
+        if "unpack" in vars(cls):
+            original = cls.unpack
+            monkeypatch.setattr(
+                cls, "unpack", lambda *args, _original=original: calls.append(1) or _original(*args)
+            )
+    cfg = ChannelConfig(erasures=1, error_dims=1, seed=3)
+    for code in codes:
+        for trial in range(4):
+            sent = trial % len(code)
+            decode_min_distance(code, transmit(code[sent], cfg, trial), sent_index=sent)
     assert calls == []
 
 

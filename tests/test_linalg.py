@@ -293,7 +293,7 @@ def assert_row_echelon(ech):
     """Held rows sorted by pivot, each zero before its pivot and 1 at it."""
     assert ech.pivots == sorted(set(ech.pivots))
     assert len(ech.rows) == len(ech.pivots)
-    for c, row in zip(ech.pivots, map(ech.format.unpack, ech.rows)):
+    for c, row in zip(ech.pivots, (ech.field.format.unpack(r, ech.ncols) for r in ech.rows)):
         assert not any(row[:c]) and row[c] == 1
 
 
@@ -314,7 +314,7 @@ def test_insert_keeps_held_rows_and_row_echelon_form(field):
         reduce_at = rng.randrange(len(rows))
         for step, row in enumerate(rows):
             held = list(ech.rows)
-            independent = ech.insert(ech.format.pack(row))
+            independent = ech.insert(field.format.pack(row))
             # the new row goes in, or nothing does; no held row changes
             assert independent == (ech.rank == len(held) + 1)
             assert [r for r in ech.rows if r in held] == held
@@ -353,6 +353,44 @@ def test_wide_rows_match_oracle_rank(field):
             assert oracle_rank(field, null.rows) == ncols - rank
             assert all(not any(matvec(field, rows, v)) for v in null.rows)
             assert Subspace(field, ncols, rows) == Subspace(field, ncols, reduced.rows)
+
+
+# Every row format: XOR lanes of every width, byte lanes at both ends of
+# their range, and per-entry lanes, prime, extension and wider than a byte.
+SUB_SCALED_FIELDS = [F2, F4, GF(2, 3), GF(2, 4), F3, GF(13), GF(17), GF(3, 2), GF(257)]
+
+
+@pytest.mark.parametrize("field", SUB_SCALED_FIELDS, ids=lambda f: f.spec)
+def test_sub_scaled_on_rows_of_unequal_length_matches_entrywise_oracle(field):
+    # the row operation takes its length from its rows: u - c*v on rows of
+    # 0 to 40 entries, either one the longer, top lanes zero or the whole row
+    # zero, against the entries u_j - c*v_j packed lane by lane
+    rng = random.Random(f"sub-scaled:{field.spec}")
+    w = field.width
+
+    def codes(n):
+        out = [rng.randrange(field.q) for _ in range(n)]
+        shape = rng.random()
+        if shape < 0.1:
+            return [0] * n
+        if shape < 0.4:  # zero from a random lane up
+            top = rng.randrange(n + 1)
+            out[top:] = [0] * (n - top)
+        return out
+
+    def packed(entries):
+        return sum(x << j * w for j, x in enumerate(entries))
+
+    lengths = [(0, 0), (0, 40), (40, 0), (40, 40), (1, 40), (40, 1)]
+    lengths += [(rng.randint(0, 40), rng.randint(0, 40)) for _ in range(60)]
+    for nu, nv in lengths:
+        n = max(nu, nv)
+        u, v = codes(nu) + [0] * (n - nu), codes(nv) + [0] * (n - nv)
+        for c in sorted({0, 1, field.q - 1, rng.randrange(field.q)}):
+            want = [field.sub(x, field.mul(c, y)) for x, y in zip(u, v)]
+            got = field.format.sub_scaled(packed(u), c, packed(v))
+            assert got == packed(want)
+            assert field.format.unpack(got, n) == tuple(want)
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=lambda f: f.spec)
