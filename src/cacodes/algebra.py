@@ -15,8 +15,9 @@ Representation conventions used throughout the library:
   ``to_codes`` unpacks the ascending coefficient codes and ``coeffs`` boxes
   them as ``GFElement``s, on request.
 * Values are validated once, where they enter: ``Polynomial(field, values)``
-  coerces each value through ``GF.element``.  Code that already holds valid
-  codes builds through ``Polynomial.from_codes``, which does not re-check.
+  coerces each value through ``GF.element``.  ``from_string`` checks its
+  digits, and it and code that already holds valid codes build through
+  ``Polynomial.from_codes``, which does not re-check.
 * GCDs are always returned monic, so they are unique.  ``FactorTable``
   factors all monic polynomials up to a degree with one sieve, for callers
   that need the GCDs of many pairs; ``poly_gcd`` serves one pair.
@@ -666,8 +667,9 @@ class Polynomial:
             ]
             if any(len(c) != field.m for c in coeffs):
                 raise FieldMismatch(f"a coefficient of {text!r} is not a {field.m}-tuple")
-            return cls(field, coeffs)
-        return cls(field, [digit(t) for t in text.split(",")])
+            return cls.from_codes(field, [field.encode(c) for c in coeffs])
+        # a digit in [0, p) is the code of that element of the prime subfield
+        return cls.from_codes(field, [digit(t) for t in text.split(",")])
 
     def display(self) -> str:
         """Human-readable rendering such as ``1 + X + X^2``; never parsed back."""

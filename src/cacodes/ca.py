@@ -18,7 +18,9 @@ from the k unit seeds: the kernel elements are precisely the truncated
 linear recurring sequences with feedback polynomial equal to the rule.
 The remainders X^i mod f, f the rule polynomial, obey the same recurrence,
 so cell i of the j-th unit-seed preimage is the coefficient of X^j in
-X^i mod f: ``kernel`` is polynomial arithmetic on packed rows.
+X^i mod f: ``kernel`` is polynomial arithmetic on packed rows.  At n = 2k
+that basis is the lift [I_k | M] whose column k is (-a_0, ..., -a_{k-1}),
+and ``kernel_rule`` reads the rule back off it: the kernel's inverse.
 """
 
 from __future__ import annotations
@@ -182,3 +184,17 @@ class LinearCA:
 
     def __repr__(self):
         return f"LinearCA({self.rule.poly.display()}, n={self.n} over GF({self.field.spec}))"
+
+
+def kernel_rule(sub: Subspace) -> Polynomial | None:
+    """The rule f whose kernel at n = 2k is ``sub``, k = dim ``sub``; else None.
+
+    f = X^k - sum_j M[j][0] X^j is read off lane k of the packed RREF rows, and
+    f's kernel, of dimension k too, is ``sub`` when f's CA sends ``sub`` to zero.
+    """
+    gf, k = sub.field, sub.dim
+    if sub.ambient_n != 2 * k or not k:
+        return None
+    shift = k * gf.width
+    f = Polynomial.from_codes(gf, [gf.neg(r >> shift & gf.mask) for r in sub._echelon.rows] + [1])
+    return f if f.row & gf.mask and LinearCA(f, 2 * k).annihilates(sub) else None

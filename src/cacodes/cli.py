@@ -43,7 +43,7 @@ from .families import (
     search_max_family,
     uniform_gcd_family,
 )
-from .ca import LinearCA
+from .ca import LinearCA, kernel_rule
 from .subspaces import GrassmannianCode
 
 
@@ -157,36 +157,20 @@ def _cmd_analyze(args) -> dict:
         if len(members) >= 2:
             d, gcds = predicted_min_distance(fam)
             check["predicted_min_distance"] = d
-            check["consistent"] = d == params.min_distance and _generates(fam, gcds, code)
+            check["consistent"] = _generates(fam, gcds, code)
         payload["family_check"] = check
     return payload
 
 
 def _generates(fam: CAFamily, profile: GcdProfile, code: GrassmannianCode) -> bool:
-    """True when the members' kernels are exactly the codewords and each pair's
-    GCD degree is the intersection dimension of its kernels, in any member order.
-
-    Each codeword names its rule: the kernel of a_0 + ... + X^k at n = 2k has
-    the RREF [I_k | M] with column k equal to (-a_0, ..., -a_{k-1}).  A
-    codeword of dimension k is the kernel of the member it names when that
-    member's CA sends its basis to zero, as the kernel has dimension k too.
-    Distinct codewords then name distinct members.
+    """True when the codewords are exactly the members' kernels (``kernel_rule``)
+    and each pair's GCD degree is the intersection dimension of its kernels, in
+    any member order.  Distinct codewords name distinct members.
     """
-    gf, k, n = code.field, fam.k, code.ambient_n
-    if gf != fam.field or n != 2 * k or len(code) != len(fam):
-        return False
-    member = {f.row: i for i, f in enumerate(fam)}
-    pack, shift = gf.format.pack, k * gf.width
-    pos = [0] * len(fam)
-    for c, word in enumerate(code):
-        # column k of the RREF: lane k of each packed row
-        column = [gf.neg(r >> shift & gf.mask) for r in word._echelon.rows]
-        i = member.get(pack(column + [1]))
-        if i is None or word.dim != k or not LinearCA(fam[i], n).annihilates(word):
-            return False
-        pos[i] = c
+    member = {f: i for i, f in enumerate(fam)}
+    pos = {member.get(kernel_rule(word)): c for c, word in enumerate(code)}
     inter = code.pairwise_intersection_dims()
-    return all(
+    return None not in pos and len(pos) == len(fam) and all(
         d == inter[max(pos[i], pos[j])][min(pos[i], pos[j])]
         for i, row in enumerate(profile.table)
         for j, d in enumerate(row)

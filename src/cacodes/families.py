@@ -47,11 +47,11 @@ from .errors import (
     DomainError,
     DuplicateMember,
     EmptyFamily,
+    FieldMismatch,
     GNotMonic,
     GZeroConstant,
     InvalidDegree,
     NonPositive,
-    NotBipermutive,
     TooFewMembers,
 )
 from .subspaces import GrassmannianCode
@@ -75,7 +75,7 @@ class CAFamily:
         k = polys[0].degree
         for f in polys:
             if f.field != self.field:
-                raise NotBipermutive("family members must share one field")
+                raise FieldMismatch("family members must share one field")
             if f.degree != k:
                 raise InvalidDegree(
                     f"family members must all have degree {k}, got {f.degree}"

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cacodes.algebra import GF, Polynomial
-from cacodes.ca import LinearCA, LinearRule
+from cacodes.ca import LinearCA, LinearRule, kernel_rule
 from cacodes.channel import ChannelConfig, transmit
 from cacodes.errors import (
     AmbientMismatch,
@@ -285,3 +285,65 @@ def test_annihilates_exactly_the_subspaces_of_the_kernel():
                     assert ca.annihilates(sub) is inside is (sub <= kernel)
                 with pytest.raises(AmbientMismatch):
                     ca.annihilates(Subspace(field, n + 1))
+
+
+# -- reading a rule back off its kernel -------------------------------------------------
+
+
+def lift(field, m):
+    """The row space of [I_k | M], M given as k rows of k codes."""
+    k = len(m)
+    rows = [(0,) * j + (1,) + (0,) * (k - j - 1) + tuple(r) for j, r in enumerate(m)]
+    return Subspace(field, 2 * k, rows)
+
+
+def test_kernel_rule_reads_back_the_rule():
+    rng = random.Random(13)
+    for field in CA_FIELDS:
+        for k in (1, 2, 3, 4):
+            for f in some_rules(field, k, rng, limit=8):
+                assert kernel_rule(LinearCA(f, 2 * k).kernel()) == f
+
+
+def test_kernel_rule_accepts_a_lift_only_when_it_is_a_kernel():
+    # a random [I_k | M] is a kernel exactly when it equals the kernel of the
+    # rule its column k spells, checked here by comparing the two subspaces
+    rng = random.Random(14)
+    for field in CA_FIELDS:
+        for k in (1, 2, 3, 4):
+            for _ in range(8):
+                m = [[rng.randrange(field.q) for _ in range(k)] for _ in range(k)]
+                sub = lift(field, m)
+                column = [field.neg(r[0]) for r in m]
+                f = Polynomial.from_codes(field, column + [1])
+                is_kernel = column[0] != 0 and LinearCA(f, 2 * k).kernel() == sub
+                assert kernel_rule(sub) == (f if is_kernel else None)
+            if k >= 2:
+                # a kernel with one entry past column k changed: column k
+                # still spells its rule, but no rule has this kernel
+                for f in some_rules(field, k, rng, limit=4):
+                    m = [list(r[k:]) for r in LinearCA(f, 2 * k).kernel().basis.rows]
+                    i, j = rng.randrange(k), rng.randrange(1, k)
+                    m[i][j] = (m[i][j] + 1) % field.q
+                    assert kernel_rule(lift(field, m)) is None
+
+
+def test_kernel_rule_of_no_kernel_is_none():
+    rng = random.Random(15)
+    for field in CA_FIELDS:
+        for k in (1, 2, 3):
+            (f,) = some_rules(field, k, rng, limit=1)
+            # other pivots: the last k unit vectors, and a kernel moved one cell along
+            units = [(0,) * (k + j) + (1,) + (0,) * (k - j - 1) for j in range(k)]
+            shifted = [(0,) + r[:-1] for r in LinearCA(f, 2 * k).kernel().basis.rows]
+            subs = [Subspace(field, 2 * k, units), Subspace(field, 2 * k, shifted)]
+            # n != 2 dim, and the zero subspace
+            subs += [LinearCA(f, n).kernel() for n in (2 * k - 1, 2 * k + 1) if n > k]
+            subs += [Subspace(field, 0), Subspace(field, 2 * k)]
+            assert [kernel_rule(sub) for sub in subs] == [None] * len(subs)
+            # column k spells a rule with a zero constant term
+            m = [[rng.randrange(field.q) for _ in range(k)] for _ in range(k)]
+            m[0][0] = 0
+            assert kernel_rule(lift(field, m)) is None
+    rows = [[1, 0, 0, 0, 1, 1], [0, 1, 0, 1, 1, 1], [0, 0, 1, 1, 0, 1]]
+    assert kernel_rule(Subspace(F2, 6, rows)) is None

@@ -206,25 +206,33 @@ def kernel_rows(family, n):
 
 
 # Codewords in place of 1 + X + X^3's kernel, [[1, 0, 0, 1, 0, 1],
-# [0, 1, 0, 1, 1, 1], [0, 0, 1, 0, 1, 1]], whose column k still reads
-# (1, 1, 0) and so names that member, though they are not its kernel
-NAMES_A_MEMBER = {
+# [0, 1, 0, 1, 1, 1], [0, 0, 1, 0, 1, 1]].  The first two still read (1, 1, 0)
+# in column k and so name that member, though they are not its kernel; the
+# third reads (0, 1, 1), which names X + X^2 + X^3, no rule at all
+REPLACEMENTS = {
     # the same pivots 0, 1, 2, one entry past column k flipped
     "not the kernel": [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 1, 1], [0, 0, 1, 0, 1, 1]],
     "pivots 0,1,4": [[1, 0, 0, 1, 0, 1], [0, 1, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]],
+    "zero constant": [[1, 0, 0, 0, 1, 1], [0, 1, 0, 1, 1, 1], [0, 0, 1, 1, 0, 1]],
 }
 
 
 @pytest.mark.parametrize(
     "q, n, replaced",
-    [("2", 6, "not the kernel"), ("2", 6, "pivots 0,1,4"), ("2", 8, None), ("3", 6, None)],
-    ids=["not the kernel", "pivots 0,1,4", "n = 8 != 2k", "family over GF(3)"],
+    [
+        ("2", 6, "not the kernel"),
+        ("2", 6, "pivots 0,1,4"),
+        ("2", 6, "zero constant"),
+        ("2", 8, None),
+        ("3", 6, None),
+    ],
+    ids=["not the kernel", "pivots 0,1,4", "zero constant", "n = 8 != 2k", "family over GF(3)"],
 )
 def test_family_check_refuses_a_code_it_does_not_generate(capsys, tmp_path, q, n, replaced):
     words = kernel_rows(ORDER_FAMILY, n)
     if replaced is not None:
-        assert words[2] != NAMES_A_MEMBER[replaced]
-        words[2] = NAMES_A_MEMBER[replaced]
+        assert words[2] != REPLACEMENTS[replaced]
+        words[2] = REPLACEMENTS[replaced]
     doc = {"q": q, "k": 3, "family": ORDER_FAMILY, "code": {"q": "2", "n": n, "codewords": words}}
     path = tmp_path / "family.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -418,6 +426,8 @@ def test_missing_code_file(capsys):
         ("build-code", "--q", "3", "--k", "2", "--gcd", "4"),
         ("simulate", "--code", "{code}", "--erasures", "-1"),
         ("simulate", "--code", "{code}", "--trials", "0"),
+        # so many trials would run for hours: refused before the first
+        ("simulate", "--code", "{code}", "--trials", "1000000000000"),
         # a lattice this long would not fit in memory: refused before any row is built
         ("kernel", "--q", "2", "--poly", "1,1", "--n", "10000000000000"),
         # a factor table this large would not fit either: refused before the sieve

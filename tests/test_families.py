@@ -13,6 +13,7 @@ from cacodes.errors import (
     DegreeTooLarge,
     DuplicateMember,
     EmptyFamily,
+    FieldMismatch,
     GNotMonic,
     GZeroConstant,
     InvalidDegree,
@@ -77,6 +78,14 @@ def test_family_rejects_duplicates():
 def test_family_rejects_zero_constant():
     with pytest.raises(NotBipermutive):
         CAFamily([P(F2, 0, 1, 1), P(F2, 1, 1, 1)])
+
+
+def test_family_rejects_mixed_fields():
+    members = [P(F2, 1, 1, 1), P(GF(3), 1, 1, 1)]
+    with pytest.raises(FieldMismatch):
+        CAFamily(members)
+    report = verify_family(members, t=2)
+    assert not report.ok and report.detail == "family members must share one field"
 
 
 # -- prediction ----------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 * ``src/`` states its invariants as explicit checks, never ``assert``
   (which ``python -O`` strips).
 * Values are validated once, where they enter: internal producers of
-  polynomials, matrices and subspaces never go back through ``GF.code_of``.
+  polynomials, matrices and subspaces never go back through ``GF.code_of``,
+  and parsed polynomials never through ``GF.element``.
+* The CLI reads no packed rows: the lift layout belongs to ``ca``.
 * A code's pairwise intersection table is computed once per code, with one
   elimination per pair.
 * Each field builds its one packed row format, and the channel works on
@@ -70,6 +72,29 @@ def test_internal_producers_skip_code_of(monkeypatch):
         simulate(code, cfg, trials=3)
     search_max_family(3, 0, GF(2))
     assert calls == []
+
+
+def test_parsed_polynomials_skip_element(capsys, tmp_path, monkeypatch):
+    assert main(["build-code", "--q", "2", "--k", "3", "--gcd", "1,1"]) == 0
+    path = tmp_path / "code.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    calls = []
+    original = GF.element
+    monkeypatch.setattr(
+        GF, "element", lambda self, value: calls.append(value) or original(self, value)
+    )
+    for field, text in ((GF(2), "1,0,1"), (GF(3), "2,0,1"), (GF(2, 2), "[1,1],[0,1]")):
+        assert Polynomial.from_string(field, text).to_string() == text
+    assert Polynomial.from_string(GF(2, 2), "1,0,1").to_string() == "[1,0],[0,0],[1,0]"
+    assert main(["analyze", "--code", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["family_check"]["consistent"] is True
+    assert calls == []
+
+
+def test_cli_reads_no_packed_rows():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert names & {"_echelon", "format", "width", "mask"} == set()
 
 
 def test_each_field_builds_one_row_format(capsys, tmp_path, monkeypatch):
