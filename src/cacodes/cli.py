@@ -12,9 +12,13 @@ simulate    --code code.json --erasures 1 --errors 0 --trials 1000 --seed 7
 
 Every successful run prints one JSON document with an embedded ``manifest``
 (subcommand, all flags, field spec, version, seed where applicable), making
-the run replayable.  Output is byte-stable: keys are sorted and nothing
-derives from the clock.  Exit codes: 0 success, 1 domain error (JSON error
-object on stdout), 2 usage error (argparse).
+the run replayable.  Output is byte-stable: nothing derives from the clock,
+and every document (stdout, ``--out`` and the error objects) is printed as
+the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``: two-space indent,
+sorted keys, ASCII escapes.  From Python 3.13 ``json`` writes those in C;
+before, ``indent`` forces its pure-Python encoder, so ``_dump`` writes them
+instead (``_C_INDENT`` picks once, at import).  Exit codes: 0 success, 1
+domain error (JSON error object on stdout), 2 usage error (argparse).
 
 Polynomials are given in ascending-coefficient text form ("1,1,1" is
 1 + X + X^2); the human-readable rendering appears in *_display fields and
@@ -27,6 +31,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .algebra import GF, Polynomial
@@ -40,7 +45,7 @@ from .families import (
     expected_uniform_gcd_size,
     max_coprime_family_size,
     predicted_min_distance,
-    search_max_family,
+    search_max_family_gcd,
     uniform_gcd_family,
 )
 from .ca import LinearCA, kernel_rule
@@ -57,9 +62,47 @@ def _manifest(args: argparse.Namespace) -> dict:
     return manifest
 
 
+_C_INDENT = sys.version_info >= (3, 13)  # json.dumps(indent=...) runs in C
+
+
 def _emit(payload: dict, file=None) -> None:
     """Print a document in the one pinned byte format, to stdout or ``file``."""
-    print(json.dumps(payload, indent=2, sort_keys=True), file=file)
+    if _C_INDENT:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        text = _dump(payload, "")
+    print(text, file=file)
+
+
+def _dump(x, pad: str) -> str:
+    """``json.dumps(x, indent=2, sort_keys=True)`` for documents with str keys only."""
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is bool or kind is float or x is None:
+        return json.dumps(x)
+    inner = pad + "  "
+    if kind is dict:
+        if not x:
+            return "{}"
+        if set(map(type, x)) != {str}:
+            raise TypeError("keys must be str")
+        items = [
+            inner + encode_basestring_ascii(key) + ": " + _dump(value, inner)
+            for key, value in sorted(x.items())
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not x:
+            return "[]"
+        if set(map(type, x)) == {int}:
+            items = map(int.__repr__, x)
+        else:
+            items = [_dump(value, inner) for value in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _load_code_file(path: str) -> tuple[GrassmannianCode, dict]:
@@ -222,7 +265,7 @@ def _cmd_search_max(args) -> dict:
     if args.budget < 1:
         raise NonPositive(f"--budget must be >= 1, got {args.budget}")
     field = GF.from_spec(args.q)
-    members = search_max_family(args.k, args.t, field, budget=args.budget)
+    members, max_gcd = search_max_family_gcd(args.k, args.t, field, budget=args.budget)
     payload = {
         "manifest": _manifest(args),
         "q": field.spec,
@@ -233,11 +276,9 @@ def _cmd_search_max(args) -> dict:
         "family": [f.to_string() for f in members],
         "family_display": [f.display() for f in members],
     }
-    if len(members) >= 2:
-        fam = CAFamily(members)
-        d, profile = predicted_min_distance(fam)
-        payload["max_gcd_degree"] = profile.max_gcd_degree
-        payload["min_distance"] = d
+    if max_gcd is not None:
+        payload["max_gcd_degree"] = max_gcd
+        payload["min_distance"] = 2 * args.k - 2 * max_gcd
     return payload
 
 

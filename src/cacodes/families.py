@@ -322,7 +322,9 @@ def expected_uniform_gcd_size(k: int, t: int, field: GF) -> int:
     """Predicted cardinality of uniform_gcd_family: I'_(k-t) + sum_{i<=r/2} I'_i."""
     if k < 1:
         raise NonPositive(f"degree must be >= 1, got {k}")
-    if t > k or t < 0:
+    if t < 0:
+        raise NonPositive(f"gcd degree must be >= 0, got {t}")
+    if t > k:
         raise DegreeTooLarge(f"gcd degree {t} out of range for k = {k}")
     r = k - t
     if r == 0:
@@ -443,6 +445,15 @@ def search_max_family(
     small instances are allowed (|Poly_k| <= budget).  Deterministic: the
     lexicographically smallest optimum is returned, members in lex order.
     """
+    return search_max_family_gcd(k, t, field, budget)[0]
+
+
+def search_max_family_gcd(
+    k: int, t: int, field: GF, budget: int = 512
+) -> tuple[tuple[Polynomial, ...], int | None]:
+    """``search_max_family`` and its largest pairwise gcd degree (None below two
+    members), read off the factor masks the search built.
+    """
     if k < 1:
         raise NonPositive(f"degree must be >= 1, got {k}")
     if t < 0:
@@ -456,8 +467,13 @@ def search_max_family(
             f"|Poly_{k}(F_{q})| = {q}^{k} - {q}^{k - 1} exceeds budget {budget}"
         )
     vertices = enumerate_rule_polynomials(k, field)
-    clique = _max_clique(_compatibility(vertices, t))
-    return tuple(vertices[i] for i in clique)
+    masks = _gcd_masks(FactorTable(field, k), vertices)
+    clique = _max_clique(_compatibility(masks, t))
+    top = max(
+        ((masks[i] & masks[j]).bit_count() for i, j in itertools.combinations(clique, 2)),
+        default=None,
+    )
+    return tuple(vertices[i] for i in clique), top
 
 
 def search_max_exact_gcd(
@@ -476,15 +492,12 @@ def search_max_exact_gcd(
     return tuple(sorted((g * h for h in cofactors), key=Polynomial.to_codes))
 
 
-def _compatibility(vertices: Sequence[Polynomial], t: int) -> list[int]:
-    """Bitset adjacency: bit j of entry i is set when deg gcd(v_i, v_j) <= t.
-
-    Every vertex is read off one table to the highest vertex degree.
+def _compatibility(masks: Sequence[int], t: int) -> list[int]:
+    """Bitset adjacency: bit j of entry i is set when deg gcd(v_i, v_j) <= t,
+    from the vertices' ``_gcd_masks``.
     """
-    top = max(int(v.degree) for v in vertices)
-    masks = _gcd_masks(FactorTable(vertices[0].field, top), vertices)
-    nbr = [0] * len(vertices)
-    for i, j in itertools.combinations(range(len(vertices)), 2):
+    nbr = [0] * len(masks)
+    for i, j in itertools.combinations(range(len(masks)), 2):
         if (masks[i] & masks[j]).bit_count() <= t:
             nbr[i] |= 1 << j
             nbr[j] |= 1 << i

@@ -271,6 +271,34 @@ def test_search_max_budget_must_be_positive(capsys, budget):
     assert "--budget" in doc["error"]["message"]
 
 
+def test_search_max_builds_one_factor_table(capsys, monkeypatch):
+    built = []
+    init = algebra_module.FactorTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra_module.FactorTable, "__init__", counted)
+    code, doc = run_json(capsys, "search-max", "--q", "3", "--k", "4", "--t", "2")
+    assert code == 0 and doc["max_gcd_degree"] == 2
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "command, t, name, message",
+    [
+        ("count", "-1", "NonPositive", "gcd degree must be >= 0, got -1"),
+        ("search-max", "-1", "NonPositive", "gcd degree bound must be >= 0, got -1"),
+        ("count", "4", "DegreeTooLarge", "gcd degree 4 out of range for k = 3"),
+    ],
+)
+def test_gcd_degree_out_of_range_is_named(capsys, command, t, name, message):
+    code, doc = run_json(capsys, command, "--q", "2", "--k", "3", "--t", t)
+    assert code == 1
+    assert doc["error"] == {"name": name, "message": message}
+
+
 # -- GCD degrees from factorizations ----------------------------------------------------------
 
 # SHA-256 of stdout as the pairwise poly_gcd implementation printed it;

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cacodes import families
-from cacodes.algebra import GF, Polynomial, poly_gcd
+from cacodes.algebra import GF, FactorTable, Polynomial, poly_gcd
 from cacodes.ca import LinearCA
 from cacodes.errors import (
     BudgetExceeded,
@@ -25,6 +25,7 @@ from cacodes.families import (
     CAFamily,
     GcdProfile,
     _compatibility,
+    _gcd_masks,
     _max_clique,
     code_from_family,
     count_irreducibles,
@@ -37,6 +38,7 @@ from cacodes.families import (
     predicted_min_distance,
     search_max_exact_gcd,
     search_max_family,
+    search_max_family_gcd,
     uniform_gcd_family,
     verify_family,
 )
@@ -170,6 +172,7 @@ def test_gcd_profile_matches_poly_gcd_on_random_families(field, k):
 def test_compatibility_matches_poly_gcd_graph_for_every_t(field, k):
     vertices = enumerate_rule_polynomials(k, field)
     table = _gcd_table(vertices)
+    masks = _gcd_masks(FactorTable(field, k), vertices)
     for t in range(k + 1):
         expected = [0] * len(vertices)
         for i, row in enumerate(table):
@@ -177,7 +180,7 @@ def test_compatibility_matches_poly_gcd_graph_for_every_t(field, k):
                 if d <= t:
                     expected[i] |= 1 << j
                     expected[j] |= 1 << i
-        assert _compatibility(vertices, t) == expected
+        assert _compatibility(masks, t) == expected
 
 
 # -- code construction ------------------------------------------------------------------------
@@ -419,6 +422,18 @@ def test_search_deterministic():
     assert a == b
     report = verify_family(list(a), t=1)
     assert report.ok
+
+
+@pytest.mark.parametrize(
+    "k, t, field", [(1, 0, F2), (3, 0, F2), (4, 1, F2), (3, 1, F3), (4, 2, F3), (2, 0, F4)]
+)
+def test_search_reports_the_family_gcd_maximum(k, t, field):
+    members, top = search_max_family_gcd(k, t, field)
+    assert members == search_max_family(k, t, field)
+    if len(members) < 2:
+        assert top is None
+    else:
+        assert top == gcd_profile(CAFamily(members)).max_gcd_degree <= t
 
 
 def test_search_output_is_valid_family():
