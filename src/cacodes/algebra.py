@@ -348,7 +348,9 @@ class RowFormat:
     * every other field (this base class): lanes just wide enough for a
       code, and a row operation unpacks both rows and works entry by entry.
 
-    Packing trusts its codes to lie in [0, q).
+    ``lex_key`` orders rows as their codes do: GF(2) reads the key off the
+    row's bits and the byte lanes off its bytes, the others unpack.  Packing
+    trusts its codes to lie in [0, q).
     """
 
     __slots__ = ("field", "width", "mask")
@@ -366,6 +368,11 @@ class RowFormat:
         """The codes of the n lanes 0..n-1 of ``row``, which has no more lanes."""
         w, mask = self.width, self.mask
         return tuple([row >> s & mask for s in range(0, n * w, w)])
+
+    def lex_key(self, rows: Sequence[int], n: int) -> tuple | bytes | str:
+        """A key of rows of n lanes whose order is the lexicographic order of
+        their codes, row after row; rows that unpack alike share a key."""
+        return tuple([self.unpack(row, n) for row in rows])
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
         """The row u - c*v: the one row operation, of elimination and polynomials."""
@@ -387,6 +394,12 @@ class _XorFormat(RowFormat):
         self.times = [
             tuple(field.mul(c, 1 << i) for i in range(field.m)) for c in range(field.q)
         ]
+
+    def lex_key(self, rows: Sequence[int], n: int) -> tuple | str:
+        if self.width != 1:
+            return super().lex_key(rows, n)
+        # GF(2): a row's binary digits, reversed, read lane 0 first
+        return "".join([f"{row:0{n}b}"[::-1] for row in rows])
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
         if c == 1:
@@ -416,6 +429,9 @@ class _ModFormat(RowFormat):
 
     def unpack(self, row: int, n: int) -> tuple[int, ...]:
         return tuple(row.to_bytes(n, "little"))
+
+    def lex_key(self, rows: Sequence[int], n: int) -> bytes:
+        return b"".join([row.to_bytes(n, "little") for row in rows])
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
         x = u + (self.field.p - c) * v  # no lane carries, so x has the longer row's lanes

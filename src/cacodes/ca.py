@@ -18,9 +18,12 @@ from the k unit seeds: the kernel elements are precisely the truncated
 linear recurring sequences with feedback polynomial equal to the rule.
 The remainders X^i mod f, f the rule polynomial, obey the same recurrence,
 so cell i of the j-th unit-seed preimage is the coefficient of X^j in
-X^i mod f: ``kernel`` is polynomial arithmetic on packed rows.  At n = 2k
-that basis is the lift [I_k | M] whose column k is (-a_0, ..., -a_{k-1}),
-and ``kernel_rule`` reads the rule back off it: the kernel's inverse.
+X^i mod f.  ``kernel`` computes one sequence, the impulse response (the
+coefficients of X^(k-1)), and derives every preimage from it by one shift
+and one row operation on packed rows; the preimages start with the k unit
+vectors, so they already are the kernel's RREF.  At n = 2k that basis is
+the lift [I_k | M] whose column k is (-a_0, ..., -a_{k-1}), and
+``kernel_rule`` reads the rule back off it: the kernel's inverse.
 """
 
 from __future__ import annotations
@@ -167,20 +170,35 @@ class LinearCA:
         """The kernel of the CA: a k-dimensional subspace of GF(q)^n.
 
         Spanned by the preimages of the k unit seeds: cell i of the j-th is
-        the coefficient of X^j in X^i mod f, f the rule.  Each remainder is
-        the last one shifted one lane up, lane k cancelled by one row
-        operation with f.  The first k remainders are the unit vectors, so
-        the preimages already are the reduced basis.  Always equals the null
-        space of the transition matrix.
+        c_ij, the coefficient of X^j in X^i mod f, f the rule.  One impulse
+        response u, u_i = c_i,k-1 for i < n + k - 1, gives them all: each
+        remainder is the last one shifted one lane up, its lane k (which is
+        u_i) cancelled by one row operation with f, and X^(i+1) mod f reads
+        c_ij = c_(i+1),(j+1) + a_(j+1) u_i.  So row k-1 is u and row j is
+        row j+1 shifted one lane down plus a_(j+1) u, each cut to n lanes.
+        The first k remainders are the unit vectors, so the rows already are
+        the reduced basis and go into the subspace as they are.  Always
+        equals the null space of the transition matrix.
         """
-        gf, k, fmt = self.field, self.k, self.field.format
-        rule, top = self.rule.poly.row, k * fmt.width
-        rem, cells = 1, []
-        for _ in range(self.n):
-            cells.append(fmt.unpack(rem, k))  # deg rem < k
-            rem <<= fmt.width
-            rem = fmt.sub_scaled(rem, rem >> top, rule)
-        return Subspace.from_echelon(Echelon(gf, self.n, zip(*cells)))
+        gf, n, k, fmt = self.field, self.n, self.k, self.field.format
+        w, sub_scaled, rule = fmt.width, fmt.sub_scaled, self.rule.poly
+        rem, top, lanes = 1, k * w, []
+        for _ in range(n + k - 1):
+            rem <<= w
+            c = rem >> top
+            lanes.append(c)
+            if c:
+                rem = sub_scaled(rem, c, rule.row)
+        row = u = fmt.pack(lanes)
+        low = (1 << n * w) - 1
+        rows = [u & low]
+        for a in reversed(rule.to_codes()[1:k]):  # a_(k-1), ..., a_1
+            row >>= w
+            if a:
+                row = sub_scaled(row, gf.neg(a), u)
+            rows.append(row & low)
+        rows.reverse()
+        return Subspace.from_echelon(Echelon.from_rref(gf, n, rows), reduced=True)
 
     def __repr__(self):
         return f"LinearCA({self.rule.poly.display()}, n={self.n} over GF({self.field.spec}))"

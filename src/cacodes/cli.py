@@ -46,7 +46,7 @@ from .families import (
     max_coprime_family_size,
     predicted_min_distance,
     search_max_family_gcd,
-    uniform_gcd_family,
+    uniform_gcd_family_gcd,
 )
 from .ca import LinearCA, kernel_rule
 from .subspaces import GrassmannianCode
@@ -141,9 +141,8 @@ def _cmd_kernel(args) -> dict:
 def _cmd_build_code(args) -> dict:
     field = GF.from_spec(args.q)
     g = Polynomial.from_string(field, args.gcd)
-    members = uniform_gcd_family(args.k, g)
-    fam = CAFamily(members)
-    code = code_from_family(fam)
+    members, max_gcd = uniform_gcd_family_gcd(args.k, g)
+    code = code_from_family(CAFamily(members))
     t = int(g.degree)
     payload = {
         "manifest": _manifest(args),
@@ -158,9 +157,7 @@ def _cmd_build_code(args) -> dict:
         "expected_size": expected_uniform_gcd_size(args.k, t, field),
         "n": 2 * args.k,
         "code": code.to_json(),
-        "predicted_min_distance": (
-            predicted_min_distance(fam)[0] if len(members) >= 2 else None
-        ),
+        "predicted_min_distance": None if max_gcd is None else 2 * args.k - 2 * max_gcd,
     }
     return payload
 

@@ -13,6 +13,10 @@ factorizations: each polynomial is factored once (``algebra.FactorTable``),
 and deg gcd(f, g) is the sum of min(multiplicity) * degree over the shared
 irreducible factors, one AND of two bitmasks (``_gcd_masks``).  ``poly_gcd``
 stays as the independent route of ``verify_family`` and the tests.
+``gcd_profile`` builds the full pairwise table, which ``analyze`` prints;
+``build-code`` needs only the maximum and reads it off the sieve that built
+its family (``uniform_gcd_family_gcd``), through an index of shared factors
+that visits no coprime pair.
 
 Family membership is restricted to Poly_k(F_q): monic, degree k, nonzero
 constant term.  The degree-1 irreducible X is therefore excluded everywhere
@@ -289,9 +293,23 @@ def uniform_gcd_family(k: int, g: Polynomial) -> tuple[Polynomial, ...]:
     I'_r + sum_{i=1}^{floor(r/2)} I'_i.  Returns members in lexicographic
     order; t = k returns just (g,).  Every degree is read from one sieve to r.
     """
-    r = k - _gcd_degree(k, g)
+    return uniform_gcd_family_gcd(k, g)[0]
+
+
+def uniform_gcd_family_gcd(
+    k: int, g: Polynomial
+) -> tuple[tuple[Polynomial, ...], int | None]:
+    """``uniform_gcd_family`` and its largest pairwise gcd degree (None below two
+    members), read off the sieve that built it.
+
+    gcd(g*h1, g*h2) = g * gcd(h1, h2), so the maximum is deg g plus the
+    largest deg gcd of two cofactors.  Each cofactor has degree r, so its
+    factors are a lookup in the sieve's table, and g is never factored.
+    """
+    t = _gcd_degree(k, g)
+    r = k - t
     if r == 0:
-        return (g,)
+        return (g,), None
     table = FactorTable(g.field, r)
 
     def primed(n: int) -> tuple[Polynomial, ...]:  # I'_n, lexicographic
@@ -300,8 +318,31 @@ def uniform_gcd_family(k: int, g: Polynomial) -> tuple[Polynomial, ...]:
     cofactors = list(primed(r))
     for i in range(1, r // 2 + 1):
         cofactors += [u * v for u, v in zip(primed(i), primed(r - i))]
-    members = sorted((g * h for h in cofactors), key=Polynomial.to_codes)
-    return tuple(members)
+    members = tuple(sorted((g * h for h in cofactors), key=Polynomial.to_codes))
+    if len(members) < 2:
+        return members, None
+    return members, t + _max_shared_degree(table.factor(h) for h in cofactors)
+
+
+def _max_shared_degree(factorizations: Iterable[Sequence[Polynomial]]) -> int:
+    """The largest deg gcd over pairs of polynomials, each given by its monic
+    irreducible factors with multiplicity; 0 when no two share a factor.
+
+    An inverted index lists, for each factor p and copy c (the c-th copy of p
+    in one factorization), the polynomials that hold it.  Only pairs listed
+    together are visited, and each such entry adds deg p to the pair's gcd.
+    """
+    holders: dict[tuple[Polynomial, int], list[int]] = {}
+    for i, factors in enumerate(factorizations):
+        copies: dict[Polynomial, int] = {}
+        for p in factors:
+            c = copies[p] = copies.get(p, -1) + 1
+            holders.setdefault((p, c), []).append(i)
+    shared: dict[tuple[int, int], int] = {}
+    for (p, _), held in holders.items():
+        for pair in itertools.combinations(held, 2):
+            shared[pair] = shared.get(pair, 0) + int(p.degree)
+    return max(shared.values(), default=0)
 
 
 def _gcd_degree(k: int, g: Polynomial) -> int:

@@ -206,7 +206,8 @@ class Echelon:
     their pivot columns: each row is zero before its pivot and 1 at it, so
     every row below a pivot is zero in its column.  ``insert`` never changes
     a held row; ``reduce`` back-substitutes them into the RREF in place.
-    ``copy`` seeds a new echelon with the held rows without repacking.
+    ``copy`` seeds a new echelon with the held rows without repacking, and
+    ``from_rref`` with packed rows already in RREF.
     """
 
     __slots__ = ("field", "ncols", "rows", "pivots")
@@ -219,6 +220,16 @@ class Echelon:
         pack = field.format.pack
         for row in rows:
             self.insert(pack(row))
+
+    @classmethod
+    def from_rref(cls, field: GF, ncols: int, rows: list[int]) -> "Echelon":
+        """An echelon that holds packed rows which already are an RREF, in
+        ascending pivot order; each pivot is read off its row's lowest lane."""
+        ech = cls.__new__(cls)
+        ech.field, ech.ncols, ech.rows = field, ncols, rows
+        w = field.width
+        ech.pivots = [((row & -row).bit_length() - 1) // w for row in rows]
+        return ech
 
     @property
     def rank(self) -> int:

@@ -54,7 +54,8 @@ class Subspace:
 
     def __init__(self, field: GF, ambient_n: int, rows: Iterable[Sequence[int]] = ()):
         rows = MatrixGF(field, rows, ncols=ambient_n).rows
-        self._set(Echelon(field, ambient_n, rows))
+        self.field, self.ambient_n = field, ambient_n
+        self._echelon = Echelon(field, ambient_n, rows).reduce()
 
     @classmethod
     def from_matrix(cls, rows: MatrixGF) -> "Subspace":
@@ -62,14 +63,13 @@ class Subspace:
         return cls.from_echelon(Echelon(rows.field, rows.ncols, rows.rows))
 
     @classmethod
-    def from_echelon(cls, ech: Echelon) -> "Subspace":
-        """The span of an echelon's rows; the subspace keeps the echelon."""
+    def from_echelon(cls, ech: Echelon, reduced: bool = False) -> "Subspace":
+        """The span of an echelon's rows; the subspace keeps the echelon,
+        back-substituted into the RREF unless ``reduced`` says it already is."""
         sub = cls.__new__(cls)
-        sub._set(ech)
+        sub.field, sub.ambient_n = ech.field, ech.ncols
+        sub._echelon = ech if reduced else ech.reduce()
         return sub
-
-    def _set(self, ech: Echelon) -> None:
-        self.field, self.ambient_n, self._echelon = ech.field, ech.ncols, ech.reduce()
 
     @property
     def basis(self) -> MatrixGF:
@@ -222,8 +222,11 @@ class GrassmannianCode:
     """An ordered set of distinct subspaces of one ambient space.
 
     Codewords are kept sorted by their canonical basis (lexicographic on the
-    flattened RREF entries) and deduplicated; ``duplicates_removed`` records
-    how many inputs collapsed onto an earlier codeword.
+    flattened RREF entries, the order of ``Subspace.sort_key``) and
+    deduplicated; ``duplicates_removed`` records how many inputs collapsed
+    onto an earlier codeword.  The order is read off the packed rows
+    (``RowFormat.lex_key``), so over GF(2) and GF(p), p <= 13, building a
+    code unpacks no codeword.
     """
 
     __slots__ = (
@@ -235,11 +238,12 @@ class GrassmannianCode:
         self.ambient_n = ambient_n
         seen = {}
         total = 0
+        key = field.format.lex_key
         for s in subspaces:
             if s.field != field or s.ambient_n != ambient_n:
                 raise AmbientMismatch("codeword from a different ambient space")
             total += 1
-            seen.setdefault(s.sort_key(), s)
+            seen.setdefault(key(s._echelon.rows, ambient_n), s)
         self.codewords: tuple[Subspace, ...] = tuple(
             seen[k] for k in sorted(seen)
         )
@@ -313,6 +317,9 @@ class GrassmannianCode:
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannianCode":
         """Parse the code file format; a malformed document is a ``ParseError``."""
+        for key in ("q", "n", "codewords"):
+            if key not in data:
+                raise ParseError(f"a code object needs {key!r}")
         q, n, words = data["q"], data["n"], data["codewords"]
         if not isinstance(q, str):
             raise ParseError(f"field spec {q!r} is not a string")

@@ -266,6 +266,29 @@ def test_kernel_agrees_with_nullspace_route():
             assert len(set(same_length)) == len(same_length)
 
 
+# every row format, with the widest lanes of each: GF(2^3) XOR, GF(13) byte
+KERNEL_FIELDS = (*CA_FIELDS, GF(2, 3), GF(13))
+
+
+def test_kernel_rows_are_the_null_space_rref():
+    # the kernel's rows go into its subspace as they are, with no elimination:
+    # they must be the RREF of the transition matrix's null space, pivots too
+    rng = random.Random(16)
+    for field in KERNEL_FIELDS:
+        for k in (1, 2, 3):
+            for rule in some_rules(field, k, rng, limit=6):
+                for n in (k + 1, 2 * k, 3 * k + 2):
+                    ca = LinearCA(rule, n)
+                    kernel = ca.kernel()
+                    null = Subspace.from_matrix(ca.transition_matrix().nullspace_basis())
+                    assert kernel == null and kernel.basis == null.basis
+                    assert kernel._echelon.pivots == null._echelon.pivots == list(range(k))
+                    if field.m == 1 and field.q**n <= 4096:
+                        brute = oracles.kernel_set(rule.to_codes(), n, field.p)
+                        assert oracles.span_set(kernel.basis.rows, n, field.p) == brute
+                assert kernel_rule(LinearCA(rule, 2 * k).kernel()) == rule
+
+
 def test_annihilates_exactly_the_subspaces_of_the_kernel():
     # the whole basis goes through the CA in one packed row, configurations
     # side by side; each must come out as the CA of that configuration alone

@@ -285,6 +285,24 @@ def test_search_max_builds_one_factor_table(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_build_code_reads_its_gcd_maximum_off_its_sieve(capsys, monkeypatch):
+    built, profiles = [], []
+    init = algebra_module.FactorTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra_module.FactorTable, "__init__", counted)
+    profile = families_module.gcd_profile
+    monkeypatch.setattr(
+        families_module, "gcd_profile", lambda fam: profiles.append(1) or profile(fam)
+    )
+    code, doc = run_json(capsys, "build-code", "--q", "3", "--k", "4", "--gcd", "1,1")
+    assert code == 0 and doc["size"] == 10 and doc["predicted_min_distance"] == 6
+    assert len(built) == 1 and profiles == []
+
+
 @pytest.mark.parametrize(
     "command, t, name, message",
     [
@@ -461,15 +479,29 @@ def test_missing_code_file(capsys):
         # a factor table this large would not fit either: refused before the sieve
         ("build-code", "--q", "2", "--k", "40"),
         ("build-code", "--q", "2", "--k", "1000000000000"),
+        # a code object without its field or its length, bare or in a document
+        ("analyze", "--code", "{bare_without_q}"),
+        ("analyze", "--code", "{bare_without_n}"),
+        ("simulate", "--code", "{document_without_q}"),
+        ("analyze", "--code", "{document_without_n}"),
     ],
     ids=" ".join,
 )
-def test_malformed_input_is_a_json_error(capsys, code_file, argv):
+def test_malformed_input_is_a_json_error(capsys, tmp_path, code_file, argv):
+    paths = {}
+    for key in ("q", "n"):
+        bare = {k: v for k, v in {"q": "2", "n": 2, "codewords": []}.items() if k != key}
+        for name, doc in (("bare", bare), ("document", {"code": bare})):
+            path = paths[f"{name}_without_{key}"] = tmp_path / f"{name}-without-{key}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
     start = time.perf_counter()
-    code, doc = run_json(capsys, *(a.format(code=code_file) for a in argv))
+    code, doc = run_json(capsys, *(a.format(code=code_file, **paths) for a in argv))
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert set(doc["error"]) == {"name", "message"}
+    if "without" in argv[-1]:
+        missing = argv[-1].strip("{}").rsplit("_", 1)[1]
+        assert doc["error"] == {"name": "ParseError", "message": f"a code object needs {missing!r}"}
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Rule families: construction, distance prediction, counting, exact search."""
 
+import functools
 import itertools
 import random
 
@@ -27,6 +28,7 @@ from cacodes.families import (
     _compatibility,
     _gcd_masks,
     _max_clique,
+    _max_shared_degree,
     code_from_family,
     count_irreducibles,
     enumerate_irreducibles,
@@ -40,6 +42,7 @@ from cacodes.families import (
     search_max_family,
     search_max_family_gcd,
     uniform_gcd_family,
+    uniform_gcd_family_gcd,
     verify_family,
 )
 
@@ -434,6 +437,52 @@ def test_search_reports_the_family_gcd_maximum(k, t, field):
         assert top is None
     else:
         assert top == gcd_profile(CAFamily(members)).max_gcd_degree <= t
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4, GF(5)], ids=str)
+def test_shared_factor_index_matches_pairwise_gcds(field):
+    # products of a few small irreducibles, drawn with repeats, so that pairs
+    # share factors, some in several copies; the lists keep the drawn order
+    pool = [f for f in FactorTable(field, 2).irreducibles if f.row & field.mask]
+    rng = random.Random(field.q)
+    shared = 0
+    for _ in range(60):
+        factorizations = [
+            [rng.choice(pool) for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(2, 7))
+        ]
+        polys = [functools.reduce(Polynomial.__mul__, fs, P(field, 1)) for fs in factorizations]
+        expected = max(poly_gcd(f, g).degree for f, g in itertools.combinations(polys, 2))
+        assert _max_shared_degree(factorizations) == expected
+        shared += expected > max(f.degree for f in pool)  # two shared factors, or copies
+    assert shared > 0
+    assert _max_shared_degree([[pool[0]]]) == _max_shared_degree([]) == 0
+
+
+def _uniform_gcd_cases():
+    """(k, g) over each field for t = 0, 1, 2, plus the cases that could
+    trouble a maximum read off the cofactors alone."""
+    for field, top in ((F2, 7), (F3, 5), (GF(5), 3), (F4, 3)):
+        for t in (0, 1, 2):
+            gs = itertools.islice(enumerate_rule_polynomials(t, field), 3) if t else [P(field, 1)]
+            for g in gs:
+                for k in range(max(t, 1), top + 1):
+                    yield k, g
+    yield 5, P(F2, 1, 0, 1)  # (X+1)^2, sharing X+1 with the cofactor (X+1)(X^2+X+1)
+    yield 3, P(F2, 1, 1)  # X+1 divides the cofactor (X+1)^2
+    yield 4, P(F3, 1, 1)  # X+1 divides the cofactor (X+1)(X^2+1)
+    yield 8, P(F2, 1, 0, 1, 0, 1, 0, 1)  # (X+1)^6: deg g > 2r + 1 = 5, and shared
+    yield 5, P(F3, 2, 0, 1, 1, 1)  # deg g = 4 > 2r + 1 = 3
+    yield 5, P(GF(5), 1, 1, 1, 1, 1)  # deg g = 4 > 2r + 1 = 3
+
+
+@pytest.mark.parametrize("k, g", list(_uniform_gcd_cases()), ids=str)
+def test_uniform_gcd_maximum_matches_the_gcd_profile(k, g):
+    members, top = uniform_gcd_family_gcd(k, g)
+    assert members == uniform_gcd_family(k, g)
+    if len(members) < 2:
+        assert top is None
+    else:
+        assert top == gcd_profile(CAFamily(members)).max_gcd_degree
 
 
 def test_search_output_is_valid_family():

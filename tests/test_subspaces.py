@@ -280,6 +280,31 @@ def test_codewords_sorted_and_deduplicated():
     assert code.constant_dim == 2
 
 
+# every row format: XOR (GF(2), GF(2^2), GF(2^3)), byte (GF(3), GF(13)) and
+# per-entry lanes (GF(17), GF(3^2)); GF(2) and the byte lanes key without unpacking
+KEY_FIELDS = [F2, GF(2, 2), GF(2, 3), F3, GF(13), GF(17), GF(3, 2)]
+
+
+@pytest.mark.parametrize("field", KEY_FIELDS, ids=str)
+def test_codeword_order_is_sort_key_order(field):
+    # mixed dimensions, zero subspaces and duplicates: the packed key orders
+    # and merges codewords exactly as their unpacked sort keys do
+    rng = random.Random(field.q)
+    key = field.format.lex_key
+    for _ in range(25):
+        n = rng.randint(0, 6)
+        subs = [random_subspace(field, n, rng, max_rows=n) for _ in range(rng.randint(1, 10))]
+        subs += [Subspace(field, n)] + rng.choices(subs, k=3)
+        rng.shuffle(subs)
+        code = GrassmannianCode(field, n, subs)
+        expected = sorted({s.sort_key() for s in subs})
+        assert [s.sort_key() for s in code] == expected
+        assert code.duplicates_removed == len(subs) - len(expected)
+        for a, b in itertools.combinations(subs, 2):
+            ka, kb = key(a._echelon.rows, n), key(b._echelon.rows, n)
+            assert (ka < kb, ka == kb) == (a.sort_key() < b.sort_key(), a == b)
+
+
 def test_json_round_trip_exact():
     code = coprime_pair_code()
     blob = json.dumps(code.to_json(), sort_keys=True)
