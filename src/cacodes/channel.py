@@ -10,8 +10,12 @@ The decoder picks the codeword closest to U in the subspace metric.  Ties
 are never broken silently: an ambiguous trial reports every tied index, and
 the statistics count it as a failure.  Whenever 2 d(U, V) < D(code) the
 metric guarantees unique decoding, which the simulator checks per trial.
-It needs ranks only, and stops each codeword's elimination as soon as that
-codeword cannot reach the best distance found so far.
+It needs ranks only.  The triangle inequality d(C, U) >= d(C, A) - d(A, U)
+skips, without elimination, every codeword C with d(C, A) > 2 d(A, U),
+where A is the nearest codeword so far and d(C, A) comes off the code's
+pairwise table; inside the unique-decoding radius that leaves only V.
+Any other codeword's elimination stops as soon as it cannot reach the best
+distance found so far.
 
 Determinism: each trial draws from ``random.Random(f"{seed}:{trial}")``, so
 results are bit-identical for a fixed seed regardless of trial order or
@@ -35,8 +39,9 @@ from .linalg import Echelon
 from .subspaces import GrassmannianCode, Subspace, _joint_rank
 
 _MAX_REDRAWS = 256  # per needed vector; failure means a broken RNG, not bad luck
-# a trial of a 23- to 53-codeword code takes 0.3-0.7 ms with one erasure and
-# one error dimension (Python 3.11, 2-core x86-64), so this bound is a minute
+# a trial of a 23- to 53-codeword code takes 0.10-0.17 ms with one or two
+# erasures and one error dimension (Python 3.11, 2-core x86-64), so this
+# bound is 10-17 s
 MAX_TRIALS = 100_000
 
 
@@ -129,13 +134,20 @@ def decode_min_distance(
 ) -> TrialResult:
     """Nearest-codeword decoding in the subspace metric, ties reported as such.
 
+    The nearest codeword so far, the anchor A at distance ``best``, rules
+    out every C with d(C, A) > 2 best: d(C, U) >= d(C, A) - best > best.
+    d(C, A) is read off ``code.pairwise_intersection_dims()``, the cached
+    table that ``simulate`` (and demo 05) build for D first; a lone decode
+    on a fresh code pays for the table once.  Any other C is eliminated:
     d(C, U) = 2 rank - dim C - dim U, where the rank of C stacked on U only
     grows as U's rows go into C's echelon.  Once that lower bound is above
-    the best distance so far, C's elimination stops: C is farther than the
-    minimum, so it can be neither decoded nor tied.  Every codeword at or
-    below the running best is measured exactly, so the visiting order cannot
-    change the decision.  The sent codeword, when given, goes first, because
-    ``distance_to_sent`` needs its exact distance.
+    the best distance so far, C's elimination stops.  A codeword skipped
+    either way is farther than the minimum, so it can be neither decoded
+    nor tied; every codeword at or below the running best is measured
+    exactly, so the visiting order cannot change the decision.  The sent
+    codeword, when given, goes first, because ``distance_to_sent`` needs its
+    exact distance; a negative ``sent_index`` counts from the end and is
+    reported normalised.
     """
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
@@ -143,14 +155,21 @@ def decode_min_distance(
     # indexes like a sequence: a negative index counts from the end
     first = 0 if sent_index is None else range(len(words))[sent_index]
     words[first]._check(U)
+    table = code.pairwise_intersection_dims()
     best = 2 * U.ambient_n  # no distance is larger: the first runs to the end
-    exact = {}
+    anchor, exact = first, {}
     for i in (first, *range(first), *range(first + 1, len(words))):
         c = words[i]
+        if i != anchor:
+            # d(C, U) >= d(C, anchor) - best: past 2 best, C is farther than best
+            meet = table[i][anchor] if i > anchor else table[anchor][i]
+            if c.dim + words[anchor].dim - 2 * meet > 2 * best:
+                continue
         dims = c.dim + U.dim
         d = 2 * _joint_rank(c, U, cap=(best + dims) // 2) - dims
         if d <= best:
             best = exact[i] = d
+            anchor = i
     tied = tuple(sorted(i for i, d in exact.items() if d == best))
     ambiguous = len(tied) > 1
     return TrialResult(
@@ -159,7 +178,7 @@ def decode_min_distance(
         ambiguous=ambiguous,
         tied=tied,
         min_distance_found=best,
-        sent_index=sent_index,
+        sent_index=None if sent_index is None else first,
         distance_to_sent=None if sent_index is None else exact[first],
     )
 

@@ -171,6 +171,17 @@ def test_decode_without_sent_index():
     assert not res.success  # undisclosed sent codeword never counts as success
 
 
+def test_decode_negative_sent_index_counts_from_the_end():
+    code = coprime_triple_code()
+    size = len(code)
+    for sent_index in (-1, -size):
+        i = sent_index + size
+        res = decode_min_distance(code, code[sent_index], sent_index=sent_index)
+        assert res.sent_index == res.decoded_index == i
+        assert res.distance_to_sent == 0 and res.success
+        assert res == decode_min_distance(code, code[i], sent_index=i)
+
+
 def test_decode_within_unique_radius():
     code = coprime_pair_code()  # D = 4, corrects distance <= 1
     cfg = ChannelConfig(erasures=1, seed=5)
@@ -222,6 +233,37 @@ def decoder_cases(field, rng):
             picks = rng.sample(range(len(code)), min(len(code), rng.randint(2, 3)))
             vectors = [next(iter(code[i].basis.rows), (0,) * n) for i in picks]
             yield code, Subspace(field, n, vectors)
+    # blind decodes whose anchor must move off codeword 0: over the shared-pivot
+    # table of a CA code, and the stacked table of a mixed-dimension code
+    mixed = GrassmannianCode(
+        field, n, [random_subspace(field, n, rng, dim=k - i % 2) for i in range(8)]
+    )
+    for code in (codes[0], mixed):
+        yield from far_first_cases(code, rng)
+
+
+def far_first_cases(code, rng, count=8):
+    """(code, received) pairs in which codeword 0 is the farthest and the
+    nearest codewords come later: U lies near one later codeword, or meets
+    several."""
+    field, n, found = code.field, code.ambient_n, 0
+    for trial in range(400):
+        picks = rng.sample(range(1, len(code)), min(len(code) - 1, rng.randint(1, 3)))
+        if len(picks) == 1:
+            V = code[picks[0]]
+            cfg = ChannelConfig(min(rng.randint(0, 1), V.dim), rng.randint(0, 2), seed=trial)
+            U = transmit(V, cfg, trial)
+        else:
+            U = Subspace(field, n, [
+                code[i].combination([rng.randrange(field.q) for _ in range(code[i].dim)])
+                for i in picks
+            ])
+        distances = [subspace_distance(c, U) for c in code]
+        if distances[0] == max(distances) > min(distances):
+            yield code, U
+            found += 1
+            if found == count:
+                return
 
 
 @pytest.mark.parametrize("field", [F2, GF(3), GF(2, 2)], ids=lambda f: f.spec)
@@ -243,6 +285,21 @@ def test_pruned_decoder_matches_exhaustive_oracle(field):
             )
             assert told == expected
     assert ties >= 5
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(2, 2)], ids=lambda f: f.spec)
+def test_decoder_cases_move_the_blind_anchor(field):
+    # a blind decode anchors first on codeword 0; in these cases 0 is the
+    # farthest, so every skip rests on an anchor that has moved, ties included
+    rng = random.Random(f"decoder:{field.spec}")
+    seen = set()
+    for code, U in decoder_cases(field, rng):
+        distances = [subspace_distance(c, U) for c in code]
+        nearest = min(distances)
+        if distances[0] == max(distances) > nearest:
+            shared = len({tuple(c._echelon.pivots) for c in code}) == 1
+            seen.add((shared, distances.count(nearest) > 1))
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
 
 
 def test_decode_rejects_received_from_another_space():

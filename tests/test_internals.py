@@ -7,7 +7,9 @@
   and parsed polynomials never through ``GF.element``.
 * The CLI reads no packed rows: the lift layout belongs to ``ca``.
 * A code's pairwise intersection table is computed once per code, with one
-  elimination per pair.
+  elimination per pair, and ``simulate`` reads the one table for D and for
+  every decode: inside the unique-decoding radius a trial eliminates only
+  the sent codeword.
 * Each field builds its one packed row format, and the channel works on
   packed rows without unpacking any.
 * Every entry point the benchmark's layer tracer wraps exists in ``src/``.
@@ -19,7 +21,7 @@ import json
 import pathlib
 
 import cacodes
-from cacodes import subspaces
+from cacodes import channel, subspaces
 from cacodes.algebra import GF, Polynomial, RowFormat, poly_gcd
 from cacodes.ca import LinearCA
 from cacodes.channel import ChannelConfig, decode_min_distance, simulate, transmit
@@ -169,11 +171,32 @@ def test_analyze_of_mixed_pivots_eliminates_each_pair_once(capsys, tmp_path, mon
     assert lifted == []
 
 
+def test_simulate_inside_the_radius_eliminates_only_the_sent_codeword(monkeypatch):
+    # pairwise coprime, so D = 2k = 6: U is 1 from the sent codeword, and every
+    # other codeword is 6 > 2 * 1 from it, so the table rules each one out
+    code = code_from_family(CAFamily(uniform_gcd_family(3, Polynomial.from_codes(GF(3), (1,)))))
+    tables = count_calls(monkeypatch, "_shared_pivot_table")
+    ranks = count_calls(monkeypatch, "_joint_rank")
+    stats = simulate(code, ChannelConfig(erasures=1, seed=5), trials=40)
+    assert len(code) >= 5 and stats["code"]["min_distance"] == 6
+    assert stats["success_rate"] == 1.0
+    assert len(ranks) == 40
+    assert len(tables) == 1
+
+
 def count_calls(monkeypatch, name):
-    """Count the calls of a ``subspaces`` routine, which still runs."""
+    """Count the calls of a ``subspaces`` routine, which still runs, also
+    where ``channel`` imported it by name."""
     calls = []
     original = getattr(subspaces, name)
-    monkeypatch.setattr(subspaces, name, lambda *args: calls.append(1) or original(*args))
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (subspaces, channel):
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
