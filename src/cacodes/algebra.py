@@ -418,11 +418,11 @@ _MOD_LANE_MAX_P = 13  # largest p with p * (p - 1) < 256: u + (p - c)*v fits a b
 
 
 class _ModFormat(RowFormat):
-    __slots__ = ("reduce",)
+    __slots__ = ("p", "reduce")
 
     def __init__(self, field: GF):
         super().__init__(field)
-        self.reduce = bytes(x % field.p for x in range(256))
+        self.p, self.reduce = field.p, bytes(x % field.p for x in range(256))
 
     def pack(self, codes: Sequence[int]) -> int:
         return int.from_bytes(bytes(codes), "little")
@@ -434,9 +434,10 @@ class _ModFormat(RowFormat):
         return b"".join([row.to_bytes(n, "little") for row in rows])
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
-        x = u + (self.field.p - c) * v  # no lane carries, so x has the longer row's lanes
-        lanes = x.to_bytes(x.bit_length() + 7 >> 3, "little")
-        return int.from_bytes(lanes.translate(self.reduce), "little")
+        x = u + (self.p - c) * v  # no lane carries, so x has the longer row's lanes
+        return int.from_bytes(
+            x.to_bytes(x.bit_length() + 7 >> 3, "little").translate(self.reduce), "little"
+        )
 
 
 class GFElement:

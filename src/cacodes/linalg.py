@@ -6,16 +6,18 @@ already holds valid codes (RREF output, Sylvester and transition matrices,
 kernels) builds through ``MatrixGF.from_codes`` instead, and
 ``MatrixGF.from_json`` checks each digit of its input once: a prime-field
 row in one pass (all ints, min and max in range), entry by entry otherwise.
-``Echelon.insert`` is the one elimination routine: RREF, rank, null spaces
-and the subspace layer all grow an echelon row by row.  An echelon holds
-each row packed into one Python int, in the format its field defines
-(``algebra.RowFormat``), so a row operation is a few whole-integer
-operations; rows of codes are packed on the way in and unpacked only where
-codes are read.  ``insert`` only reduces the new row against the held
-ones, which stay in row echelon form: a rank needs no more.  The
-back-substitution into the RREF, ``Echelon.reduce``, runs where a canonical
-basis is wanted.  All arithmetic is exact, so rank and nullity are the
-true algebraic values.
+``Echelon.extend`` (``insert`` for one row) is the one elimination
+routine: RREF, rank, null spaces and the subspace layer all grow an echelon
+row by row.  An echelon holds each row packed into one Python int, in the
+format its field defines (``algebra.RowFormat``), so a row operation is a
+few whole-integer operations; rows of codes are packed on the way in and
+unpacked only where codes are read.  The held rows are keyed by the bit
+offset of their pivot lane, so a new row meets only the held rows whose
+pivots it hits, from its lowest nonzero lane up, and stops at the first
+lane on which none pivots: the held rows stay in row echelon form, and a
+rank needs no more.  The back-substitution into the RREF,
+``Echelon.reduce``, runs where a canonical basis is wanted.  All arithmetic
+is exact, so rank and nullity are the true algebraic values.
 
 The Sylvester matrix here follows the convolution layout: for nonzero f and
 g, the first deg(g) rows are right-shifted copies of f's ascending
@@ -25,7 +27,7 @@ null space has dimension deg(gcd(f, g)).
 
 from __future__ import annotations
 
-import bisect
+import math
 from typing import Iterable, Sequence
 
 from .algebra import GF, GFElement, Polynomial, check_residue
@@ -197,85 +199,116 @@ def sylvester(f: Polynomial, g: Polynomial) -> MatrixGF:
 
 
 class Echelon:
-    """The row echelon form of the rows inserted so far, grown one row at a time.
+    """The row echelon form of the rows inserted so far.
 
     Rows are packed ints in the field's row format (``GF.format``): the
-    format does the row operations, and ``insert`` reads an entry straight
-    from its lane (``width`` bits at column * width, under ``mask``).
-    ``rows`` holds the nonzero rows in ascending pivot order and ``pivots``
-    their pivot columns: each row is zero before its pivot and 1 at it, so
-    every row below a pivot is zero in its column.  ``insert`` never changes
-    a held row; ``reduce`` back-substitutes them into the RREF in place.
-    ``copy`` seeds a new echelon with the held rows without repacking, and
-    ``from_rref`` with packed rows already in RREF.
+    format does the row operations, and an entry is read straight from its
+    lane (``width`` bits at column * width, under ``mask``).  Each held row
+    is zero before its pivot and 1 at it, and is kept under the bit offset
+    of its pivot lane.  A new row is cleared from its lowest nonzero lane
+    up: a held row whose pivot sits there cancels that lane, and the first
+    lane on which no held row pivots is the new row's pivot, so it goes in
+    scaled to a leading 1 and is not reduced further.  ``rows`` lists the
+    held rows in ascending pivot order and ``pivots`` their pivot columns,
+    both derived on demand and kept until the next row goes in.  No row
+    operation changes a held row; ``reduce`` back-substitutes them into the
+    RREF in place.  ``copy`` seeds a new echelon with the held rows without
+    repacking, and ``from_rref`` with packed rows already in RREF.
     """
 
-    __slots__ = ("field", "ncols", "rows", "pivots")
+    __slots__ = ("field", "ncols", "_held", "_rows", "_pivots")
 
     def __init__(self, field: GF, ncols: int, rows: Iterable[Sequence[int]] = ()):
         """An echelon of ``rows`` given as sequences of codes, packed on entry."""
         self.field, self.ncols = field, ncols
-        self.rows: list[int] = []
-        self.pivots: list[int] = []
-        pack = field.format.pack
-        for row in rows:
-            self.insert(pack(row))
+        self._held: dict[int, int] = {}
+        self._rows: list[int] | None = None
+        self._pivots: list[int] | None = None
+        if rows:
+            self.extend(map(field.format.pack, rows))
 
     @classmethod
     def from_rref(cls, field: GF, ncols: int, rows: list[int]) -> "Echelon":
         """An echelon that holds packed rows which already are an RREF, in
         ascending pivot order; each pivot is read off its row's lowest lane."""
         ech = cls.__new__(cls)
-        ech.field, ech.ncols, ech.rows = field, ncols, rows
+        ech.field, ech.ncols, ech._rows, ech._pivots = field, ncols, rows, None
         w = field.width
-        ech.pivots = [((row & -row).bit_length() - 1) // w for row in rows]
+        ech._held = {((row & -row).bit_length() - 1) // w * w: row for row in rows}
         return ech
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._held)
+
+    @property
+    def rows(self) -> list[int]:
+        """The held rows in ascending pivot order."""
+        if self._rows is None:
+            held = self._held
+            self._rows = [held[offset] for offset in sorted(held)]
+        return self._rows
+
+    @property
+    def pivots(self) -> list[int]:
+        """The pivot columns of ``rows``, ascending."""
+        if self._pivots is None:
+            w = self.field.width
+            self._pivots = [offset // w for offset in sorted(self._held)]
+        return self._pivots
 
     def copy(self) -> "Echelon":
         ech = Echelon.__new__(Echelon)
-        ech.field, ech.ncols = self.field, self.ncols
-        ech.rows, ech.pivots = self.rows[:], self.pivots[:]
+        ech.field, ech.ncols, ech._held = self.field, self.ncols, self._held.copy()
+        ech._rows, ech._pivots = self._rows, self._pivots  # never changed in place
         return ech
 
     def insert(self, row: int) -> bool:
-        """Add a packed row; True when it was independent of the held rows.
+        """Add a packed row; True when it was independent of the held rows."""
+        rank = len(self._held)
+        return self.extend((row,)) > rank
 
-        The row is reduced by the held rows in ascending pivot order, which
-        clears every pivot column of it, and goes in scaled to a leading 1.
+    def extend(self, rows: Iterable[int], cap: float = math.inf) -> int:
+        """Add packed rows in turn and return the rank.
+
+        The rank only grows as rows go in, so once it is above ``cap`` the
+        remaining rows are left out: the rank returned is then a lower bound
+        above ``cap``.
         """
-        fmt, rows, pivots = self.field.format, self.rows, self.pivots
+        held, fmt = self._held, self.field.format
         w, mask, sub_scaled = fmt.width, fmt.mask, fmt.sub_scaled
-        for c, held in zip(pivots, rows):
-            x = row >> (c * w) & mask
-            if x:
-                row = sub_scaled(row, x, held)
-        if not row:
-            return False
-        lead_col = ((row & -row).bit_length() - 1) // w
-        lead = row >> lead_col * w & mask
-        if lead != 1:
-            gf = self.field
-            row = sub_scaled(0, gf.neg(gf.inv(lead)), row)  # row / lead
-        pos = bisect.bisect(pivots, lead_col)
-        pivots.insert(pos, lead_col)
-        rows.insert(pos, row)
-        return True
+        for row in rows:
+            if len(held) > cap:
+                break
+            while row:
+                low = (row & -row).bit_length() - 1
+                offset = low - low % w  # the lowest nonzero lane
+                pivot_row = held.get(offset)
+                if pivot_row is None:
+                    lead = row >> offset & mask
+                    if lead != 1:
+                        gf = self.field
+                        row = sub_scaled(0, gf.neg(gf.inv(lead)), row)  # row / lead
+                    held[offset] = row
+                    self._rows = self._pivots = None
+                    break
+                row = sub_scaled(row, row >> offset & mask, pivot_row)
+        return len(held)
 
     def reduce(self) -> "Echelon":
         """Back-substitute the held rows into the RREF in place, clearing each
         pivot column above its pivot from the last pivot up; returns self."""
-        fmt, rows = self.field.format, self.rows
-        w, mask, sub_scaled = fmt.width, fmt.mask, fmt.sub_scaled
+        held, fmt = self._held, self.field.format
+        mask, sub_scaled = fmt.mask, fmt.sub_scaled
+        offsets = sorted(held)
+        rows = [held[offset] for offset in offsets]
         for j in range(len(rows) - 1, 0, -1):
-            shift, below = self.pivots[j] * w, rows[j]
+            shift, below = offsets[j], rows[j]
             for i in range(j):
                 x = rows[i] >> shift & mask
                 if x:
-                    rows[i] = sub_scaled(rows[i], x, below)
+                    rows[i] = held[offsets[i]] = sub_scaled(rows[i], x, below)
+        self._rows = rows
         return self
 
     def matrix(self) -> MatrixGF:

@@ -21,7 +21,10 @@ on every pivot column, so
     dim(A intersect B) = k - rank{a_i - b_i}    (for lifts, k - rank(M_A - M_B))
 
 and the pairwise table ranks k difference rows per pair instead of
-eliminating 2k stacked ones.  A code whose codewords do not all share one
+eliminating 2k stacked ones.  Each codeword's k rows are set side by side
+in one wide int, so one row operation forms all k differences of a pair: no
+row format carries from one lane into the next, so none crosses from one
+row's block into another's.  A code whose codewords do not all share one
 pivot set (mixed dimensions, arbitrary subspaces) takes the stacked route.
 """
 
@@ -164,12 +167,7 @@ def _joint_rank(a: Subspace, b: Subspace, cap: float = math.inf) -> int:
     The rank only grows as rows go in, so once it is above ``cap`` the
     elimination stops and returns that rank, a lower bound above ``cap``.
     """
-    ech = a._echelon.copy()
-    for row in b._echelon.rows:
-        if ech.rank > cap:
-            break
-        ech.insert(row)
-    return ech.rank
+    return a._echelon.copy().extend(b._echelon.rows, cap)
 
 
 def _shared_pivot_table(words: Sequence[Subspace]) -> tuple[tuple[int, ...], ...]:
@@ -178,29 +176,36 @@ def _shared_pivot_table(words: Sequence[Subspace]) -> tuple[tuple[int, ...], ...
 
     Every row is zero left of the first pivot, and every difference on the
     pivots, so the rows are shifted past the columns where all differences
-    vanish before they are subtracted.
+    vanish.  Each codeword's k shifted rows are then set side by side in one
+    wide row, block i holding row i, n - skip lanes apart (as
+    ``LinearCA.annihilates`` packs a basis).  No row format carries from one
+    lane into the next, so one row operation on two wide rows forms all k
+    differences of a pair, each in its own block.
     """
     first = words[0]._echelon
     pivots = set(first.pivots)
     skip = min(pivots, default=0)
     while skip in pivots:
         skip += 1
-    shift = skip * first.field.width
+    shift, block = skip * first.field.width, (first.ncols - skip) * first.field.width
     empty = Echelon(first.field, first.ncols - skip)
-    rows = [[r >> shift for r in s._echelon.rows] for s in words]
+    wide = [
+        sum(r >> shift << i * block for i, r in enumerate(s._echelon.rows)) for s in words
+    ]
     k = len(pivots)
     return tuple(
-        tuple(k - _difference_rank(empty, a, b) for b in rows[:i])
-        for i, a in enumerate(rows)
+        tuple(k - _difference_rank(empty, k, a, b) for b in wide[:i])
+        for i, a in enumerate(wide)
     )
 
 
-def _difference_rank(empty: Echelon, a: Sequence[int], b: Sequence[int]) -> int:
-    """rank{a_i - b_i}: a copy of an empty echelon takes the packed differences."""
-    ech, sub_scaled = empty.copy(), empty.field.format.sub_scaled
-    for x, y in zip(a, b):
-        ech.insert(sub_scaled(x, 1, y))
-    return ech.rank
+def _difference_rank(empty: Echelon, k: int, a: int, b: int) -> int:
+    """rank{a_i - b_i} of two wide rows of k blocks of ``empty.ncols`` lanes:
+    one row operation forms the differences, and a copy of an empty echelon
+    takes them block by block."""
+    fmt, block = empty.field.format, empty.ncols * empty.field.width
+    low, d = (1 << block) - 1, fmt.sub_scaled(a, 1, b)
+    return empty.copy().extend([d >> s & low for s in range(0, k * block, block)])
 
 
 @dataclass(frozen=True)

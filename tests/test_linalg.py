@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -327,6 +328,66 @@ def test_insert_keeps_held_rows_and_row_echelon_form(field):
                 assert_row_echelon(ech)
         m = MatrixGF(field, rows, ncols=ncols)
         assert m.rank() == ech.rank
+
+
+@pytest.mark.parametrize("field", ECHELON_FIELDS, ids=lambda f: f.spec)
+def test_extend_matches_oracle_rank_and_row_by_row_insert(field):
+    # rows go into an empty echelon or after held ones, as in a joint rank;
+    # under a cap the rank is exact up to the cap, and past it a lower bound
+    # above the cap
+    rng = random.Random(f"extend:{field.spec}")
+    pack = field.format.pack
+    for _ in range(40):
+        nrows, ncols = rng.randint(0, 7), rng.randint(1, 6)
+        rows = random_rows(field, rng, nrows, ncols)
+        exact = oracle_rank(field, rows)
+        one_by_one = Echelon(field, ncols)
+        for row in rows:
+            one_by_one.insert(pack(row))
+        assert Echelon(field, ncols, rows).rows == one_by_one.rows
+        split = rng.randint(0, nrows)
+        held = Echelon(field, ncols, rows[:split])
+        for cap in [*range(-1, ncols + 1), math.inf]:
+            for start, rest in ((Echelon(field, ncols), rows), (held, rows[split:])):
+                ech = start.copy()
+                rank = ech.extend([pack(row) for row in rest], cap)
+                assert rank == ech.rank
+                assert_row_echelon(ech)
+                if exact <= cap:
+                    assert rank == exact
+                    assert ech.copy().matrix().rows == tuple(oracle_rref(field, rows))
+                else:
+                    assert cap < rank <= exact
+            assert held.rank == oracle_rank(field, rows[:split])  # copies leave it be
+        assert one_by_one.rank == exact
+
+
+@pytest.mark.parametrize("field", ECHELON_FIELDS, ids=lambda f: f.spec)
+@pytest.mark.parametrize("lead_col", [0, 2])
+def test_insert_stops_at_a_lane_no_held_row_pivots_on(field, lead_col, monkeypatch):
+    # held rows pivot on columns 1 and 3; the new row leads on a column
+    # neither pivots on and is nonzero on every held pivot past it, yet it
+    # goes in as it is: no row operation but the one scaling it to a leading 1
+    rng = random.Random(f"no held pivot:{field.spec}:{lead_col}")
+    fmt, calls = field.format, []
+    original = type(fmt).sub_scaled
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    for lead in range(1, field.q):
+        nonzero = [rng.randrange(1, field.q) for _ in range(5)]
+        ech = Echelon(field, 5, [[0, 1, 0, 0, nonzero[0]], [0, 0, 0, 1, nonzero[1]]])
+        row = [0] * lead_col + [lead] + nonzero[lead_col + 1:]
+        monkeypatch.setattr(type(fmt), "sub_scaled", counted)
+        assert ech.insert(fmt.pack(row))
+        monkeypatch.undo()
+        assert len(calls) == (lead != 1)
+        calls.clear()
+        assert ech.pivots == sorted([1, 3, lead_col])
+        assert_row_echelon(ech)
+        assert ech.rank == oracle_rank(field, [list(fmt.unpack(r, 5)) for r in ech.rows]) == 3
 
 
 @pytest.mark.parametrize("field", WIDE_FIELDS, ids=lambda f: f.spec)

@@ -316,7 +316,7 @@ def test_json_round_trip_exact():
 
 # -- the pairwise table: shared pivots against the stacked route ------------------------
 
-TABLE_FIELDS = [F2, F3, GF(2, 2), GF(17)]
+TABLE_FIELDS = [F2, F3, GF(2, 2), GF(13), GF(17), GF(2, 3), GF(3, 2), GF(257)]
 
 
 def stacked_table(code):
@@ -384,6 +384,21 @@ def count_calls(monkeypatch, name):
 @pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
 def test_shared_pivot_table_matches_stacked_route(field, monkeypatch):
     rng = random.Random(f"shared pivots over GF({field.spec})")
+
+    def check(n, pivots):
+        k = len(pivots)
+        inputs = shared_pivot_inputs(field, n, pivots, rng, rng.randint(2, 7))
+        code = GrassmannianCode(field, n, [Subspace(field, n, r) for r in inputs])
+        assert code.duplicates_removed >= 2
+        assert {tuple(s.basis.rows[i].index(1) for i in range(k)) for s in code} == {
+            tuple(pivots)
+        }
+        stacked = stacked_table(code)
+        calls = count_calls(monkeypatch, "_difference_rank")
+        assert code.pairwise_intersection_dims() == stacked == oracle_table(code)
+        assert len(calls) == len(code) * (len(code) - 1) // 2
+        monkeypatch.undo()
+
     for _ in range(12):
         k = rng.randint(1, 4)
         n = k + rng.randint(1, 4)
@@ -392,17 +407,15 @@ def test_shared_pivot_table_matches_stacked_route(field, monkeypatch):
             other = list(range(n - k, n))
         # the lifted [I | M] form, and one other pivot set
         for pivots in (list(range(k)), other):
-            inputs = shared_pivot_inputs(field, n, pivots, rng, rng.randint(2, 7))
-            code = GrassmannianCode(field, n, [Subspace(field, n, r) for r in inputs])
-            assert code.duplicates_removed >= 2
-            assert {tuple(s.basis.rows[i].index(1) for i in range(k)) for s in code} == {
-                tuple(pivots)
-            }
-            stacked = stacked_table(code)
-            calls = count_calls(monkeypatch, "_difference_rank")
-            assert code.pairwise_intersection_dims() == stacked == oracle_table(code)
-            assert len(calls) == len(code) * (len(code) - 1) // 2
-            monkeypatch.undo()
+            check(n, pivots)
+    # k up to 8: a lift's wide row, k blocks of n - k lanes, past 64 and 256
+    # bits; and pivots 0..k-2 and n - 1, whose gap at column k - 1 lies
+    # below the last pivot
+    for k, bits in ((2, 0), (3, 0), (6, 64), (8, 256)):
+        n = k + max(2, bits // (k * field.width) + 1)
+        assert k * (n - k) * field.width > bits
+        for pivots in (list(range(k)), [*range(k - 1), n - 1]):
+            check(n, pivots)
 
 
 @pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
