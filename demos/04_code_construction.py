@@ -37,7 +37,7 @@ print("max coprime family:", [max_coprime_family_size(k, F2)
 
 # The k = 4 bound says at most 5 pairwise-coprime quartic rules exist.
 # Exact search (branch and bound over the whole rule space) agrees.
-best = search_max_family(4, 0, F2)
+best, _ = search_max_family(4, 0, F2)
 print("\nexact search at k = 4, gcd degree 0 finds", len(best), "rules:")
 for f in best:
     print("  ", f.display())
@@ -45,12 +45,13 @@ assert len(best) == max_coprime_family_size(4, F2)
 
 # Uniform-GCD construction: every pair of members has gcd exactly g.
 g = Polynomial(F2, (1, 1))
-S = uniform_gcd_family(4, g)
+S, max_gcd = uniform_gcd_family(4, g)
 print("\nuniform family with gcd g =", g.display(), "at k = 4:")
 for f in S:
     print("  ", f.display(), " = (", (f // g).display(), ") * g")
 assert len(S) == expected_uniform_gcd_size(4, int(g.degree), F2)
 assert all(poly_gcd(a, b) == g for a, b in itertools.combinations(S, 2))
+assert max_gcd == g.degree
 
 report = verify_family(list(S), g=g)
 print("verification:", "ok" if report.ok else report.detail,

@@ -27,7 +27,8 @@ F2 = GF(2)
 
 # Three pairwise-coprime cubic rules: an equidistant code with D = 6,
 # good for any erasures + errors totalling at most 2 per transmission.
-family = CAFamily(list(uniform_gcd_family(3, Polynomial(F2, (1,)))))
+members, _ = uniform_gcd_family(3, Polynomial(F2, (1,)))
+family = CAFamily(members)
 code = code_from_family(family)
 print("code of", len(code), "subspaces, minimum distance", code.min_distance())
 

@@ -45,8 +45,8 @@ from .families import (
     expected_uniform_gcd_size,
     max_coprime_family_size,
     predicted_min_distance,
-    search_max_family_gcd,
-    uniform_gcd_family_gcd,
+    search_max_family,
+    uniform_gcd_family,
 )
 from .ca import LinearCA, kernel_rule
 from .subspaces import GrassmannianCode
@@ -141,7 +141,7 @@ def _cmd_kernel(args) -> dict:
 def _cmd_build_code(args) -> dict:
     field = GF.from_spec(args.q)
     g = Polynomial.from_string(field, args.gcd)
-    members, max_gcd = uniform_gcd_family_gcd(args.k, g)
+    members, max_gcd = uniform_gcd_family(args.k, g)
     code = code_from_family(CAFamily(members))
     t = int(g.degree)
     payload = {
@@ -184,37 +184,24 @@ def _cmd_analyze(args) -> dict:
             "table": [list(r) for r in inter],
         },
     }
-    if "family" in document and "q" in document and "k" in document:
+    if "family" in document and "q" in document:
         spec, family = document["q"], document["family"]
         if not isinstance(spec, str) or not isinstance(family, list) or not all(
             isinstance(s, str) for s in family
         ):
             raise ParseError("a build-code document needs a string q and a family of strings")
         field = GF.from_spec(spec)
-        members = [Polynomial.from_string(field, s) for s in family]
-        fam = CAFamily(members)
+        listed = CAFamily(Polynomial.from_string(field, s) for s in family)
         check = {"family": family}
-        if len(members) >= 2:
-            d, gcds = predicted_min_distance(fam)
+        if len(listed) >= 2:
+            # read in codeword order, the rules' GCD table lines up with ``inter``
+            rules = [kernel_rule(word) for word in code]
+            same = len(rules) == len(listed) and set(rules) == set(listed)
+            d, gcds = predicted_min_distance(CAFamily(rules) if same else listed)
             check["predicted_min_distance"] = d
-            check["consistent"] = _generates(fam, gcds, code)
+            check["consistent"] = same and gcds.table == inter
         payload["family_check"] = check
     return payload
-
-
-def _generates(fam: CAFamily, profile: GcdProfile, code: GrassmannianCode) -> bool:
-    """True when the codewords are exactly the members' kernels (``kernel_rule``)
-    and each pair's GCD degree is the intersection dimension of its kernels, in
-    any member order.  Distinct codewords name distinct members.
-    """
-    member = {f: i for i, f in enumerate(fam)}
-    pos = {member.get(kernel_rule(word)): c for c, word in enumerate(code)}
-    inter = code.pairwise_intersection_dims()
-    return None not in pos and len(pos) == len(fam) and all(
-        d == inter[max(pos[i], pos[j])][min(pos[i], pos[j])]
-        for i, row in enumerate(profile.table)
-        for j, d in enumerate(row)
-    )
 
 
 def _cmd_count(args) -> dict:
@@ -262,7 +249,7 @@ def _cmd_search_max(args) -> dict:
     if args.budget < 1:
         raise NonPositive(f"--budget must be >= 1, got {args.budget}")
     field = GF.from_spec(args.q)
-    members, max_gcd = search_max_family_gcd(args.k, args.t, field, budget=args.budget)
+    members, max_gcd = search_max_family(args.k, args.t, field, budget=args.budget)
     payload = {
         "manifest": _manifest(args),
         "q": field.spec,

@@ -14,9 +14,10 @@ and deg gcd(f, g) is the sum of min(multiplicity) * degree over the shared
 irreducible factors, one AND of two bitmasks (``_gcd_masks``).  ``poly_gcd``
 stays as the independent route of ``verify_family`` and the tests.
 ``gcd_profile`` builds the full pairwise table, which ``analyze`` prints;
-``build-code`` needs only the maximum and reads it off the sieve that built
-its family (``uniform_gcd_family_gcd``), through an index of shared factors
-that visits no coprime pair.
+``build-code`` needs only the maximum, and each construction returns it with
+its members: ``uniform_gcd_family`` reads it off the sieve that built the
+family, through an index of shared factors that visits no coprime pair, and
+``search_max_family`` off the factor masks of its search.
 
 Family membership is restricted to Poly_k(F_q): monic, degree k, nonzero
 constant term.  The degree-1 irreducible X is therefore excluded everywhere
@@ -282,8 +283,11 @@ def enumerate_rule_polynomials(k: int, field: GF) -> tuple[Polynomial, ...]:
 # -- uniform-GCD construction ---------------------------------------------------------
 
 
-def uniform_gcd_family(k: int, g: Polynomial) -> tuple[Polynomial, ...]:
-    """Largest-known family in Poly_k(F_q) with every pairwise gcd exactly g.
+def uniform_gcd_family(
+    k: int, g: Polynomial
+) -> tuple[tuple[Polynomial, ...], int | None]:
+    """Largest-known family in Poly_k(F_q) with every pairwise gcd exactly g,
+    and its largest pairwise gcd degree (None below two members).
 
     With t = deg(g) and r = k - t, the cofactors are the irreducibles of
     degree r (X excluded) plus one product per lower degree i <= r/2: the
@@ -292,19 +296,11 @@ def uniform_gcd_family(k: int, g: Polynomial) -> tuple[Polynomial, ...]:
     coprime, so gcd(g*h1, g*h2) = g exactly.  Cardinality:
     I'_r + sum_{i=1}^{floor(r/2)} I'_i.  Returns members in lexicographic
     order; t = k returns just (g,).  Every degree is read from one sieve to r.
-    """
-    return uniform_gcd_family_gcd(k, g)[0]
 
-
-def uniform_gcd_family_gcd(
-    k: int, g: Polynomial
-) -> tuple[tuple[Polynomial, ...], int | None]:
-    """``uniform_gcd_family`` and its largest pairwise gcd degree (None below two
-    members), read off the sieve that built it.
-
-    gcd(g*h1, g*h2) = g * gcd(h1, h2), so the maximum is deg g plus the
-    largest deg gcd of two cofactors.  Each cofactor has degree r, so its
-    factors are a lookup in the sieve's table, and g is never factored.
+    The maximum is read off that sieve too: gcd(g*h1, g*h2) = g * gcd(h1, h2),
+    so it is deg g plus the largest deg gcd of two cofactors.  Each cofactor
+    has degree r, so its factors are a lookup in the sieve's table, and g is
+    never factored.
     """
     t = _gcd_degree(k, g)
     r = k - t
@@ -479,21 +475,14 @@ def _max_clique(nbr: Sequence[int]) -> tuple[int, ...]:
 
 def search_max_family(
     k: int, t: int, field: GF, budget: int = 512
-) -> tuple[Polynomial, ...]:
-    """Exact maximum family in Poly_k(F_q) with pairwise gcd degree <= t.
+) -> tuple[tuple[Polynomial, ...], int | None]:
+    """Exact maximum family in Poly_k(F_q) with pairwise gcd degree <= t, and
+    its largest pairwise gcd degree (None below two members).
 
     Ground-truth oracle: maximum clique on the compatibility graph, so only
     small instances are allowed (|Poly_k| <= budget).  Deterministic: the
     lexicographically smallest optimum is returned, members in lex order.
-    """
-    return search_max_family_gcd(k, t, field, budget)[0]
-
-
-def search_max_family_gcd(
-    k: int, t: int, field: GF, budget: int = 512
-) -> tuple[tuple[Polynomial, ...], int | None]:
-    """``search_max_family`` and its largest pairwise gcd degree (None below two
-    members), read off the factor masks the search built.
+    The maximum is read off the factor masks the search built.
     """
     if k < 1:
         raise NonPositive(f"degree must be >= 1, got {k}")
@@ -529,7 +518,7 @@ def search_max_exact_gcd(
     t = _gcd_degree(k, g)
     if t == k:
         return (g,)
-    cofactors = search_max_family(k - t, 0, g.field, budget)
+    cofactors, _ = search_max_family(k - t, 0, g.field, budget)
     return tuple(sorted((g * h for h in cofactors), key=Polynomial.to_codes))
 
 

@@ -159,7 +159,7 @@ def test_criterion_4_counting_agreement(capsys):
         for field, kmax in ((GF(2), 5), (GF(3), 3)):
             for k in range(1, kmax + 1):
                 bound = max_coprime_family_size(k, field)
-                found = search_max_family(k, 0, field)
+                found, _ = search_max_family(k, 0, field)
                 assert bound == len(found)
                 assert verify_family(list(found), t=0).ok
         assert max_coprime_family_size(2, GF(2)) == 2
@@ -180,7 +180,7 @@ def test_criterion_5_uniform_gcd_construction(capsys):
                 t = int(g.degree)
                 if t > k:
                     continue
-                S = uniform_gcd_family(k, g)
+                S, _ = uniform_gcd_family(k, g)
                 assert verify_family(list(S), g=g).ok
                 r = k - t
                 if r == 0:
@@ -206,7 +206,7 @@ def test_criterion_6_decoder_guarantee(capsys):
             Polynomial(F2, (1, 1, 1)), Polynomial(F2, (1, 0, 1)),
         ]))
         code3 = code_from_family(CAFamily(
-            list(uniform_gcd_family(3, Polynomial(F2, (1,))))
+            uniform_gcd_family(3, Polynomial(F2, (1,)))[0]
         ))
         plans = (
             (code2, 4, ((0, 0), (1, 0), (0, 1))),

@@ -25,7 +25,7 @@ def coprime_pair_code():
 
 
 def coprime_triple_code():
-    fam = CAFamily(list(uniform_gcd_family(3, Polynomial(F2, (1,)))))
+    fam = CAFamily(uniform_gcd_family(3, Polynomial(F2, (1,)))[0])
     return code_from_family(fam)
 
 
@@ -129,7 +129,7 @@ PINNED_TRANSMIT = {
 def test_transmit_pinned_draws_and_bases(case, monkeypatch):
     q, k, erasures, error_dims, seed, trial = case
     field = GF.from_spec(q)
-    code = code_from_family(CAFamily(list(uniform_gcd_family(k, Polynomial(field, [1])))))
+    code = code_from_family(CAFamily(uniform_gcd_family(k, Polynomial(field, [1]))[0]))
     draws = []
     for name in ("_random_vector_of", "_random_ambient_vector"):
         original = getattr(channel_module, name)
@@ -214,7 +214,7 @@ def decoder_cases(field, rng):
     k = 3 if field.q == 2 else 2
     n = 2 * k
     codes = [
-        code_from_family(CAFamily(list(uniform_gcd_family(k, Polynomial(field, g)))))
+        code_from_family(CAFamily(uniform_gcd_family(k, Polynomial(field, g))[0]))
         for g in ((1,), (1, 1))
     ]
     codes += [

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -15,11 +16,11 @@ import cacodes.algebra as algebra_module
 import cacodes.channel as channel_module
 import cacodes.families as families_module
 from cacodes import __version__
-from cacodes.algebra import GF, Polynomial
+from cacodes.algebra import GF, Polynomial, poly_gcd
 from cacodes import cli
 from cacodes.cli import main
 from cacodes.ca import LinearCA
-from cacodes.families import CAFamily, code_from_family
+from cacodes.families import CAFamily, code_from_family, enumerate_rule_polynomials
 from cacodes.subspaces import GrassmannianCode, Subspace, subspace_distance
 
 
@@ -182,6 +183,23 @@ def test_family_check_ignores_member_order(capsys, tmp_path, family):
 
 @pytest.mark.parametrize(
     "family",
+    [*itertools.permutations(ORDER_FAMILY), ["1,0,0,1", "1,0,1,1", "1,1,1,1"]],
+    ids=",".join,
+)
+def test_family_check_reads_no_k(capsys, tmp_path, family):
+    path = tmp_path / "family.json"
+    write_family_doc(path, list(family))
+    _, with_k = run_json(capsys, "analyze", "--code", str(path))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["k"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, without_k = run_json(capsys, "analyze", "--code", str(path))
+    assert code == 0
+    assert without_k["family_check"] == with_k["family_check"]
+
+
+@pytest.mark.parametrize(
+    "family",
     [
         # 1 + X^2 + X^3 in place of 1 + X + X^3: the same GCD table, entry
         # for entry, and the same distance, but its kernel is not a codeword
@@ -239,6 +257,52 @@ def test_family_check_refuses_a_code_it_does_not_generate(capsys, tmp_path, q, n
     code, doc = run_json(capsys, "analyze", "--code", str(path))
     assert code == 0
     assert doc["family_check"]["consistent"] is False
+
+
+def generates_oracle(listed, code):
+    """Slow reference of ``family_check.consistent``: the listed members'
+    kernels are the codewords, and each pair's GCD degree is k - d/2, with d
+    the distance of the pair's kernels by their stacked elimination."""
+    kernels = [LinearCA(f, 2 * f.degree).kernel() for f in listed]
+    return set(kernels) == set(code.codewords) and all(
+        poly_gcd(f, g).degree == f.degree - subspace_distance(a, b) // 2
+        for (f, a), (g, b) in itertools.combinations(zip(listed, kernels), 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, degrees", [("2", (3, 4, 5, 6)), ("3", (2, 3, 4)), ("2^2", (2, 3))], ids=str
+)
+def test_family_check_matches_the_slow_reference(capsys, tmp_path, spec, degrees):
+    # each random family's code against its members, one member swapped for
+    # a non-member, and one member dropped, each listed in shuffled order
+    field = GF.from_spec(spec)
+    rng = random.Random(spec)
+    path = tmp_path / "family.json"
+    verdicts = []
+    for _ in range(30):
+        k = rng.choice(degrees)
+        pool = list(enumerate_rule_polynomials(k, field))
+        members = rng.sample(pool, rng.randint(2, min(6, len(pool) - 1)))
+        outsider = rng.choice([f for f in pool if f not in members])
+        code = code_from_family(CAFamily(rng.sample(members, len(members))))
+        swapped = members[:]
+        swapped[rng.randrange(len(swapped))] = outsider
+        variants = [members, swapped] + [members[1:]] * (len(members) > 2)
+        for listed in (rng.sample(v, len(v)) for v in variants):
+            doc = {
+                "q": spec,
+                "k": k,
+                "family": [f.to_string() for f in listed],
+                "code": code.to_json(),
+            }
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            status, out = run_json(capsys, "analyze", "--code", str(path))
+            assert status == 0
+            expected = generates_oracle(listed, code)
+            assert out["family_check"]["consistent"] is expected
+            verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 # -- search-max -------------------------------------------------------------------------------

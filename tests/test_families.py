@@ -40,9 +40,7 @@ from cacodes.families import (
     predicted_min_distance,
     search_max_exact_gcd,
     search_max_family,
-    search_max_family_gcd,
     uniform_gcd_family,
-    uniform_gcd_family_gcd,
     verify_family,
 )
 
@@ -291,12 +289,12 @@ def test_rule_polynomial_enumeration():
 
 
 def test_uniform_gcd_coprime_quadratics():
-    S = uniform_gcd_family(2, P(F2, 1))
+    S, _ = uniform_gcd_family(2, P(F2, 1))
     assert [f.to_codes() for f in S] == [(1, 0, 1), (1, 1, 1)]
 
 
 def test_uniform_gcd_shared_linear():
-    S = uniform_gcd_family(3, P(F2, 1, 1))
+    S, _ = uniform_gcd_family(3, P(F2, 1, 1))
     assert len(S) == 2
     for f, g in itertools.combinations(S, 2):
         assert poly_gcd(f, g) == P(F2, 1, 1)
@@ -304,7 +302,7 @@ def test_uniform_gcd_shared_linear():
 
 def test_uniform_gcd_degenerate_t_equals_k():
     g = P(F2, 1, 1, 1)
-    assert uniform_gcd_family(2, g) == (g,)
+    assert uniform_gcd_family(2, g) == ((g,), None)
 
 
 def test_uniform_gcd_errors():
@@ -321,7 +319,7 @@ def test_uniform_gcd_membership_and_cofactors():
         for g in (P(F2, 1), P(F2, 1, 1)):
             if g.degree > k:
                 continue
-            S = uniform_gcd_family(k, g)
+            S, _ = uniform_gcd_family(k, g)
             t = int(g.degree)
             assert len(S) == expected_uniform_gcd_size(k, t, F2)
             assert len(set(S)) == len(S)
@@ -335,7 +333,7 @@ def test_uniform_gcd_membership_and_cofactors():
 
 
 def test_uniform_gcd_over_f3():
-    S = uniform_gcd_family(2, P(F3, 1))
+    S, _ = uniform_gcd_family(2, P(F3, 1))
     assert len(S) == expected_uniform_gcd_size(2, 0, F3)
     for f1, f2 in itertools.combinations(S, 2):
         assert poly_gcd(f1, f2).is_one()
@@ -346,7 +344,7 @@ def test_uniform_gcd_over_f3():
 
 def test_verify_construction_output():
     g = P(F2, 1, 1)
-    report = verify_family(uniform_gcd_family(4, g), g=g)
+    report = verify_family(uniform_gcd_family(4, g)[0], g=g)
     assert report.ok and report.mode == "exact-gcd"
 
 
@@ -391,13 +389,13 @@ def test_verify_mode_selection():
 
 
 def test_search_matches_coprime_bound_small():
-    assert len(search_max_family(2, 0, F2)) == 2
-    assert len(search_max_family(3, 0, F2)) == 3
-    assert len(search_max_family(4, 0, F2)) == 5
+    assert len(search_max_family(2, 0, F2)[0]) == 2
+    assert len(search_max_family(3, 0, F2)[0]) == 3
+    assert len(search_max_family(4, 0, F2)[0]) == 5
 
 
 def test_search_vacuous_bound_returns_everything():
-    S = search_max_family(3, 3, F2)
+    S, _ = search_max_family(3, 3, F2)
     assert set(f.to_codes() for f in S) == {
         f.to_codes() for f in enumerate_rule_polynomials(3, F2)
     }
@@ -420,8 +418,8 @@ def test_search_budget_is_checked_before_enumerating(monkeypatch):
 
 
 def test_search_deterministic():
-    a = search_max_family(4, 1, F2)
-    b = search_max_family(4, 1, F2)
+    a, _ = search_max_family(4, 1, F2)
+    b, _ = search_max_family(4, 1, F2)
     assert a == b
     report = verify_family(list(a), t=1)
     assert report.ok
@@ -431,8 +429,7 @@ def test_search_deterministic():
     "k, t, field", [(1, 0, F2), (3, 0, F2), (4, 1, F2), (3, 1, F3), (4, 2, F3), (2, 0, F4)]
 )
 def test_search_reports_the_family_gcd_maximum(k, t, field):
-    members, top = search_max_family_gcd(k, t, field)
-    assert members == search_max_family(k, t, field)
+    members, top = search_max_family(k, t, field)
     if len(members) < 2:
         assert top is None
     else:
@@ -477,8 +474,7 @@ def _uniform_gcd_cases():
 
 @pytest.mark.parametrize("k, g", list(_uniform_gcd_cases()), ids=str)
 def test_uniform_gcd_maximum_matches_the_gcd_profile(k, g):
-    members, top = uniform_gcd_family_gcd(k, g)
-    assert members == uniform_gcd_family(k, g)
+    members, top = uniform_gcd_family(k, g)
     if len(members) < 2:
         assert top is None
     else:
@@ -486,7 +482,7 @@ def test_uniform_gcd_maximum_matches_the_gcd_profile(k, g):
 
 
 def test_search_output_is_valid_family():
-    S = search_max_family(3, 0, F3)
+    S, _ = search_max_family(3, 0, F3)
     assert len(S) == max_coprime_family_size(3, F3)
     assert verify_family(list(S), t=0).ok
 
@@ -569,17 +565,17 @@ def test_max_clique_ties_under_noise():
     ids=lambda v: getattr(v, "spec", v),
 )
 def test_search_certifies_coprime_bound_beyond_criterion_4(field, k):
-    found = search_max_family(k, 0, field)
+    found, _ = search_max_family(k, 0, field)
     assert len(found) == max_coprime_family_size(k, field)
     assert verify_family(list(found), t=0).ok
 
 
 def test_search_certifies_uniform_gcd_sizes_beyond_criterion_5():
-    found = search_max_family(7, 1, F2)
+    found, _ = search_max_family(7, 1, F2)
     assert len(found) >= expected_uniform_gcd_size(7, 1, F2)
     assert verify_family(list(found), t=1).ok
     g = P(F2, 1, 1)
-    built = uniform_gcd_family(6, g)
+    built, _ = uniform_gcd_family(6, g)
     found = search_max_exact_gcd(6, g)
     assert len(found) == len(built)
     assert verify_family(list(found), g=g).ok
@@ -590,7 +586,7 @@ def test_search_exact_gcd_matches_construction():
         for g in (P(F2, 1), P(F2, 1, 1), P(F2, 1, 1, 1)):
             if g.degree > k:
                 continue
-            built = uniform_gcd_family(k, g)
+            built, _ = uniform_gcd_family(k, g)
             found = search_max_exact_gcd(k, g)
             assert len(found) == len(built)
             if len(found) >= 2:
@@ -600,7 +596,7 @@ def test_search_exact_gcd_matches_construction():
 def test_equidistance_of_uniform_gcd_code():
     from cacodes.subspaces import subspace_distance
 
-    fam = CAFamily(list(uniform_gcd_family(3, P(F2, 1))))
+    fam = CAFamily(uniform_gcd_family(3, P(F2, 1))[0])
     code = code_from_family(fam)
     for a, b in itertools.combinations(code.codewords, 2):
         assert subspace_distance(a, b) == 6

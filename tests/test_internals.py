@@ -12,7 +12,8 @@
   the sent codeword.
 * Each field builds its one packed row format, and the channel works on
   packed rows without unpacking any.
-* Every entry point the benchmark's layer tracer wraps exists in ``src/``.
+* Every entry point the benchmark's layer tracer wraps exists in ``src/``,
+  and the CLI's constructions run through the ones it wraps.
 """
 
 import ast
@@ -57,7 +58,7 @@ def test_internal_producers_skip_code_of(monkeypatch):
         GF, "code_of", lambda self, value: calls.append(value) or original(self, value)
     )
     for field, g in ((GF(2), (1, 1)), (GF(3), (1,)), (GF(2, 2), (2, 1))):
-        fam = CAFamily(uniform_gcd_family(3, Polynomial.from_codes(field, g)))
+        fam = CAFamily(uniform_gcd_family(3, Polynomial.from_codes(field, g))[0])
         code = code_from_family(fam)
         code.params()
         gcd_profile(fam)
@@ -122,7 +123,7 @@ def test_each_field_builds_one_row_format(capsys, tmp_path, monkeypatch):
 
 def test_channel_unpacks_nothing(monkeypatch):
     codes = [
-        code_from_family(CAFamily(uniform_gcd_family(3, Polynomial.from_codes(field, (1,)))))
+        code_from_family(CAFamily(uniform_gcd_family(3, Polynomial.from_codes(field, (1,)))[0]))
         for field in (GF(2), GF(3), GF(2, 2))
     ]
     calls = []
@@ -174,7 +175,7 @@ def test_analyze_of_mixed_pivots_eliminates_each_pair_once(capsys, tmp_path, mon
 def test_simulate_inside_the_radius_eliminates_only_the_sent_codeword(monkeypatch):
     # pairwise coprime, so D = 2k = 6: U is 1 from the sent codeword, and every
     # other codeword is 6 > 2 * 1 from it, so the table rules each one out
-    code = code_from_family(CAFamily(uniform_gcd_family(3, Polynomial.from_codes(GF(3), (1,)))))
+    code = code_from_family(CAFamily(uniform_gcd_family(3, Polynomial.from_codes(GF(3), (1,)))[0]))
     tables = count_calls(monkeypatch, "_shared_pivot_table")
     ranks = count_calls(monkeypatch, "_joint_rank")
     stats = simulate(code, ChannelConfig(erasures=1, seed=5), trials=40)
@@ -200,10 +201,15 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def test_layer_tracer_targets_exist():
+def load_layertrace():
     spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
     layertrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layertrace)
+    return layertrace
+
+
+def test_layer_tracer_targets_exist():
+    layertrace = load_layertrace()
     missing = []
     for module, path in [*layertrace.SPANS.values(), *layertrace.DRAWS]:
         owner = importlib.import_module(module)
@@ -214,3 +220,17 @@ def test_layer_tracer_targets_exist():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module}:{path}")
     assert missing == []
+
+
+def test_layer_tracer_sees_the_cli_constructions(capsys):
+    tracer = load_layertrace().LayerTracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        assert main(["build-code", "--q", "2", "--k", "4"]) == 0
+        assert main(["search-max", "--q", "2", "--k", "4", "--t", "0"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    assert tracer.calls["families.uniform_gcd"] == 1
+    assert tracer.calls["families.search_max"] == 1
