@@ -114,7 +114,7 @@ def _load_code_file(path: str) -> tuple[GrassmannianCode, dict]:
             raise ParseError(f"{path} is no readable JSON document: {exc}") from None
     bare = data.get("code", data) if isinstance(data, dict) else None
     if not isinstance(bare, dict) or "codewords" not in bare:
-        raise DomainError(f"{path} does not contain a code object")
+        raise ParseError(f"{path} does not contain a code object")
     return GrassmannianCode.from_json(bare), data
 
 
@@ -192,11 +192,11 @@ def _cmd_analyze(args) -> dict:
             raise ParseError("a build-code document needs a string q and a family of strings")
         field = GF.from_spec(spec)
         listed = CAFamily(Polynomial.from_string(field, s) for s in family)
-        check = {"family": family}
+        # read in codeword order, the rules' GCD table lines up with ``inter``
+        rules = [kernel_rule(word) for word in code]
+        same = len(rules) == len(listed) and set(rules) == set(listed)
+        check = {"family": family, "consistent": same}
         if len(listed) >= 2:
-            # read in codeword order, the rules' GCD table lines up with ``inter``
-            rules = [kernel_rule(word) for word in code]
-            same = len(rules) == len(listed) and set(rules) == set(listed)
             d, gcds = predicted_min_distance(CAFamily(rules) if same else listed)
             check["predicted_min_distance"] = d
             check["consistent"] = same and gcds.table == inter

@@ -11,13 +11,15 @@ so distance prediction is pure polynomial GCD work, with pairwise-coprime
 families giving equidistant codes of distance 2k.  The GCD degrees come from
 factorizations: each polynomial is factored once (``algebra.FactorTable``),
 and deg gcd(f, g) is the sum of min(multiplicity) * degree over the shared
-irreducible factors, one AND of two bitmasks (``_gcd_masks``).  ``poly_gcd``
-stays as the independent route of ``verify_family`` and the tests.
-``gcd_profile`` builds the full pairwise table, which ``analyze`` prints;
-``build-code`` needs only the maximum, and each construction returns it with
-its members: ``uniform_gcd_family`` reads it off the sieve that built the
-family, through an index of shared factors that visits no coprime pair, and
-``search_max_family`` off the factor masks of its search.
+irreducible factors.  One index of shared factors (``_shared_degrees``)
+visits only the pairs that share one and gives each its degree; a pair it
+does not list is coprime.  ``gcd_profile`` fills the full pairwise table
+from it, which ``analyze`` prints.  Each construction returns its members
+with their largest degree, read off its own index: ``uniform_gcd_family``
+over the cofactors its sieve built, ``search_max_family`` over the pairs of
+the clique it found on the compatibility graph that index gave.
+``poly_gcd`` stays as the independent route of ``verify_family`` and the
+tests.
 
 Family membership is restricted to Poly_k(F_q): monic, degree k, nonzero
 constant term.  The degree-1 irreducible X is therefore excluded everywhere
@@ -110,8 +112,8 @@ class GcdProfile:
     """Pairwise GCD-degree summary of a family.
 
     ``table`` is triangular: row i holds deg(gcd(f_i, f_j)) for j < i, so
-    row 0 is empty.  ``witness_pair`` is the first (i, j), j < i, attaining
-    the maximum in scan order.
+    row 0 is empty.  ``witness_pair`` is (j, i), j < i, for the first entry
+    (row i, column j) attaining the maximum in scan order.
     """
 
     max_gcd_degree: int
@@ -149,37 +151,40 @@ def gcd_profile(fam: CAFamily) -> GcdProfile:
             for i, f in enumerate(members)
         )
     else:
-        masks = _gcd_masks(FactorTable(fam.field, d), members)
-        table = tuple(
-            tuple((a & b).bit_count() for b in masks[:i]) for i, a in enumerate(masks)
-        )
+        factor = FactorTable(fam.field, d).factor
+        rows = [[0] * i for i in range(len(members))]
+        for (i, j), e in _shared_degrees(map(factor, members)).items():
+            rows[j][i] = e
+        table = tuple(map(tuple, rows))
     return GcdProfile.from_table(table)
 
 
-def _gcd_masks(table: FactorTable, polys: Iterable[Polynomial]) -> list[int]:
-    """One int per polynomial such that deg gcd(f, g) = (mask f & mask g).bit_count().
+def _shared_degrees(
+    factorizations: Iterable[Sequence[Polynomial]],
+) -> dict[tuple[int, int], int]:
+    """deg gcd of each pair (i, j), i < j, of polynomials that share a factor,
+    each polynomial given by its monic irreducible factors with multiplicity.
+    A pair that is absent is coprime.
 
-    The c-th copy (c = 0, 1, ...) of an irreducible factor p owns deg p bits,
-    the same bits in every mask.  Two masks then share deg p bits for each
-    copy of p that both polynomials hold: min(multiplicity) * deg p over the
-    shared factors, which is the degree of the gcd.  Coprime is an AND of 0.
+    An inverted index lists, for each factor p and copy c (the c-th copy of p
+    in one factorization), the polynomials that hold it.  Only pairs listed
+    together are visited, and each such entry adds deg p to the pair's gcd:
+    min(multiplicity) * deg p over the shared factors.  Holders are keyed by
+    p's packed row, which hashes in C.  Memory is one entry per pair that
+    shares a factor.
     """
-    blocks: dict[tuple[int, int], int] = {}  # (factor row, copy) -> its bits
-    masks, top = [], 0
-    for f in polys:
-        mask, prev, copy = 0, 0, 0
-        for p in table.factor(f):  # equal factors are adjacent
+    holders: dict[tuple[int, int, int], list[int]] = {}  # (row, copy, degree) -> holders
+    for i, factors in enumerate(factorizations):
+        copies: dict[int, int] = {}
+        for p in factors:
             row = p.row
-            copy = copy + 1 if row == prev else 0
-            prev = row
-            block = blocks.get((row, copy))
-            if block is None:
-                e = p.degree
-                block = blocks[row, copy] = ((1 << e) - 1) << top
-                top += e
-            mask |= block
-        masks.append(mask)
-    return masks
+            c = copies[row] = copies.get(row, -1) + 1
+            holders.setdefault((row, c, p.degree), []).append(i)
+    shared: dict[tuple[int, int], int] = {}
+    for (_, _, e), held in holders.items():
+        for pair in itertools.combinations(held, 2):
+            shared[pair] = shared.get(pair, 0) + e
+    return shared
 
 
 def predicted_min_distance(fam: CAFamily) -> tuple[int, GcdProfile]:
@@ -317,28 +322,8 @@ def uniform_gcd_family(
     members = tuple(sorted((g * h for h in cofactors), key=Polynomial.to_codes))
     if len(members) < 2:
         return members, None
-    return members, t + _max_shared_degree(table.factor(h) for h in cofactors)
-
-
-def _max_shared_degree(factorizations: Iterable[Sequence[Polynomial]]) -> int:
-    """The largest deg gcd over pairs of polynomials, each given by its monic
-    irreducible factors with multiplicity; 0 when no two share a factor.
-
-    An inverted index lists, for each factor p and copy c (the c-th copy of p
-    in one factorization), the polynomials that hold it.  Only pairs listed
-    together are visited, and each such entry adds deg p to the pair's gcd.
-    """
-    holders: dict[tuple[Polynomial, int], list[int]] = {}
-    for i, factors in enumerate(factorizations):
-        copies: dict[Polynomial, int] = {}
-        for p in factors:
-            c = copies[p] = copies.get(p, -1) + 1
-            holders.setdefault((p, c), []).append(i)
-    shared: dict[tuple[int, int], int] = {}
-    for (p, _), held in holders.items():
-        for pair in itertools.combinations(held, 2):
-            shared[pair] = shared.get(pair, 0) + int(p.degree)
-    return max(shared.values(), default=0)
+    shared = _shared_degrees(map(table.factor, cofactors))
+    return members, t + max(shared.values(), default=0)
 
 
 def _gcd_degree(k: int, g: Polynomial) -> int:
@@ -482,7 +467,7 @@ def search_max_family(
     Ground-truth oracle: maximum clique on the compatibility graph, so only
     small instances are allowed (|Poly_k| <= budget).  Deterministic: the
     lexicographically smallest optimum is returned, members in lex order.
-    The maximum is read off the factor masks the search built.
+    The maximum is read off the index of shared factors the search built.
     """
     if k < 1:
         raise NonPositive(f"degree must be >= 1, got {k}")
@@ -497,11 +482,11 @@ def search_max_family(
             f"|Poly_{k}(F_{q})| = {q}^{k} - {q}^{k - 1} exceeds budget {budget}"
         )
     vertices = enumerate_rule_polynomials(k, field)
-    masks = _gcd_masks(FactorTable(field, k), vertices)
-    clique = _max_clique(_compatibility(masks, t))
+    shared = _shared_degrees(map(FactorTable(field, k).factor, vertices))
+    clique = _max_clique(_compatibility(len(vertices), shared, t))
+    # the clique is ascending, so its pairs are keys of ``shared`` as they come
     top = max(
-        ((masks[i] & masks[j]).bit_count() for i, j in itertools.combinations(clique, 2)),
-        default=None,
+        (shared.get(pair, 0) for pair in itertools.combinations(clique, 2)), default=None
     )
     return tuple(vertices[i] for i in clique), top
 
@@ -522,13 +507,14 @@ def search_max_exact_gcd(
     return tuple(sorted((g * h for h in cofactors), key=Polynomial.to_codes))
 
 
-def _compatibility(masks: Sequence[int], t: int) -> list[int]:
-    """Bitset adjacency: bit j of entry i is set when deg gcd(v_i, v_j) <= t,
-    from the vertices' ``_gcd_masks``.
+def _compatibility(n: int, shared: dict[tuple[int, int], int], t: int) -> list[int]:
+    """Bitset adjacency of n vertices: bit j of entry i is set when
+    deg gcd(v_i, v_j) <= t.  The complete graph, less each pair that the
+    vertices' ``_shared_degrees`` lists with a degree above t.
     """
-    nbr = [0] * len(masks)
-    for i, j in itertools.combinations(range(len(masks)), 2):
-        if (masks[i] & masks[j]).bit_count() <= t:
-            nbr[i] |= 1 << j
-            nbr[j] |= 1 << i
+    nbr = [((1 << n) - 1) ^ (1 << i) for i in range(n)]
+    for (i, j), e in shared.items():
+        if e > t:
+            nbr[i] ^= 1 << j
+            nbr[j] ^= 1 << i
     return nbr

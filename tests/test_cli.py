@@ -280,6 +280,17 @@ def test_family_check_matches_the_slow_reference(capsys, tmp_path, spec, degrees
     rng = random.Random(spec)
     path = tmp_path / "family.json"
     verdicts = []
+
+    def check(k, listed, code):
+        doc = {"q": spec, "k": k, "family": [f.to_string() for f in listed], "code": code.to_json()}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status, out = run_json(capsys, "analyze", "--code", str(path))
+        assert status == 0
+        expected = generates_oracle(listed, code)
+        assert out["family_check"]["consistent"] is expected
+        verdicts.append(expected)
+        return out["family_check"]
+
     for _ in range(30):
         k = rng.choice(degrees)
         pool = list(enumerate_rule_polynomials(k, field))
@@ -290,19 +301,18 @@ def test_family_check_matches_the_slow_reference(capsys, tmp_path, spec, degrees
         swapped[rng.randrange(len(swapped))] = outsider
         variants = [members, swapped] + [members[1:]] * (len(members) > 2)
         for listed in (rng.sample(v, len(v)) for v in variants):
-            doc = {
-                "q": spec,
-                "k": k,
-                "family": [f.to_string() for f in listed],
-                "code": code.to_json(),
-            }
-            path.write_text(json.dumps(doc), encoding="utf-8")
-            status, out = run_json(capsys, "analyze", "--code", str(path))
-            assert status == 0
-            expected = generates_oracle(listed, code)
-            assert out["family_check"]["consistent"] is expected
-            verdicts.append(expected)
+            check(k, listed, code)
     assert True in verdicts and False in verdicts
+    # one listed member gets a verdict too, and no predicted distance: against
+    # its own kernel, an outsider's, and its own with an outsider's added
+    k = degrees[0]
+    member, outsider = rng.sample(list(enumerate_rule_polynomials(k, field)), 2)
+    for listed, kernels in (
+        ([member], [member]), ([outsider], [member]), ([member], [member, outsider])
+    ):
+        found = check(k, listed, code_from_family(CAFamily(kernels)))
+        assert "predicted_min_distance" not in found
+    assert verdicts[-3:] == [True, False, False]
 
 
 # -- search-max -------------------------------------------------------------------------------
@@ -600,6 +610,19 @@ def test_malformed_code_document_is_a_json_error(capsys, tmp_path, document):
         assert time.perf_counter() - start < 1.0
         assert code == 1
         assert doc["error"]["name"] == "ParseError"
+
+
+@pytest.mark.parametrize("document", [[1, 2], {"x": 1}, {"code": 5}], ids=json.dumps)
+def test_file_without_a_code_object_is_a_parse_error(capsys, tmp_path, document):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for command in ("analyze", "simulate"):
+        code, doc = run_json(capsys, command, "--code", str(path))
+        assert code == 1
+        assert doc["error"] == {
+            "name": "ParseError",
+            "message": f"{path} does not contain a code object",
+        }
 
 
 # bytes that are no UTF-8, and arrays nested deeper than the JSON decoder recurses

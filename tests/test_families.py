@@ -26,9 +26,8 @@ from cacodes.families import (
     CAFamily,
     GcdProfile,
     _compatibility,
-    _gcd_masks,
     _max_clique,
-    _max_shared_degree,
+    _shared_degrees,
     code_from_family,
     count_irreducibles,
     enumerate_irreducibles,
@@ -169,11 +168,13 @@ def test_gcd_profile_matches_poly_gcd_on_random_families(field, k):
     assert ties > 0
 
 
-@pytest.mark.parametrize("field, k", [(F2, 6), (F3, 4), (F4, 3), (GF(5), 3)], ids=str)
+@pytest.mark.parametrize(
+    "field, k", [(F2, 6), (F3, 4), (F4, 3), (GF(5), 3), (GF(2, 3), 2), (GF(7), 2)], ids=str
+)
 def test_compatibility_matches_poly_gcd_graph_for_every_t(field, k):
     vertices = enumerate_rule_polynomials(k, field)
     table = _gcd_table(vertices)
-    masks = _gcd_masks(FactorTable(field, k), vertices)
+    shared = _shared_degrees(map(FactorTable(field, k).factor, vertices))
     for t in range(k + 1):
         expected = [0] * len(vertices)
         for i, row in enumerate(table):
@@ -181,7 +182,7 @@ def test_compatibility_matches_poly_gcd_graph_for_every_t(field, k):
                 if d <= t:
                     expected[i] |= 1 << j
                     expected[j] |= 1 << i
-        assert _compatibility(masks, t) == expected
+        assert _compatibility(len(vertices), shared, t) == expected
 
 
 # -- code construction ------------------------------------------------------------------------
@@ -448,11 +449,15 @@ def test_shared_factor_index_matches_pairwise_gcds(field):
             [rng.choice(pool) for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(2, 7))
         ]
         polys = [functools.reduce(Polynomial.__mul__, fs, P(field, 1)) for fs in factorizations]
-        expected = max(poly_gcd(f, g).degree for f, g in itertools.combinations(polys, 2))
-        assert _max_shared_degree(factorizations) == expected
-        shared += expected > max(f.degree for f in pool)  # two shared factors, or copies
+        index = _shared_degrees(factorizations)
+        assert all(i < j and d > 0 for (i, j), d in index.items())
+        for i, j in itertools.combinations(range(len(polys)), 2):
+            # absent exactly when coprime
+            assert index.get((i, j), 0) == poly_gcd(polys[i], polys[j]).degree
+        # two shared factors, or copies
+        shared += max(index.values(), default=0) > max(f.degree for f in pool)
     assert shared > 0
-    assert _max_shared_degree([[pool[0]]]) == _max_shared_degree([]) == 0
+    assert _shared_degrees([[pool[0]]]) == _shared_degrees([]) == {}
 
 
 def _uniform_gcd_cases():
