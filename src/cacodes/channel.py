@@ -191,7 +191,8 @@ def simulate(code: GrassmannianCode, cfg: ChannelConfig, trials: int) -> dict:
     and ambiguity rates, mean distance to the sent codeword, and the
     histogram of those distances.  Every trial with 2 d(U, sent) < D must
     decode correctly; a trial that does not raises ``GuaranteeViolated``.
-    More than ``MAX_TRIALS`` trials are refused before any draw.
+    More than ``MAX_TRIALS`` trials, or more erasures than the smallest
+    codeword's dimension, are refused before any draw.
     """
     if len(code) == 0:
         raise EmptyCode("cannot simulate an empty code")
@@ -199,6 +200,11 @@ def simulate(code: GrassmannianCode, cfg: ChannelConfig, trials: int) -> dict:
         raise NonPositive("trials must be >= 1")
     if trials > MAX_TRIALS:
         raise BudgetExceeded(f"{trials} trials exceed the bound of {MAX_TRIALS}")
+    low = min(s.dim for s in code)
+    if cfg.erasures > low:
+        raise TooManyErasures(
+            f"cannot erase {cfg.erasures} dimensions from a {low}-dimensional codeword"
+        )
     big_d = code.min_distance() if len(code) >= 2 else None
     successes = ambiguities = 0
     dist_sum = 0

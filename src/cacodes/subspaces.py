@@ -15,23 +15,22 @@ A Grassmannian code is a finite set of such subspaces; here they usually all
 share one dimension k (constant-dimension code) because they arise as
 kernels of equal-diameter cellular automata.  Such kernels also share one
 pivot set: each is the row space of [I_k | M], the lifting of a k x (n-k)
-matrix M.  For two RREF bases a, b with the same pivots, a_i - b_i vanishes
-on every pivot column, so
-
-    dim(A intersect B) = k - rank{a_i - b_i}    (for lifts, k - rank(M_A - M_B))
-
-and the pairwise table ranks k difference rows per pair instead of
-eliminating 2k stacked ones.  Each codeword's k rows are set side by side
-in one wide int, so one row operation forms all k differences of a pair: no
-row format carries from one lane into the next, so none crosses from one
-row's block into another's.  A code whose codewords do not all share one
-pivot set (mixed dimensions, arbitrary subspaces) takes the stacked route.
+matrix M.  Over one pivot set every vector of A is x R_A for one x in
+GF(q)^k (R_A the RREF rows), and A and B meet in dimension d exactly when
+x R_A = x R_B for (q^d - 1)/(q - 1) projective x, whose first nonzero entry
+is 1.  So the pairwise table of N such codewords takes one walk over the
+(q^k - 1)/(q - 1) projective x, each step one row operation on all N
+codewords side by side and one C-level test for coinciding blocks.  Where
+the walk costs more than the pairs' eliminations, and where the codewords
+do not all share one pivot set (mixed dimensions, arbitrary subspaces), each
+pair's stacked bases are eliminated instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -172,40 +171,52 @@ def _joint_rank(a: Subspace, b: Subspace, cap: float = math.inf) -> int:
 
 def _shared_pivot_table(words: Sequence[Subspace]) -> tuple[tuple[int, ...], ...]:
     """The intersection table of subspaces that share one pivot set, from
-    dim(A intersect B) = k - rank{a_i - b_i} on their held RREF rows.
+    the projective coefficient vectors x on which they coincide.
 
-    Every row is zero left of the first pivot, and every difference on the
-    pivots, so the rows are shifted past the columns where all differences
-    vanish.  Each codeword's k shifted rows are then set side by side in one
-    wide row, block i holding row i, n - skip lanes apart (as
-    ``LinearCA.annihilates`` packs a basis).  No row format carries from one
-    lane into the next, so one row operation on two wide rows forms all k
-    differences of a pair, each in its own block.
+    Row i of every codeword, shifted past the columns where all agree, sits
+    in block j of one wide row R_i, so X = sum x_i R_i holds x R_j in block j.
+    A block is whole lanes and whole bytes: no row operation crosses it, and
+    the bytes of X split at its bounds.  For each leading row, a p-ary Gray
+    code over the generators alpha^e R_i of the rows after it visits each x
+    once, one row operation per step (GF(q) is GF(p)^m under addition).  A
+    set test finds the steps where blocks coincide; only those are grouped.
     """
     first = words[0]._echelon
+    gf, size, k = first.field, len(words), first.rank
     pivots = set(first.pivots)
-    skip = min(pivots, default=0)
-    while skip in pivots:
-        skip += 1
-    shift, block = skip * first.field.width, (first.ncols - skip) * first.field.width
-    empty = Echelon(first.field, first.ncols - skip)
-    wide = [
-        sum(r >> shift << i * block for i, r in enumerate(s._echelon.rows)) for s in words
-    ]
-    k = len(pivots)
-    return tuple(
-        tuple(k - _difference_rank(empty, k, a, b) for b in wide[:i])
-        for i, a in enumerate(wide)
+    skip = next(c for c in itertools.count(min(pivots, default=0)) if c not in pivots)
+    unit = math.lcm(8, gf.width)
+    block = -(-(first.ncols - skip) * gf.width // unit) * unit // 8  # bytes
+    shift, length, q, p = skip * gf.width, block * size, gf.q, gf.p
+    packed = [[(r >> shift).to_bytes(block, "little") for r in s._echelon.rows] for s in words]
+    wide = [int.from_bytes(b"".join(column), "little") for column in zip(*packed)]
+    sub_scaled, minus = gf.format.sub_scaled, gf.neg(1)
+    gens = [sub_scaled(0, gf.neg(p**e), wide[i]) for i in reversed(range(k)) for e in range(gf.m)]
+    ruler: list[int] = []  # step t adds generator v, for p^v the largest power of p dividing t
+    for d in range((k - 1) * gf.m):
+        ruler = (ruler + [d]) * (p - 1) + ruler
+    walk = itertools.chain.from_iterable(
+        itertools.accumulate(itertools.islice(ruler, q ** (k - 1 - j) - 1),
+                             lambda x, d: sub_scaled(x, minus, gens[d]), initial=x)
+        for j, x in enumerate(wide)
     )
-
-
-def _difference_rank(empty: Echelon, k: int, a: int, b: int) -> int:
-    """rank{a_i - b_i} of two wide rows of k blocks of ``empty.ncols`` lanes:
-    one row operation forms the differences, and a copy of an empty echelon
-    takes them block by block."""
-    fmt, block = empty.field.format, empty.ncols * empty.field.width
-    low, d = (1 << block) - 1, fmt.sub_scaled(a, 1, b)
-    return empty.copy().extend([d >> s & low for s in range(0, k * block, block)])
+    split, index = struct.Struct(f"{block}s" * size).unpack, range(size)
+    table = [[0] * i for i in index]
+    for x in walk:
+        blocks = split(x.to_bytes(length, "little"))
+        if len(set(blocks)) < size:
+            last, groups = dict(zip(blocks, index)), {}
+            repeats = map(int.__ne__, map(last.__getitem__, blocks), index)  # a later block equal
+            for i in itertools.compress(index, repeats):
+                groups.setdefault(blocks[i], []).append(i)
+            for b, group in groups.items():
+                for i, j in itertools.combinations((*group, last[b]), 2):
+                    table[j][i] += 1
+    # (q^d - 1)/(q - 1) projective x coincide on a pair that meets in dimension d
+    level = {(q**d - 1) // (q - 1): d for d in range(k)}
+    for i, row in enumerate(table):
+        table[i] = tuple(map(level.__getitem__, row))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -280,13 +291,19 @@ class GrassmannianCode:
     def pairwise_intersection_dims(self) -> tuple[tuple[int, ...], ...]:
         """Triangular table: row i lists dim(C_i intersect C_j) for j < i.
 
-        Computed on first use and kept: the codewords never change.  One
-        elimination per pair: of the difference rows when all codewords
-        share one pivot set, else of the stacked bases.
+        Computed on first use and kept: the codewords never change.  Over
+        one pivot set of size k, a walk step tests N blocks at C level and a
+        pair reduces k rows in Python, a row costing at least four block
+        tests on the packed formats; so the walk over (q^k - 1)/(q - 1)
+        vectors runs when they are at most 2k(N - 1), bit lengths compared
+        first.  Every other code eliminates each pair's stacked bases.
         """
         if self._pairwise is None:
-            words = self.codewords
-            if len({tuple(s._echelon.pivots) for s in words}) == 1:
+            words, q, k = self.codewords, self.field.q, self.constant_dim or 0
+            budget = 2 * k * (len(words) - 1)
+            if len({tuple(s._echelon.pivots) for s in words}) == 1 and (
+                k <= budget.bit_length() and (q**k - 1) // (q - 1) <= budget
+            ):
                 self._pairwise = _shared_pivot_table(words)
             else:
                 self._pairwise = tuple(

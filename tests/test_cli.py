@@ -505,6 +505,25 @@ def test_simulate_csv_histogram(capsys, code_file):
     assert out.splitlines() == ["distance,count", "1,10"]
 
 
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_simulate_refuses_more_erasures_than_its_smallest_codeword(
+    capsys, tmp_path, monkeypatch, seed
+):
+    # seed 0 would send the line and seed 1 the zero space: both are refused
+    # before a codeword is drawn
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"q": "2", "n": 2, "codewords": [[], [[1, 0]]]}), encoding="utf-8")
+    monkeypatch.setattr(channel_module, "transmit", None)
+    code, doc = run_json(
+        capsys, "simulate", "--code", str(path), "--erasures", "1", "--trials", "1", "--seed", seed
+    )
+    assert code == 1
+    assert doc["error"] == {
+        "name": "TooManyErasures",
+        "message": "cannot erase 1 dimensions from a 0-dimensional codeword",
+    }
+
+
 # -- error reporting ------------------------------------------------------------------------------
 
 

@@ -6,8 +6,9 @@
   polynomials, matrices and subspaces never go back through ``GF.code_of``,
   and parsed polynomials never through ``GF.element``.
 * The CLI reads no packed rows: the lift layout belongs to ``ca``.
-* A code's pairwise intersection table is computed once per code, with one
-  elimination per pair, and ``simulate`` reads the one table for D and for
+* A code's pairwise intersection table is computed once per code, by one
+  walk over the coefficient vectors (every benchmark code takes it) or by
+  one elimination per pair, and ``simulate`` reads the one table for D and for
   every decode: inside the unique-decoding radius a trial eliminates only
   the sent codeword.
 * Each field builds its one packed row format, and the channel works on
@@ -17,9 +18,12 @@
 """
 
 import ast
+import contextlib
 import importlib.util
+import io
 import json
 import pathlib
+import sys
 
 import cacodes
 from cacodes import channel, subspaces
@@ -39,6 +43,7 @@ from cacodes.subspaces import GrassmannianCode, subspace_distance
 
 SRC = pathlib.Path(cacodes.__file__).parent
 LAYERTRACE = pathlib.Path(__file__).parents[1] / "benchmarks" / "layertrace.py"
+WORKLOADS = LAYERTRACE.with_name("workloads.py")
 
 
 def test_no_assert_statements_in_src():
@@ -141,20 +146,21 @@ def test_channel_unpacks_nothing(monkeypatch):
     assert calls == []
 
 
-def test_analyze_eliminates_each_pair_once(capsys, tmp_path, monkeypatch):
+def test_analyze_of_a_lifted_code_walks_the_table_once(capsys, tmp_path, monkeypatch):
     assert main(["build-code", "--q", "2", "--k", "5"]) == 0
     document = capsys.readouterr().out
     size = len(json.loads(document)["code"]["codewords"])
     path = tmp_path / "code.json"
     path.write_text(document, encoding="utf-8")
 
-    # the codewords share the pivots 0..k-1: each pair is one difference rank
-    pairs = count_calls(monkeypatch, "_difference_rank")
+    # the codewords share the pivots 0..k-1, and 2^5 - 1 <= 2k(N - 1): one
+    # walk over the coefficient vectors, no elimination
+    walks = count_calls(monkeypatch, "_shared_pivot_table")
     stacked = count_calls(monkeypatch, "_joint_rank")
     assert main(["analyze", "--code", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["family_check"]["consistent"] is True
     assert size >= 5
-    assert len(pairs) == size * (size - 1) // 2
+    assert len(walks) == 1
     assert stacked == []
 
 
@@ -164,12 +170,39 @@ def test_analyze_of_mixed_pivots_eliminates_each_pair_once(capsys, tmp_path, mon
     path = tmp_path / "code.json"
     path.write_text(json.dumps({"q": "2", "n": 3, "codewords": words}), encoding="utf-8")
     pairs = count_calls(monkeypatch, "_joint_rank")
-    lifted = count_calls(monkeypatch, "_difference_rank")
+    walks = count_calls(monkeypatch, "_shared_pivot_table")
     assert main(["analyze", "--code", str(path)]) == 0
     table = json.loads(capsys.readouterr().out)["gcd_profile"]["table"]
     assert table == [[], [0], [1, 0], [1, 0, 1]]
     assert len(pairs) == len(words) * (len(words) - 1) // 2
-    assert lifted == []
+    assert walks == []
+
+
+def test_every_benchmark_code_walks_its_table(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+
+    def call(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            return main(list(argv)), out.getvalue()
+
+    paths = {
+        op.argv[op.argv.index("--code") + 1]
+        for workload in ("certify", "channel")
+        for op in workloads.build_menu(workload, "full", 1, tmp_path / workload, call)
+    }
+    assert len(paths) == 16
+    for path in sorted(paths):
+        doc = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
+        code = GrassmannianCode.from_json(doc.get("code", doc))
+        walks = count_calls(monkeypatch, "_shared_pivot_table")
+        pairs = count_calls(monkeypatch, "_joint_rank")
+        code.pairwise_intersection_dims()
+        assert (len(walks), len(pairs)) == (1, 0), path
+        monkeypatch.undo()
 
 
 def test_simulate_inside_the_radius_eliminates_only_the_sent_codeword(monkeypatch):

@@ -9,8 +9,8 @@ import pytest
 from cacodes.algebra import GF, Polynomial
 from cacodes.ca import LinearCA
 from cacodes.errors import AmbientMismatch, EmptyCode, TooFewCodewords
-from cacodes.linalg import sylvester
-from cacodes import subspaces
+from cacodes.linalg import Echelon, sylvester
+from cacodes import families, subspaces
 from cacodes.subspaces import GrassmannianCode, Subspace, _joint_rank, subspace_distance
 
 import oracles
@@ -381,6 +381,34 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def pivot_sets(code):
+    return {tuple(row.index(1) for row in s.basis.rows) for s in code}
+
+
+def walks(code):
+    """The route rule, restated: one pivot set of size k, and at most 2k(N - 1)
+    projective coefficient vectors, (q^k - 1)/(q - 1)."""
+    q, k, size = code.field.q, code[0].dim, len(code)
+    return len(pivot_sets(code)) == 1 and (q**k - 1) // (q - 1) <= 2 * k * (size - 1)
+
+
+def check_table(code, monkeypatch):
+    """The table equals the stacked route's and the oracle's, and comes from
+    the route the rule names: one walk and no elimination, or one
+    elimination per pair and no walk."""
+    want = stacked_table(code)
+    assert want == oracle_table(code)
+    walked = count_calls(monkeypatch, "_shared_pivot_table")
+    pairs = count_calls(monkeypatch, "_joint_rank")
+    assert code.pairwise_intersection_dims() == want
+    size = len(code)
+    if walks(code):
+        assert (len(walked), len(pairs)) == (1, 0)
+    else:
+        assert (len(walked), len(pairs)) == (0, size * (size - 1) // 2)
+    monkeypatch.undo()
+
+
 @pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
 def test_shared_pivot_table_matches_stacked_route(field, monkeypatch):
     rng = random.Random(f"shared pivots over GF({field.spec})")
@@ -390,14 +418,8 @@ def test_shared_pivot_table_matches_stacked_route(field, monkeypatch):
         inputs = shared_pivot_inputs(field, n, pivots, rng, rng.randint(2, 7))
         code = GrassmannianCode(field, n, [Subspace(field, n, r) for r in inputs])
         assert code.duplicates_removed >= 2
-        assert {tuple(s.basis.rows[i].index(1) for i in range(k)) for s in code} == {
-            tuple(pivots)
-        }
-        stacked = stacked_table(code)
-        calls = count_calls(monkeypatch, "_difference_rank")
-        assert code.pairwise_intersection_dims() == stacked == oracle_table(code)
-        assert len(calls) == len(code) * (len(code) - 1) // 2
-        monkeypatch.undo()
+        assert pivot_sets(code) == {tuple(pivots)}
+        check_table(code, monkeypatch)
 
     for _ in range(12):
         k = rng.randint(1, 4)
@@ -408,14 +430,53 @@ def test_shared_pivot_table_matches_stacked_route(field, monkeypatch):
         # the lifted [I | M] form, and one other pivot set
         for pivots in (list(range(k)), other):
             check(n, pivots)
-    # k up to 8: a lift's wide row, k blocks of n - k lanes, past 64 and 256
-    # bits; and pivots 0..k-2 and n - 1, whose gap at column k - 1 lies
-    # below the last pivot
+    # k up to 8, k (n - k) lanes past 64 and 256 bits; and pivots 0..k-2 and
+    # n - 1, whose gap at column k - 1 lies below the last pivot
     for k, bits in ((2, 0), (3, 0), (6, 64), (8, 256)):
         n = k + max(2, bits // (k * field.width) + 1)
         assert k * (n - k) * field.width > bits
         for pivots in (list(range(k)), [*range(k - 1), n - 1]):
             check(n, pivots)
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
+def test_walked_table_matches_stacked_and_oracle_tables(field):
+    # lane widths 1, 2, 3, 4, 5, 8 and 9 bits: a block must be whole lanes
+    # and whole bytes, and a step over GF(p^m) runs through all of GF(p)^m
+    rng = random.Random(f"walked table over GF({field.spec})")
+    # at most 300 vectors per leading row, so the walk stays quick
+    top = max(k for k in range(1, 6) if field.q ** (k - 1) <= 300)
+
+    def check(code):
+        want = stacked_table(code)
+        assert len(pivot_sets(code)) == 1
+        assert subspaces._shared_pivot_table(code.codewords) == want == oracle_table(code)
+        return want
+
+    for _ in range(10):
+        k = rng.randint(1, top)
+        n = k + rng.randint(1, 5)
+        spread = sorted(rng.sample(range(n), k))
+        for pivots in (list(range(k)), spread, [*range(k - 1), n - 1]):
+            inputs = shared_pivot_inputs(field, n, pivots, rng, rng.randint(2, 9))
+            check(GrassmannianCode(field, n, [Subspace(field, n, r) for r in inputs]))
+    # CA codes whose every pair meets: t = deg g >= 1, a sample of the members
+    for k in range(2, max(top, 2) + 1):
+        for t in range(1, k):
+            g = Polynomial.from_codes(field, [rng.randrange(1, field.q)] * t + [1])
+            members = families.uniform_gcd_family(k, g)[0]
+            members = rng.sample(members, min(len(members), 10))
+            if len(members) > 1:
+                code = families.code_from_family(families.CAFamily(members))
+                assert all(0 < d for row in check(code) for d in row)
+    # a zero-dimensional codeword: alone it walks no vector, beside others
+    # its pivot set differs
+    zero = Subspace(field, 4)
+    assert subspaces._shared_pivot_table([zero]) == ((),)
+    assert GrassmannianCode(field, 4, [zero]).pairwise_intersection_dims() == ((),)
+    lines = [Subspace(field, 4, [r]) for r in ((1, 2, 3, 1), (1, 1, 0, 0))]
+    code = GrassmannianCode(field, 4, [zero, *lines])
+    assert code.pairwise_intersection_dims() == stacked_table(code) == oracle_table(code)
 
 
 @pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
@@ -431,7 +492,41 @@ def test_mixed_pivot_table_takes_the_stacked_route(field, monkeypatch):
             extra = Subspace(field, n, rref_rows(field, n, range(n - k, n), rng))
         words = lifted + [extra, random_subspace(field, n, rng, max_rows=n)]
         code = GrassmannianCode(field, n, words)
-        stacked = stacked_table(code)
-        monkeypatch.setattr(subspaces, "_difference_rank", None)  # the fast path fails
-        assert code.pairwise_intersection_dims() == stacked == oracle_table(code)
-        monkeypatch.undo()
+        assert len(pivot_sets(code)) > 1
+        check_table(code, monkeypatch)
+
+
+def test_high_degree_pair_takes_the_stacked_route(monkeypatch):
+    # two rules of GF(2) k = 20 that share a degree-18 factor: 2^20 - 1
+    # vectors to walk for a single pair
+    g = Polynomial.from_codes(F2, [1, 1] + [0] * 16 + [1])
+    code = families.code_from_family(families.CAFamily(families.uniform_gcd_family(20, g)[0]))
+    assert len(code) == 2 and not walks(code)
+    check_table(code, monkeypatch)
+    assert code.pairwise_intersection_dims() == ((), (18,))
+
+
+def test_sixty_lifts_over_a_large_field_take_the_stacked_route(monkeypatch):
+    field = GF(257)
+    rng = random.Random("sixty lifts")
+    lifts = [Subspace(field, 6, rref_rows(field, 6, range(3), rng)) for _ in range(60)]
+    code = GrassmannianCode(field, 6, lifts)
+    assert len(code) == 60 and not walks(code)
+    check_table(code, monkeypatch)
+
+
+def test_a_long_lift_over_a_large_prime_takes_the_stacked_route(monkeypatch):
+    # (q^k - 1)/(q - 1) has 31,000 bits here: the rule compares bit lengths
+    # first.  The rows go in packed, already an RREF: [I | 0] and one lane of
+    # column k set in row 0
+    field, k = GF(2**31 - 1), 1000
+    rows = [1 << i * field.width for i in range(k)]
+    other = [rows[0] | 5 << k * field.width, *rows[1:]]
+    code = GrassmannianCode(field, k + 1, [
+        Subspace.from_echelon(Echelon.from_rref(field, k + 1, r), reduced=True)
+        for r in (rows, other)
+    ])
+    walked = count_calls(monkeypatch, "_shared_pivot_table")
+    pairs = count_calls(monkeypatch, "_joint_rank")
+    assert code.pairwise_intersection_dims() == ((), (k - 1,))
+    assert (len(walked), len(pairs)) == (0, 1)
