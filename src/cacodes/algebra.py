@@ -349,8 +349,12 @@ class RowFormat:
       code, and a row operation unpacks both rows and works entry by entry.
 
     ``lex_key`` orders rows as their codes do: GF(2) reads the key off the
-    row's bits and the byte lanes off its bytes, the others unpack.  Packing
-    trusts its codes to lie in [0, q).
+    row's bits and the byte lanes off its bytes, the others unpack.
+    ``pack_rows`` packs rows from the base-p digits of their entries, the
+    code file's layout flattened: GF(2^m) and the byte lanes pack all rows
+    side by side in one C-level call and split them, the per-entry format
+    packs row by row, as its packing is quadratic in a row's length.
+    Packing trusts its codes to lie in [0, q) and its digits in [0, p).
     """
 
     __slots__ = ("field", "width", "mask")
@@ -363,6 +367,16 @@ class RowFormat:
         for c in reversed(codes):
             row = row << w | c
         return row
+
+    def pack_rows(self, digits: Sequence[int], count: int) -> list[int]:
+        """``count`` packed rows of equal length, read off the base-p digits of
+        their entries: m to an entry, lowest first, row after row (the code
+        file's layout, flattened).  ``digits`` is not empty."""
+        size, m, encode = len(digits) // count, self.field.m, self.field.encode
+        rows = [digits[i : i + size] for i in range(0, len(digits), size)]
+        if m == 1:
+            return list(map(self.pack, rows))
+        return [self.pack([encode(row[j : j + m]) for j in range(0, size, m)]) for row in rows]
 
     def unpack(self, row: int, n: int) -> tuple[int, ...]:
         """The codes of the n lanes 0..n-1 of ``row``, which has no more lanes."""
@@ -384,6 +398,15 @@ class RowFormat:
         return self.pack([gf.sub(x, gf.mul(c, y)) for x, y in pairs])
 
 
+_BINARY = bytes.maketrans(b"\x00\x01", b"01")  # digit bytes to the text int() reads
+
+
+def _split(wide: int, count: int, span: int) -> list[int]:
+    """The ``count`` rows of ``span`` bits each that sit side by side in ``wide``."""
+    low = (1 << span) - 1
+    return [wide >> s & low for s in range(0, count * span, span)]
+
+
 class _XorFormat(RowFormat):
     # c * x for a lane x = sum_i x_i 2^i is XOR_i x_i * (c * 2^i): the bits x_i
     # of every lane at once, times the code c * 2^i, which fits in the lane
@@ -394,6 +417,12 @@ class _XorFormat(RowFormat):
         self.times = [
             tuple(field.mul(c, 1 << i) for i in range(field.m)) for c in range(field.q)
         ]
+
+    def pack_rows(self, digits: Sequence[int], count: int) -> list[int]:
+        # an m-bit lane's code is its m digits as bits, so bit i of the rows
+        # side by side is digit i: the digits, highest first, read in base 2
+        wide = int(bytes(digits)[::-1].translate(_BINARY), 2)
+        return _split(wide, count, len(digits) // count)
 
     def lex_key(self, rows: Sequence[int], n: int) -> tuple | str:
         if self.width != 1:
@@ -426,6 +455,9 @@ class _ModFormat(RowFormat):
 
     def pack(self, codes: Sequence[int]) -> int:
         return int.from_bytes(bytes(codes), "little")
+
+    def pack_rows(self, digits: Sequence[int], count: int) -> list[int]:
+        return _split(self.pack(digits), count, 8 * len(digits) // count)
 
     def unpack(self, row: int, n: int) -> tuple[int, ...]:
         return tuple(row.to_bytes(n, "little"))

@@ -48,7 +48,7 @@ from .families import (
     search_max_family,
     uniform_gcd_family,
 )
-from .ca import LinearCA, kernel_rule
+from .ca import LinearCA
 from .subspaces import GrassmannianCode
 
 
@@ -110,7 +110,9 @@ def _load_code_file(path: str) -> tuple[GrassmannianCode, dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (UnicodeDecodeError, RecursionError) as exc:
+        except json.JSONDecodeError:
+            raise  # reported under its own name
+        except (ValueError, RecursionError) as exc:  # no UTF-8, too deep, too many digits
             raise ParseError(f"{path} is no readable JSON document: {exc}") from None
     bare = data.get("code", data) if isinstance(data, dict) else None
     if not isinstance(bare, dict) or "codewords" not in bare:
@@ -193,7 +195,7 @@ def _cmd_analyze(args) -> dict:
         field = GF.from_spec(spec)
         listed = CAFamily(Polynomial.from_string(field, s) for s in family)
         # read in codeword order, the rules' GCD table lines up with ``inter``
-        rules = [kernel_rule(word) for word in code]
+        rules = code.rules
         same = len(rules) == len(listed) and set(rules) == set(listed)
         check = {"family": family, "consistent": same}
         if len(listed) >= 2:

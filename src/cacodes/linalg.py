@@ -1,11 +1,15 @@
 """Exact linear algebra over GF(q): RREF, rank, null spaces, Sylvester matrices.
 
 Matrices store their entries as integer element codes (see ``algebra.GF``),
-one row per tuple.  ``MatrixGF(field, rows)`` validates each entry; code that
-already holds valid codes (RREF output, Sylvester and transition matrices,
-kernels) builds through ``MatrixGF.from_codes`` instead, and
-``MatrixGF.from_json`` checks each digit of its input once: a prime-field
-row in one pass (all ints, min and max in range), entry by entry otherwise.
+one row per tuple.  ``MatrixGF`` serves the API edge and the reference
+routes (transition matrices, null spaces, Sylvester matrices), not the load
+path: ``MatrixGF(field, rows)`` validates each entry, code that already
+holds valid codes builds through ``MatrixGF.from_codes``, and
+``MatrixGF.from_json`` is the per-entry checker of the code file layout,
+which names the first fault of a stored codeword that the load path
+(``subspaces.Subspace.from_json``) refuses.  ``Echelon.from_rows`` takes
+the load path's packed rows: it holds rows that already are an RREF as they
+are and eliminates any others.
 ``Echelon.extend`` (``insert`` for one row) is the one elimination
 routine: RREF, rank, null spaces and the subspace layer all grow an echelon
 row by row.  An echelon holds each row packed into one Python int, in the
@@ -142,18 +146,9 @@ class MatrixGF:
                 raise ParseError(f"entry {e!r} is not a list of {field.m} integers")
             return field.encode([_json_digit(a, field.p) for a in e])
 
-        def codes(row):
-            # a prime-field row of ints in range is its own codes, checked in
-            # one pass; any other row goes entry by entry, which names the fault
-            if field.m == 1 and all(type(x) is int for x in row) and (
-                not row or 0 <= min(row) and max(row) < field.p
-            ):
-                return tuple(row)
-            return tuple(map(entry, row))
-
         if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
             raise ParseError("a matrix must be a list of row lists")
-        return cls.from_codes(field, *_shaped([codes(row) for row in data], ncols))
+        return cls.from_codes(field, *_shaped([tuple(map(entry, row)) for row in data], ncols))
 
 
 def _shaped(
@@ -236,6 +231,25 @@ class Echelon:
         w = field.width
         ech._held = {((row & -row).bit_length() - 1) // w * w: row for row in rows}
         return ech
+
+    @classmethod
+    def from_rows(cls, field: GF, ncols: int, rows: list[int]) -> "Echelon":
+        """The reduced echelon of packed rows.  Rows that already are an RREF
+        in ascending pivot order are held as they are: one pass checks that
+        each is nonzero, that the pivots ascend, and that on the lanes where
+        the rows pivot each row is 1 at its own pivot and 0 at the others.
+        Any other rows are eliminated and reduced."""
+        if all(rows):
+            ech = cls.from_rref(field, ncols, rows)
+            held = ech._held  # pivot offset -> row, in row order
+            lanes = sum([field.mask << offset for offset in held])
+            if len(held) == len(rows) and list(held) == sorted(held) and all(
+                [row & lanes == 1 << offset for offset, row in held.items()]
+            ):
+                return ech
+        ech = cls(field, ncols)
+        ech.extend(rows)
+        return ech.reduce()
 
     @property
     def rank(self) -> int:

@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import GF
+from .algebra import GF, Polynomial, RowFormat
 from .errors import AmbientMismatch, EmptyCode, ParseError, TooFewCodewords
 from .linalg import Echelon, MatrixGF
 
@@ -147,7 +147,44 @@ class Subspace:
 
     @classmethod
     def from_json(cls, field: GF, ambient_n: int, data: Sequence) -> "Subspace":
-        return cls.from_matrix(MatrixGF.from_json(field, data, ncols=ambient_n))
+        """Parse the ``to_json`` layout: the one load path of a stored codeword.
+
+        A few C-level passes over the whole codeword check what
+        ``MatrixGF.from_json`` checks entry by entry: a list of row lists of
+        ``ambient_n`` entries, each an integer in [0, p) and no bool (over
+        GF(p^m), a list of m such digits).  The digits pack straight into rows
+        (``RowFormat.pack_rows``), which ``Echelon.from_rows`` holds as they
+        are when they already are the RREF.  A codeword that fails a check
+        goes to ``MatrixGF.from_json`` only to have its first fault named, so
+        each error reads as it always has.
+        """
+        digits = _stored_digits(field, ambient_n, data)
+        if digits is None:
+            MatrixGF.from_json(field, data, ncols=ambient_n)  # raises, naming the fault
+            raise ParseError("a codeword failed the load checks but not the per-entry ones")
+        rows = field.format.pack_rows(digits, len(data)) if digits else []
+        return cls.from_echelon(Echelon.from_rows(field, ambient_n, rows), reduced=True)
+
+
+def _stored_digits(field: GF, n: int, data) -> list | None:
+    """The base-p digits of a stored codeword, row after row and entry after
+    entry, or None when it is no list of n-entry rows of digits in [0, p)."""
+    if not (isinstance(data, list) and _all_are(list, data) and set(map(len, data)) <= {n}):
+        return None
+    digits = list(itertools.chain.from_iterable(data))
+    if field.m > 1:
+        if not (_all_are(list, digits) and set(map(len, digits)) <= {field.m}):
+            return None
+        digits = list(itertools.chain.from_iterable(digits))
+    if not _all_are(int, digits):
+        return None
+    distinct = set(digits)  # ints only now, so no bool or float merges with a digit
+    return digits if not distinct or 0 <= min(distinct) and max(distinct) < field.p else None
+
+
+def _all_are(kind: type, items: list) -> bool:
+    """Every item is a ``kind`` and no bool; each type present is tested once."""
+    return all([issubclass(t, kind) and t is not bool for t in set(map(type, items))])
 
 
 def subspace_distance(a: Subspace, b: Subspace) -> int:
@@ -246,7 +283,8 @@ class GrassmannianCode:
     """
 
     __slots__ = (
-        "field", "ambient_n", "codewords", "constant_dim", "duplicates_removed", "_pairwise"
+        "field", "ambient_n", "codewords", "constant_dim", "duplicates_removed", "_pairwise",
+        "_rules",
     )
 
     def __init__(self, field: GF, ambient_n: int, subspaces: Iterable[Subspace]):
@@ -267,6 +305,7 @@ class GrassmannianCode:
         dims = {s.dim for s in self.codewords}
         self.constant_dim = dims.pop() if len(dims) == 1 else None
         self._pairwise: tuple[tuple[int, ...], ...] | None = None
+        self._rules: tuple[Polynomial | None, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -292,15 +331,18 @@ class GrassmannianCode:
         """Triangular table: row i lists dim(C_i intersect C_j) for j < i.
 
         Computed on first use and kept: the codewords never change.  Over
-        one pivot set of size k, a walk step tests N blocks at C level and a
-        pair reduces k rows in Python, a row costing at least four block
-        tests on the packed formats; so the walk over (q^k - 1)/(q - 1)
-        vectors runs when they are at most 2k(N - 1), bit lengths compared
-        first.  Every other code eliminates each pair's stacked bases.
+        one pivot set of size k, a walk step tests N blocks and a pair
+        reduces k rows, a row costing at least c block tests: c = 4 on the
+        packed formats, where a block test is C level, and c = 1 on the
+        per-entry ``RowFormat``, whose walk steps unpack every lane.  So the
+        walk over (q^k - 1)/(q - 1) vectors runs when they are at most
+        c k (N - 1)/2, bit lengths compared first.  Every other code
+        eliminates each pair's stacked bases.
         """
         if self._pairwise is None:
             words, q, k = self.codewords, self.field.q, self.constant_dim or 0
-            budget = 2 * k * (len(words) - 1)
+            c = 1 if type(self.field.format) is RowFormat else 4
+            budget = c * k * (len(words) - 1) // 2
             if len({tuple(s._echelon.pivots) for s in words}) == 1 and (
                 k <= budget.bit_length() and (q**k - 1) // (q - 1) <= budget
             ):
@@ -311,6 +353,17 @@ class GrassmannianCode:
                     for i, a in enumerate(words)
                 )
         return self._pairwise
+
+    @property
+    def rules(self) -> tuple[Polynomial | None, ...]:
+        """``ca.kernel_rule`` of each codeword, in codeword order: the rule
+        whose kernel at n = 2k it is, or None where there is none.  Computed
+        on first use and kept: the codewords never change."""
+        if self._rules is None:
+            from .ca import kernel_rule  # ca builds on this module
+
+            self._rules = tuple(map(kernel_rule, self.codewords))
+        return self._rules
 
     def params(self) -> CodeParams:
         """The [n, max dim, log_q size, min distance] parameter tuple."""

@@ -644,9 +644,16 @@ def test_file_without_a_code_object_is_a_parse_error(capsys, tmp_path, document)
         }
 
 
-# bytes that are no UTF-8, and arrays nested deeper than the JSON decoder recurses
+# bytes that are no UTF-8, arrays nested deeper than the JSON decoder
+# recurses, and an integer literal longer than Python converts from text
 @pytest.mark.parametrize(
-    "content", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000], ids=["not-utf8", "deep-nesting"]
+    "content",
+    [
+        b"\xff\xfe",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"q": "2", "n": 2, "codewords": [[[1, ' + b"1" * 5000 + b"]]]}",
+    ],
+    ids=["not-utf8", "deep-nesting", "oversized-integer"],
 )
 def test_undecodable_code_file_is_a_json_error(capsys, tmp_path, content):
     path = tmp_path / "code.json"
@@ -659,8 +666,8 @@ def test_undecodable_code_file_is_a_json_error(capsys, tmp_path, content):
         assert json.loads(captured.out)["error"]["name"] == "ParseError"
 
 
-# GF(3) codewords whose first row passes the one-pass row check; the second
-# row fails it and goes entry by entry, which names the fault as before
+# GF(3) codewords whose first row is clean and whose second has one fault:
+# the load path refuses the codeword and the per-entry checker names the fault
 @pytest.mark.parametrize(
     "rows, name, message",
     [
@@ -683,6 +690,15 @@ def test_malformed_row_after_a_clean_row(capsys, tmp_path, rows, name, message):
         code, doc = run_json(capsys, command, "--code", str(path))
         assert code == 1
         assert doc["error"] == {"name": name, "message": message}
+
+
+def test_malformed_json_keeps_its_error_name(capsys, tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text('{"q": "2", "n": 2, "codewords": [[[1, 0]]', encoding="utf-8")
+    for command in ("analyze", "simulate"):
+        code, doc = run_json(capsys, command, "--code", str(path))
+        assert code == 1
+        assert doc["error"]["name"] == "JSONDecodeError"
 
 
 def test_rows_that_are_no_rref_load_to_their_span(capsys, tmp_path):

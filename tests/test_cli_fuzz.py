@@ -11,6 +11,7 @@ draws the same inputs on every run.
 import contextlib
 import io
 import json
+import re
 
 import pytest
 
@@ -114,6 +115,7 @@ def check(*argv):
         assert set(out["error"]) == {"name", "message"}
     else:
         assert "error" not in out
+    return out
 
 
 @FUZZ
@@ -160,3 +162,24 @@ def test_analyze_and_simulate(doc_path, document, erasures, errors, trials, seed
         "simulate", f"--code={doc_path}", f"--erasures={erasures}",
         f"--errors={errors}", f"--trials={trials}", f"--seed={seed}",
     )
+
+
+@FUZZ
+@given(document=documents, digits=st.integers(4301, 6000))
+def test_oversized_integer_literal(doc_path, document, digits):
+    # an integer literal longer than Python converts from text, in place of
+    # the document's first integer value, or beside the whole document
+    text, literal = json.dumps(document), "1" * digits
+    spliced = re.sub(r"(?<=[\[ ])-?\d+(?=[,\]}])", literal, text, count=1)
+    if spliced == text:
+        spliced = f"[{literal}, {text}]"
+    doc_path.write_text(spliced, encoding="utf-8")
+    try:
+        json.loads(spliced)
+        unreadable = False
+    except ValueError:
+        unreadable = True
+    for command in ("analyze", "simulate"):
+        out = check(command, f"--code={doc_path}")
+        if unreadable:
+            assert out["error"]["name"] == "ParseError"

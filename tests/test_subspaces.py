@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cacodes.algebra import GF, Polynomial
+from cacodes.algebra import GF, Polynomial, RowFormat
 from cacodes.ca import LinearCA
 from cacodes.errors import AmbientMismatch, EmptyCode, TooFewCodewords
 from cacodes.linalg import Echelon, sylvester
@@ -386,10 +386,12 @@ def pivot_sets(code):
 
 
 def walks(code):
-    """The route rule, restated: one pivot set of size k, and at most 2k(N - 1)
-    projective coefficient vectors, (q^k - 1)/(q - 1)."""
+    """The route rule, restated: one pivot set of size k, and at most
+    c k (N - 1)/2 projective coefficient vectors, (q^k - 1)/(q - 1), where c
+    is 1 on the per-entry row format and 4 on the packed ones."""
     q, k, size = code.field.q, code[0].dim, len(code)
-    return len(pivot_sets(code)) == 1 and (q**k - 1) // (q - 1) <= 2 * k * (size - 1)
+    c = 1 if type(code.field.format) is RowFormat else 4
+    return len(pivot_sets(code)) == 1 and (q**k - 1) // (q - 1) <= c * k * (size - 1) / 2
 
 
 def check_table(code, monkeypatch):
@@ -512,6 +514,20 @@ def test_sixty_lifts_over_a_large_field_take_the_stacked_route(monkeypatch):
     lifts = [Subspace(field, 6, rref_rows(field, 6, range(3), rng)) for _ in range(60)]
     code = GrassmannianCode(field, 6, lifts)
     assert len(code) == 60 and not walks(code)
+    check_table(code, monkeypatch)
+
+
+@pytest.mark.parametrize("field, k, size", [(GF(3, 2), 3, 20), (GF(257), 2, 66)], ids=str)
+def test_lifts_over_a_per_entry_field_take_the_stacked_route(field, k, size, monkeypatch):
+    # (q^k - 1)/(q - 1) lies within 2k(N - 1), the packed formats' bound, but
+    # past k(N - 1)/2: each walk step would unpack all N codewords lane by lane
+    rng = random.Random(f"per-entry lifts over GF({field.spec})")
+    n, vectors = 2 * k, (field.q**k - 1) // (field.q - 1)
+    code = GrassmannianCode(field, n, [
+        Subspace(field, n, rref_rows(field, n, range(k), rng)) for _ in range(size)
+    ])
+    assert len(code) == size and k * (size - 1) / 2 < vectors <= 2 * k * (size - 1)
+    assert type(field.format) is RowFormat and not walks(code)
     check_table(code, monkeypatch)
 
 
