@@ -348,8 +348,10 @@ class RowFormat:
     * every other field (this base class): lanes just wide enough for a
       code, and a row operation unpacks both rows and works entry by entry.
 
-    ``lex_key`` orders rows as their codes do: GF(2) reads the key off the
-    row's bits and the byte lanes off its bytes, the others unpack.
+    ``entries`` reads a row's n entries in the form the format reads
+    fastest: over GF(2) as text, one digit an entry, over the byte lanes as
+    bytes, otherwise as the unpacked codes.  ``lex_key`` joins the same
+    forms, row after row, into a key ordered as the rows' codes are.
     ``pack_rows`` packs rows from the base-p digits of their entries, the
     code file's layout flattened: GF(2^m) and the byte lanes pack all rows
     side by side in one C-level call and split them, the per-entry format
@@ -382,6 +384,11 @@ class RowFormat:
         """The codes of the n lanes 0..n-1 of ``row``, which has no more lanes."""
         w, mask = self.width, self.mask
         return tuple([row >> s & mask for s in range(0, n * w, w)])
+
+    def entries(self, row: int, n: int) -> Sequence:
+        """The n entries of ``row``: over GF(2) a str of their digits, over the
+        byte lanes their bytes, otherwise the tuple of their codes."""
+        return self.unpack(row, n)
 
     def lex_key(self, rows: Sequence[int], n: int) -> tuple | bytes | str:
         """A key of rows of n lanes whose order is the lexicographic order of
@@ -424,6 +431,11 @@ class _XorFormat(RowFormat):
         wide = int(bytes(digits)[::-1].translate(_BINARY), 2)
         return _split(wide, count, len(digits) // count)
 
+    def entries(self, row: int, n: int) -> Sequence:
+        if self.width != 1:
+            return self.unpack(row, n)
+        return f"{row:0{n}b}"[::-1]  # GF(2): the row's binary digits, lane 0 first
+
     def lex_key(self, rows: Sequence[int], n: int) -> tuple | str:
         if self.width != 1:
             return super().lex_key(rows, n)
@@ -461,6 +473,9 @@ class _ModFormat(RowFormat):
 
     def unpack(self, row: int, n: int) -> tuple[int, ...]:
         return tuple(row.to_bytes(n, "little"))
+
+    def entries(self, row: int, n: int) -> bytes:
+        return row.to_bytes(n, "little")
 
     def lex_key(self, rows: Sequence[int], n: int) -> bytes:
         return b"".join([row.to_bytes(n, "little") for row in rows])

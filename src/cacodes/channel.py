@@ -13,7 +13,9 @@ metric guarantees unique decoding, which the simulator checks per trial.
 It needs ranks only.  The triangle inequality d(C, U) >= d(C, A) - d(A, U)
 skips, without elimination, every codeword C with d(C, A) > 2 d(A, U),
 where A is the nearest codeword so far and d(C, A) comes off the code's
-pairwise table; inside the unique-decoding radius that leaves only V.
+pairwise table; inside the unique-decoding radius that leaves only V, and
+once 2 d(A, U) is below A's distance to its nearest codeword, the search
+stops, since it would skip every codeword left.
 Any other codeword's elimination stops as soon as it cannot reach the best
 distance found so far.
 
@@ -144,10 +146,12 @@ def decode_min_distance(
     the best distance so far, C's elimination stops.  A codeword skipped
     either way is farther than the minimum, so it can be neither decoded
     nor tied; every codeword at or below the running best is measured
-    exactly, so the visiting order cannot change the decision.  The sent
-    codeword, when given, goes first, because ``distance_to_sent`` needs its
-    exact distance; a negative ``sent_index`` counts from the end and is
-    reported normalised.
+    exactly, so the visiting order cannot change the decision.  Once
+    2 best is below the anchor's distance to its nearest other codeword
+    (``code.nearest_distances()``), every codeword left would be skipped,
+    so the loop stops.  The sent codeword, when given, goes first, because
+    ``distance_to_sent`` needs its exact distance; a negative ``sent_index``
+    counts from the end and is reported normalised.
     """
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
@@ -155,7 +159,7 @@ def decode_min_distance(
     # indexes like a sequence: a negative index counts from the end
     first = 0 if sent_index is None else range(len(words))[sent_index]
     words[first]._check(U)
-    table = code.pairwise_intersection_dims()
+    table, nearest = code.pairwise_intersection_dims(), code.nearest_distances()
     best = 2 * U.ambient_n  # no distance is larger: the first runs to the end
     anchor, exact = first, {}
     for i in (first, *range(first), *range(first + 1, len(words))):
@@ -170,6 +174,8 @@ def decode_min_distance(
         if d <= best:
             best = exact[i] = d
             anchor = i
+            if 2 * best < nearest[anchor]:
+                break  # every codeword left is more than 2 best from the anchor
     tied = tuple(sorted(i for i, d in exact.items() if d == best))
     ambiguous = len(tied) > 1
     return TrialResult(

@@ -15,10 +15,14 @@ Every successful run prints one JSON document with an embedded ``manifest``
 the run replayable.  Output is byte-stable: nothing derives from the clock,
 and every document (stdout, ``--out`` and the error objects) is printed as
 the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``: two-space indent,
-sorted keys, ASCII escapes.  From Python 3.13 ``json`` writes those in C;
-before, ``indent`` forces its pure-Python encoder, so ``_dump`` writes them
-instead (``_C_INDENT`` picks once, at import).  Exit codes: 0 success, 1
-domain error (JSON error object on stdout), 2 usage error (argparse).
+sorted keys, ASCII escapes.  One writer prints them on every Python version:
+``_emit`` streams a document in pieces, one per key and one per codeword, and
+writes each codeword's text straight off its packed RREF rows, so no CLI path
+builds a ``to_json`` list.  The payload is built whole before the first byte
+is written; a write that fails on the stream leaves part of the document
+written.  Exit codes: 0 success, 1 domain error (JSON error object on
+stdout) or a stdout that cannot be written (one line on stderr), 2 usage
+error (argparse).
 
 Polynomials are given in ascending-coefficient text form ("1,1,1" is
 1 + X + X^2); the human-readable rendering appears in *_display fields and
@@ -29,9 +33,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import Iterator
 
 from . import __version__
 from .algebra import GF, Polynomial
@@ -49,7 +56,7 @@ from .families import (
     uniform_gcd_family,
 )
 from .ca import LinearCA
-from .subspaces import GrassmannianCode
+from .subspaces import GrassmannianCode, Subspace
 
 
 def _manifest(args: argparse.Namespace) -> dict:
@@ -62,20 +69,56 @@ def _manifest(args: argparse.Namespace) -> dict:
     return manifest
 
 
-_C_INDENT = sys.version_info >= (3, 13)  # json.dumps(indent=...) runs in C
-
-
 def _emit(payload: dict, file=None) -> None:
-    """Print a document in the one pinned byte format, to stdout or ``file``."""
-    if _C_INDENT:
-        text = json.dumps(payload, indent=2, sort_keys=True)
+    """Print a document in the one pinned byte format, to stdout or ``file``.
+
+    The pieces of ``_pieces`` go to the stream as they are made, so no more
+    than one codeword's text is held at a time.  The payload is built whole
+    before the first byte is written, so a write fails only on a programming
+    error (a key that is no str or a value of no JSON type, ``TypeError``)
+    or on the stream itself (``OSError``); either may leave part of the
+    document written.
+    """
+    out = sys.stdout if file is None else file
+    out.writelines(_pieces(payload, ""))
+    out.write("\n")
+
+
+def _pieces(x, pad: str) -> Iterator[str]:
+    """The text of ``_dump(x, pad)`` in pieces: one per key of each dict and
+    one per codeword of a list of codewords; any other value goes whole into
+    its key's piece."""
+    if type(x) is dict and x:
+        if set(map(type, x)) != {str}:
+            raise TypeError("keys must be str")
+        inner, lead = pad + "  ", "{\n"
+        for key, value in sorted(x.items()):
+            head = lead + inner + encode_basestring_ascii(key) + ": "
+            if type(value) is dict or _is_codewords(value):
+                yield head
+                yield from _pieces(value, inner)
+            else:
+                yield head + _dump(value, inner)
+            lead = ",\n"
+        yield "\n" + pad + "}"
+    elif _is_codewords(x):
+        inner, lead = pad + "  ", "[\n"
+        for value in x:
+            yield lead + inner + _dump(value, inner)
+            lead = ",\n"
+        yield "\n" + pad + "]"
     else:
-        text = _dump(payload, "")
-    print(text, file=file)
+        yield _dump(x, pad)
+
+
+def _is_codewords(x) -> bool:
+    return type(x) is list and bool(x) and type(x[0]) is Subspace
 
 
 def _dump(x, pad: str) -> str:
-    """``json.dumps(x, indent=2, sort_keys=True)`` for documents with str keys only."""
+    """``json.dumps(x, indent=2, sort_keys=True)`` at indent ``pad``, for
+    documents with str keys only; a ``Subspace`` is written as its
+    ``to_json`` layout."""
     kind = type(x)
     if kind is str:
         return encode_basestring_ascii(x)
@@ -83,26 +126,40 @@ def _dump(x, pad: str) -> str:
         return int.__repr__(x)
     if kind is bool or kind is float or x is None:
         return json.dumps(x)
-    inner = pad + "  "
+    if kind is Subspace:
+        return _codeword(x, pad)
     if kind is dict:
-        if not x:
-            return "{}"
-        if set(map(type, x)) != {str}:
-            raise TypeError("keys must be str")
-        items = [
-            inner + encode_basestring_ascii(key) + ": " + _dump(value, inner)
-            for key, value in sorted(x.items())
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return "".join(_pieces(x, pad)) if x else "{}"
     if kind is list or kind is tuple:
         if not x:
             return "[]"
+        inner = pad + "  "
         if set(map(type, x)) == {int}:
             items = map(int.__repr__, x)
         else:
             items = [_dump(value, inner) for value in x]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _codeword(s: Subspace, pad: str) -> str:
+    """``_dump(s.to_json(), pad)``, written straight off the packed RREF rows."""
+    rows = s.row_entries()
+    if not rows:
+        return "[]"
+    row_pad = pad + "  "
+    entry_pad = row_pad + "  "
+    if type(rows[0]) is str:  # GF(2): each digit is its entry's text
+        texts = rows
+    elif s.field.m == 1:
+        texts = [map(int.__repr__, row) for row in rows]
+    else:  # an entry of GF(p^m) is the list of its m digits: one text per code
+        decode, codes = s.field.decode, set(itertools.chain.from_iterable(rows))
+        text = {c: _dump(list(decode(c)), entry_pad) for c in codes}
+        texts = [map(text.__getitem__, row) for row in rows]
+    head, sep, tail = "[\n" + entry_pad, ",\n" + entry_pad, "\n" + row_pad + "]"
+    rows_text = (",\n" + row_pad).join([head + sep.join(t) + tail for t in texts])
+    return "[\n" + row_pad + rows_text + "\n" + pad + "]"
 
 
 def _load_code_file(path: str) -> tuple[GrassmannianCode, dict]:
@@ -136,7 +193,7 @@ def _cmd_kernel(args) -> dict:
         "rule": poly.to_string(),
         "rule_display": poly.display(),
         "dim": kernel.dim,
-        "basis": kernel.to_json(),
+        "basis": kernel,
     }
 
 
@@ -158,7 +215,7 @@ def _cmd_build_code(args) -> dict:
         "size": len(members),
         "expected_size": expected_uniform_gcd_size(args.k, t, field),
         "n": 2 * args.k,
-        "code": code.to_json(),
+        "code": {"codewords": list(code), "n": code.ambient_n, "q": field.spec},
         "predicted_min_distance": None if max_gcd is None else 2 * args.k - 2 * max_gcd,
     }
     return payload
@@ -353,18 +410,35 @@ def main(argv: list[str] | None = None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, list):  # what argparse makes of "--name=--"
                 raise ParseError(f"--{name} takes one value")
-        payload = _HANDLERS[args.command](args)
+        payload, status = _HANDLERS[args.command](args), 0
     except DomainError as exc:
-        _emit({"error": {"name": exc.name, "message": str(exc)}})
-        return 1
+        payload, status = {"error": {"name": exc.name, "message": str(exc)}}, 1
     except (OSError, json.JSONDecodeError, KeyError) as exc:
-        _emit({"error": {"name": type(exc).__name__, "message": str(exc)}})
+        payload, status = {"error": {"name": type(exc).__name__, "message": str(exc)}}, 1
+    try:
+        if status == 0 and getattr(args, "csv", False):
+            print("\n".join(_csv_lines(args, payload)))
+        else:
+            _emit(payload)
+        sys.stdout.flush()  # a stream that fails, fails here and not at exit
+    except OSError as exc:
+        _silence_stdout()
+        print(f"cacodes: cannot write the output: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "csv", False):
-        print("\n".join(_csv_lines(args, payload)))
-    else:
-        _emit(payload)
-    return 0
+    return status
+
+
+def _silence_stdout() -> None:
+    """Point stdout's file descriptor at ``os.devnull``, so that flushing what
+    is left in its buffer at exit cannot fail again (a closed pipe, a full
+    disk).  A stream with no file descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -111,6 +111,12 @@ class Subspace:
     def __hash__(self):
         return hash(self._identity())
 
+    def row_entries(self) -> list:
+        """Each RREF row's entries in its format's quickest form, a str of
+        digits over GF(2) (``RowFormat.entries``): what a writer reads."""
+        entries, n = self.field.format.entries, self.ambient_n
+        return [entries(row, n) for row in self._echelon.rows]
+
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """The RREF rows unpacked to codes: lexicographic order on them is that
         of the flattened entries, as every row has n of them."""
@@ -284,7 +290,7 @@ class GrassmannianCode:
 
     __slots__ = (
         "field", "ambient_n", "codewords", "constant_dim", "duplicates_removed", "_pairwise",
-        "_rules",
+        "_nearest", "_rules",
     )
 
     def __init__(self, field: GF, ambient_n: int, subspaces: Iterable[Subspace]):
@@ -305,6 +311,7 @@ class GrassmannianCode:
         dims = {s.dim for s in self.codewords}
         self.constant_dim = dims.pop() if len(dims) == 1 else None
         self._pairwise: tuple[tuple[int, ...], ...] | None = None
+        self._nearest: tuple[int | float, ...] | None = None
         self._rules: tuple[Polynomial | None, ...] | None = None
 
     def __len__(self) -> int:
@@ -320,12 +327,26 @@ class GrassmannianCode:
         """Brute-force minimum of the subspace distance over all unordered pairs."""
         if len(self.codewords) < 2:
             raise TooFewCodewords("minimum distance needs at least two codewords")
-        dims = [s.dim for s in self.codewords]
-        return min(
-            dims[i] + dims[j] - 2 * d
-            for i, row in enumerate(self.pairwise_intersection_dims())
-            for j, d in enumerate(row)
-        )
+        return min(self.nearest_distances())
+
+    def nearest_distances(self) -> tuple[int | float, ...]:
+        """Each codeword's distance to its nearest other codeword (inf for a
+        lone codeword), read in one pass over the pairwise table.  Computed
+        on first use and kept: the codewords never change."""
+        if self._nearest is None:
+            dims = [s.dim for s in self.codewords]
+            nearest = [math.inf] * len(dims)
+            for i, row in enumerate(self.pairwise_intersection_dims()):
+                mine, best = dims[i], math.inf  # later rows lower nearest[i] in turn
+                for j, meet in enumerate(row):
+                    d = mine + dims[j] - 2 * meet
+                    if d < best:
+                        best = d
+                    if d < nearest[j]:
+                        nearest[j] = d
+                nearest[i] = best
+            self._nearest = tuple(nearest)
+        return self._nearest
 
     def pairwise_intersection_dims(self) -> tuple[tuple[int, ...], ...]:
         """Triangular table: row i lists dim(C_i intersect C_j) for j < i.

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import random
 
 import pytest
@@ -285,6 +286,84 @@ def test_pruned_decoder_matches_exhaustive_oracle(field):
             )
             assert told == expected
     assert ties >= 5
+
+
+def decode_unstopped(code, U, sent_index=None):
+    """The decoder's loop without its stop: every codeword the anchor does
+    not rule out is measured, to the end of the code."""
+    words = code.codewords
+    first = 0 if sent_index is None else range(len(words))[sent_index]
+    table = code.pairwise_intersection_dims()
+    best, anchor, exact = 2 * U.ambient_n, first, {}
+    for i in (first, *range(first), *range(first + 1, len(words))):
+        c = words[i]
+        if i != anchor:
+            meet = table[i][anchor] if i > anchor else table[anchor][i]
+            if c.dim + words[anchor].dim - 2 * meet > 2 * best:
+                continue
+        dims = c.dim + U.dim
+        d = 2 * channel_module._joint_rank(c, U, cap=(best + dims) // 2) - dims
+        if d <= best:
+            best = exact[i] = d
+            anchor = i
+    tied = tuple(sorted(i for i, d in exact.items() if d == best))
+    return tied, best, None if sent_index is None else exact[first]
+
+
+class CountedRow(tuple):
+    """A row of the pairwise table that counts the entries read off it."""
+
+    reads = 0
+
+    def __getitem__(self, j):
+        CountedRow.reads += 1
+        return super().__getitem__(j)
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(2, 2)], ids=lambda f: f.spec)
+def test_decoder_stop_matches_the_unstopped_loop(field, monkeypatch):
+    # the decoder stops once 2 best < the anchor's nearest-codeword distance;
+    # it must decide as the full loop does, with the same eliminations, on
+    # ties and on received spaces outside the unique-decoding radius too
+    calls = []
+    real = channel_module._joint_rank
+    monkeypatch.setattr(
+        channel_module, "_joint_rank", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    rng = random.Random(f"stop:{field.spec}")
+    stopped = outside = ties = 0
+    for code, U in decoder_cases(field, rng):
+        code._pairwise = tuple(map(CountedRow, code.pairwise_intersection_dims()))
+        for sent in (None, *range(len(code))):
+            del calls[:]
+            CountedRow.reads = 0
+            want = decode_unstopped(code, U, sent)
+            full, unstopped_reads = list(calls), CountedRow.reads
+            del calls[:]
+            CountedRow.reads = 0
+            got = decode_min_distance(code, U, sent_index=sent)
+            assert (got.tied, got.min_distance_found, got.distance_to_sent) == want
+            assert calls == full and CountedRow.reads <= unstopped_reads
+            stopped += CountedRow.reads < unstopped_reads
+            ties += got.ambiguous
+            if len(code) > 1:
+                outside += 2 * got.min_distance_found >= code.min_distance()
+    assert stopped > 100 and ties > 0 and outside > 0
+
+
+def test_nearest_distances_read_the_pairwise_distances():
+    rng = random.Random(5)
+    for field in (F2, GF(3), GF(2, 2)):
+        for n, size in ((4, 1), (4, 2), (5, 7), (6, 9)):
+            code = GrassmannianCode(field, n, [random_subspace(field, n, rng) for _ in range(size)])
+            words = code.codewords
+            expected = [
+                min((subspace_distance(a, b) for b in words if b is not a), default=math.inf)
+                for a in words
+            ]
+            assert list(code.nearest_distances()) == expected
+            if len(words) > 1:
+                assert code.min_distance() == min(expected)
 
 
 @pytest.mark.parametrize("field", [F2, GF(3), GF(2, 2)], ids=lambda f: f.spec)

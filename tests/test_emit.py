@@ -1,15 +1,23 @@
 """The pinned output format: every document is printed as the bytes of
-``json.dumps(doc, indent=2, sort_keys=True)``, by ``cli._dump`` where the
-``json`` module has no C encoder for indented output (before Python 3.13)."""
+``json.dumps(doc, indent=2, sort_keys=True)``, by the one writer in ``cli``,
+which streams a document in pieces and writes each codeword straight off its
+packed RREF rows; ``to_json`` with ``json.dumps`` is the slow reference."""
 
+import io
 import json
+import os
+import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
 
 from cacodes import cli
+from cacodes.algebra import GF, Polynomial
+from cacodes.ca import LinearCA
 from cacodes.cli import main
+from cacodes.subspaces import GrassmannianCode, Subspace
 
 FLOATS = [0.1, -0.0, 1e16, float("nan"), float("inf"), float("-inf"), 2.5e-300]
 INTS = [0, -1, 7, -(10**99) - 3, 10**99 + 7, 2**64]
@@ -88,10 +96,6 @@ def test_writer_refuses_an_unknown_type(value):
         cli._dump(value, "")
 
 
-def test_writer_gate_is_the_c_indent_path():
-    assert cli._C_INDENT == (sys.version_info >= (3, 13))
-
-
 def spy_on_dumps(monkeypatch):
     calls, real = [], json.dumps
 
@@ -106,26 +110,108 @@ def spy_on_dumps(monkeypatch):
 DOC = {"b": [1, 2, True], "a": {"x": None, "y": 0.5, "z": "é"}}
 
 
-def test_emit_with_c_indent_calls_json_dumps_only(monkeypatch, capsys):
-    def refuse(x, pad):
-        raise AssertionError("_dump called")
-
-    monkeypatch.setattr(cli, "_C_INDENT", True)
-    monkeypatch.setattr(cli, "_dump", refuse)
-    expected = pinned(DOC) + "\n"
-    calls = spy_on_dumps(monkeypatch)
-    cli._emit(DOC)
-    assert capsys.readouterr().out == expected
-    assert calls == [{"indent": 2, "sort_keys": True}]
-
-
 def test_emit_without_c_indent_never_indents_with_json(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_C_INDENT", False)
     expected = pinned(DOC) + "\n"
     calls = spy_on_dumps(monkeypatch)
     cli._emit(DOC)
     assert capsys.readouterr().out == expected
     assert calls and not any("indent" in kwargs for kwargs in calls)
+
+
+class Pieces(io.StringIO):
+    """A stream that keeps each piece ``writelines`` hands it."""
+
+    def __init__(self):
+        super().__init__()
+        self.pieces = []
+
+    def writelines(self, lines):
+        for line in lines:
+            self.pieces.append(line)
+            self.write(line)
+
+
+def test_emit_streams_one_piece_per_codeword():
+    code = random_code(random.Random(3), GF(2), 6, 9, dims=[3])
+    out = Pieces()
+    cli._emit({"code": {"codewords": list(code), "n": 6, "q": "2"}, "z": [[1, 2], [3]]}, out)
+    assert out.getvalue() == pinned({"code": code.to_json(), "z": [[1, 2], [3]]}) + "\n"
+    texts = [pinned(s.to_json()).replace("\n", "\n      ") for s in code]
+    words = [piece for piece in out.pieces if any(piece.endswith(t) for t in texts)]
+    assert len(words) == len(code) >= 5
+    assert '    [\n      1,\n      2\n    ],\n    [\n      3\n    ]\n  ]' in out.pieces[-2]
+
+
+def test_a_write_fault_leaves_the_text_before_it():
+    # the payload is built whole before the first byte; a fault is then a
+    # programming error or the stream's, and what was written before it stays
+    out = io.StringIO()
+    with pytest.raises(TypeError):
+        cli._emit({"a": 1, "b": {"c": [2], 3: 4}, "d": 5}, out)
+    assert out.getvalue() == '{\n  "a": 1,\n  "b": '
+
+
+# -- codewords straight off their packed rows --------------------------------------------
+
+FIELDS = [GF(2), GF(3), GF(11), GF(17), GF(2, 2), GF(3, 2)]
+
+
+def random_subspace(rng, field, n, dim):
+    rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(dim)]
+    return Subspace(field, n, rows)
+
+
+def random_code(rng, field, n, size, dims=None):
+    dims = dims or range(n + 1)
+    return GrassmannianCode(
+        field, n, [random_subspace(rng, field, n, rng.choice(dims)) for _ in range(size)]
+    )
+
+
+def as_json(x):
+    """The document with every ``Subspace`` replaced by its ``to_json`` layout."""
+    if isinstance(x, Subspace):
+        return x.to_json()
+    if isinstance(x, dict):
+        return {key: as_json(value) for key, value in x.items()}
+    if isinstance(x, list):
+        return [as_json(value) for value in x]
+    return x
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+def test_codewords_print_as_their_to_json_layout(field):
+    rng = random.Random(f"codewords:{field.spec}")
+    codes = [GrassmannianCode(field, 4, []), GrassmannianCode(field, 0, [Subspace(field, 0)])]
+    for n in (1, 2, 5, 8):
+        codes.append(random_code(rng, field, n, rng.randrange(1, 8)))  # mixed dimensions
+        codes.append(random_code(rng, field, n, 4, dims=[0, n]))  # zero and whole space
+        codes.append(random_code(rng, field, 2 * n, 6, dims=[n]))  # constant dimension
+    seen = set()
+    for code in codes:
+        seen.update(s.dim for s in code)
+        doc = {"code": {"codewords": list(code), "n": code.ambient_n, "q": field.spec}}
+        out = io.StringIO()
+        cli._emit(doc, out)
+        assert out.getvalue() == pinned({"code": code.to_json()}) + "\n"
+        for s in code:
+            assert cli._dump(s, "  ") == cli._dump(s.to_json(), "  ")
+    assert 0 in seen and len(seen) > 3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+def test_kernel_basis_prints_as_its_to_json_layout(field, capsys):
+    rng = random.Random(f"kernel:{field.spec}")
+    for k in (1, 2, 3):
+        coeffs = [rng.randrange(1, field.q)] + [rng.randrange(field.q) for _ in range(k - 1)]
+        poly = Polynomial.from_codes(field, coeffs + [1])
+        for n in (k + 1, k + 2, 2 * k + 3):
+            assert main(["kernel", "--q", field.spec, "--poly", poly.to_string(),
+                         "--n", str(n)]) == 0
+            out = capsys.readouterr().out
+            doc = json.loads(out)
+            assert doc["basis"] == LinearCA(poly, n).kernel().to_json()
+            assert out == pinned(doc) + "\n"
 
 
 # -- every document the CLI prints -----------------------------------------------------
@@ -139,7 +225,19 @@ def code_path(tmp_path, capsys):
     return str(path)
 
 
-@pytest.mark.parametrize("gate", [False, True], ids=["writer", "json"])
+def emitted(monkeypatch):
+    """The payloads the CLI hands to ``_emit``, in order."""
+    payloads, real = [], cli._emit
+
+    def emit(payload, file=None):
+        payloads.append(payload)
+        real(payload, file)
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    return payloads
+
+
+@pytest.mark.parametrize("reference", ["writer", "json"])
 @pytest.mark.parametrize(
     "argv, status",
     [
@@ -155,13 +253,78 @@ def code_path(tmp_path, capsys):
     ],
 )
 def test_every_cli_document_is_pinned(
-    monkeypatch, capsys, tmp_path, code_path, gate, argv, status
+    monkeypatch, capsys, tmp_path, code_path, reference, argv, status
 ):
-    monkeypatch.setattr(cli, "_C_INDENT", gate)
+    # the printed bytes are pinned, and equal a reference encoding of the
+    # payload with each codeword in its ``to_json`` layout: the writer's own
+    # list path, or ``json.dumps``
+    encode = {"writer": lambda doc: cli._dump(doc, ""), "json": pinned}[reference]
+    payloads = emitted(monkeypatch)
     out_path = tmp_path / "out.json"
     argv = [a.format(code=code_path, out=out_path) for a in argv]
     assert main(argv) == status
     out = capsys.readouterr().out
     assert out == pinned(json.loads(out)) + "\n"
+    assert out == encode(as_json(payloads[-1])) + "\n"
     if "--out" in argv:
         assert out_path.read_text(encoding="utf-8") == out
+
+
+# -- a stdout that fails -----------------------------------------------------------------
+
+
+def cli_process(argv, stdout):
+    # stdout buffered, as by default, so that a failed write can leave bytes
+    # behind for the flush at exit
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "cacodes.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def assert_one_line_and_exit_one(proc, reason):
+    err = proc.communicate(timeout=60)[1]
+    assert proc.returncode == 1
+    assert err.count("\n") == 1 and reason in err and "Traceback" not in err
+
+
+def test_a_closed_pipe_ends_in_one_line_and_exit_one():
+    read, write = os.pipe()
+    # 320 KB of output: more than a pipe holds, so the child blocks on a write
+    proc = cli_process(["build-code", "--q", "2", "--k", "10"], write)
+    os.close(write)
+    try:
+        assert os.read(read, 5) == b"{\n  \""
+    finally:
+        os.close(read)
+    assert_one_line_and_exit_one(proc, "Broken pipe")
+
+
+@pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+def test_a_pipe_closed_before_the_run_ends_in_one_line_and_exit_one(csv):
+    # a short document fits the stream's buffer, so only the flush meets the
+    # closed pipe; the buffer it leaves must not fail again at exit
+    read, write = os.pipe()
+    os.close(read)
+    proc = cli_process(["count", "--q", "2", "--k", "3"] + ["--csv"] * csv, write)
+    os.close(write)
+    assert_one_line_and_exit_one(proc, "Broken pipe")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build-code", "--q", "2", "--k", "10"),  # fails mid-document
+        ("count", "--q", "2", "--k", "3"),  # fails at the final flush
+        ("count", "--q", "2", "--k", "3", "--csv"),
+        ("kernel", "--q", "6", "--poly", "1,1", "--n", "3"),  # an error document
+    ],
+    ids=lambda argv: argv[0] + ("-csv" if "--csv" in argv else ""),
+)
+def test_a_full_device_ends_in_one_line_and_exit_one(argv):
+    with open("/dev/full", "w") as full:
+        proc = cli_process(argv, full)
+    assert_one_line_and_exit_one(proc, "No space left on device")
