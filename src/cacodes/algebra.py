@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import struct
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -408,10 +409,10 @@ class RowFormat:
 _BINARY = bytes.maketrans(b"\x00\x01", b"01")  # digit bytes to the text int() reads
 
 
-def _split(wide: int, count: int, span: int) -> list[int]:
-    """The ``count`` rows of ``span`` bits each that sit side by side in ``wide``."""
-    low = (1 << span) - 1
-    return [wide >> s & low for s in range(0, count * span, span)]
+def _chunks(data: bytes, count: int) -> tuple[bytes, ...]:
+    """``data`` cut into ``count`` pieces of one length, in one C-level pass
+    (shifting each piece off one wide int would cost ``len(data)`` a piece)."""
+    return struct.Struct(f"{len(data) // count}s" * count).unpack(data)
 
 
 class _XorFormat(RowFormat):
@@ -426,10 +427,12 @@ class _XorFormat(RowFormat):
         ]
 
     def pack_rows(self, digits: Sequence[int], count: int) -> list[int]:
-        # an m-bit lane's code is its m digits as bits, so bit i of the rows
-        # side by side is digit i: the digits, highest first, read in base 2
-        wide = int(bytes(digits)[::-1].translate(_BINARY), 2)
-        return _split(wide, count, len(digits) // count)
+        # an m-bit lane's code is its m digits as bits, so bit i of a row is
+        # its digit i: each row's digits, highest first, read in base 2
+        text = bytes(digits)[::-1].translate(_BINARY)  # the last row first
+        rows = list(map(int, _chunks(text, count), itertools.repeat(2)))
+        rows.reverse()
+        return rows
 
     def entries(self, row: int, n: int) -> Sequence:
         if self.width != 1:
@@ -469,7 +472,7 @@ class _ModFormat(RowFormat):
         return int.from_bytes(bytes(codes), "little")
 
     def pack_rows(self, digits: Sequence[int], count: int) -> list[int]:
-        return _split(self.pack(digits), count, 8 * len(digits) // count)
+        return list(map(int.from_bytes, _chunks(bytes(digits), count), itertools.repeat("little")))
 
     def unpack(self, row: int, n: int) -> tuple[int, ...]:
         return tuple(row.to_bytes(n, "little"))

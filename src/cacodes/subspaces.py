@@ -153,7 +153,7 @@ class Subspace:
 
     @classmethod
     def from_json(cls, field: GF, ambient_n: int, data: Sequence) -> "Subspace":
-        """Parse the ``to_json`` layout: the one load path of a stored codeword.
+        """Parse the ``to_json`` layout: the load path of one stored codeword.
 
         A few C-level passes over the whole codeword check what
         ``MatrixGF.from_json`` checks entry by entry: a list of row lists of
@@ -173,8 +173,9 @@ class Subspace:
 
 
 def _stored_digits(field: GF, n: int, data) -> list | None:
-    """The base-p digits of a stored codeword, row after row and entry after
-    entry, or None when it is no list of n-entry rows of digits in [0, p)."""
+    """The base-p digits of stored rows (one codeword's, or all of a code's),
+    row after row and entry after entry, or None when ``data`` is no list of
+    n-entry rows of digits in [0, p)."""
     if not (isinstance(data, list) and _all_are(list, data) and set(map(len, data)) <= {n}):
         return None
     digits = list(itertools.chain.from_iterable(data))
@@ -412,7 +413,15 @@ class GrassmannianCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "GrassmannianCode":
-        """Parse the code file format; a malformed document is a ``ParseError``."""
+        """Parse the code file format; a malformed document is a ``ParseError``.
+
+        The codewords load in one pass: the checks of ``Subspace.from_json``
+        run once over the rows of all of them, one ``RowFormat.pack_rows``
+        call packs every row, and each codeword's share of the packed rows
+        goes to ``Echelon.from_rows``.  A code that fails a check is loaded
+        again one codeword at a time by ``Subspace.from_json``, so the first
+        malformed codeword is named and its error reads as it always has.
+        """
         for key in ("q", "n", "codewords"):
             if key not in data:
                 raise ParseError(f"a code object needs {key!r}")
@@ -426,4 +435,12 @@ class GrassmannianCode:
         if not isinstance(words, list):
             raise ParseError(f"codewords {words!r} is not a list")
         field = GF.from_spec(q)
-        return cls(field, n, [Subspace.from_json(field, n, rows) for rows in words])
+        rows = list(itertools.chain.from_iterable(words)) if _all_are(list, words) else None
+        digits = None if rows is None else _stored_digits(field, n, rows)
+        if digits is None:
+            return cls(field, n, [Subspace.from_json(field, n, word) for word in words])
+        packed = field.format.pack_rows(digits, len(rows)) if digits else []
+        ends = itertools.accumulate(map(len, words))
+        echelons = [Echelon.from_rows(field, n, packed[end - len(word) : end])
+                    for word, end in zip(words, ends)]
+        return cls(field, n, [Subspace.from_echelon(ech, reduced=True) for ech in echelons])

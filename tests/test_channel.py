@@ -123,6 +123,16 @@ PINNED_TRANSMIT = {
     ("2^2", 3, 1, 1, 3, 0): (3, ((1, 0, 2, 0, 0, 0), (0, 1, 0, 0, 3, 2), (0, 0, 0, 1, 2, 3))),
     ("2^2", 3, 1, 1, 3, 7): (3, ((1, 0, 0, 2, 1, 3), (0, 1, 0, 1, 2, 1), (0, 0, 1, 2, 1, 2))),
     ("2", 2, 0, 2, 7, 1): (7, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    # recorded from the draws through ``randrange``, before they read its words inline
+    ("5", 2, 1, 1, 3, 0): (2, ((1, 0, 2, 2), (0, 1, 0, 1))),
+    ("5", 2, 1, 2, 3, 4): (3, ((1, 0, 0, 3), (0, 1, 0, 4), (0, 0, 1, 0))),
+    ("5", 2, 0, 3, 6, 2): (4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ("17", 1, 1, 1, 2, 5): (1, ((1, 12),)),
+    ("17", 2, 1, 1, 9, 3): (2, ((1, 0, 15, 4), (0, 1, 10, 0))),
+    ("17", 2, 2, 3, 4, 1): (3, ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 15))),
+    ("3^2", 2, 1, 1, 5, 0): (2, ((0, 1, 0, 0), (0, 0, 1, 0))),
+    ("3^2", 2, 1, 2, 5, 3): (3, ((1, 0, 0, 8), (0, 1, 0, 4), (0, 0, 1, 1))),
+    ("3^2", 2, 0, 2, 8, 6): (4, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
 }
 
 
@@ -141,6 +151,45 @@ def test_transmit_pinned_draws_and_bases(case, monkeypatch):
     cfg = ChannelConfig(erasures=erasures, error_dims=error_dims, seed=seed)
     U = transmit(code[trial % len(code)], cfg, trial)
     assert (len(draws), U.basis.rows) == PINNED_TRANSMIT[case]
+
+
+# Around powers of two, where the word length changes, the largest 31-bit
+# prime, and the orders of GF(43^3) and GF(2039^2)
+DRAW_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 17, 255, 256, 257, 2**31 - 1, 43**3, 2039**2]
+
+
+@pytest.mark.parametrize("q", DRAW_ORDERS)
+def test_draws_read_the_words_randrange_reads(q):
+    for seed in range(30):
+        ours, theirs = random.Random(f"draws {seed}"), random.Random(f"draws {seed}")
+        for count in range(41):  # each count goes on where the last left off
+            assert channel_module._draw_codes(ours, q, count) == [
+                theirs.randrange(q) for _ in range(count)
+            ]
+            assert ours.getstate() == theirs.getstate()
+
+
+def randrange_draws(rng, q, count):
+    return [rng.randrange(q) for _ in range(count)]
+
+
+# (q, k): coprime codes of degree k at n = 2k, of 3 to 152 codewords
+SIMULATED = [("2", 3), ("3", 2), ("5", 2), ("2^2", 2), ("3^2", 2), ("17", 2)]
+
+
+@pytest.mark.parametrize("q, k", SIMULATED, ids=str)
+def test_simulate_output_equals_the_randrange_draws(q, k, monkeypatch):
+    field = GF.from_spec(q)
+    code = code_from_family(CAFamily(uniform_gcd_family(k, Polynomial(field, [1]))[0]))
+    n = 2 * k
+    # the error dimensions fill the ambient space in the last three
+    configs = [(1, 1, 3), (1, 2, 5), (0, n, 7), (1, n, 8), (k, n, 9)]
+    for erasures, error_dims, seed in configs:
+        cfg = ChannelConfig(erasures=erasures, error_dims=error_dims, seed=seed)
+        ours = json.dumps(simulate(code, cfg, trials=15), sort_keys=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(channel_module, "_draw_codes", randrange_draws)
+            assert json.dumps(simulate(code, cfg, trials=15), sort_keys=True) == ours
 
 
 def test_transmit_rejects_excess_erasures():

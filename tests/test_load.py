@@ -1,4 +1,5 @@
-"""The load path of stored codewords: ``Subspace.from_json``.
+"""The load paths of stored codewords: ``Subspace.from_json`` and
+``GrassmannianCode.from_json``.
 
 * Every stored codeword loads to the subspace its rows span, with the held
   rows and pivots of an ``Echelon`` that eliminates and reduces them: over
@@ -8,7 +9,13 @@
   it is, with no elimination.
 * A malformed codeword raises what the per-entry checker
   ``MatrixGF.from_json`` raises, name and message, for each fault alone and
-  for two faults together; across codewords the first malformed one is named.
+  for two faults together; across codewords the first malformed one is named,
+  as a load of one ``Subspace.from_json`` per codeword names it.
+* ``RowFormat.pack_rows`` packs each row as ``pack`` does, one row or
+  thousands.
+* A valid code file loads in one pass, ``Subspace.from_json`` never called,
+  to the codewords of the word-by-word load; n = 0 and an empty code
+  round-trip too.
 * A code keeps each codeword's ``kernel_rule``, computed once.
 """
 
@@ -94,6 +101,21 @@ def test_round_trip_equals_the_code(field):
         )
         assert again.codewords == code.codewords
         assert again.duplicates_removed == code.duplicates_removed >= 1
+    # n = 0, and codes with no codeword
+    for n, words in ((0, [Subspace(field, 0, [])]), (0, []), (4, [])):
+        code = GrassmannianCode(field, n, words)
+        back = GrassmannianCode.from_json(json.loads(json.dumps(code.to_json())))
+        assert back.codewords == code.codewords and back.to_json() == code.to_json()
+        assert (back.ambient_n, back.constant_dim) == (n, code.constant_dim)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+def test_pack_rows_packs_each_row_as_pack_does(field):
+    rng = random.Random(f"pack rows over GF({field.spec})")
+    for count, n in ((1, 1), (1, 9), (7, 3), (2, 16), (3000, 5)):
+        rows = random_rows(field, n, rng, count)
+        digits = [d for row in rows for c in row for d in (entry(field, c) if field.m > 1 else [c])]
+        assert field.format.pack_rows(digits, count) == [field.format.pack(r) for r in rows]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
@@ -174,7 +196,8 @@ def damaged(field, n, rng):
             row[j] = rng.choice(BAD_ENTRIES)
         elif kind == "digit" and row and field.m > 1:
             row[j] = list(row[j]) if isinstance(row[j], list) else [0] * field.m
-            row[j][rng.randrange(field.m)] = rng.choice(BAD_ENTRIES)
+            bad, digit = rng.choice(BAD_ENTRIES), rng.randrange(field.m)
+            row[j][min(digit, len(row[j]) - 1)] = bad  # an "extension" fault may have shortened it
         elif kind == "range" and row:
             bad = rng.choice([field.p, field.p + 1, -1, 255, 256])
             if field.m == 1:
@@ -244,6 +267,73 @@ def test_the_first_malformed_codeword_is_named():
     assert (type(info.value).__name__, str(info.value)) == (
         "LengthMismatch", "matrix rows have unequal lengths"
     )
+
+
+def load_word_by_word(document):
+    """The load of one ``Subspace.from_json`` per codeword, in file order."""
+    field, n = GF.from_spec(document["q"]), document["n"]
+    return GrassmannianCode(field, n, [Subspace.from_json(field, n, w) for w in document["codewords"]])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+def test_a_fault_past_the_first_codeword_is_named_as_word_by_word(field):
+    rng = random.Random(f"later faults over GF({field.spec})")
+    accepted = 0
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        words = [stored(field, random_rows(field, n, rng, rng.randint(0, n))) for _ in range(rng.randint(2, 6))]
+        # the first damaged codeword is never the first, and a later one may be damaged too
+        for i in sorted(rng.sample(range(1, len(words)), rng.randint(1, min(2, len(words) - 1)))):
+            words[i] = damaged(field, n, rng)
+        document = {"q": field.spec, "n": n, "codewords": words}
+        try:
+            want = load_word_by_word(document)
+        except DomainError:
+            want = fault(lambda: load_word_by_word(document))
+            assert fault(lambda: GrassmannianCode.from_json(document)) == want
+        else:  # the damage left valid codewords
+            assert GrassmannianCode.from_json(document).codewords == want.codewords
+            accepted += 1
+    assert accepted < 40
+    # a valid code with one codeword that is no list, or not a list of rows
+    for bad in (5, None, "rows", [5], ([0, 0],)):
+        words = [stored(field, [[0, 0]]), stored(field, [[1, 0]]), bad, stored(field, [[1, 1]])]
+        document = {"q": field.spec, "n": 2, "codewords": words}
+        assert fault(lambda: GrassmannianCode.from_json(document)) == fault(
+            lambda: load_word_by_word(document)
+        )
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)
+def test_a_valid_code_loads_in_one_pass(field, monkeypatch):
+    rng = random.Random(f"one pass over GF({field.spec})")
+    documents = []
+    for _ in range(10):
+        n = rng.randint(2, 6)
+        words = random_code_words(field, n, rng)
+        documents.append({"q": field.spec, "n": n, "codewords": [stored(field, w) for w in words]})
+    documents += [
+        {"q": field.spec, "n": 0, "codewords": [[], [[]], [[], []]]},
+        {"q": field.spec, "n": 3, "codewords": []},
+        {"q": field.spec, "n": 0, "codewords": []},
+        {"q": field.spec, "n": 2, "codewords": [[], []]},
+    ]
+    wants = [load_word_by_word(document) for document in documents]
+    calls, original = [], Subspace.from_json
+    monkeypatch.setattr(Subspace, "from_json", lambda *a: calls.append(1) or original(*a))
+    for document, want in zip(documents, wants):
+        code = GrassmannianCode.from_json(document)
+        assert [(s._echelon.rows, s._echelon.pivots) for s in code] == [
+            (s._echelon.rows, s._echelon.pivots) for s in want
+        ]
+        assert (code.constant_dim, code.duplicates_removed) == (want.constant_dim, want.duplicates_removed)
+    assert calls == []
+    # a malformed code takes the word-by-word route
+    with pytest.raises(DomainError):  # the second codeword's row is too long
+        GrassmannianCode.from_json({"q": field.spec, "n": 2, "codewords": [
+            stored(field, [[0, 1]]), stored(field, [[0, 1, 0]]), stored(field, [[1, 1]])
+        ]})
+    assert len(calls) == 2
 
 
 def test_subclasses_load_as_the_per_entry_checker_accepts_them():
