@@ -19,8 +19,9 @@ Representation conventions used throughout the library:
   digits, and it and code that already holds valid codes build through
   ``Polynomial.from_codes``, which does not re-check.
 * GCDs are always returned monic, so they are unique.  ``FactorTable``
-  factors all monic polynomials up to a degree with one sieve, for callers
-  that need the GCDs of many pairs; ``poly_gcd`` serves one pair.
+  factors all monic polynomials up to a degree with one sieve, and a list
+  of polynomials up to twice that degree side by side, for callers that
+  need the GCDs of many pairs; ``poly_gcd`` serves one pair.
 * Every vector of codes is packed into one Python int, in the one format
   the field builds from p and m (``GF.format``, a ``RowFormat``), and
   ``RowFormat.sub_scaled`` is its one operation: u - c*v in a few
@@ -48,7 +49,9 @@ Text formats (used by the CLI and the JSON files):
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 import struct
 from typing import Iterable, Iterator, Sequence
@@ -795,10 +798,11 @@ def check_residue(value: int, p: int) -> int:
 
 
 def _parse_int(token: str, text: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"malformed integer {token.strip()!r} in {text!r}") from None
+    """An optional "-" and ASCII digits; not the "+", "_" or other digits int() reads."""
+    token = token.strip()
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ParseError(f"malformed integer {token!r} in {text!r}")
+    return int(token)
 
 
 # -- GCD machinery ---------------------------------------------------------------------
@@ -863,9 +867,11 @@ class FactorTable:
     p up to f's smallest factor, so each composite is marked once, from its
     smallest factor (Euler's sieve).  The sieve divides nothing and uses no
     Moebius function: the irreducibles it finds count them independently of
-    Gauss's formula.  ``factor`` reads a polynomial off the table or
-    trial-divides it by the table's irreducibles.  ``irreducibles`` and
-    ``factor`` hand out ``Polynomial``s; the table's own loops stay on rows.
+    Gauss's formula.  ``factor_all`` reads each polynomial of a list off the
+    table, or finds its small factors for all of them at once by Horner
+    passes over their coefficient columns; ``factor`` is one polynomial's.
+    ``irreducibles`` and the factor lists hold ``Polynomial``s; the table's
+    own loops stay on rows.
     Nothing is kept beyond the table's own life.  A table of more than
     ``MAX_FACTOR_TABLE`` polynomials is refused (``BudgetExceeded``).
     """
@@ -900,30 +906,70 @@ class FactorTable:
         self._factors = factors
 
     def factor(self, f: Polynomial) -> list[Polynomial]:
-        """The monic irreducible factors of f, with multiplicity.
+        """The monic irreducible factors of f, with multiplicity: ``factor_all([f])[0]``."""
+        return self.factor_all([f])[0]
 
-        f is nonzero with deg f <= 2d + 1, and is factored as its monic
-        multiple.  Equal factors are adjacent.  A row above degree d is
-        divided by the irreducibles in order until its cofactor is in the
-        table, or has a degree below twice the next divisor's: a proper
-        factor of it would have no smaller degree, so it is irreducible.
+    def factor_all(self, polys: Sequence[Polynomial]) -> list[list[Polynomial]]:
+        """The monic irreducible factors of each polynomial, with multiplicity.
+
+        Each f is nonzero with deg f <= 2d + 1, and is factored as its monic
+        multiple; equal factors are adjacent, in the table's order, and a
+        factor above degree d comes last.  A row of degree <= d is read off
+        the table, so a list of such rows is only looked up.  The others, of
+        degree D at most, are tested side by side: lane b of the i-th column
+        row holds the coefficient of X^i in the b-th, and for each
+        irreducible p with 2 deg p <= D one Horner pass over the columns,
+        r <- r X + column mod p, gives every f mod p at once, one row
+        operation per nonzero lower coefficient of p a step.  Only an f
+        whose lane comes out zero is divided by p, as often as p divides it,
+        until its cofactor is in the table.  A cofactor left outside has no
+        factor of degree <= D / 2, so it is irreducible.
         """
-        f = f.monic()
-        if not 0 <= f.degree <= 2 * self.d + 1:
-            raise InvalidDegree(f"cannot factor degree {f.degree} from a table to {self.d}")
-        fmt, w, row, out = self.field.format, self.field.width, f.row, []
-        for p in self.irreducibles:
-            if row in self._factors or (row.bit_length() - 1) // w < 2 * p.degree:
-                break
-            quot, rem = _divmod_rows(fmt, row, p.row)
-            while not rem:
-                out.append(p)
-                row = quot
-                quot, rem = _divmod_rows(fmt, row, p.row)
-        known = self._factors.get(row)
-        if known is None:
-            return out + [Polynomial._from_row(self.field, row)]
-        return out + [self.irreducibles[i] for i in known]
+        monic = [f.monic() for f in polys]
+        degrees = [f.degree for f in monic]
+        for e in degrees:
+            if not 0 <= e <= 2 * self.d + 1:
+                raise InvalidDegree(f"cannot factor degree {e} from a table to {self.d}")
+        fmt, table, irr = self.field.format, self._factors, self.irreducibles
+        rows = [f.row for f in monic]
+        pending = [b for b, row in enumerate(rows) if row not in table]
+        divisors: list[list[Polynomial]] = [[] for _ in pending]
+        if pending:
+            top, size = max([degrees[b] for b in pending]), len(pending)
+            flat = [c for b in pending for c in fmt.unpack(rows[b], top + 1)]
+            columns = [fmt.pack(flat[i :: top + 1]) for i in reversed(range(top + 1))]
+            zero, sub_scaled = fmt.entries(0, 1)[0], fmt.sub_scaled
+            for p in irr:
+                e = p.degree
+                if 2 * e > top:
+                    break  # irr is sorted by degree
+                lower = [(i, c) for i, c in enumerate(p.to_codes()[:e]) if c]
+                r = [0] * e  # r[i]: coefficient i of every f mod p so far
+                for column in columns:  # the highest first: r <- r X + column mod p
+                    carry = r.pop()
+                    r.insert(0, column)
+                    if carry:  # X^e = -(p_0 + ... + p_(e-1) X^(e-1)) mod p
+                        for i, c in lower:
+                            r[i] = sub_scaled(r[i], c, carry)
+                rest = functools.reduce(operator.or_, r)  # lane b is 0 where p divides
+                for b in itertools.compress(range(size), map(zero.__eq__, fmt.entries(rest, size))):
+                    divisors[b].append(p)
+        found: list[list[Polynomial]] = [[] for _ in rows]
+        for b, ps in zip(pending, divisors):
+            row, fs = rows[b], found[b]
+            for p in ps:  # each divides row, once at least
+                while row not in table:
+                    quot, rem = _divmod_rows(fmt, row, p.row)
+                    if rem:
+                        break
+                    fs.append(p)
+                    row = quot
+            rows[b] = row
+        return [
+            fs + [irr[i] for i in table[row]] if row in table
+            else fs + [Polynomial._from_row(self.field, row)]
+            for fs, row in zip(found, rows)
+        ]
 
 
 def _smallest_irreducible_modulus(p: int, m: int) -> Polynomial:

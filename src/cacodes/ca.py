@@ -23,14 +23,19 @@ coefficients of X^(k-1)), and derives every preimage from it by one shift
 and one row operation on packed rows; the preimages start with the k unit
 vectors, so they already are the kernel's RREF.  At n = 2k that basis is
 the lift [I_k | M] whose column k is (-a_0, ..., -a_{k-1}), and
-``kernel_rule`` reads the rule back off it: the kernel's inverse.
+``kernel_rules`` reads the rules back off a list of subspaces, the kernel's
+inverse: it sets every candidate's rows side by side in one wide row and
+runs each candidate's CA on it in one pass, a row operation per column j
+and value of a_j, each masked to the candidates whose a_j has that value.
+``kernel_rule`` is that pass on one subspace.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from .algebra import GF, GFElement, Polynomial
+from .algebra import GF, GFElement, Polynomial, RowFormat, _chunks
 from .errors import (
     AmbientMismatch,
     DegreeZero,
@@ -205,14 +210,64 @@ class LinearCA:
 
 
 def kernel_rule(sub: Subspace) -> Polynomial | None:
-    """The rule f whose kernel at n = 2k is ``sub``, k = dim ``sub``; else None.
+    """The rule f whose kernel at n = 2k is ``sub``, k = dim ``sub``; else None."""
+    return kernel_rules([sub])[0]
 
-    f = X^k - sum_j M[j][0] X^j is read off lane k of the packed RREF rows, and
-    f's kernel, of dimension k too, is ``sub`` when f's CA sends ``sub`` to zero.
+
+def kernel_rules(subs: Sequence[Subspace]) -> list[Polynomial | None]:
+    """``kernel_rule`` of each subspace, in order; all of one field and one
+    ambient n = 2k, as a code's codewords are.
+
+    A candidate has dim k >= 1 and f = X^k - sum_j v_j X^j, v_j lane k of its
+    RREF row j, with a_0 = -v_0 != 0.  f's kernel has dimension k too, so it
+    is the candidate when f's CA sends the candidate's k rows to zero.  Every
+    candidate's rows sit side by side in one wide row, one block each of
+    whole lanes and whole bytes, and the CA runs once on it: output cell i
+    of a block is x_(i+k) - sum_j v_j x_(i+j), so the wide row shifted k
+    lanes down, less, for each j < k and each value v != 0, v times the row
+    shifted j lanes down and masked to the blocks of the candidates whose
+    v_j = v.  A candidate whose k blocks come out zero on their n - k output
+    lanes is its rule's kernel.
     """
-    gf, k = sub.field, sub.dim
-    if sub.ambient_n != 2 * k or not k:
-        return None
-    shift = k * gf.width
-    f = Polynomial.from_codes(gf, [gf.neg(r >> shift & gf.mask) for r in sub._echelon.rows] + [1])
-    return f if f.row & gf.mask and LinearCA(f, 2 * k).annihilates(sub) else None
+    out: list[Polynomial | None] = [None] * len(subs)
+    if not subs:
+        return out
+    gf, n = subs[0].field, subs[0].ambient_n
+    if any(s.field != gf or s.ambient_n != n for s in subs):
+        raise AmbientMismatch("subspaces of different ambient spaces")
+    k, w, fmt = n // 2, gf.width, gf.format
+    shift, picked, values = k * w, [], []
+    for i, s in enumerate(subs):
+        rows = s._echelon.rows
+        if n == 2 * k == 2 * len(rows) > 0 and rows[0] >> shift & gf.mask:
+            picked.append(i)
+            values.append([r >> shift & gf.mask for r in rows])
+    if not picked:
+        return out
+    unit = math.lcm(8, w)  # a block of whole lanes and whole bytes splits at byte bounds
+    block = -(-n * w // unit) * unit // 8
+    span, size, images = k * block, len(picked), []
+    # the per-entry format's row operation unpacks every lane, so there a
+    # wide row would cost one pass per value a column holds: one candidate each
+    group = 1 if type(fmt) is RowFormat else size
+    for first in range(0, size, group):
+        chosen, columns = picked[first : first + group], zip(*values[first : first + group])
+        wide = int.from_bytes(
+            b"".join([r.to_bytes(block, "little") for i in chosen for r in subs[i]._echelon.rows]),
+            "little",
+        )
+        acc, starts = wide >> shift, bytearray(len(chosen) * span)
+        for j, column in enumerate(columns):
+            moved = wide >> j * w
+            for v in set(column) - {0}:
+                starts[::span] = bytes(map(v.__eq__, column))  # 1 at each chosen candidate's start
+                ones = int.from_bytes(starts, "little")
+                acc = fmt.sub_scaled(acc, v, moved & (ones << 8 * span) - ones)  # its span's bits
+        low = ((1 << (n - k) * w) - 1).to_bytes(block, "little") * (len(chosen) * k)
+        acc &= int.from_bytes(low, "little")
+        images += _chunks(acc.to_bytes(len(chosen) * span, "little"), len(chosen))
+    zero, lead = bytes(span), 1 << shift
+    for i, vs, image in zip(picked, values, images):
+        if image == zero:
+            out[i] = Polynomial._from_row(gf, fmt.sub_scaled(lead, 1, fmt.pack(vs)))  # X^k - V
+    return out

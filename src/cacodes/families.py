@@ -9,15 +9,16 @@ polynomials yields a constant-dimension code whose minimum distance is
 
 so distance prediction is pure polynomial GCD work, with pairwise-coprime
 families giving equidistant codes of distance 2k.  The GCD degrees come from
-factorizations: each polynomial is factored once (``algebra.FactorTable``),
-and deg gcd(f, g) is the sum of min(multiplicity) * degree over the shared
-irreducible factors.  One index of shared factors (``_shared_degrees``)
-visits only the pairs that share one and gives each its degree; a pair it
-does not list is coprime.  ``gcd_profile`` fills the full pairwise table
-from it, which ``analyze`` prints.  Each construction returns its members
-with their largest degree, read off its own index: ``uniform_gcd_family``
-over the cofactors its sieve built, ``search_max_family`` over the pairs of
-the clique it found on the compatibility graph that index gave.
+factorizations: one ``algebra.FactorTable.factor_all`` call factors a whole
+list, each polynomial once, and deg gcd(f, g) is the sum of
+min(multiplicity) * degree over the shared irreducible factors.  One index
+of shared factors (``_shared_degrees``) visits only the pairs that share
+one and gives each its degree; a pair it does not list is coprime.
+``gcd_profile`` fills the full pairwise table from it, which ``analyze``
+prints.  Each construction returns its members with their largest degree,
+read off its own index: ``uniform_gcd_family`` over the cofactors its sieve
+built, ``search_max_family`` over the pairs of the clique it found on the
+compatibility graph that index gave.
 ``poly_gcd`` stays as the independent route of ``verify_family`` and the
 tests.
 
@@ -138,9 +139,11 @@ def gcd_profile(fam: CAFamily) -> GcdProfile:
     """All pairwise GCD degrees of a family (needs >= 2 members).
 
     N factorizations instead of N(N-1)/2 GCDs: a table to degree k // 2
-    factors every member of degree k by trial division.  That table grows
-    like q^(k/2) whatever the family's size, so past ``_SIEVE_LIMIT`` (GF(2)
-    from k = 26) the profile takes each pair's GCD instead.
+    factors the members of degree k side by side, one Horner pass over all
+    of them per small irreducible and a division only where one divides
+    (``FactorTable.factor_all``).  That table grows like q^(k/2) whatever
+    the family's size, so past ``_SIEVE_LIMIT`` (GF(2) from k = 26) the
+    profile takes each pair's GCD instead.
     """
     if len(fam) < 2:
         raise TooFewMembers("a GCD profile needs at least two members")
@@ -151,9 +154,8 @@ def gcd_profile(fam: CAFamily) -> GcdProfile:
             for i, f in enumerate(members)
         )
     else:
-        factor = FactorTable(fam.field, d).factor
         rows = [[0] * i for i in range(len(members))]
-        for (i, j), e in _shared_degrees(map(factor, members)).items():
+        for (i, j), e in _shared_degrees(FactorTable(fam.field, d).factor_all(members)).items():
             rows[j][i] = e
         table = tuple(map(tuple, rows))
     return GcdProfile.from_table(table)
@@ -322,7 +324,7 @@ def uniform_gcd_family(
     members = tuple(sorted((g * h for h in cofactors), key=Polynomial.to_codes))
     if len(members) < 2:
         return members, None
-    shared = _shared_degrees(map(table.factor, cofactors))
+    shared = _shared_degrees(table.factor_all(cofactors))
     return members, t + max(shared.values(), default=0)
 
 
@@ -482,7 +484,7 @@ def search_max_family(
             f"|Poly_{k}(F_{q})| = {q}^{k} - {q}^{k - 1} exceeds budget {budget}"
         )
     vertices = enumerate_rule_polynomials(k, field)
-    shared = _shared_degrees(map(FactorTable(field, k).factor, vertices))
+    shared = _shared_degrees(FactorTable(field, k).factor_all(vertices))
     clique = _max_clique(_compatibility(len(vertices), shared, t))
     # the clique is ascending, so its pairs are keys of ``shared`` as they come
     top = max(

@@ -378,13 +378,13 @@ class GrassmannianCode:
 
     @property
     def rules(self) -> tuple[Polynomial | None, ...]:
-        """``ca.kernel_rule`` of each codeword, in codeword order: the rule
-        whose kernel at n = 2k it is, or None where there is none.  Computed
-        on first use and kept: the codewords never change."""
+        """The rule whose kernel at n = 2k each codeword is, or None where
+        there is none, in codeword order: one ``ca.kernel_rules`` pass over
+        the code.  Computed on first use and kept: the codewords never change."""
         if self._rules is None:
-            from .ca import kernel_rule  # ca builds on this module
+            from .ca import kernel_rules  # ca builds on this module
 
-            self._rules = tuple(map(kernel_rule, self.codewords))
+            self._rules = tuple(kernel_rules(self.codewords))
         return self._rules
 
     def params(self) -> CodeParams:

@@ -2,11 +2,11 @@
 
 Everything here works on plain integer tuples modulo a prime p, or on the
 integer codes of GF(p^m) given its modulus, written from scratch against
-the definitions: convolution products, schoolbook long division and
-Euclid, brute-force kernel enumeration, span-set subspace arithmetic,
-plain elimination, exhaustive clique search and exhaustive minimum-distance
-decoding.  Nothing imports the library's arithmetic, so agreement between
-these and the package is a genuine two-route check.
+the definitions: convolution products, schoolbook long division, Euclid
+and trial division, brute-force kernel enumeration, span-set subspace
+arithmetic, plain elimination, exhaustive clique search and exhaustive
+minimum-distance decoding.  Nothing imports the library's arithmetic, so
+agreement between these and the package is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -132,6 +132,26 @@ def irreducibles(n: int, p: int, modulus=None) -> set[tuple[int, ...]]:
     if n == 1:
         return monics
     return monics - composites(n, p, modulus)
+
+
+def trial_factor(f, irreducibles, p: int, modulus=None) -> list[tuple[int, ...]]:
+    """The monic irreducible factors of a monic f, with multiplicity, one
+    polynomial at a time by trial division on ``odivmod``.
+
+    ``irreducibles`` lists monic irreducibles in the order the factors are
+    wanted; each divides f as often as it can while twice its degree is at
+    most the cofactor's.  The cofactor left then has no factor of at most
+    half its degree, so it is irreducible, and goes last unless it is 1.
+    """
+    f, out = trim(f), []
+    for g in irreducibles:
+        while 2 * (len(g) - 1) <= len(f) - 1:
+            quot, rem = odivmod(f, g, p, modulus)
+            if rem:
+                break
+            out.append(tuple(g))
+            f = quot
+    return out + [f] if len(f) > 1 else out
 
 
 def kernel_set(rule, n: int, p: int) -> frozenset[tuple[int, ...]]:

@@ -393,8 +393,8 @@ def test_irreducibles_match_product_oracle():
 
 
 # (field, table degree d): every monic of degree <= d is read off the table,
-# and degrees d + 1 .. 2d + 1 go through trial division
-FACTOR_CASES = [(F2, 4), (F3, 2), (F4, 2), (F5, 2), (GF(17), 1)]
+# and degrees d + 1 .. 2d + 1 go through the Horner passes and the divisions
+FACTOR_CASES = [(F2, 4), (F3, 2), (F4, 2), (F5, 2), (GF(17), 1), (GF(3, 2), 2)]
 
 
 @pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
@@ -450,6 +450,62 @@ def test_factor_table_refuses_what_it_cannot_factor():
         table.factor(P(F2, *[1] * 7))  # degree 6 > 2 * 2 + 1
     with pytest.raises(InvalidDegree):
         table.factor(Polynomial(F2))
+    for bad in (P(F2, *[1] * 7), Polynomial(F2)):  # anywhere in a list
+        with pytest.raises(InvalidDegree):
+            table.factor_all([P(F2, 1, 1, 0, 1), bad, P(F2, 1, 1)])
+
+
+def oracle_monic(field, codes):
+    """``codes`` over the field scaled to leading coefficient 1, by the oracles' arithmetic."""
+    _, mul, _, inv = oracles.scalar_ops(field.p, modulus(field))
+    lead_inv = inv(codes[-1])
+    return tuple(mul(c, lead_inv) for c in codes)
+
+
+def factor_inputs(field, d, rng, count):
+    """``count`` nonzero polynomials of degree <= 2d + 1 to factor, leading
+    coefficients random: products of random monics, often squared or cubed,
+    and often of a few factors that many inputs share; then X, constants and
+    entries of the table itself."""
+    atoms = [f for n in range(1, d + 2) for f in monic_polynomials(field, n)]
+    shared = rng.sample(atoms, 3)
+    polys = [P(field, 0, 1), P(field, 1), P(field, field.q - 1)]
+    polys += rng.sample([f for n in range(d + 1) for f in monic_polynomials(field, n)], 3)
+    while len(polys) < count:
+        f = Polynomial.from_codes(field, (rng.randrange(1, field.q),))
+        for _ in range(rng.randint(1, 4)):
+            a, power = rng.choice(shared if rng.random() < 0.4 else atoms), rng.choice((1, 1, 2, 3))
+            if f.degree + power * a.degree <= 2 * d + 1:
+                f = f * a**power
+        polys.append(f)
+    return polys
+
+
+@pytest.mark.parametrize("count", [12, 320])
+@pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
+def test_factor_all_matches_trial_division_one_at_a_time(field, d, count):
+    # the side-by-side Horner passes and the divisions they leave must give
+    # what per-polynomial trial division gives, order and multiplicity too
+    rng = random.Random(f"factor_all {field.spec} {count}")
+    table = FactorTable(field, d)
+    irreducibles = sorted(
+        (c for n in range(1, d + 1) for c in oracles.irreducibles(n, field.p, modulus(field))),
+        key=lambda c: (len(c), c),
+    )
+    polys = factor_inputs(field, d, rng, count)
+    got = table.factor_all(polys)
+    assert len(got) == len(polys)
+    for f, factors in zip(polys, got):
+        monic = oracle_monic(field, f.to_codes())
+        assert [g.to_codes() for g in factors] == oracles.trial_factor(
+            monic, irreducibles, field.p, modulus(field)
+        )
+        product = (1,)
+        for g in factors:
+            assert is_irreducible(g)
+            product = oracles.omul(product, g.to_codes(), field.p, modulus(field))
+        assert product == monic
+    assert [table.factor(f) for f in polys[:12]] == got[:12]
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (7, 2)])

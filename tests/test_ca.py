@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cacodes.algebra import GF, Polynomial
-from cacodes.ca import LinearCA, LinearRule, kernel_rule
+from cacodes.ca import LinearCA, LinearRule, kernel_rule, kernel_rules
 from cacodes.channel import ChannelConfig, transmit
 from cacodes.errors import (
     AmbientMismatch,
@@ -370,3 +370,78 @@ def test_kernel_rule_of_no_kernel_is_none():
             assert kernel_rule(lift(field, m)) is None
     rows = [[1, 0, 0, 0, 1, 1], [0, 1, 0, 1, 1, 1], [0, 0, 1, 1, 0, 1]]
     assert kernel_rule(Subspace(F2, 6, rows)) is None
+
+
+def annihilation_rule(sub):
+    """The slow reference of ``kernel_rules``, one codeword at a time: the
+    rule that column k of the unpacked RREF spells, when its CA at n = 2k
+    sends the codeword to zero."""
+    field, k = sub.field, sub.dim
+    if sub.ambient_n != 2 * k or not k:
+        return None
+    column = [field.neg(row[k]) for row in sub.basis.rows]
+    if not column[0]:
+        return None
+    f = Polynomial.from_codes(field, column + [1])
+    return f if LinearCA(f, 2 * k).annihilates(sub) else None
+
+
+def mixed_subspaces(field, k, rng, size):
+    """``size`` subspaces of GF(q)^2k, a kernel and the zero space first:
+    kernels, kernels with one entry past column k changed, lifts [I_k | M]
+    at random and with a_0 = 0, subspaces of other dimensions, zero spaces."""
+    n, q = 2 * k, field.q
+    out = [LinearCA(Polynomial.from_codes(field, [1] * (k + 1)), n).kernel(), Subspace(field, n)]
+    while len(out) < size:
+        rule = Polynomial.from_codes(
+            field, [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(k - 1)] + [1]
+        )
+        kind = rng.randrange(6)
+        if kind <= 1:
+            kernel = LinearCA(rule, n).kernel()
+            if kind:
+                rows = [list(r) for r in kernel.basis.rows]
+                i, j = rng.randrange(k), rng.randrange(k, n)
+                rows[i][j] = field.add(rows[i][j], rng.randrange(1, q))
+                kernel = Subspace(field, n, rows)
+            out.append(kernel)
+        elif kind <= 3:
+            m = [[rng.randrange(q) for _ in range(k)] for _ in range(k)]
+            if kind == 3:
+                m[0][0] = 0
+            out.append(lift(field, m))
+        elif kind == 4:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(rng.randrange(n + 1))]
+            out.append(Subspace(field, n, rows))
+        else:
+            out.append(Subspace(field, n))
+    return out
+
+
+@pytest.mark.parametrize("size", [10, 320])
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernel_rules_match_the_per_codeword_reference(field, size):
+    # every codeword's rows in one wide row, one CA pass: each codeword must
+    # get the rule the one-at-a-time annihilation test gives it
+    rng = random.Random(f"kernel_rules {field.spec} {size}")
+    for k in (1, 2, 3, 4):
+        subs = mixed_subspaces(field, k, rng, size)
+        rules = kernel_rules(subs)
+        assert rules == [annihilation_rule(s) for s in subs]
+        assert rules[:4] == [kernel_rule(s) for s in subs[:4]]
+        assert rules[0] is not None and rules[1] is None
+    # n != 2 dim, and n = 0: no codeword has a rule
+    rule = Polynomial.from_codes(field, [1, 0, 1])
+    for n in (3, 5):
+        subs = [LinearCA(rule, n).kernel(), Subspace(field, n, [[1] * n]), Subspace(field, n)]
+        assert kernel_rules(subs) == [None] * len(subs)
+    assert kernel_rules([Subspace(field, 0)] * 3) == [None] * 3
+    assert kernel_rules([]) == []
+
+
+def test_kernel_rules_take_one_ambient_space():
+    f = Polynomial.from_codes(F2, [1, 1, 1])
+    with pytest.raises(AmbientMismatch):
+        kernel_rules([LinearCA(f, 4).kernel(), LinearCA(f, 5).kernel()])
+    with pytest.raises(AmbientMismatch):
+        kernel_rules([LinearCA(f, 4).kernel(), Subspace(F3, 4)])

@@ -598,6 +598,28 @@ def test_malformed_input_is_a_json_error(capsys, tmp_path, code_file, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # int() reads these, so 1_2 was 12 and a fullwidth 3 was GF(3)
+        (("kernel", "--q", "13", "--poly", "1_2,1", "--n", "2"), "malformed integer '1_2' in '1_2,1'"),
+        (("kernel", "--q", "3", "--poly", "+1,1", "--n", "2"), "malformed integer '+1' in '+1,1'"),
+        (("kernel", "--q", "3", "--poly", "1,\uff11", "--n", "2"), "malformed integer '\uff11' in '1,\uff11'"),
+        (("kernel", "--q", "2^2", "--poly", "[1,0],[0,1_0]", "--n", "2"),
+         "malformed integer '1_0' in '[1,0],[0,1_0]'"),
+        (("count", "--q", "\uff13", "--k", "2"), "malformed integer '\uff13' in '\uff13'"),
+        (("count", "--q", "2^\u0662", "--k", "2"), "malformed integer '\u0662' in '2^\u0662'"),
+        # a minus sign still parses, so a negative digit is named as before
+        (("kernel", "--q", "3", "--poly=-1,1", "--n", "2"), "-1 is not a residue in [0, 3)"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_an_integer_is_ascii_digits_after_an_optional_minus(capsys, argv, message):
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    assert doc["error"] == {"name": "ParseError", "message": message}
+
+
+@pytest.mark.parametrize(
     "document",
     [
         {"q": "2", "n": 2, "codewords": [[[1, "a"]]]},
