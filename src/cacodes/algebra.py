@@ -21,7 +21,8 @@ Representation conventions used throughout the library:
 * GCDs are always returned monic, so they are unique.  ``FactorTable``
   factors all monic polynomials up to a degree with one sieve, and a list
   of polynomials up to twice that degree side by side, for callers that
-  need the GCDs of many pairs; ``poly_gcd`` serves one pair.
+  need the GCDs of many pairs; it also finds the irreducibles up to twice
+  that degree, every candidate side by side.  ``poly_gcd`` serves one pair.
 * Every vector of codes is packed into one Python int, in the one format
   the field builds from p and m (``GF.format``, a ``RowFormat``), and
   ``RowFormat.sub_scaled`` is its one operation: u - c*v in a few
@@ -74,7 +75,7 @@ _MAX_EXTENSION_DEGREE = 4
 MAX_SPEC_PRIME = 2**31 - 1  # is_prime's trial division takes milliseconds up to here
 MAX_MODULUS_SCAN = 2048  # p^(m-1) bound: every field below it takes at most ~0.2 s
 _TABLE_LIMIT = 4096  # build exp/log tables of GF(q)* up to this order
-MAX_FACTOR_TABLE = 1 << 16  # q^d bound of a factor table: GF(2) to degree 16 takes ~0.4 s
+MAX_FACTOR_TABLE = 1 << 16  # q^d bound of a factor table or a scan: GF(2) sieves to 16 in ~0.4 s
 
 
 def is_prime(n: int) -> bool:
@@ -130,6 +131,7 @@ class GF:
         self._modulus: Polynomial | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._texts: tuple[dict[int, str], ...] = ({}, {}, {})  # see ``texts``
         if m > 1:
             # the search skips the p^(m-1) candidates with a zero constant
             # term, none of them irreducible; their count bounds the fields
@@ -187,6 +189,22 @@ class GF:
         for a in reversed(coeffs):
             code = code * self.p + (a % self.p)
         return code
+
+    def texts(self, codes: Iterable[int]) -> tuple[dict[int, str], dict[int, str], dict[int, str]]:
+        """The field's tables of coefficient text, holding every code of
+        ``codes``: a code's text in a polynomial string (over GF(p^m) its
+        digits in brackets, ``[a,b]``), in a display (``(a,b)``), and in a
+        display before a power of X, where a coefficient 1 is left out.  Over
+        GF(p) the first two are the residue.  Filled on first use."""
+        plain, shown, factor = self._texts
+        for c in set(codes).difference(plain) if len(plain) < self.q else ():
+            if self.m == 1:
+                plain[c] = shown[c] = str(c)
+            else:
+                digits = ",".join(map(str, self.decode(c)))
+                plain[c], shown[c] = f"[{digits}]", f"({digits})"
+            factor[c] = "" if shown[c] == "1" else shown[c]
+        return self._texts
 
     def decode(self, code: int) -> tuple[int, ...]:
         out = []
@@ -705,16 +723,12 @@ class Polynomial:
 
     # -- text format ------------------------------------------------------------------
 
-    def _coeff_text(self, code: int, brackets: str) -> str:
-        if self.field.m == 1:
-            return str(code)
-        return brackets[0] + ",".join(map(str, self.field.decode(code))) + brackets[1]
-
     def to_string(self) -> str:
         """Canonical comma-separated coefficient string (ascending powers)."""
-        if self.is_zero():
+        if not self.row:
             return "0"
-        return ",".join(self._coeff_text(c, "[]") for c in self.to_codes())
+        codes = self.to_codes()
+        return ",".join(map(self.field.texts(codes)[0].__getitem__, codes))
 
     @classmethod
     def from_string(cls, field: GF, text: str) -> "Polynomial":
@@ -743,18 +757,12 @@ class Polynomial:
 
     def display(self) -> str:
         """Human-readable rendering such as ``1 + X + X^2``; never parsed back."""
-        if self.is_zero():
+        if not self.row:
             return "0"
-        terms = []
-        for i, c in enumerate(self.to_codes()):
-            if c == 0:
-                continue
-            cs = self._coeff_text(c, "()")
-            if i == 0:
-                terms.append(cs)
-            else:
-                x = "X" if i == 1 else f"X^{i}"
-                terms.append(x if cs == "1" else f"{cs}{x}")
+        codes = self.to_codes()
+        _, shown, factor = self.field.texts(codes)
+        terms = [shown[codes[0]]] if codes[0] else []
+        terms += [factor[c] + ("X" if i == 1 else f"X^{i}") for i, c in enumerate(codes) if c and i]
         return " + ".join(terms)
 
 
@@ -779,7 +787,9 @@ def _divmod_rows(fmt: RowFormat, a: int, b: int) -> tuple[int, int]:
 
 def _mul_rows(fmt: RowFormat, a: int, b: int) -> int:
     """Product of polynomials packed in ``fmt``: the sum over the lanes i of a
-    of a_i * (b shifted i lanes up)."""
+    of a_i * (b shifted i lanes up); b itself when a is 1."""
+    if a == 1:
+        return b
     gf, w, mask = fmt.field, fmt.width, fmt.mask
     acc = shift = 0
     while a:
@@ -870,21 +880,19 @@ class FactorTable:
     Gauss's formula.  ``factor_all`` reads each polynomial of a list off the
     table, or finds its small factors for all of them at once by Horner
     passes over their coefficient columns; ``factor`` is one polynomial's.
-    ``irreducibles`` and the factor lists hold ``Polynomial``s; the table's
-    own loops stay on rows.
+    ``scan`` finds the irreducibles of a degree up to 2d + 1 by the same
+    Horner passes, run over every monic candidate of that degree side by
+    side, so a table of about q^d polynomials reaches degree 2d + 1.  ``irreducibles`` and the factor lists hold
+    ``Polynomial``s; the table's own loops stay on rows.
     Nothing is kept beyond the table's own life.  A table of more than
-    ``MAX_FACTOR_TABLE`` polynomials is refused (``BudgetExceeded``).
+    ``MAX_FACTOR_TABLE`` polynomials is refused (``BudgetExceeded``), and so
+    is a scan of more candidates.
     """
 
     __slots__ = ("field", "d", "irreducibles", "_factors")
 
     def __init__(self, field: GF, d: int):
-        # q^d >= 2^d: a d past the bound's bit length exceeds it, q^d uncomputed
-        if d > MAX_FACTOR_TABLE.bit_length() or field.q**d > MAX_FACTOR_TABLE:
-            raise BudgetExceeded(
-                f"a factor table of GF({field.spec}) to degree {d} sieves"
-                f" about {field.q}^{d} polynomials, more than {MAX_FACTOR_TABLE}"
-            )
+        check_budget(field, d, f"a factor table of GF({field.spec}) to degree {d} sieves")
         self.field, self.d = field, d
         fmt, w = field.format, field.width
         irr: list[int] = []
@@ -918,58 +926,167 @@ class FactorTable:
         the table, so a list of such rows is only looked up.  The others, of
         degree D at most, are tested side by side: lane b of the i-th column
         row holds the coefficient of X^i in the b-th, and for each
-        irreducible p with 2 deg p <= D one Horner pass over the columns,
-        r <- r X + column mod p, gives every f mod p at once, one row
-        operation per nonzero lower coefficient of p a step.  Only an f
-        whose lane comes out zero is divided by p, as often as p divides it,
-        until its cofactor is in the table.  A cofactor left outside has no
-        factor of degree <= D / 2, so it is irreducible.
+        irreducible p with 2 deg p <= D one Horner pass over the columns
+        (``_horner``) gives every f mod p at once.  Only an f whose lane
+        comes out zero is divided by p, as often as p divides it, until its
+        cofactor is in the table.  A cofactor left outside has no factor of
+        degree <= D / 2, so it is irreducible.
         """
         monic = [f.monic() for f in polys]
         degrees = [f.degree for f in monic]
         for e in degrees:
             if not 0 <= e <= 2 * self.d + 1:
                 raise InvalidDegree(f"cannot factor degree {e} from a table to {self.d}")
-        fmt, table, irr = self.field.format, self._factors, self.irreducibles
+        fmt, table = self.field.format, self._factors
         rows = [f.row for f in monic]
         pending = [b for b, row in enumerate(rows) if row not in table]
-        divisors: list[list[Polynomial]] = [[] for _ in pending]
+        divisors: list[list[Polynomial]] = [[] for _ in rows]
         if pending:
             top, size = max([degrees[b] for b in pending]), len(pending)
             flat = [c for b in pending for c in fmt.unpack(rows[b], top + 1)]
-            columns = [fmt.pack(flat[i :: top + 1]) for i in reversed(range(top + 1))]
-            zero, sub_scaled = fmt.entries(0, 1)[0], fmt.sub_scaled
-            for p in irr:
+            steps = [(1, fmt.pack(flat[i :: top + 1])) for i in reversed(range(top + 1))]
+            zero = fmt.entries(0, 1)[0]
+            for p in self.irreducibles:
                 e = p.degree
                 if 2 * e > top:
                     break  # irr is sorted by degree
-                lower = [(i, c) for i, c in enumerate(p.to_codes()[:e]) if c]
-                r = [0] * e  # r[i]: coefficient i of every f mod p so far
-                for column in columns:  # the highest first: r <- r X + column mod p
-                    carry = r.pop()
-                    r.insert(0, column)
-                    if carry:  # X^e = -(p_0 + ... + p_(e-1) X^(e-1)) mod p
-                        for i, c in lower:
-                            r[i] = sub_scaled(r[i], c, carry)
-                rest = functools.reduce(operator.or_, r)  # lane b is 0 where p divides
-                for b in itertools.compress(range(size), map(zero.__eq__, fmt.entries(rest, size))):
+                rest = functools.reduce(operator.or_, _horner(fmt, p.row, [0] * e, steps))
+                for b in itertools.compress(pending, map(zero.__eq__, fmt.entries(rest, size))):
                     divisors[b].append(p)
-        found: list[list[Polynomial]] = [[] for _ in rows]
-        for b, ps in zip(pending, divisors):
-            row, fs = rows[b], found[b]
-            for p in ps:  # each divides row, once at least
-                while row not in table:
-                    quot, rem = _divmod_rows(fmt, row, p.row)
-                    if rem:
-                        break
-                    fs.append(p)
-                    row = quot
-            rows[b] = row
-        return [
-            fs + [irr[i] for i in table[row]] if row in table
-            else fs + [Polynomial._from_row(self.field, row)]
-            for fs, row in zip(found, rows)
-        ]
+        return list(map(self._factors_of, rows, divisors))
+
+    def scan(
+        self, n: int, count: int | None = None, watch: Sequence[Polynomial] = ()
+    ) -> tuple[list[Polynomial], list[list[Polynomial]]]:
+        """The first ``count`` (by default all) monic irreducibles of degree n
+        with a nonzero constant term, in lexicographic order, 1 <= n <= 2d + 1;
+        and the factors of each ``watch`` polynomial (monic, of degree n, with
+        a nonzero constant term) as ``factor_all`` gives them.
+
+        Degrees up to d are read off the table.  Above it the candidates are
+        tested side by side, none built before it is found: lane b of a row
+        of (q - 1) q^(n-1) lanes is the candidate whose coefficients a_0 - 1,
+        a_1, ..., a_(n-1) are the base-q digits of b, highest first, so lanes
+        run in lexicographic order.  For each irreducible p with 2 deg p <= n
+        (X aside, which divides no candidate), one Horner pass (``_horner``)
+        starts from the leading 1 in one lane and, for each of a_(n-1), ...,
+        a_0, lays its rows side by side, q copies (q - 1 for a_0 != 0), and
+        adds the column that holds one value of the coefficient in each copy:
+        no column is built per candidate, and a step costs the lanes it has.
+        A lane no p zeroes is irreducible.  A watched polynomial's small factors
+        are the p that zeroed its lane, each then divided out as often as it
+        divides.  The per-entry format's row operation steps through every
+        lane, so there a pass costs more than a sieve to degree n, which is
+        taken instead.  A scan of more than ``MAX_FACTOR_TABLE`` candidates is
+        refused (``BudgetExceeded``) before any row is built.
+        """
+        gf, fmt, w, q = self.field, self.field.format, self.field.width, self.field.q
+        if not 1 <= n <= 2 * self.d + 1:
+            raise InvalidDegree(f"cannot scan degree {n} from a table to {self.d}")
+        check_budget(gf, n, f"a scan of GF({gf.spec}) at degree {n} tests")
+        looks = []  # (lane, position in watch)
+        for i, f in enumerate(watch):
+            codes = f.to_codes()
+            if len(codes) != n + 1 or codes[-1] != 1 or not codes[0]:
+                raise InvalidDegree(f"cannot watch {f.to_string()} in a scan of degree {n}")
+            looks.append((functools.reduce(lambda b, a: b * q + a, codes[1:n], codes[0] - 1), i))
+        if n <= self.d:
+            low, high = n * w, (n + 1) * w  # the bit lengths of degree n
+            found = [f for f in self.irreducibles if low < f.row.bit_length() <= high and f.row & gf.mask]
+            return found[:count], [self._factors_of(f.row, []) for f in watch]
+        if type(fmt) is RowFormat:  # its row operation steps through every lane
+            return FactorTable(gf, n).scan(n, count, watch)
+        size = q ** (n - 1)  # the candidates with one constant term
+
+        def column(lanes: int, values: Iterable[int]) -> int:  # copy i of the lanes holds values[i]
+            ones = ((1 << lanes * w) - 1) // fmt.mask
+            return sum([v * ones << i * lanes * w for i, v in enumerate(values)])
+
+        steps = [(q, column(q**s, range(q))) for s in range(n - 1)]  # a_(n-1), ..., a_1
+        steps.append((q - 1, column(size, range(1, q))))  # a_0 != 0
+        ones = column(size * (q - 1), [1])
+        bits = range(1, (q - 1).bit_length())  # a code's bits, above the lowest
+        one, hit = fmt.entries(1, 1)[0], 0  # bit 0 of each lane some p zeroes
+        divisors: list[list[Polynomial]] = [[] for _ in watch]
+        for p in self.irreducibles:
+            e = (p.row.bit_length() - 1) // w
+            if 2 * e > n:
+                break  # irr is sorted by degree
+            if p.row == 1 << w:
+                continue  # X
+            rest = functools.reduce(operator.or_, _horner(fmt, p.row, [1] + [0] * (e - 1), steps, w))
+            zeros = ones & ~functools.reduce(operator.or_, [rest >> i for i in bits], rest)
+            hit |= zeros
+            if looks:
+                flags = fmt.entries(zeros, size * (q - 1))
+                for lane, i in looks:
+                    if flags[lane] == one:
+                        divisors[i].append(p)
+        alive = fmt.entries(ones ^ hit, size * (q - 1))
+        found = []
+        for lane in itertools.islice(itertools.compress(itertools.count(), map(one.__eq__, alive)), count):
+            row = 1
+            for _ in range(n - 1):
+                lane, a = divmod(lane, q)
+                row = row << w | a
+            found.append(Polynomial._from_row(gf, row << w | lane + 1))
+        return found, [self._factors_of(f.row, ps) for f, ps in zip(watch, divisors)]
+
+    def _factors_of(self, row: int, divisors: Sequence[Polynomial]) -> list[Polynomial]:
+        """The factors of a monic row, given the table irreducibles up to half
+        its degree that divide it: each is divided out as often as it
+        divides, until the cofactor is in the table or is irreducible."""
+        fmt, table, factors = self.field.format, self._factors, []
+        for p in divisors:  # each divides row, once at least
+            while row not in table:
+                quot, rem = _divmod_rows(fmt, row, p.row)
+                if rem:
+                    break
+                factors.append(p)
+                row = quot
+        held = table.get(row)
+        if held is None:
+            return factors + [Polynomial._from_row(self.field, row)]
+        return factors + [self.irreducibles[i] for i in held]
+
+
+def check_budget(field: GF, d: int, what: str) -> None:
+    """Refuse (``BudgetExceeded``) work over the q^d polynomials of degree d
+    when they are more than ``MAX_FACTOR_TABLE``; ``what`` names the work."""
+    # q^d >= 2^d: a d past the bound's bit length exceeds it, q^d uncomputed
+    if d > MAX_FACTOR_TABLE.bit_length() or field.q**d > MAX_FACTOR_TABLE:
+        raise BudgetExceeded(
+            f"{what} about {field.q}^{d} polynomials, more than {MAX_FACTOR_TABLE}"
+        )
+
+
+def _horner(
+    fmt: RowFormat, p: int, r: list[int], steps: Iterable[tuple[int, int]], bits: int = 0
+) -> list[int]:
+    """Horner's rule modulo the monic row p on many polynomials side by side.
+
+    ``r`` holds the deg p coefficient rows of their remainders so far, lane b
+    the b-th polynomial's, and each step (copies, column), from the highest
+    coefficient down, takes r <- r X + column mod p: X^e = -(p_0 + ... +
+    p_(e-1) X^(e-1)) mod p, one row operation per nonzero p_i.  With copies
+    > 1, the rows are first laid that many times side by side, ``bits`` bits
+    apart, and ``bits`` grows as the rows do: the column then gives each
+    copy its own value of the next coefficient.
+    """
+    w, sub_scaled = fmt.width, fmt.sub_scaled
+    e = (p.bit_length() - 1) // w
+    lower = [(i, c) for i, c in enumerate(fmt.unpack(p, e + 1)[:e]) if c]
+    r = list(r)
+    for copies, column in steps:
+        if copies > 1:
+            r = [x and sum([x << i * bits for i in range(copies)]) for x in r]
+            bits *= copies
+        carry = r.pop()
+        r.insert(0, column)
+        if carry:
+            for i, c in lower:
+                r[i] = sub_scaled(r[i], c, carry)
+    return r
 
 
 def _smallest_irreducible_modulus(p: int, m: int) -> Polynomial:

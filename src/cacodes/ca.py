@@ -18,20 +18,22 @@ from the k unit seeds: the kernel elements are precisely the truncated
 linear recurring sequences with feedback polynomial equal to the rule.
 The remainders X^i mod f, f the rule polynomial, obey the same recurrence,
 so cell i of the j-th unit-seed preimage is the coefficient of X^j in
-X^i mod f.  ``kernel`` computes one sequence, the impulse response (the
-coefficients of X^(k-1)), and derives every preimage from it by one shift
-and one row operation on packed rows; the preimages start with the k unit
-vectors, so they already are the kernel's RREF.  At n = 2k that basis is
-the lift [I_k | M] whose column k is (-a_0, ..., -a_{k-1}), and
-``kernel_rules`` reads the rules back off a list of subspaces, the kernel's
-inverse: it sets every candidate's rows side by side in one wide row and
-runs each candidate's CA on it in one pass, a row operation per column j
-and value of a_j, each masked to the candidates whose a_j has that value.
-``kernel_rule`` is that pass on one subspace.
+X^i mod f.  ``kernels`` computes one sequence per rule, the impulse
+response (the coefficients of X^(k-1)), for many rules at once in one wide
+row, and derives every preimage from it by one shift and one row operation
+on packed rows; the preimages start with the k unit vectors, so they
+already are the kernel's RREF.  ``LinearCA.kernel`` is its one-rule case.
+At n = 2k that basis is the lift [I_k | M] whose column k is (-a_0, ...,
+-a_{k-1}), and ``kernel_rules`` reads the rules back off a list of
+subspaces, the kernel's inverse: it sets every candidate's rows side by
+side in one wide row and runs each candidate's CA on it in one pass, a row
+operation per column j and value of a_j, each masked to the candidates
+whose a_j has that value.  ``kernel_rule`` is that pass on one subspace.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -172,41 +174,101 @@ class LinearCA:
         return self.kernel().combination(vec)
 
     def kernel(self) -> Subspace:
-        """The kernel of the CA: a k-dimensional subspace of GF(q)^n.
-
-        Spanned by the preimages of the k unit seeds: cell i of the j-th is
-        c_ij, the coefficient of X^j in X^i mod f, f the rule.  One impulse
-        response u, u_i = c_i,k-1 for i < n + k - 1, gives them all: each
-        remainder is the last one shifted one lane up, its lane k (which is
-        u_i) cancelled by one row operation with f, and X^(i+1) mod f reads
-        c_ij = c_(i+1),(j+1) + a_(j+1) u_i.  So row k-1 is u and row j is
-        row j+1 shifted one lane down plus a_(j+1) u, each cut to n lanes.
-        The first k remainders are the unit vectors, so the rows already are
-        the reduced basis and go into the subspace as they are.  Always
-        equals the null space of the transition matrix.
-        """
-        gf, n, k, fmt = self.field, self.n, self.k, self.field.format
-        w, sub_scaled, rule = fmt.width, fmt.sub_scaled, self.rule.poly
-        rem, top, lanes = 1, k * w, []
-        for _ in range(n + k - 1):
-            rem <<= w
-            c = rem >> top
-            lanes.append(c)
-            if c:
-                rem = sub_scaled(rem, c, rule.row)
-        row = u = fmt.pack(lanes)
-        low = (1 << n * w) - 1
-        rows = [u & low]
-        for a in reversed(rule.to_codes()[1:k]):  # a_(k-1), ..., a_1
-            row >>= w
-            if a:
-                row = sub_scaled(row, gf.neg(a), u)
-            rows.append(row & low)
-        rows.reverse()
-        return Subspace.from_echelon(Echelon.from_rref(gf, n, rows), reduced=True)
+        """The kernel of the CA: a k-dimensional subspace of GF(q)^n, the
+        one-rule case of ``kernels``.  Always equals the null space of the
+        transition matrix."""
+        return kernels([self.rule.poly], self.n)[0]
 
     def __repr__(self):
         return f"LinearCA({self.rule.poly.display()}, n={self.n} over GF({self.field.spec}))"
+
+
+def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
+    """The kernel of each rule's CA at lattice length n, in order: valid
+    rules (``LinearRule``) of one field and one degree k, k < n <=
+    ``MAX_AMBIENT_N``.
+
+    Cell i of the j-th unit-seed preimage is c_ij, the coefficient of X^j in
+    X^i mod f.  One impulse response u, u_i = c_i,k-1 for i < n + k - 1, gives
+    them all: X^(i+1) mod f reads c_ij = c_(i+1),(j+1) + a_(j+1) u_i, so row
+    k-1 is u and row j is row j+1 shifted one lane down plus a_(j+1) u, each
+    cut to n lanes.  The first k remainders are the unit vectors, so the
+    rows already are the reduced basis and go into the subspace as they are.
+
+    Every rule's recurrence runs at once, in one wide row of blocks of whole
+    lanes and whole bytes, one per rule, each holding the rule's remainder
+    X^i mod f in its low k lanes.  A step takes u_i, lane k-1 of every
+    block, shifts the row one lane up and subtracts u_i f from every block:
+    u_i spread over the k lanes by one product, then for each value v a
+    lane of the rules takes, v times it, masked to the lanes where the rules
+    hold v.  The rows come out of the collected u as wide rows too, one row
+    operation per value of a_(j+1), masked to the blocks of the rules that
+    hold it, and split into blocks at byte bounds in one C-level pass, so
+    the work stays linear in the number of rules.  Over the per-entry
+    format, whose row operation unpacks every lane, each rule runs alone,
+    and its u_i is one code: one row operation with the whole rule.
+    """
+    if not rules:
+        return []
+    gf, k = rules[0].field, int(rules[0].degree)
+    degrees = {(f.row.bit_length() - 1) // gf.width for f in rules}
+    if degrees != {k} or any([f.field is not gf and f.field != gf for f in rules]):
+        raise AmbientMismatch("rules of different fields or degrees share no kernel length")
+    if not k < n <= MAX_AMBIENT_N:
+        raise LengthMismatch(f"lattice length {n} is outside {k + 1}..{MAX_AMBIENT_N}")
+    fmt, w, mask, sub_scaled = gf.format, gf.width, gf.mask, gf.format.sub_scaled
+    unit = math.lcm(8, w)  # a block of whole lanes and whole bytes splits at byte bounds
+    span = -(-(n + k - 1) * w // unit) * unit // 8
+    spread, pivots = ((1 << k * w) - 1) // mask, range(0, k * w, w)
+    cut = ((1 << n * w) - 1).to_bytes(span, "little")
+    size = 1 if type(fmt) is RowFormat else len(rules)  # rules to a group
+    starts = bytearray(size * span)
+    starts[::span] = bytes([1]) * size
+    ones = int.from_bytes(starts, "little")  # 1 at the start of every block
+    lane, low = ones * mask, ones * spread * mask  # lane 0, and lanes 0..k-1, of every block
+    keep = int.from_bytes(cut * size, "little")  # lanes 0..n-1 of every block
+    whole = (ones << 8 * span) - ones  # every bit of every block
+    out: list[Subspace] = []
+    for first in range(0, len(rules), size):
+        chosen = rules[first : first + size]
+        lower = int.from_bytes(b"".join([f.row.to_bytes(span, "little") for f in chosen]), "little")
+        lower &= low  # every rule but its X^k
+        codes = [fmt.unpack(f.row, k + 1)[:k] for f in chosen]
+        if size == 1:  # one rule: its a_j holds its one block, and its u_i is one code
+            held, lanes = [{a: whole} if a else {} for a in codes[0]], None
+        else:
+            held, lanes = [], {}  # value v -> the blocks whose a_j = v; the lanes j where v is
+            for j, column in enumerate(zip(*codes)):
+                held.append({})
+                for v in set(column) - {0}:
+                    starts[::span] = bytes(map(v.__eq__, column))
+                    at = int.from_bytes(starts, "little")
+                    held[j][v] = blocks = (at << 8 * span) - at
+                    lanes[v] = lanes.get(v, 0) | blocks & lane << j * w
+        rem, u = ones << (k - 1) * w, 0  # X^(k-1) mod f = X^(k-1)
+        for i in range(k - 1, n + k - 1):
+            carry = rem >> (k - 1) * w & lane  # u_i
+            u |= carry << i * w
+            rem = (rem << w) & low  # X^(i+1) mod f, less u_i f
+            if lanes is None:
+                rem = sub_scaled(rem, carry, lower) if carry else rem
+            else:
+                for v, where in lanes.items():
+                    rem = sub_scaled(rem, v, carry * spread & where)
+        row, rows = u, [u & keep]
+        for values in reversed(held[1:]):  # a_(k-1), ..., a_1
+            row >>= w
+            for v, blocks in values.items():
+                row = sub_scaled(row, gf.neg(v), u & blocks)
+            rows.append(row & keep)
+        rows.reverse()
+        data = b"".join([r.to_bytes(size * span, "little") for r in rows])
+        cells = list(map(int.from_bytes, _chunks(data, k * size), itertools.repeat("little")))
+        out += [  # row j of rule b is cell j * size + b
+            Subspace.from_echelon(Echelon.from_rref(gf, n, cells[b::size], pivots), reduced=True)
+            for b in range(len(chosen))
+        ]
+    return out
 
 
 def kernel_rule(sub: Subspace) -> Polynomial | None:

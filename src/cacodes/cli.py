@@ -252,13 +252,12 @@ def _cmd_analyze(args) -> dict:
         field = GF.from_spec(spec)
         listed = CAFamily(Polynomial.from_string(field, s) for s in family)
         # read in codeword order, the rules' GCD table lines up with ``inter``
-        rules = code.rules
-        same = len(rules) == len(listed) and set(rules) == set(listed)
-        check = {"family": family, "consistent": same}
+        ordered = listed.reordered(code.rules)
+        check = {"family": family, "consistent": ordered is not None}
         if len(listed) >= 2:
-            d, gcds = predicted_min_distance(CAFamily(rules) if same else listed)
+            d, gcds = predicted_min_distance(listed if ordered is None else ordered)
             check["predicted_min_distance"] = d
-            check["consistent"] = same and gcds.table == inter
+            check["consistent"] = ordered is not None and gcds.table == inter
         payload["family_check"] = check
     return payload
 

@@ -16,9 +16,11 @@ of shared factors (``_shared_degrees``) visits only the pairs that share
 one and gives each its degree; a pair it does not list is coprime.
 ``gcd_profile`` fills the full pairwise table from it, which ``analyze``
 prints.  Each construction returns its members with their largest degree,
-read off its own index: ``uniform_gcd_family`` over the cofactors its sieve
-built, ``search_max_family`` over the pairs of the clique it found on the
-compatibility graph that index gave.
+read off its own index: ``uniform_gcd_family`` over the factorizations of
+its cofactors that its table's scan of degree k - t gave, ``search_max_family``
+over the pairs of the clique it found on the compatibility graph that
+index gave.  ``code_from_family`` takes every member's kernel in one
+``ca.kernels`` pass.
 ``poly_gcd`` stays as the independent route of ``verify_family`` and the
 tests.
 
@@ -47,8 +49,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import GF, FactorTable, Polynomial, monic_polynomials, poly_gcd
-from .ca import LinearCA, LinearRule
+from .algebra import GF, FactorTable, Polynomial, check_budget, monic_polynomials, poly_gcd
+from .ca import LinearRule, kernels
 from .errors import (
     BudgetExceeded,
     DegreeTooLarge,
@@ -79,20 +81,39 @@ class CAFamily:
         polys = tuple(members)
         if not polys:
             raise EmptyFamily("a family needs at least one rule polynomial")
-        self.field = polys[0].field
+        self.field = gf = polys[0].field
         k = polys[0].degree
-        for f in polys:
-            if f.field != self.field:
-                raise FieldMismatch("family members must share one field")
-            if f.degree != k:
-                raise InvalidDegree(
-                    f"family members must all have degree {k}, got {f.degree}"
-                )
-            LinearRule(f)  # monic, degree >= 1, nonzero constant term
-        if len(set(polys)) != len(polys):
+        rows = [f.row for f in polys]
+        # members of one field object, each 1 in lane k with nothing above it and
+        # nonzero in lane 0, pass at once; any other family is checked member by
+        # member, which names its first fault
+        if not (
+            k >= 1
+            and all([f.field is gf for f in polys])
+            and {row >> k * gf.width for row in rows} == {1}
+            and all(map(gf.mask.__and__, rows))
+        ):
+            for f in polys:
+                if f.field != self.field:
+                    raise FieldMismatch("family members must share one field")
+                if f.degree != k:
+                    raise InvalidDegree(
+                        f"family members must all have degree {k}, got {f.degree}"
+                    )
+                LinearRule(f)  # monic, degree >= 1, nonzero constant term
+        if len(set(rows)) != len(polys):
             raise DuplicateMember("family members must be pairwise distinct")
         self.k = int(k)
         self.members = polys
+
+    def reordered(self, order: Sequence[Polynomial | None]) -> "CAFamily | None":
+        """The family with its members in the order of ``order``, or None when
+        ``order`` is not the members as a set; nothing is validated again."""
+        if len(order) != len(self.members) or set(order) != set(self.members):
+            return None
+        fam = CAFamily.__new__(CAFamily)
+        fam.field, fam.k, fam.members = self.field, self.k, tuple(order)
+        return fam
 
     def __len__(self) -> int:
         return len(self.members)
@@ -196,7 +217,8 @@ def predicted_min_distance(fam: CAFamily) -> tuple[int, GcdProfile]:
 
 
 def code_from_family(fam: CAFamily) -> GrassmannianCode:
-    """The Grassmannian code of the family: kernels of all members at n = 2k.
+    """The Grassmannian code of the family: kernels of all members at n = 2k,
+    side by side in one ``ca.kernels`` pass.
 
     Distinct members always give distinct kernels (their pairwise kernel
     intersections have dimension deg gcd < k), so the code size normally
@@ -204,8 +226,7 @@ def code_from_family(fam: CAFamily) -> GrassmannianCode:
     ``duplicates_removed``.
     """
     n = 2 * fam.k
-    kernels = [LinearCA(f, n).kernel() for f in fam.members]
-    return GrassmannianCode(fam.field, n, kernels)
+    return GrassmannianCode(fam.field, n, kernels(fam.members, n))
 
 
 # -- counting ------------------------------------------------------------------------
@@ -263,15 +284,11 @@ def enumerate_irreducibles(
     """
     if n < 1:
         raise NonPositive(f"degree must be >= 1, got {n}")
-    return _irreducibles_of_degree(FactorTable(field, n), n, exclude_x)
-
-
-def _irreducibles_of_degree(
-    table: FactorTable, n: int, exclude_x: bool
-) -> tuple[Polynomial, ...]:
-    const = table.field.mask  # the lane of the constant term
+    const = field.mask  # the lane of the constant term
     return tuple(
-        f for f in table.irreducibles if f.degree == n and (f.row & const or not exclude_x)
+        f
+        for f in FactorTable(field, n).irreducibles
+        if f.degree == n and (f.row & const or not exclude_x)
     )
 
 
@@ -302,29 +319,34 @@ def uniform_gcd_family(
     (squares when i = r - i).  Injective pairing keeps cofactors pairwise
     coprime, so gcd(g*h1, g*h2) = g exactly.  Cardinality:
     I'_r + sum_{i=1}^{floor(r/2)} I'_i.  Returns members in lexicographic
-    order; t = k returns just (g,).  Every degree is read from one sieve to r.
+    order; t = k returns just (g,).
 
-    The maximum is read off that sieve too: gcd(g*h1, g*h2) = g * gcd(h1, h2),
-    so it is deg g plus the largest deg gcd of two cofactors.  Each cofactor
-    has degree r, so its factors are a lookup in the sieve's table, and g is
-    never factored.
+    One table to degree r // 2 holds the degrees up to r/2; each degree
+    r - i above r/2 is scanned for its first |I'_i| irreducibles only, and
+    degree r for all of them (``FactorTable.scan``).  More than
+    ``MAX_FACTOR_TABLE`` candidates at degree r are refused before the table
+    is built.  The maximum comes off the degree-r scan too:
+    gcd(g*h1, g*h2) = g * gcd(h1, h2), so it is deg g plus the largest deg gcd
+    of two cofactors.  An irreducible cofactor is its own factorization, as
+    the scan found no factor of it, and the products are factored off the
+    same scan's passes; g is never factored.
     """
     t = _gcd_degree(k, g)
     r = k - t
     if r == 0:
         return (g,), None
-    table = FactorTable(g.field, r)
-
-    def primed(n: int) -> tuple[Polynomial, ...]:  # I'_n, lexicographic
-        return _irreducibles_of_degree(table, n, exclude_x=True)
-
-    cofactors = list(primed(r))
+    check_budget(g.field, r, f"a family of GF({g.field.spec}) at cofactor degree {r} scans")
+    table = FactorTable(g.field, r // 2)
+    products = []
     for i in range(1, r // 2 + 1):
-        cofactors += [u * v for u, v in zip(primed(i), primed(r - i))]
-    members = tuple(sorted((g * h for h in cofactors), key=Polynomial.to_codes))
+        low = table.scan(i)[0]
+        products += [u * v for u, v in zip(low, table.scan(r - i, len(low))[0])]
+    top, factored = table.scan(r, watch=products)
+    entries = g.field.format.entries  # in the order of the codes, at one degree
+    members = tuple(sorted((g * h for h in top + products), key=lambda f: entries(f.row, k + 1)))
     if len(members) < 2:
         return members, None
-    shared = _shared_degrees(table.factor_all(cofactors))
+    shared = _shared_degrees([[h] for h in top] + factored)
     return members, t + max(shared.values(), default=0)
 
 

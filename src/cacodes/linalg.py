@@ -223,13 +223,19 @@ class Echelon:
             self.extend(map(field.format.pack, rows))
 
     @classmethod
-    def from_rref(cls, field: GF, ncols: int, rows: list[int]) -> "Echelon":
+    def from_rref(
+        cls, field: GF, ncols: int, rows: list[int], offsets: Iterable[int] | None = None
+    ) -> "Echelon":
         """An echelon that holds packed rows which already are an RREF, in
-        ascending pivot order; each pivot is read off its row's lowest lane."""
+        ascending pivot order; each pivot is read off its row's lowest lane,
+        unless ``offsets`` gives the bit offsets of the pivot lanes."""
         ech = cls.__new__(cls)
         ech.field, ech.ncols, ech._rows, ech._pivots = field, ncols, rows, None
-        w = field.width
-        ech._held = {((row & -row).bit_length() - 1) // w * w: row for row in rows}
+        if offsets is None:
+            w = field.width
+            ech._held = {((row & -row).bit_length() - 1) // w * w: row for row in rows}
+        else:
+            ech._held = dict(zip(offsets, rows))
         return ech
 
     @classmethod

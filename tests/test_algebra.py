@@ -12,6 +12,7 @@ from cacodes.algebra import (
     FactorTable,
     NEG_INF,
     Polynomial,
+    RowFormat,
     is_irreducible,
     is_prime,
     monic_polynomials,
@@ -19,6 +20,7 @@ from cacodes.algebra import (
 )
 from cacodes.errors import (
     BothZero,
+    BudgetExceeded,
     DivisionByZero,
     ExtensionTooLarge,
     FieldMismatch,
@@ -506,6 +508,72 @@ def test_factor_all_matches_trial_division_one_at_a_time(field, d, count):
             product = oracles.omul(product, g.to_codes(), field.p, modulus(field))
         assert product == monic
     assert [table.factor(f) for f in polys[:12]] == got[:12]
+
+
+@pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
+def test_scan_finds_the_sieves_and_the_oracles_irreducibles(field, d):
+    # each degree the table's passes reach, d + 1 .. 2d + 1, and the table's
+    # own degrees: all of them, then a prefix, in lexicographic order.  The
+    # per-entry format scans past d by sieving, so there the sieve is no
+    # second route, and each prefix would sieve again
+    table, packed = FactorTable(field, d), type(field.format) is not RowFormat
+    sieve = FactorTable(field, 2 * d + 1 if packed else d)
+    for n in range(1, 2 * d + 2):
+        found, _ = table.scan(n)
+        codes = [f.to_codes() for f in found]
+        assert codes == sorted(codes)
+        assert set(codes) == {c for c in oracles.irreducibles(n, field.p, modulus(field)) if c[0]}
+        if packed or n <= d:
+            assert found == [f for f in sieve.irreducibles if f.degree == n and f.row & field.mask]
+            for count in (0, 1, len(found) // 3):
+                assert table.scan(n, count)[0] == found[:count]
+
+
+@pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
+def test_scan_factors_what_it_watches_as_factor_all_does(field, d):
+    # monic polynomials of the top degree with a nonzero constant term:
+    # products of irreducibles with squares, cubes and shared factors, as the
+    # uniform-GCD construction's products are, and irreducibles themselves
+    rng = random.Random(f"scan watch {field.spec}")
+    n, table = 2 * d + 1, FactorTable(field, d)
+    atoms = [f for f in table.irreducibles if f.row & field.mask]
+    atoms += table.scan(n - 1, 4)[0] if n - 1 > d else []
+    top = sorted(c for c in oracles.irreducibles(n, field.p, modulus(field)) if c[0])
+    watch = [Polynomial.from_codes(field, c) for c in top[:3]]
+    while len(watch) < 40:
+        f = Polynomial.from_codes(field, (1,))
+        for a in rng.sample(atoms, len(atoms)):
+            power = rng.choice([1, 1, 2, 3])
+            if f.degree + power * a.degree <= n:
+                f = f * a**power
+        if f.degree == n:
+            watch.append(f)
+    _, factored = table.scan(n, 0, watch)
+    assert factored == table.factor_all(watch)
+    irreducibles = sorted(
+        (c for e in range(1, d + 1) for c in oracles.irreducibles(e, field.p, modulus(field))),
+        key=lambda c: (len(c), c),
+    )
+    for f, factors in zip(watch, factored):
+        assert [g.to_codes() for g in factors] == oracles.trial_factor(
+            f.to_codes(), irreducibles, field.p, modulus(field)
+        )
+
+
+def test_scan_refuses_what_it_cannot_reach():
+    table = FactorTable(F2, 2)
+    for n in (0, 6):
+        with pytest.raises(InvalidDegree):
+            table.scan(n)
+    for n in (2, 4):  # read off the table, and scanned
+        for bad in (P(F2, *[0] + [1] * n), P(F2, *[1] * n)):  # a zero constant term, degree n - 1
+            with pytest.raises(InvalidDegree):
+                table.scan(n, watch=[bad])
+    bad = P(GF(17), 1, 1, 2)  # not monic, over the per-entry format
+    with pytest.raises(InvalidDegree):
+        FactorTable(GF(17), 1).scan(2, watch=[bad])
+    with pytest.raises(BudgetExceeded):  # 2^17 candidates, refused before any row
+        FactorTable(F2, 8).scan(17)
 
 
 @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (7, 2)])

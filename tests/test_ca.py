@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cacodes.algebra import GF, Polynomial
-from cacodes.ca import LinearCA, LinearRule, kernel_rule, kernel_rules
+from cacodes.ca import LinearCA, LinearRule, kernel_rule, kernel_rules, kernels
 from cacodes.channel import ChannelConfig, transmit
 from cacodes.errors import (
     AmbientMismatch,
@@ -16,7 +16,7 @@ from cacodes.errors import (
     NotBipermutive,
     SeedLengthMismatch,
 )
-from cacodes.subspaces import Subspace
+from cacodes.subspaces import MAX_AMBIENT_N, Subspace
 
 import oracles
 
@@ -287,6 +287,59 @@ def test_kernel_rows_are_the_null_space_rref():
                         brute = oracles.kernel_set(rule.to_codes(), n, field.p)
                         assert oracles.span_set(kernel.basis.rows, n, field.p) == brute
                 assert kernel_rule(LinearCA(rule, 2 * k).kernel()) == rule
+
+
+def rule_family(field, k, rng, size):
+    """``size`` rules of degree k: products of a few shared factors, squares
+    and cubes among them, random rules and repeats."""
+    atoms = [f for f in some_rules(field, 1, rng, 4) + some_rules(field, 2, rng, 4) if f.degree <= k]
+    out = []
+    while len(out) < size:
+        kind = rng.randrange(4)
+        if kind == 0 and out:
+            out.append(rng.choice(out))
+        elif kind == 1:
+            f = Polynomial.from_codes(field, [rng.randrange(1, field.q)] + [
+                rng.randrange(field.q) for _ in range(k - 1)] + [1])
+            out.append(f)
+        else:
+            f = Polynomial.from_codes(field, (1,))
+            while f.degree < k:
+                a = rng.choice([a for a in atoms if f.degree + a.degree <= k])
+                power = rng.choice([1, 2, 3])
+                f = f * a**power if f.degree + power * a.degree <= k else f * a
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 7, 300])
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=str)
+def test_kernels_are_each_rules_null_space(field, size):
+    # every rule's recurrence in one wide row: each kernel must be the RREF
+    # of its transition matrix's null space, rows and pivots alike
+    rng = random.Random(f"kernels {field.spec} {size}")
+    for k in (1, 2, 3, 4):
+        rules = rule_family(field, k, rng, size)
+        for n in sorted({k + 1, 2 * k, 2 * k + 3}):
+            found = kernels(rules, n)
+            assert len(found) == len(rules)
+            for rule, kernel in zip(rules, found):
+                null = Subspace.from_matrix(LinearCA(rule, n).transition_matrix().nullspace_basis())
+                assert kernel._echelon.rows == null._echelon.rows
+                assert kernel._echelon.pivots == null._echelon.pivots == list(range(k))
+                assert kernel == null and hash(kernel) == hash(null)
+
+
+def test_kernels_take_one_field_one_degree_and_a_length_past_it():
+    f, g = Polynomial.from_codes(F2, [1, 1, 1]), Polynomial.from_codes(F2, [1, 1])
+    assert kernels([], 4) == []
+    with pytest.raises(AmbientMismatch):
+        kernels([f, g], 4)
+    with pytest.raises(AmbientMismatch):
+        kernels([f, Polynomial.from_codes(F3, [1, 1, 1])], 4)
+    for n in (2, MAX_AMBIENT_N + 1):
+        with pytest.raises(LengthMismatch):
+            kernels([f], n)
 
 
 def test_annihilates_exactly_the_subspaces_of_the_kernel():

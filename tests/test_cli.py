@@ -217,6 +217,48 @@ def test_family_check_needs_exactly_the_codewords(capsys, tmp_path, family):
     assert doc["family_check"]["consistent"] is False
 
 
+@pytest.mark.parametrize(
+    "q, code_family, family, name, message",
+    [
+        ("3", ["1,0,1", "2,0,1"], ["1,0,1", "2,0,2"], "NotBipermutive",
+         "rule leading coefficient a_k must be 1; see Polynomial.monic()"),
+        ("2", ORDER_FAMILY, ["1,0,0,1", "1,1,1,1", "1,0,0,1"], "DuplicateMember",
+         "family members must be pairwise distinct"),
+        ("2", ORDER_FAMILY, ["1,0,0,1", "0,1,1,1", "1,1,0,1"], "NotBipermutive",
+         "rule constant term a_0 must be nonzero"),
+        ("2", ORDER_FAMILY, ["1,0,0,1", "1,1", "1,1,0,1"], "InvalidDegree",
+         "family members must all have degree 3, got 1"),
+    ],
+    ids=["non-monic", "duplicate", "zero constant", "mixed degrees"],
+)
+def test_family_check_refuses_a_listed_family_that_is_none(
+    capsys, tmp_path, q, code_family, family, name, message
+):
+    # the listed members are validated once, before the rules are compared
+    field = GF.from_spec(q)
+    code = code_from_family(CAFamily([Polynomial.from_string(field, s) for s in code_family]))
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"q": q, "family": family, "code": code.to_json()}), encoding="utf-8")
+    code, doc = run_json(capsys, "analyze", "--code", str(path))
+    assert code == 1
+    assert doc == {"error": {"name": name, "message": message}}
+
+
+def test_family_check_validates_the_listed_members_once(capsys, tmp_path, monkeypatch):
+    built = []
+    init = families_module.CAFamily.__init__
+
+    def counted(self, members):
+        built.append(1)
+        init(self, members)
+
+    path = write_family_doc(tmp_path / "family.json", list(reversed(ORDER_FAMILY)))
+    monkeypatch.setattr(families_module.CAFamily, "__init__", counted)
+    code, doc = run_json(capsys, "analyze", "--code", path)
+    assert code == 0 and doc["family_check"]["consistent"] is True
+    assert built == [1]
+
+
 def kernel_rows(family, n):
     return [
         LinearCA(Polynomial.from_string(GF(2), f), n).kernel().to_json() for f in family
@@ -374,7 +416,33 @@ def test_build_code_reads_its_gcd_maximum_off_its_sieve(capsys, monkeypatch):
     )
     code, doc = run_json(capsys, "build-code", "--q", "3", "--k", "4", "--gcd", "1,1")
     assert code == 0 and doc["size"] == 10 and doc["predicted_min_distance"] == 6
-    assert len(built) == 1 and profiles == []
+    # r = 4 - 1: one table to degree r // 2, whose scans reach degree r
+    assert built == [(GF(3), 1)] and profiles == []
+
+
+@pytest.mark.parametrize("q, last", [("2", 6), ("3", 3), ("2^2", 3), ("5", 2), ("17", 1)])
+def test_build_code_admits_up_to_its_budget(capsys, monkeypatch, q, last):
+    # with a budget of 2^6 the last admitted r and the first refused one are
+    # read off q^r against the budget, at t = 0 and t = 1; no table is built
+    # before the refusal
+    built = []
+    init = algebra_module.FactorTable.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        built.append(args)
+
+    monkeypatch.setattr(algebra_module, "MAX_FACTOR_TABLE", 64)
+    monkeypatch.setattr(algebra_module.FactorTable, "__init__", counted)
+    field = GF.from_spec(q)
+    for g in ("1", Polynomial.from_codes(field, [1, 1]).to_string()):
+        k = last + (g != "1")
+        code, doc = run_json(capsys, "build-code", "--q", q, "--k", str(k), "--gcd", g)
+        assert code == 0 and doc["size"] == doc["expected_size"]
+        built.clear()
+        code, doc = run_json(capsys, "build-code", "--q", q, "--k", str(k + 1), "--gcd", g)
+        assert code == 1 and doc["error"]["name"] == "BudgetExceeded"
+        assert built == []
 
 
 @pytest.mark.parametrize(

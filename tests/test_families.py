@@ -62,6 +62,19 @@ def test_family_basic():
     assert fam.k == 2 and len(fam) == 2
 
 
+def test_family_takes_equal_fields_built_apart():
+    # one pass admits members of one field object; equal fields built apart,
+    # and a member over X^k with a higher lane, take the member-by-member route
+    members = [P(GF(3), 1, 1, 1), P(GF(3), 2, 0, 1), P(GF(3), 1, 2, 1)]
+    fam = CAFamily(members)
+    assert fam.k == 2 and fam.members == tuple(members)
+    assert fam.reordered(members[::-1]).members == tuple(members[::-1])
+    assert fam.reordered(members[:2]) is None and fam.reordered([*members[:2], None]) is None
+    for bad in (P(GF(3), 1, 1, 2), P(GF(3), 1, 1, 1, 1)):
+        with pytest.raises((NotBipermutive, InvalidDegree)):
+            CAFamily([*members, bad])
+
+
 def test_family_rejects_empty():
     with pytest.raises(EmptyFamily):
         CAFamily([])
