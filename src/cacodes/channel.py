@@ -17,7 +17,13 @@ pairwise table; inside the unique-decoding radius that leaves only V, and
 once 2 d(A, U) is below A's distance to its nearest codeword, the search
 stops, since it would skip every codeword left.
 Any other codeword's elimination stops as soon as it cannot reach the best
-distance found so far.
+distance found so far.  Past the radius, on a code of one pivot set, one
+walk over U's (q^dim U - 1)/(q - 1) projective combinations gives every
+codeword's distance at once, over the block layout that the pairwise table
+walks (``subspaces._BlockLayout``), where that walk measured cheaper: at most
+``_WALK_STEPS_PER_CODEWORD`` steps a codeword, on the packed formats only.
+``simulate`` decodes each received space's packed rows with the decoder's
+core, ``_nearest``, and builds no ``TrialResult``.
 
 Determinism: each trial draws from ``random.Random(f"{seed}:{trial}")``, so
 results are bit-identical for a fixed seed regardless of trial order or
@@ -28,9 +34,11 @@ result, are those of ``randrange`` on Python 3.10 to 3.13.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
+from .algebra import RowFormat
 from .errors import (
     BudgetExceeded,
     EmptyCode,
@@ -43,9 +51,17 @@ from .linalg import Echelon
 from .subspaces import GrassmannianCode, Subspace, _joint_rank
 
 _MAX_REDRAWS = 256  # per needed vector; failure means a broken RNG, not bad luck
-# a trial of a 23- to 53-codeword code takes 0.07-0.12 ms with one or two
-# erasures and one error dimension (Python 3.11, 2-core x86-64), so this
-# bound is 7-12 s
+# Against the eliminations it replaces (Python 3.11, 2-core x86-64), the walk
+# won at 0.02 to 1 step a codeword on CA codes of 8 to 175 codewords over
+# GF(2), GF(3), GF(2^2), GF(5), GF(7) and GF(2^3) (up to 7x), broke even at 1.4
+# to 2.9 and lost from 3.3; it lost about 2 us of a 10 us decode on 5-codeword
+# GF(2) codes, and over the per-entry format it lost from 0.04.
+_WALK_STEPS_PER_CODEWORD = 1
+# 100,000 trials take 5 to 12 s (Python 3.11, 2-core x86-64): 5.2 and 8.5 s
+# inside the unique-decoding radius at one erasure and one error (GF(2^2)
+# k = 3 and GF(3) k = 5, 23 and 53 codewords), 7.4 to 11.1 s past it at two
+# erasures and one error (GF(3), GF(2^2) and GF(5) k = 3, 10 to 44 codewords,
+# side by side) and 8 to 12 s at three and three (GF(2) k = 5, eliminated)
 MAX_TRIALS = 100_000
 
 
@@ -150,6 +166,43 @@ def transmit(V: Subspace, cfg: ChannelConfig, trial: int) -> Subspace:
     return Subspace.from_echelon(ech)
 
 
+def _nearest(
+    code: GrassmannianCode, rows: list[int], dim_u: int, first: int
+) -> tuple[int, dict[int, int]]:
+    """``decode_min_distance``'s search for U spanned by ``dim_u`` independent
+    packed ``rows``: the least distance, and by index the exact distances of
+    codeword ``first`` and of every codeword at the least distance."""
+    words, q = code.codewords, code.field.q
+    word, nearest = words[first], code.nearest_distances()
+    best = 2 * _joint_rank(word, rows) - word.dim - dim_u
+    exact = {first: best}
+    if 2 * best < nearest[first]:
+        return best, exact  # every other codeword is more than 2 best from it
+    per_word = 0 if type(code.field.format) is RowFormat else _WALK_STEPS_PER_CODEWORD
+    budget, layout = per_word * len(words), None
+    if dim_u <= budget.bit_length() and (q**dim_u - 1) // (q - 1) <= budget:
+        layout = code.block_layout()
+    if layout is not None:
+        distances = [word.dim + dim_u - 2 * meet for meet in layout.meets(rows)]
+        best = min(distances)
+        return best, {i: d for i, d in enumerate(distances) if d == best or i == first}
+    table, anchor = code.pairwise_intersection_dims(), first
+    for i in itertools.chain(range(first), range(first + 1, len(words))):
+        c = words[i]
+        # d(C, U) >= d(C, anchor) - best: past 2 best, C is farther than best
+        meet = table[i][anchor] if i > anchor else table[anchor][i]
+        if c.dim + words[anchor].dim - 2 * meet > 2 * best:
+            continue
+        dims = c.dim + dim_u
+        d = 2 * _joint_rank(c, rows, cap=(best + dims) // 2) - dims
+        if d <= best:
+            best = exact[i] = d
+            anchor = i
+            if 2 * best < nearest[anchor]:
+                break  # every codeword left is more than 2 best from the anchor
+    return best, exact
+
+
 def decode_min_distance(
     code: GrassmannianCode, U: Subspace, sent_index: int | None = None
 ) -> TrialResult:
@@ -170,31 +223,16 @@ def decode_min_distance(
     (``code.nearest_distances()``), every codeword left would be skipped,
     so the loop stops.  The sent codeword, when given, goes first, because
     ``distance_to_sent`` needs its exact distance; a negative ``sent_index``
-    counts from the end and is reported normalised.
+    counts from the end and is reported normalised.  If that first one does
+    not stop the loop, a code of one pivot set may instead read every d(C, U)
+    off one walk over U's combinations (``subspaces._BlockLayout.meets``).
     """
     if len(code) == 0:
         raise EmptyCode("cannot decode against an empty code")
-    words = code.codewords
     # indexes like a sequence: a negative index counts from the end
-    first = 0 if sent_index is None else range(len(words))[sent_index]
-    words[first]._check(U)
-    table, nearest = code.pairwise_intersection_dims(), code.nearest_distances()
-    best = 2 * U.ambient_n  # no distance is larger: the first runs to the end
-    anchor, exact = first, {}
-    for i in (first, *range(first), *range(first + 1, len(words))):
-        c = words[i]
-        if i != anchor:
-            # d(C, U) >= d(C, anchor) - best: past 2 best, C is farther than best
-            meet = table[i][anchor] if i > anchor else table[anchor][i]
-            if c.dim + words[anchor].dim - 2 * meet > 2 * best:
-                continue
-        dims = c.dim + U.dim
-        d = 2 * _joint_rank(c, U, cap=(best + dims) // 2) - dims
-        if d <= best:
-            best = exact[i] = d
-            anchor = i
-            if 2 * best < nearest[anchor]:
-                break  # every codeword left is more than 2 best from the anchor
+    first = 0 if sent_index is None else range(len(code))[sent_index]
+    code[first]._check(U)
+    best, exact = _nearest(code, U._echelon.rows, U.dim, first)
     tied = tuple(sorted(i for i, d in exact.items() if d == best))
     ambiguous = len(tied) > 1
     return TrialResult(
@@ -239,18 +277,20 @@ def simulate(code: GrassmannianCode, cfg: ChannelConfig, trials: int) -> dict:
         # correlate with the channel's coefficient draws
         sent = _draw_codes(random.Random(f"{cfg.seed}:{trial}:sent"), len(code), 1)[0]
         received = transmit(code[sent], cfg, trial)
-        result = decode_min_distance(code, received, sent_index=sent)
-        d_sent = result.distance_to_sent  # set: sent_index was given
+        best, exact = _nearest(code, received._echelon.rows, received.dim, sent)
+        d_sent = exact[sent]
         dist_sum += d_sent
         histogram[d_sent] = histogram.get(d_sent, 0) + 1
-        if big_d is not None and 2 * d_sent < big_d and not result.success:
+        ambiguous = list(exact.values()).count(best) > 1
+        success = d_sent == best and not ambiguous
+        if big_d is not None and 2 * d_sent < big_d and not success:
             raise GuaranteeViolated(
                 f"trial {trial}: d(U, sent) = {d_sent} < D/2 = {big_d / 2} "
                 "but the sent codeword was not decoded uniquely"
             )
-        if result.ambiguous:
+        if ambiguous:
             ambiguities += 1
-        elif result.decoded_index == sent:
+        elif success:
             successes += 1
     return {
         "config": {

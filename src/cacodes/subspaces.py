@@ -23,7 +23,9 @@ is 1.  So the pairwise table of N such codewords takes one walk over the
 codewords side by side and one C-level test for coinciding blocks.  Where
 the walk costs more than the pairs' eliminations, and where the codewords
 do not all share one pivot set (mixed dimensions, arbitrary subspaces), each
-pair's stacked bases are eliminated instead.
+pair's stacked bases are eliminated instead.  The side-by-side layout is
+kept per code (``GrassmannianCode.block_layout``), and its walk also gives
+the channel's decoder dim(C_i intersect U) for all N codewords at once.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ class Subspace:
 
     def __le__(self, other: "Subspace") -> bool:
         self._check(other)
-        return _joint_rank(other, self) == other.dim
+        return _joint_rank(other, self._echelon.rows) == other.dim
 
     def _identity(self) -> tuple:
         return (self.field, self.ambient_n, tuple(self._echelon.rows))
@@ -201,52 +203,102 @@ def subspace_distance(a: Subspace, b: Subspace) -> int:
     intersection basis is built.
     """
     a._check(b)
-    return 2 * _joint_rank(a, b) - a.dim - b.dim
+    return 2 * _joint_rank(a, b._echelon.rows) - a.dim - b.dim
 
 
-def _joint_rank(a: Subspace, b: Subspace, cap: float = math.inf) -> int:
-    """dim(A + B): a copy of A's echelon takes B's packed rows.
+def _joint_rank(a: Subspace, rows: Iterable[int], cap: float = math.inf) -> int:
+    """dim(A + B) for B spanned by packed ``rows``: a copy of A's echelon
+    takes them.
 
     The rank only grows as rows go in, so once it is above ``cap`` the
     elimination stops and returns that rank, a lower bound above ``cap``.
     """
-    return a._echelon.copy().extend(b._echelon.rows, cap)
+    return a._echelon.copy().extend(rows, cap)
 
 
-def _shared_pivot_table(words: Sequence[Subspace]) -> tuple[tuple[int, ...], ...]:
-    """The intersection table of subspaces that share one pivot set, from
-    the projective coefficient vectors x on which they coincide.
+class _BlockLayout:
+    """Codewords of one pivot set side by side, each in a block of wide ints.
 
-    Row i of every codeword, shifted past the columns where all agree, sits
-    in block j of one wide row R_i, so X = sum x_i R_i holds x R_j in block j.
-    A block is whole lanes and whole bytes: no row operation crosses it, and
-    the bytes of X split at its bounds.  For each leading row, a p-ary Gray
-    code over the generators alpha^e R_i of the rows after it visits each x
-    once, one row operation per step (GF(q) is GF(p)^m under addition).  A
-    set test finds the steps where blocks coincide; only those are grouped.
+    Row j of every codeword, shifted past the leading columns where all are
+    pivots, sits in block i of one wide row W_j, so X = sum x_j W_j holds
+    x R_i in block i, R_i the RREF rows of codeword i.  A block is whole
+    lanes and whole bytes: no row operation crosses it, and the bytes of X
+    split at its bounds.
     """
-    first = words[0]._echelon
-    gf, size, k = first.field, len(words), first.rank
-    pivots = set(first.pivots)
-    skip = next(c for c in itertools.count(min(pivots, default=0)) if c not in pivots)
-    unit = math.lcm(8, gf.width)
-    block = -(-(first.ncols - skip) * gf.width // unit) * unit // 8  # bytes
-    shift, length, q, p = skip * gf.width, block * size, gf.q, gf.p
-    packed = [[(r >> shift).to_bytes(block, "little") for r in s._echelon.rows] for s in words]
-    wide = [int.from_bytes(b"".join(column), "little") for column in zip(*packed)]
-    sub_scaled, minus = gf.format.sub_scaled, gf.neg(1)
-    gens = [sub_scaled(0, gf.neg(p**e), wide[i]) for i in reversed(range(k)) for e in range(gf.m)]
-    ruler: list[int] = []  # step t adds generator v, for p^v the largest power of p dividing t
-    for d in range((k - 1) * gf.m):
-        ruler = (ruler + [d]) * (p - 1) + ruler
-    walk = itertools.chain.from_iterable(
-        itertools.accumulate(itertools.islice(ruler, q ** (k - 1 - j) - 1),
-                             lambda x, d: sub_scaled(x, minus, gens[d]), initial=x)
-        for j, x in enumerate(wide)
-    )
-    split, index = struct.Struct(f"{block}s" * size).unpack, range(size)
+
+    __slots__ = ("field", "size", "offsets", "shift", "block", "length", "rows", "ones", "split")
+
+    def __init__(self, words: Sequence[Subspace]):
+        first = words[0]._echelon
+        gf = self.field = first.field
+        self.size, pivots = len(words), set(first.pivots)
+        self.offsets = [c * gf.width for c in first.pivots]
+        skip = next(c for c in itertools.count() if c not in pivots)
+        unit = math.lcm(8, gf.width)
+        block = self.block = -(-(first.ncols - skip) * gf.width // unit) * unit // 8  # bytes
+        shift = self.shift = skip * gf.width
+        self.length = block * self.size
+        packed = [[(r >> shift).to_bytes(block, "little") for r in s._echelon.rows] for s in words]
+        self.rows = [int.from_bytes(b"".join(column), "little") for column in zip(*packed)]
+        self.ones = int.from_bytes(b"\x01".ljust(block, b"\0") * self.size, "little")
+        self.split = struct.Struct(f"{block}s" * self.size).unpack
+
+    def walk(self, rows: Sequence[int]) -> Iterator[int]:
+        """sum x_j rows[j] once for each projective x (first nonzero x_j = 1):
+        for each leading row, a p-ary Gray code over the generators alpha^e
+        rows[j] of the rows after it, one row operation a step (GF(q) is
+        GF(p)^m under addition)."""
+        gf, k = self.field, len(rows)
+        p, sub_scaled, minus = gf.p, gf.format.sub_scaled, gf.neg(1)
+        gens = [sub_scaled(0, gf.neg(p**e), rows[j]) for j in reversed(range(k))
+                for e in range(gf.m)]
+        ruler: list[int] = []  # step t adds generator v, for p^v the largest power of p dividing t
+        for d in range((k - 1) * gf.m):
+            ruler = (ruler + [d]) * (p - 1) + ruler
+        return itertools.chain.from_iterable(
+            itertools.accumulate(itertools.islice(ruler, gf.q ** (k - 1 - j) - 1),
+                                 lambda x, d: sub_scaled(x, minus, gens[d]), initial=x)
+            for j, x in enumerate(rows)
+        )
+
+    def meets(self, rows: Sequence[int]) -> list[int]:
+        """dim(C_i intersect U) for every codeword C_i, U spanned by the
+        independent packed ``rows``.  u lies in C_i exactly when it is
+        sum_j u[p_j] R_ij, p_j the pivots, so the linear residue u * ONES -
+        sum_j u[p_j] W_j (past the leading pivots) is zero in block i exactly
+        then, and a walk over the residues of U's rows finds block i zero at
+        (q^d - 1)/(q - 1) projective combinations, d = dim(C_i intersect U)."""
+        fmt = self.field.format
+        mask, sub_scaled, shift, ones = fmt.mask, fmt.sub_scaled, self.shift, self.ones
+        residues = []
+        for u in rows:
+            r = (u >> shift) * ones
+            for offset, wide in zip(self.offsets, self.rows):
+                c = u >> offset & mask
+                if c:
+                    r = sub_scaled(r, c, wide)
+            residues.append(r)
+        counts, zero, index = [0] * self.size, bytes(self.block), range(self.size)
+        split, length = self.split, self.length
+        for x in self.walk(residues):
+            blocks = split(x.to_bytes(length, "little"))
+            if zero in blocks:
+                for i in itertools.compress(index, map(zero.__eq__, blocks)):
+                    counts[i] += 1
+        q = self.field.q
+        level = {(q**d - 1) // (q - 1): d for d in range(len(rows) + 1)}
+        return list(map(level.__getitem__, counts))
+
+
+def _shared_pivot_table(layout: _BlockLayout) -> tuple[tuple[int, ...], ...]:
+    """The intersection table of subspaces that share one pivot set, from
+    the projective coefficient vectors x on which they coincide: one walk
+    over the codewords' wide rows, where a set test finds the steps at
+    which blocks coincide; only those are grouped."""
+    size, split, length = layout.size, layout.split, layout.length
+    index = range(size)
     table = [[0] * i for i in index]
-    for x in walk:
+    for x in layout.walk(layout.rows):
         blocks = split(x.to_bytes(length, "little"))
         if len(set(blocks)) < size:
             last, groups = dict(zip(blocks, index)), {}
@@ -257,7 +309,8 @@ def _shared_pivot_table(words: Sequence[Subspace]) -> tuple[tuple[int, ...], ...
                 for i, j in itertools.combinations((*group, last[b]), 2):
                     table[j][i] += 1
     # (q^d - 1)/(q - 1) projective x coincide on a pair that meets in dimension d
-    level = {(q**d - 1) // (q - 1): d for d in range(k)}
+    q = layout.field.q
+    level = {(q**d - 1) // (q - 1): d for d in range(len(layout.rows))}
     for i, row in enumerate(table):
         table[i] = tuple(map(level.__getitem__, row))
     return tuple(table)
@@ -291,7 +344,7 @@ class GrassmannianCode:
 
     __slots__ = (
         "field", "ambient_n", "codewords", "constant_dim", "duplicates_removed", "_pairwise",
-        "_nearest", "_rules",
+        "_nearest", "_rules", "_layout",
     )
 
     def __init__(self, field: GF, ambient_n: int, subspaces: Iterable[Subspace]):
@@ -314,6 +367,7 @@ class GrassmannianCode:
         self._pairwise: tuple[tuple[int, ...], ...] | None = None
         self._nearest: tuple[int | float, ...] | None = None
         self._rules: tuple[Polynomial | None, ...] | None = None
+        self._layout: _BlockLayout | bool | None = None  # False: no one pivot set
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -365,16 +419,24 @@ class GrassmannianCode:
             words, q, k = self.codewords, self.field.q, self.constant_dim or 0
             c = 1 if type(self.field.format) is RowFormat else 4
             budget = c * k * (len(words) - 1) // 2
-            if len({tuple(s._echelon.pivots) for s in words}) == 1 and (
-                k <= budget.bit_length() and (q**k - 1) // (q - 1) <= budget
-            ):
-                self._pairwise = _shared_pivot_table(words)
+            walk = k <= budget.bit_length() and (q**k - 1) // (q - 1) <= budget
+            layout = self.block_layout() if walk else None
+            if layout is not None:
+                self._pairwise = _shared_pivot_table(layout)
             else:
                 self._pairwise = tuple(
-                    tuple(a.dim + b.dim - _joint_rank(a, b) for b in words[:i])
+                    tuple(a.dim + b.dim - _joint_rank(a, b._echelon.rows) for b in words[:i])
                     for i, a in enumerate(words)
                 )
         return self._pairwise
+
+    def block_layout(self) -> _BlockLayout | None:
+        """The codewords side by side when they share one pivot set, else
+        None.  Computed on first use and kept: the codewords never change."""
+        if self._layout is None:
+            shared = len({tuple(s._echelon.pivots) for s in self.codewords}) == 1
+            self._layout = shared and _BlockLayout(self.codewords)
+        return self._layout or None
 
     @property
     def rules(self) -> tuple[Polynomial | None, ...]:

@@ -1,6 +1,7 @@
 """Operator channel and minimum-distance decoder."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -8,7 +9,8 @@ import random
 import pytest
 
 import cacodes.channel as channel_module
-from cacodes.algebra import GF, Polynomial
+from cacodes import subspaces
+from cacodes.algebra import GF, Polynomial, RowFormat
 from cacodes.channel import ChannelConfig, decode_min_distance, simulate, transmit
 from cacodes.errors import AmbientMismatch, EmptyCode, TooManyErasures
 from cacodes.families import CAFamily, code_from_family, uniform_gcd_family
@@ -351,7 +353,7 @@ def decode_unstopped(code, U, sent_index=None):
             if c.dim + words[anchor].dim - 2 * meet > 2 * best:
                 continue
         dims = c.dim + U.dim
-        d = 2 * channel_module._joint_rank(c, U, cap=(best + dims) // 2) - dims
+        d = 2 * channel_module._joint_rank(c, U._echelon.rows, cap=(best + dims) // 2) - dims
         if d <= best:
             best = exact[i] = d
             anchor = i
@@ -376,6 +378,7 @@ def test_decoder_stop_matches_the_unstopped_loop(field, monkeypatch):
     # ties and on received spaces outside the unique-decoding radius too
     calls = []
     real = channel_module._joint_rank
+    monkeypatch.setattr(GrassmannianCode, "block_layout", lambda self: None)  # no walk
     monkeypatch.setattr(
         channel_module, "_joint_rank", lambda *a, **k: calls.append(a) or real(*a, **k)
     )
@@ -428,6 +431,185 @@ def test_decoder_cases_move_the_blind_anchor(field):
             shared = len({tuple(c._echelon.pivots) for c in code}) == 1
             seen.add((shared, distances.count(nearest) > 1))
     assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+
+ROUTE_FIELDS = [F2, GF(3), GF(2, 2), GF(5), GF(17), GF(3, 2)]
+
+
+def takes_route(code, dim_u):
+    """The side-by-side rule, restated: one pivot set, and at most one walk
+    step a codeword, (q^dim U - 1)/(q - 1) <= N, over the packed formats;
+    none over the per-entry one, so there only the zero space takes it."""
+    q, shared = code.field.q, len({tuple(c._echelon.pivots) for c in code}) == 1
+    c = 0 if type(code.field.format) is RowFormat else 1
+    return shared and (q**dim_u - 1) // (q - 1) <= c * len(code)
+
+
+def lift(field, n, pivots, rng):
+    """A random codeword in RREF on these pivot columns."""
+    return Subspace(field, n, [
+        [int(j == c) if j <= c or j in pivots else rng.randrange(field.q) for j in range(n)]
+        for c in pivots
+    ])
+
+
+def route_codes(field, rng):
+    """Codes of one pivot set: CA codes (on the packed formats, whose
+    decoders take the route), random lifts, lifts whose pivots start past
+    column 0, and over GF(2) all 16 lifts of GF(2)^2 into GF(2)^4."""
+    if type(field.format) is not RowFormat:
+        k = 4 if field.q == 2 else 3
+        for g in ((1,), (1, 1)):
+            yield code_from_family(CAFamily(uniform_gcd_family(k, Polynomial(field, g))[0]))
+    for _ in range(2):
+        k = rng.randint(1, 3)
+        n = k + rng.randint(1, 3)
+        for pivots in (range(k), range(n - k, n)):
+            size = rng.randint(4, 16)
+            yield GrassmannianCode(field, n, [lift(field, n, pivots, rng) for _ in range(size)])
+    if field.q == 2:
+        yield GrassmannianCode(field, 4, [
+            Subspace(field, 4, [(1, 0, a, b), (0, 1, c, d)])
+            for a, b, c, d in itertools.product((0, 1), repeat=4)
+        ])
+
+
+def received_spaces(code, rng):
+    """Received spaces past the unique-decoding radius and inside it: channel
+    draws, the zero space, the whole ambient space, one vector of each of
+    several codewords (equidistant from them) and random subspaces."""
+    field, n, k = code.field, code.ambient_n, code[0].dim
+    yield Subspace(field, n)
+    if field.q ** (n - 1) <= 64:
+        yield Subspace(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
+    for trial in range(6):
+        V = code[rng.randrange(len(code))]
+        cfg = ChannelConfig(rng.randint(max(k - 2, 0), k), rng.randint(0, 2), seed=trial)
+        yield transmit(V, cfg, trial)
+    for _ in range(3):
+        picks = rng.sample(range(len(code)), min(len(code), rng.randint(2, 3)))
+        yield Subspace(field, n, [code[i].basis.rows[0] for i in picks])
+        yield random_subspace(field, n, rng, dim=rng.randint(1, min(n, 3)))
+
+
+def count_walks(monkeypatch):
+    """Count the calls of ``_BlockLayout.meets``, which still runs."""
+    calls, meets = [], subspaces._BlockLayout.meets
+    monkeypatch.setattr(subspaces._BlockLayout, "meets", lambda *a: calls.append(1) or meets(*a))
+    return calls
+
+
+@pytest.mark.parametrize("field", ROUTE_FIELDS, ids=lambda f: f.spec)
+def test_side_by_side_decoder_matches_brute_force(field, monkeypatch):
+    # decisions, ties and distances equal subspace_distance on every codeword,
+    # blind and told; the route runs exactly where its rule says, once the
+    # first codeword measured does not stop the search
+    walks = count_walks(monkeypatch)
+    rng = random.Random(f"side by side:{field.spec}")
+    routed, eliminated, ties, whole = set(), 0, 0, 0
+    for code in route_codes(field, rng):
+        nearest = code.nearest_distances()
+        for U in received_spaces(code, rng):
+            dmin, tied, distances = oracles.decode_exhaustive(code, U, subspace_distance)
+            ties += len(tied) > 1
+            whole += U.dim == code.ambient_n
+            for sent in (None, *range(len(code))):
+                del walks[:]
+                got = decode_min_distance(code, U, sent_index=sent)
+                assert (got.tied, got.min_distance_found) == (tied, dmin)
+                assert got.ambiguous == (len(tied) > 1)
+                assert got.decoded_index == (None if got.ambiguous else tied[0])
+                assert got.distance_to_sent == (None if sent is None else distances[sent])
+                first = sent or 0
+                past = 2 * distances[first] >= nearest[first]
+                assert len(walks) == (past and takes_route(code, U.dim))
+                if walks:
+                    routed.add(U.dim)
+                eliminated += past and not walks
+    assert ties >= 5 and eliminated > 0 and 0 in routed
+    if type(field.format) is RowFormat:
+        assert routed == {0}
+    else:
+        assert len(routed) >= 3
+    if field.q == 2:
+        assert whole > 0 and 4 in routed  # all of GF(2)^4: 15 steps against 16 lifts
+
+
+@pytest.mark.parametrize("field", ROUTE_FIELDS[:4], ids=lambda f: f.spec)
+def test_mixed_codes_never_take_the_side_by_side_route(field, monkeypatch):
+    # mixed pivots, and mixed dimensions: no block layout, so every codeword
+    # is eliminated, even for the zero space (which walks no step)
+    walks = count_walks(monkeypatch)
+    rng = random.Random(f"mixed:{field.spec}")
+    for _ in range(3):
+        lifts = [lift(field, 5, range(2), rng) for _ in range(6)]
+        for extra in (lift(field, 5, (1, 3), rng), lift(field, 5, range(3), rng)):
+            code = GrassmannianCode(field, 5, [*lifts, extra])
+            assert code.block_layout() is None
+            cases = [Subspace(field, 5)]
+            cases += [random_subspace(field, 5, rng, dim=d) for d in (1, 2, 3)]
+            for U in cases:
+                dmin, tied, distances = oracles.decode_exhaustive(code, U, subspace_distance)
+                for sent in (None, *range(len(code))):
+                    got = decode_min_distance(code, U, sent_index=sent)
+                    assert (got.tied, got.min_distance_found) == (tied, dmin)
+    assert walks == []
+
+
+def simulate_reference(code, cfg, trials):
+    """``simulate``'s statistics from the public API alone: ``transmit``,
+    ``decode_min_distance`` and ``TrialResult.success``, trial by trial."""
+    big_d = code.min_distance() if len(code) >= 2 else None
+    results = []
+    for trial in range(trials):
+        sent = random.Random(f"{cfg.seed}:{trial}:sent").randrange(len(code))
+        result = decode_min_distance(code, transmit(code[sent], cfg, trial), sent_index=sent)
+        assert big_d is None or 2 * result.distance_to_sent >= big_d or result.success
+        results.append(result)
+    successes = sum(r.success for r in results)
+    ambiguities = sum(r.ambiguous for r in results)
+    histogram = {}
+    for r in results:
+        histogram[r.distance_to_sent] = histogram.get(r.distance_to_sent, 0) + 1
+    return {
+        "config": {
+            "erasures": cfg.erasures, "error_dims": cfg.error_dims, "seed": cfg.seed,
+            "trials": trials,
+        },
+        "code": {
+            "size": len(code), "n": code.ambient_n, "q": code.field.spec,
+            "constant_dim": code.constant_dim, "min_distance": big_d,
+        },
+        "successes": successes,
+        "ambiguities": ambiguities,
+        "failures": trials - successes - ambiguities,
+        "success_rate": successes / trials,
+        "ambiguity_rate": ambiguities / trials,
+        "mean_distance_to_sent": sum(r.distance_to_sent for r in results) / trials,
+        "distance_histogram": {str(d): c for d, c in sorted(histogram.items())},
+    }
+
+
+@pytest.mark.parametrize("field", [F2, GF(3), GF(2, 2), GF(5), GF(17)], ids=lambda f: f.spec)
+def test_simulate_agrees_with_a_loop_over_the_public_api(field):
+    # simulate runs the decoder's core on the received rows; its statistics
+    # must be those of the public API's trials, inside the unique-decoding
+    # radius and past it, on codes that take the side-by-side route and not
+    rng = random.Random(f"cores:{field.spec}")
+    codes = list(itertools.islice(route_codes(field, rng), 3))
+    mixed = [random_subspace(field, 4, rng, dim=d) for d in (1, 2, 2, 3)]
+    codes.append(GrassmannianCode(field, 4, mixed))
+    outcomes = set()
+    for code in codes:
+        low = min(c.dim for c in code)
+        for erasures, errors in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (low, 1), (low, 2)):
+            if erasures > low:
+                continue
+            cfg = ChannelConfig(erasures, errors, seed=rng.randrange(1000))
+            stats = simulate(code, cfg, trials=25)
+            assert stats == simulate_reference(code, cfg, trials=25)
+            outcomes.add((stats["successes"] == 25, stats["ambiguities"] > 0))
+    assert outcomes >= {(True, False), (False, True)}
 
 
 def test_decode_rejects_received_from_another_space():

@@ -846,14 +846,12 @@ def test_option_given_the_separator_is_a_json_error(capsys):
 
 def test_broken_decoding_guarantee_is_a_json_error(capsys, code_file, monkeypatch):
     # a decoder that always answers codeword 0 breaks 2 d < D whenever 1 is sent
-    def always_zero(code, U, sent_index=None):
-        return channel_module.TrialResult(
-            received=U, decoded_index=0, ambiguous=False, tied=(0,),
-            min_distance_found=0, sent_index=sent_index,
-            distance_to_sent=subspace_distance(code[sent_index], U),
-        )
+    def always_zero(code, rows, dim_u, first):
+        word = code[first]
+        exact = {0: 0, first: 2 * channel_module._joint_rank(word, rows) - word.dim - dim_u}
+        return min(exact.values()), exact
 
-    monkeypatch.setattr(channel_module, "decode_min_distance", always_zero)
+    monkeypatch.setattr(channel_module, "_nearest", always_zero)
     code, doc = run_json(capsys, "simulate", "--code", code_file, "--trials", "20")
     assert code == 1
     assert doc["error"]["name"] == "GuaranteeViolated"

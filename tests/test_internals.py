@@ -211,11 +211,16 @@ def test_simulate_inside_the_radius_eliminates_only_the_sent_codeword(monkeypatc
     code = code_from_family(CAFamily(uniform_gcd_family(3, Polynomial.from_codes(GF(3), (1,)))[0]))
     tables = count_calls(monkeypatch, "_shared_pivot_table")
     ranks = count_calls(monkeypatch, "_joint_rank")
+    decodes, walks = [], []
+    nearest, meets = channel._nearest, subspaces._BlockLayout.meets
+    monkeypatch.setattr(channel, "_nearest", lambda *a: decodes.append(1) or nearest(*a))
+    monkeypatch.setattr(subspaces._BlockLayout, "meets", lambda *a: walks.append(1) or meets(*a))
     stats = simulate(code, ChannelConfig(erasures=1, seed=5), trials=40)
     assert len(code) >= 5 and stats["code"]["min_distance"] == 6
     assert stats["success_rate"] == 1.0
     assert len(ranks) == 40
     assert len(tables) == 1
+    assert len(decodes) == 40 and walks == []
 
 
 def count_calls(monkeypatch, name):

@@ -142,7 +142,7 @@ def test_metric_axioms_random_triples():
 
 
 def inter_dim(a, b):
-    return a.dim + b.dim - _joint_rank(a, b)
+    return a.dim + b.dim - _joint_rank(a, b._echelon.rows)
 
 
 def is_intersection(w, a, b):
@@ -322,7 +322,7 @@ TABLE_FIELDS = [F2, F3, GF(2, 2), GF(13), GF(17), GF(2, 3), GF(3, 2), GF(257)]
 def stacked_table(code):
     words = code.codewords
     return tuple(
-        tuple(a.dim + b.dim - _joint_rank(a, b) for b in words[:i])
+        tuple(a.dim + b.dim - _joint_rank(a, b._echelon.rows) for b in words[:i])
         for i, a in enumerate(words)
     )
 
@@ -452,7 +452,7 @@ def test_walked_table_matches_stacked_and_oracle_tables(field):
     def check(code):
         want = stacked_table(code)
         assert len(pivot_sets(code)) == 1
-        assert subspaces._shared_pivot_table(code.codewords) == want == oracle_table(code)
+        assert subspaces._shared_pivot_table(code.block_layout()) == want == oracle_table(code)
         return want
 
     for _ in range(10):
@@ -474,11 +474,53 @@ def test_walked_table_matches_stacked_and_oracle_tables(field):
     # a zero-dimensional codeword: alone it walks no vector, beside others
     # its pivot set differs
     zero = Subspace(field, 4)
-    assert subspaces._shared_pivot_table([zero]) == ((),)
+    assert subspaces._shared_pivot_table(subspaces._BlockLayout([zero])) == ((),)
     assert GrassmannianCode(field, 4, [zero]).pairwise_intersection_dims() == ((),)
     lines = [Subspace(field, 4, [r]) for r in ((1, 2, 3, 1), (1, 1, 0, 0))]
     code = GrassmannianCode(field, 4, [zero, *lines])
     assert code.pairwise_intersection_dims() == stacked_table(code) == oracle_table(code)
+
+
+@pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
+def test_block_layout_meets_each_codeword_as_the_oracle_does(field):
+    # dim(C_i intersect U) for every codeword off one walk over U's residues,
+    # against the oracle's ranks: lifted [I | M] pivots, spread pivots and
+    # pivots past column 0 (whose leading entries lie in no codeword); U the
+    # zero space, the whole ambient space, inside a codeword, through several
+    # codewords, and random
+    rng = random.Random(f"meets over GF({field.spec})")
+    top = max(d for d in range(1, 4) if field.q ** (d - 1) <= 300)  # walks of <= 300 steps
+
+    def rank(rows):
+        if field.m == 1:
+            return oracles.rank_over_q(rows, field.p)
+        return oracles.rank_over_gfq(rows, field.p, field.modulus.to_codes())
+
+    def some_of(word, dim):
+        combos = [[rng.randrange(field.q) for _ in range(word.dim)] for _ in range(dim)]
+        return [word.combination(c) for c in combos]
+
+    seen = set()
+    for _ in range(6):
+        k = rng.randint(1, 3)
+        n = k + rng.randint(1, 3)
+        spread = sorted(rng.sample(range(n), k))
+        for pivots in (list(range(k)), spread, list(range(n - k, n))):
+            inputs = shared_pivot_inputs(field, n, pivots, rng, rng.randint(2, 6))
+            code = GrassmannianCode(field, n, [Subspace(field, n, r) for r in inputs])
+            words, layout = code.codewords, code.block_layout()
+            several = [w.basis.rows[0] for w in rng.sample(words, min(2, len(words)))]
+            cases = [Subspace(field, n), Subspace(field, n, some_of(rng.choice(words), top)),
+                     Subspace(field, n, several)]
+            cases += [random_subspace(field, n, rng, max_rows=top) for _ in range(3)]
+            if field.q ** (n - 1) <= 300:
+                whole = [[int(i == j) for j in range(n)] for i in range(n)]
+                cases.append(Subspace(field, n, whole))
+            for U in cases:
+                want = [w.dim + U.dim - rank(w.basis.rows + U.basis.rows) for w in words]
+                assert layout.meets(U._echelon.rows) == want
+                seen.update((U.dim, m) for m in want if m == U.dim)
+    assert (0, 0) in seen and any(d > 0 for d, _ in seen)
 
 
 @pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
