@@ -39,6 +39,8 @@ degree m over GF(p), comparing ascending-power coefficient vectors with
 0 < 1 < ... < p-1.  Products are polynomial products over GF(p) reduced by
 the modulus.  When q <= 4096 they and inverses are read instead from the
 exp/log tables of the first generator g of GF(q)*: a*b = g^(log a + log b).
+For odd p, so are sums and differences, from the Zech logarithms
+log(1 - g^i): a - b = g^(log a + log(1 - g^(log b - log a))).
 
 Text formats (used by the CLI and the JSON files):
 
@@ -131,6 +133,7 @@ class GF:
         self._modulus: Polynomial | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None  # log(1 - g^i), for odd p; see ``sub``
         self._texts: tuple[dict[int, str], ...] = ({}, {}, {})  # see ``texts``
         if m > 1:
             # the search skips the p^(m-1) candidates with a zero constant
@@ -219,11 +222,17 @@ class GF:
     # subtraction are both XOR of the codes and every element is its own
     # negative.
 
+    # Over GF(p^m), p odd, with tables, a - b = a (1 - b/a) is read off the
+    # Zech logarithms log(1 - g^i): g^(log a + zech[log b - log a]), where a
+    # negative index wraps mod q - 1; -b is g^((q - 1)/2) b.
+
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
+        if self._zech is not None:
+            return self.sub(a, self.neg(b))
         return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
     def sub(self, a: int, b: int) -> int:
@@ -231,6 +240,15 @@ class GF:
             return a ^ b
         if self.m == 1:
             return (a - b) % self.p
+        if self._zech is not None:
+            if not b:
+                return a
+            if a == b:
+                return 0
+            log = self._log
+            if not a:
+                return self._exp[log[b] + (self.q >> 1)]
+            return self._exp[log[a] + self._zech[log[b] - log[a]]]
         return self.encode([x - y for x, y in zip(self.decode(a), self.decode(b))])
 
     def neg(self, a: int) -> int:
@@ -238,6 +256,8 @@ class GF:
             return a
         if self.m == 1:
             return (-a) % self.p
+        if self._zech is not None:
+            return self._exp[self._log[a] + (self.q >> 1)] if a else 0
         return self.encode([-x for x in self.decode(a)])
 
     def mul(self, a: int, b: int) -> int:
@@ -343,6 +363,8 @@ class GF:
         log = [0] * self.q
         for i, x in enumerate(exp):
             log[x] = i
+        if self.p != 2:  # read before the tables are set: ``sub`` takes the digits
+            self._zech = [0] + [log[self.sub(1, x)] for x in exp[1:]]
         self._exp, self._log = exp + exp, log
 
 
@@ -755,6 +777,26 @@ class Polynomial:
         # a digit in [0, p) is the code of that element of the prime subfield
         return cls.from_codes(field, [digit(t) for t in text.split(",")])
 
+    @classmethod
+    def from_strings(cls, field: GF, texts: Sequence[str]) -> list["Polynomial"]:
+        """``[from_string(field, t) for t in texts]``, in one pass over the list
+        when the texts have one length and each is in the canonical form of
+        ``to_string`` up to leading zeros: ASCII digits in [0, p), one comma
+        between them, no space, and over GF(p^m) m digits in each pair of
+        brackets.  Their digits are then read all at once and packed side by
+        side.  Any other list is parsed text by text, so the first faulty
+        text raises what ``from_string`` raises for it.
+        """
+        digit = r"\d{1,10}"  # p < 2^31 has at most 10 digits
+        coeff = digit if field.m == 1 else rf"\[{digit}" + f"(?:,{digit})" * (field.m - 1) + r"\]"
+        canonical = re.compile(f"{coeff}(?:,{coeff})*", re.ASCII)  # cached by ``re``
+        if len({t.count(",") for t in texts}) == 1 and all(map(canonical.fullmatch, texts)):
+            digits = list(map(int, ",".join(texts).translate(_NO_BRACKETS).split(",")))
+            if max(digits) < field.p:
+                rows = field.format.pack_rows(digits, len(texts))
+                return [cls._from_row(field, row) for row in rows]
+        return [cls.from_string(field, t) for t in texts]
+
     def display(self) -> str:
         """Human-readable rendering such as ``1 + X + X^2``; never parsed back."""
         if not self.row:
@@ -764,6 +806,9 @@ class Polynomial:
         terms = [shown[codes[0]]] if codes[0] else []
         terms += [factor[c] + ("X" if i == 1 else f"X^{i}") for i, c in enumerate(codes) if c and i]
         return " + ".join(terms)
+
+
+_NO_BRACKETS = str.maketrans("", "", "[]")
 
 
 def _divmod_rows(fmt: RowFormat, a: int, b: int) -> tuple[int, int]:

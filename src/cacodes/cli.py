@@ -16,9 +16,9 @@ the run replayable.  Output is byte-stable: nothing derives from the clock,
 and every document (stdout, ``--out`` and the error objects) is printed as
 the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``: two-space indent,
 sorted keys, ASCII escapes.  One writer prints them on every Python version:
-``_emit`` streams a document in pieces, one per key and one per codeword, and
-writes each codeword's text straight off its packed RREF rows, so no CLI path
-builds a ``to_json`` list.  The payload is built whole before the first byte
+``_emit`` streams a document in pieces, one per key, one per codeword and one
+per row of a table, and writes each codeword's text straight off its packed
+RREF rows, so no CLI path builds a ``to_json`` list.  The payload is built whole before the first byte
 is written; a write that fails on the stream leaves part of the document
 written.  Exit codes: 0 success, 1 domain error (JSON error object on
 stdout) or a stdout that cannot be written (one line on stderr), 2 usage
@@ -51,8 +51,8 @@ from .families import (
     count_irreducibles,
     expected_uniform_gcd_size,
     max_coprime_family_size,
-    predicted_min_distance,
     search_max_family,
+    shared_gcd_degrees,
     uniform_gcd_family,
 )
 from .ca import LinearCA
@@ -73,11 +73,11 @@ def _emit(payload: dict, file=None) -> None:
     """Print a document in the one pinned byte format, to stdout or ``file``.
 
     The pieces of ``_pieces`` go to the stream as they are made, so no more
-    than one codeword's text is held at a time.  The payload is built whole
-    before the first byte is written, so a write fails only on a programming
-    error (a key that is no str or a value of no JSON type, ``TypeError``)
-    or on the stream itself (``OSError``); either may leave part of the
-    document written.
+    than one codeword's or one table row's text is held at a time.  The
+    payload is built whole before the first byte is written, so a write
+    fails only on a programming error (a key that is no str or a value of no
+    JSON type, ``TypeError``) or on the stream itself (``OSError``); either
+    may leave part of the document written.
     """
     out = sys.stdout if file is None else file
     out.writelines(_pieces(payload, ""))
@@ -85,23 +85,24 @@ def _emit(payload: dict, file=None) -> None:
 
 
 def _pieces(x, pad: str) -> Iterator[str]:
-    """The text of ``_dump(x, pad)`` in pieces: one per key of each dict and
-    one per codeword of a list of codewords; any other value goes whole into
-    its key's piece."""
+    """The text of ``_dump(x, pad)`` in pieces: one per key of each dict, one
+    per codeword of a list of codewords and one per row of a table (a tuple
+    of tuples, such as the intersection table); any other value goes whole
+    into its key's piece."""
     if type(x) is dict and x:
         if set(map(type, x)) != {str}:
             raise TypeError("keys must be str")
         inner, lead = pad + "  ", "{\n"
         for key, value in sorted(x.items()):
             head = lead + inner + encode_basestring_ascii(key) + ": "
-            if type(value) is dict or _is_codewords(value):
+            if type(value) is dict or _is_streamed(value):
                 yield head
                 yield from _pieces(value, inner)
             else:
                 yield head + _dump(value, inner)
             lead = ",\n"
         yield "\n" + pad + "}"
-    elif _is_codewords(x):
+    elif _is_streamed(x):
         inner, lead = pad + "  ", "[\n"
         for value in x:
             yield lead + inner + _dump(value, inner)
@@ -111,8 +112,11 @@ def _pieces(x, pad: str) -> Iterator[str]:
         yield _dump(x, pad)
 
 
-def _is_codewords(x) -> bool:
-    return type(x) is list and bool(x) and type(x[0]) is Subspace
+def _is_streamed(x) -> bool:
+    """A list of codewords or a table: written one element a piece."""
+    return bool(x) and (
+        type(x) is list and type(x[0]) is Subspace or type(x) is tuple and type(x[0]) is tuple
+    )
 
 
 def _dump(x, pad: str) -> str:
@@ -240,26 +244,39 @@ def _cmd_analyze(args) -> dict:
         "gcd_profile": {
             "max_gcd_degree": None if profile is None else profile.max_gcd_degree,
             "witness_pair": None if profile is None else list(profile.witness_pair),
-            "table": [list(r) for r in inter],
+            "table": inter,
         },
     }
     if "family" in document and "q" in document:
-        spec, family = document["q"], document["family"]
-        if not isinstance(spec, str) or not isinstance(family, list) or not all(
-            isinstance(s, str) for s in family
-        ):
-            raise ParseError("a build-code document needs a string q and a family of strings")
-        field = GF.from_spec(spec)
-        listed = CAFamily(Polynomial.from_string(field, s) for s in family)
-        # read in codeword order, the rules' GCD table lines up with ``inter``
-        ordered = listed.reordered(code.rules)
-        check = {"family": family, "consistent": ordered is not None}
-        if len(listed) >= 2:
-            d, gcds = predicted_min_distance(listed if ordered is None else ordered)
-            check["predicted_min_distance"] = d
-            check["consistent"] = ordered is not None and gcds.table == inter
-        payload["family_check"] = check
+        payload["family_check"] = _family_check(code, document["q"], document["family"], inter)
     return payload
+
+
+def _family_check(code: GrassmannianCode, spec, family, inter) -> dict:
+    """Whether the listed family generates the code, and its predicted D.
+
+    Read in codeword order, the family's pairs that share a factor line up
+    with the intersection table ``inter``.  Every listed degree is at least
+    1, so the pairs agree with the whole table when each listed degree is
+    its entry and the table has no other nonzero entry.
+    """
+    if not isinstance(spec, str) or not isinstance(family, list) or not all(
+        isinstance(s, str) for s in family
+    ):
+        raise ParseError("a build-code document needs a string q and a family of strings")
+    field = code.field if spec == code.field.spec else GF.from_spec(spec)
+    listed = CAFamily(Polynomial.from_strings(field, family))
+    ordered = listed.reordered(code.rules)
+    check = {"family": family, "consistent": ordered is not None}
+    if len(listed) >= 2:
+        shared = shared_gcd_degrees(listed if ordered is None else ordered)
+        check["predicted_min_distance"] = 2 * listed.k - 2 * max(shared.values(), default=0)
+        check["consistent"] = (
+            ordered is not None
+            and all([inter[j][i] == e for (i, j), e in shared.items()])
+            and sum([len(row) - row.count(0) for row in inter]) == len(shared)
+        )
+    return check
 
 
 def _cmd_count(args) -> dict:

@@ -14,9 +14,11 @@ list, each polynomial once, and deg gcd(f, g) is the sum of
 min(multiplicity) * degree over the shared irreducible factors.  One index
 of shared factors (``_shared_degrees``) visits only the pairs that share
 one and gives each its degree; a pair it does not list is coprime.
-``gcd_profile`` fills the full pairwise table from it, which ``analyze``
-prints.  Each construction returns its members with their largest degree,
-read off its own index: ``uniform_gcd_family`` over the factorizations of
+``shared_gcd_degrees`` is that sparse map for a family, and
+``gcd_profile`` fills the full pairwise table from it.  ``analyze`` prints
+the intersection table, which comes from linear algebra alone, and checks
+a listed family against it through the map.  Each construction returns its
+members with their largest degree, read off its own index: ``uniform_gcd_family`` over the factorizations of
 its cofactors that its table's scan of degree k - t gave, ``search_max_family``
 over the pairs of the clique it found on the compatibility graph that
 index gave.  ``code_from_family`` takes every member's kernel in one
@@ -108,11 +110,15 @@ class CAFamily:
 
     def reordered(self, order: Sequence[Polynomial | None]) -> "CAFamily | None":
         """The family with its members in the order of ``order``, or None when
-        ``order`` is not the members as a set; nothing is validated again."""
-        if len(order) != len(self.members) or set(order) != set(self.members):
+        ``order`` is not the members as a set; nothing is validated again.
+        The members are matched by field and packed row."""
+        gf = self.field
+        if len(order) != len(self.members) or not all(
+            [f is not None and (f.field is gf or f.field == gf) for f in order]
+        ) or {f.row for f in order} != {f.row for f in self.members}:
             return None
         fam = CAFamily.__new__(CAFamily)
-        fam.field, fam.k, fam.members = self.field, self.k, tuple(order)
+        fam.field, fam.k, fam.members = gf, self.k, tuple(order)
         return fam
 
     def __len__(self) -> int:
@@ -144,42 +150,44 @@ class GcdProfile:
 
     @classmethod
     def from_table(cls, table: tuple[tuple[int, ...], ...]) -> "GcdProfile":
-        """Maximum and witness of a triangular table with at least one entry."""
-        best, witness = -1, (1, 0)
-        for i, row in enumerate(table):
-            for j, d in enumerate(row):
-                if d > best:
-                    best, witness = d, (j, i)
-        return cls(best, witness, table)
+        """Maximum and witness of a triangular table with at least one entry:
+        a C-level ``max`` of each row, and ``index`` for the first maximum."""
+        tops = [max(row, default=-1) for row in table]
+        best = max(tops)
+        i = tops.index(best)
+        return cls(best, (table[i].index(best), i), table)
 
 
-_SIEVE_LIMIT = 4096  # largest q^(k // 2), about the size of gcd_profile's table
+_SIEVE_LIMIT = 4096  # largest q^(k // 2): the size of the table that factors degree k
 
 
-def gcd_profile(fam: CAFamily) -> GcdProfile:
-    """All pairwise GCD degrees of a family (needs >= 2 members).
+def shared_gcd_degrees(fam: CAFamily) -> dict[tuple[int, int], int]:
+    """deg gcd(f_i, f_j) of each pair i < j of members that share a factor;
+    a pair that is absent is coprime.
 
     N factorizations instead of N(N-1)/2 GCDs: a table to degree k // 2
     factors the members of degree k side by side, one Horner pass over all
     of them per small irreducible and a division only where one divides
-    (``FactorTable.factor_all``).  That table grows like q^(k/2) whatever
-    the family's size, so past ``_SIEVE_LIMIT`` (GF(2) from k = 26) the
-    profile takes each pair's GCD instead.
+    (``FactorTable.factor_all``), and ``_shared_degrees`` pairs them.  That
+    table grows like q^(k/2) whatever the family's size, so past
+    ``_SIEVE_LIMIT`` (GF(2) from k = 26) each pair's GCD is taken instead.
     """
+    members, d = fam.members, fam.k // 2
+    if fam.field.q**d <= _SIEVE_LIMIT:
+        return _shared_degrees(FactorTable(fam.field, d).factor_all(members))
+    pairs = itertools.combinations(range(len(members)), 2)
+    return {(i, j): e for i, j in pairs if (e := int(poly_gcd(members[i], members[j]).degree))}
+
+
+def gcd_profile(fam: CAFamily) -> GcdProfile:
+    """All pairwise GCD degrees of a family (needs >= 2 members), as a
+    triangular table filled from ``shared_gcd_degrees``."""
     if len(fam) < 2:
         raise TooFewMembers("a GCD profile needs at least two members")
-    members, d = fam.members, fam.k // 2
-    if fam.field.q**d > _SIEVE_LIMIT:
-        table = tuple(
-            tuple(int(poly_gcd(f, g).degree) for g in members[:i])
-            for i, f in enumerate(members)
-        )
-    else:
-        rows = [[0] * i for i in range(len(members))]
-        for (i, j), e in _shared_degrees(FactorTable(fam.field, d).factor_all(members)).items():
-            rows[j][i] = e
-        table = tuple(map(tuple, rows))
-    return GcdProfile.from_table(table)
+    rows = [[0] * i for i in range(len(fam))]
+    for (i, j), e in shared_gcd_degrees(fam).items():
+        rows[j][i] = e
+    return GcdProfile.from_table(tuple(map(tuple, rows)))
 
 
 def _shared_degrees(

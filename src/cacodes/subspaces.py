@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -379,10 +380,13 @@ class GrassmannianCode:
         return self.codewords[i]
 
     def min_distance(self) -> int:
-        """Brute-force minimum of the subspace distance over all unordered pairs."""
+        """Least distance of two codewords, off the pairwise table: 2k - 2 max
+        dim(C_i intersect C_j) for one dimension k, else ``nearest_distances``."""
         if len(self.codewords) < 2:
             raise TooFewCodewords("minimum distance needs at least two codewords")
-        return min(self.nearest_distances())
+        if self.constant_dim is None:
+            return min(self.nearest_distances())
+        return 2 * self.constant_dim - 2 * max(map(max, self.pairwise_intersection_dims()[1:]))
 
     def nearest_distances(self) -> tuple[int | float, ...]:
         """Each codeword's distance to its nearest other codeword (inf for a
@@ -478,11 +482,17 @@ class GrassmannianCode:
         """Parse the code file format; a malformed document is a ``ParseError``.
 
         The codewords load in one pass: the checks of ``Subspace.from_json``
-        run once over the rows of all of them, one ``RowFormat.pack_rows``
-        call packs every row, and each codeword's share of the packed rows
-        goes to ``Echelon.from_rows``.  A code that fails a check is loaded
-        again one codeword at a time by ``Subspace.from_json``, so the first
-        malformed codeword is named and its error reads as it always has.
+        run once over the rows of all of them and one ``RowFormat.pack_rows``
+        call packs every row.  When every codeword has as many rows as the
+        first, the lowest nonzero lanes of the first one's rows ascend, and
+        each row j is 1 on the j-th of those lanes, 0 below it and 0 on the
+        others, every codeword is an RREF of those pivots: one C-level
+        ``map`` over all rows checks it, and each codeword's rows go to
+        ``Echelon.from_rref``.
+        Any other code gives each codeword's share of the packed rows to
+        ``Echelon.from_rows``.  A code that fails a check is loaded again one
+        codeword at a time by ``Subspace.from_json``, so the first malformed
+        codeword is named and its error reads as it always has.
         """
         for key in ("q", "n", "codewords"):
             if key not in data:
@@ -502,7 +512,29 @@ class GrassmannianCode:
         if digits is None:
             return cls(field, n, [Subspace.from_json(field, n, word) for word in words])
         packed = field.format.pack_rows(digits, len(rows)) if digits else []
-        ends = itertools.accumulate(map(len, words))
-        echelons = [Echelon.from_rows(field, n, packed[end - len(word) : end])
-                    for word, end in zip(words, ends)]
+        sizes = set(map(len, words))
+        echelons = _one_pivot_set(field, n, packed, sizes.pop()) if len(sizes) == 1 else None
+        if echelons is None:
+            ends = itertools.accumulate(map(len, words))
+            echelons = [Echelon.from_rows(field, n, packed[end - len(word) : end])
+                        for word, end in zip(words, ends)]
         return cls(field, n, [Subspace.from_echelon(ech, reduced=True) for ech in echelons])
+
+
+def _one_pivot_set(field: GF, n: int, packed: list[int], size: int) -> list[Echelon] | None:
+    """The echelons of codewords stored as ``packed`` rows, ``size`` rows
+    each, when all are RREFs on the lowest lanes of the first one's rows,
+    else None; nothing is eliminated."""
+    head, w = packed[:size], field.width
+    if not size or len(head) < size or not all(head):  # n = 0 packs no row
+        return None
+    offsets = [((row & -row).bit_length() - 1) // w * w for row in head]
+    lanes = sum([field.mask << offset for offset in offsets])
+    masks = itertools.cycle([lanes | (1 << o) - 1 for o in offsets])  # pivots and below
+    units = itertools.cycle([1 << o for o in offsets])
+    if offsets != sorted(set(offsets)) or not all(
+        map(operator.eq, map(operator.and_, packed, masks), units)
+    ):
+        return None
+    return [Echelon.from_rref(field, n, packed[i : i + size], offsets)
+            for i in range(0, len(packed), size)]

@@ -594,6 +594,23 @@ def test_table_generator_is_the_first_element_of_full_order(p, m):
     ]
 
 
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_zech_sums_match_the_digit_route(p, m):
+    # every pair of codes: the tables give what digit-wise arithmetic mod p gives
+    field = GF(p, m)
+    assert field._zech is not None
+    digits = [field.decode(a) for a in range(field.q)]
+
+    def encoded(values):
+        return sum(v % p * p**i for i, v in enumerate(values))
+
+    for a, x in enumerate(digits):
+        assert field.neg(a) == encoded([-d for d in x])
+        for b, y in enumerate(digits):
+            assert field.sub(a, b) == encoded([d - e for d, e in zip(x, y)])
+            assert field.add(a, b) == encoded([d + e for d, e in zip(x, y)])
+
+
 def test_xor_format_low_has_bit_zero_of_every_lane():
     # c * v must reach every lane of v, the top one included: a row of n lanes
     # that all hold x comes out with c * x in each
@@ -638,6 +655,81 @@ def test_zero_polynomial_text():
     assert Polynomial(F2).to_string() == "0"
     assert Polynomial.from_string(F2, "0").is_zero()
     assert Polynomial(F2).display() == "0"
+
+
+def _text(field, codes, rng, style="canonical"):
+    """The polynomial text of ``codes``: canonical, with leading zeros
+    ("01"), or with the spaces and the trailing ",0" that ``from_string``
+    takes too."""
+    def digit(d):
+        if style == "zeros":
+            return rng.choice(["", "0", "00"]) + str(d)
+        if style == "spaces":
+            return rng.choice(["", " ", "0"]) + str(d) + rng.choice(["", " "])
+        return str(d)
+
+    if field.m == 1:
+        tokens = [digit(c) for c in codes]
+    else:
+        tokens = ["[" + ",".join(digit(d) for d in field.decode(c)) + "]" for c in codes]
+    if style == "spaces":
+        return " " + ",".join(tokens) + rng.choice(["", ",0 ", " "]) * (field.m == 1)
+    return ",".join(tokens)
+
+
+TEXT_FIELDS = [F2, F3, F5, GF(11), GF(13), GF(17), GF(31), F4, GF(2, 3), GF(3, 2)]
+
+
+@pytest.mark.parametrize("field", TEXT_FIELDS, ids=str)
+def test_from_strings_parses_as_from_string_does(field, monkeypatch):
+    rng = random.Random(f"from_strings over {field}")
+    parse, one_pass = Polynomial.from_string.__func__, []
+    monkeypatch.setattr(
+        Polynomial, "from_string", classmethod(lambda cls, *a: one_pass.append(False) or parse(cls, *a))
+    )
+    for trial in range(90):
+        style = ("canonical", "zeros", "spaces")[trial % 3]
+        length = rng.randint(1, 6)  # one length for every text, or one each
+        texts = [
+            _text(field, [rng.randrange(field.q) for _ in range(length if trial % 2 else rng.randint(1, 6))],
+                  rng, style)
+            for _ in range(rng.randint(1, 8))
+        ]
+        del one_pass[:]
+        got = Polynomial.from_strings(field, texts)
+        # canonical texts of one length, leading zeros and a trailing zero
+        # coefficient included, take the one pass and no from_string call
+        assert (not one_pass) is (style != "spaces" and len({t.count(",") for t in texts}) == 1)
+        want = [Polynomial.from_string(field, t) for t in texts]
+        assert [(f.field, f.row) for f in got] == [(f.field, f.row) for f in want]
+    assert Polynomial.from_strings(field, []) == []
+    texts = [_text(field, [1, 0, 0], rng), _text(field, [0, 0, 0], rng)]  # trailing zeros
+    assert Polynomial.from_strings(field, texts) == [P(field, 1), Polynomial(field)]
+    if field.p >= 11:  # multi-digit tokens, canonical
+        texts = [_text(field, [field.q - 1, 10, 1], rng), _text(field, [0, 1, 0], rng)]
+        assert Polynomial.from_strings(field, texts) == [Polynomial.from_string(field, t) for t in texts]
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value).__name__, str(info.value)
+
+
+@pytest.mark.parametrize("field", TEXT_FIELDS, ids=str)
+def test_from_strings_raises_what_the_first_faulty_text_raises(field):
+    rng = random.Random(f"faulty from_strings over {field}")
+    wrong_arity = "[1,0],[1]" if field.m == 1 else "[" + ",".join(["1"] * (field.m + 1)) + "]"
+    faults = ["", "  ", "+1", "1_0", str(field.p), "\uff11", wrong_arity, "1,,1", "1,-1", "0x1"]
+    faults.append(_text(field, [1, 0], rng).replace("1", str(field.p), 1))  # out of range
+    for bad in faults:
+        for _ in range(4):
+            texts = [_text(field, [rng.randrange(field.q) for _ in range(3)], rng) for _ in range(rng.randint(0, 4))]
+            texts.insert(rng.randrange(len(texts) + 1), bad)
+            want = _raised(lambda: Polynomial.from_string(field, bad))
+            assert _raised(lambda: Polynomial.from_strings(field, texts)) == want
+            # a second fault later in the list does not change what is raised
+            assert _raised(lambda: Polynomial.from_strings(field, [*texts, "+2"])) == want
 
 
 def test_display_coefficients():

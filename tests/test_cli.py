@@ -315,9 +315,10 @@ def generates_oracle(listed, code):
 @pytest.mark.parametrize(
     "spec, degrees", [("2", (3, 4, 5, 6)), ("3", (2, 3, 4)), ("2^2", (2, 3))], ids=str
 )
-def test_family_check_matches_the_slow_reference(capsys, tmp_path, spec, degrees):
+def test_family_check_matches_the_slow_reference(capsys, tmp_path, monkeypatch, spec, degrees):
     # each random family's code against its members, one member swapped for
-    # a non-member, and one member dropped, each listed in shuffled order
+    # a non-member, and one member dropped, each listed in shuffled order;
+    # the sieve and, past _SIEVE_LIMIT, each pair's poly_gcd give one check
     field = GF.from_spec(spec)
     rng = random.Random(spec)
     path = tmp_path / "family.json"
@@ -331,6 +332,19 @@ def test_family_check_matches_the_slow_reference(capsys, tmp_path, spec, degrees
         expected = generates_oracle(listed, code)
         assert out["family_check"]["consistent"] is expected
         verdicts.append(expected)
+        if len(listed) >= 2:
+            top = max(poly_gcd(f, g).degree for f, g in itertools.combinations(listed, 2))
+            assert out["family_check"]["predicted_min_distance"] == 2 * k - 2 * top
+            sieved = families_module.shared_gcd_degrees(CAFamily(listed))
+            with monkeypatch.context() as patch:
+                patch.setattr(families_module, "_SIEVE_LIMIT", 0)
+                assert families_module.shared_gcd_degrees(CAFamily(listed)) == sieved
+                assert run_json(capsys, "analyze", "--code", str(path)) == (status, out)
+            assert sieved == {
+                (i, j): poly_gcd(listed[i], listed[j]).degree
+                for i, j in itertools.combinations(range(len(listed)), 2)
+                if poly_gcd(listed[i], listed[j]).degree
+            }
         return out["family_check"]
 
     for _ in range(30):
@@ -355,6 +369,36 @@ def test_family_check_matches_the_slow_reference(capsys, tmp_path, spec, degrees
         found = check(k, listed, code_from_family(CAFamily(kernels)))
         assert "predicted_min_distance" not in found
     assert verdicts[-3:] == [True, False, False]
+
+
+def test_family_check_compares_the_whole_intersection_table(capsys, tmp_path, monkeypatch):
+    # a family over GF(2) at k = 4 with coprime pairs and pairs of gcd degree
+    # 1 and 2 (two irreducibles, (1 + X + X^2)^2, (1 + X)^2 (1 + X + X^2) and
+    # (1 + X)(1 + X + X^3)): the check holds on its own table, and fails once
+    # any one entry is changed, where the GCD is 0 as where it is not
+    field = GF(2)
+    texts = ("1,1,0,0,1", "1,0,1,0,1", "1,1,0,1,1", "1,0,1,1,1", "1,0,0,1,1")
+    listed = [Polynomial.from_string(field, t) for t in texts]
+    code = code_from_family(CAFamily(listed))
+    inter = code.pairwise_intersection_dims()
+    assert {e for row in inter for e in row} == {0, 1, 2}
+    doc = {"q": "2", "k": 4, "family": [f.to_string() for f in listed], "code": code.to_json()}
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def consistent(table):
+        with monkeypatch.context() as patch:
+            patch.setattr(GrassmannianCode, "pairwise_intersection_dims", lambda self: table)
+            status, out = run_json(capsys, "analyze", "--code", str(path))
+        assert status == 0
+        return out["family_check"]["consistent"]
+
+    assert consistent(inter) is True
+    for i, j in itertools.combinations(range(len(inter)), 2):
+        for e in {0, 1, 3} - {inter[j][i]}:
+            rows = [list(row) for row in inter]
+            rows[j][i] = e
+            assert consistent(tuple(map(tuple, rows))) is False, (i, j, e)
 
 
 # -- search-max -------------------------------------------------------------------------------

@@ -171,6 +171,113 @@ def test_a_build_code_document_loads_without_elimination(monkeypatch):
     assert len(extends) == len(code)
 
 
+def one_pivot_set_rrefs(field, n, pivots, count, rng):
+    """``count`` random RREFs of GF(q)^n on the pivot columns ``pivots``."""
+    words = []
+    for _ in range(count):
+        word = []
+        for p in pivots:
+            row = [0] * n
+            row[p] = 1
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    row[c] = rng.randrange(field.q)
+            word.append(row)
+        words.append(word)
+    return words
+
+
+def planted(field, n, pivots, word, kind, rng):
+    """``word``, an RREF on ``pivots``, with one fault of the given kind."""
+    word = [list(row) for row in word]
+    j = rng.randrange(len(word))
+    nonzero = rng.randrange(1, field.q)
+    if kind == "below a pivot":  # on a column that is no pivot
+        j = len(pivots) - 1
+        word[j][rng.choice([c for c in range(pivots[j]) if c not in pivots])] = nonzero
+    elif kind == "pivot entry 2":
+        word[j][pivots[j]] = 2
+    elif kind == "another pivot lane":
+        i = rng.choice([i for i in range(len(pivots)) if i != j])
+        word[j][pivots[i]] = nonzero
+    elif kind == "zero row":
+        word[j] = [0] * n
+    elif kind == "one row fewer":
+        del word[j]
+    elif kind == "rows swapped":
+        i = rng.choice([i for i in range(len(word)) if i != j])
+        word[i], word[j] = word[j], word[i]
+    elif kind == "rows twice":
+        word += word
+    elif kind == "another pivot set":
+        other = pivots
+        while other == pivots:
+            other = sorted(rng.sample(range(n), len(pivots)))
+        word = one_pivot_set_rrefs(field, n, other, 1, rng)[0]
+    return word
+
+
+PLANTED = ["below a pivot", "pivot entry 2", "another pivot lane", "zero row", "one row fewer",
+           "rows swapped", "rows twice", "another pivot set"]
+
+
+@pytest.mark.parametrize(
+    "field, kind",
+    [(field, kind) for field in (GF(2), GF(3), GF(5), GF(2, 2), GF(3, 2), GF(17))
+     for kind in PLANTED if field.q > 2 or kind != "pivot entry 2"],
+    ids=str,
+)
+def test_a_fault_in_a_one_pivot_set_code_loads_as_word_by_word(field, kind):
+    rng = random.Random(f"{kind} over GF({field.spec})")
+    for _ in range(12):
+        n = rng.randint(3, 7)
+        pivots = sorted(rng.sample(range(n), rng.randint(2, n - 1)))
+        if pivots == list(range(len(pivots))):
+            pivots[-1] = n - 1  # a column below the last pivot that is none
+        words = one_pivot_set_rrefs(field, n, pivots, rng.randint(2, 6), rng)
+        # one codeword, the first included, or every one with the same fault
+        victims = range(len(words)) if rng.random() < 0.3 else [rng.randrange(len(words))]
+        for i in victims:
+            words[i] = planted(field, n, pivots, words[i], kind, random.Random(f"{kind} {n} {pivots}"))
+        if rng.random() < 0.3:
+            words.append(list(words[0]))  # a duplicate too
+        document = {"q": field.spec, "n": n, "codewords": [stored(field, w) for w in words]}
+        try:
+            want = load_word_by_word(document)
+        except DomainError:
+            assert fault(lambda: GrassmannianCode.from_json(document)) == fault(
+                lambda: load_word_by_word(document)
+            )
+            continue
+        code = GrassmannianCode.from_json(document)
+        assert [(s._echelon.rows, s._echelon.pivots) for s in code] == [
+            (s._echelon.rows, s._echelon.pivots) for s in want
+        ]
+        assert (code.constant_dim, code.duplicates_removed) == (want.constant_dim, want.duplicates_removed)
+
+
+def test_a_build_code_document_takes_the_one_pivot_set_pass(monkeypatch):
+    # every codeword's rows are checked by one pass and held as an RREF:
+    # nothing is eliminated, and no codeword goes to ``Echelon.from_rows``
+    for field in (GF(2), GF(3), GF(2, 2), GF(3, 2)):
+        members = uniform_gcd_family(3, Polynomial.from_codes(field, (1,)))[0]
+        document = json.loads(json.dumps(code_from_family(CAFamily(members)).to_json()))
+        want = load_word_by_word(document)
+        calls = {"from_rows": 0, "from_rref": 0}
+        for name in calls:
+            original = getattr(Echelon, name).__func__
+
+            def counted(cls, *args, name=name, original=original):
+                calls[name] += 1
+                return original(cls, *args)
+
+            monkeypatch.setattr(Echelon, name, classmethod(counted))
+        code = GrassmannianCode.from_json(document)
+        monkeypatch.undo()
+        assert calls == {"from_rows": 0, "from_rref": len(members)}
+        assert [s._echelon.rows for s in code] == [s._echelon.rows for s in want]
+
+
 # -- malformed codewords name their fault as the per-entry checker does --------------
 
 
@@ -315,6 +422,7 @@ def test_a_valid_code_loads_in_one_pass(field, monkeypatch):
         documents.append({"q": field.spec, "n": n, "codewords": [stored(field, w) for w in words]})
     documents += [
         {"q": field.spec, "n": 0, "codewords": [[], [[]], [[], []]]},
+        {"q": field.spec, "n": 0, "codewords": [[[]], [[]]]},
         {"q": field.spec, "n": 3, "codewords": []},
         {"q": field.spec, "n": 0, "codewords": []},
         {"q": field.spec, "n": 2, "codewords": [[], []]},

@@ -243,6 +243,25 @@ def test_min_distance_disjoint_pair():
     assert coprime_pair_code().min_distance() == 4
 
 
+@pytest.mark.parametrize("field", [F2, F3, GF(2, 2), GF(17)], ids=str)
+def test_min_distance_is_the_least_distance_of_a_pair(field):
+    # constant-dimension codes read 2k - 2 max(table), any other code the
+    # least nearest distance: both are the least distance of two codewords,
+    # the zero space among them
+    rng = random.Random(f"min distance over {field}")
+    for trial in range(40):
+        n, dim = rng.randint(2, 6), rng.randint(0, 3)
+        subs = [random_subspace(field, n, rng, dim) for _ in range(rng.randint(2, 7))]
+        if trial % 2:  # one dimension
+            subs = [s for s in subs if s.dim == dim] or subs[:1]
+        code = GrassmannianCode(field, n, subs)
+        if len(code) < 2:
+            continue
+        brute = min(subspace_distance(a, b) for a, b in itertools.combinations(code, 2))
+        assert code.min_distance() == brute
+        assert brute == min(code.nearest_distances())
+
+
 def test_params_singleton_undefined_distance():
     single = GrassmannianCode(F2, 4, [kernel_of(F2, (1, 1, 1), 4)])
     p = single.params()
