@@ -57,7 +57,7 @@ import itertools
 import operator
 import re
 import struct
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BothZero,
@@ -105,7 +105,8 @@ class GF:
     builds its one packed row format, ``format``, at construction, after the
     exp/log tables of an extension field with q <= 4096 that its products
     read; ``width`` is the lane width and ``mask`` the bits of one lane.
-    The field never changes after construction.
+    The field never changes after construction; only its tables of text
+    (``texts``) fill on use.
 
     An extension field is refused (``ExtensionTooLarge``) when finding its
     modulus would scan more than ``MAX_MODULUS_SCAN`` candidates.
@@ -134,7 +135,8 @@ class GF:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None  # log(1 - g^i), for odd p; see ``sub``
-        self._texts: tuple[dict[int, str], ...] = ({}, {}, {})  # see ``texts``
+        # see ``texts``; no table holds the field, so no cycle keeps it alive
+        self._texts = (TextTable(functools.partial(_text, p, m, None)), [])
         if m > 1:
             # the search skips the p^(m-1) candidates with a zero constant
             # term, none of them irreducible; their count bounds the fields
@@ -193,20 +195,15 @@ class GF:
             code = code * self.p + (a % self.p)
         return code
 
-    def texts(self, codes: Iterable[int]) -> tuple[dict[int, str], dict[int, str], dict[int, str]]:
-        """The field's tables of coefficient text, holding every code of
-        ``codes``: a code's text in a polynomial string (over GF(p^m) its
-        digits in brackets, ``[a,b]``), in a display (``(a,b)``), and in a
-        display before a power of X, where a coefficient 1 is left out.  Over
-        GF(p) the first two are the residue.  Filled on first use."""
-        plain, shown, factor = self._texts
-        for c in set(codes).difference(plain) if len(plain) < self.q else ():
-            if self.m == 1:
-                plain[c] = shown[c] = str(c)
-            else:
-                digits = ",".join(map(str, self.decode(c)))
-                plain[c], shown[c] = f"[{digits}]", f"({digits})"
-            factor[c] = "" if shown[c] == "1" else shown[c]
+    def texts(self, lanes: int = 0) -> tuple["TextTable", list["TextTable"]]:
+        """The field's tables of coefficient text, filled on use, keyed by
+        the items of ``RowFormat.entries``: a coefficient's text in a
+        polynomial string (``[a,b]`` over GF(p^m)), and for at least
+        ``lanes`` powers X^i one table of its term in a display ("" for 0,
+        ``(a,b)X^i`` over GF(p^m), no coefficient 1 before a power of X)."""
+        terms = self._texts[1]
+        while len(terms) < lanes:
+            terms.append(TextTable(functools.partial(_text, self.p, self.m, len(terms))))
         return self._texts
 
     def decode(self, code: int) -> tuple[int, ...]:
@@ -368,6 +365,32 @@ class GF:
         self._exp, self._log = exp + exp, log
 
 
+class TextTable(dict):
+    """Text filled on use: a missing key gets ``make(key)``, kept, so a C-level
+    ``map`` over the table calls Python only on a miss."""
+
+    def __init__(self, make: Callable[[object], str]):
+        self.make = make
+
+    def __missing__(self, key) -> str:
+        text = self[key] = self.make(key)
+        return text
+
+
+def _text(p: int, m: int, lane: int | None, key) -> str:
+    """A coefficient's text in a polynomial string (``lane`` None), or its
+    term times X^lane in a display; ``key`` is a code, or a digit character."""
+    code = int(key)
+    digits = str(code) if m == 1 else ",".join([str(code // p**i % p) for i in range(m)])
+    if lane is None:
+        return digits if m == 1 else f"[{digits}]"
+    if not code:
+        return ""
+    shown = digits if m == 1 else f"({digits})"
+    power = "" if not lane else "X" if lane == 1 else f"X^{lane}"
+    return power if power and shown == "1" else shown + power
+
+
 # -- packed rows ----------------------------------------------------------------------
 
 
@@ -393,9 +416,10 @@ class RowFormat:
       code, and a row operation unpacks both rows and works entry by entry.
 
     ``entries`` reads a row's n entries in the form the format reads
-    fastest: over GF(2) as text, one digit an entry, over the byte lanes as
-    bytes, otherwise as the unpacked codes.  ``lex_key`` joins the same
-    forms, row after row, into a key ordered as the rows' codes are.
+    fastest: over GF(2) a str of digits, over the byte lanes bytes,
+    otherwise the tuple of their codes.  ``sequence`` reads rows into one
+    such sequence, row after row, ordered as their codes are: codes sort by
+    it and the CLI writes codewords off it, as polynomials off ``entries``.
     ``pack_rows`` packs rows from the base-p digits of their entries, the
     code file's layout flattened: GF(2^m) and the byte lanes pack all rows
     side by side in one C-level call and split them, the per-entry format
@@ -434,10 +458,11 @@ class RowFormat:
         byte lanes their bytes, otherwise the tuple of their codes."""
         return self.unpack(row, n)
 
-    def lex_key(self, rows: Sequence[int], n: int) -> tuple | bytes | str:
-        """A key of rows of n lanes whose order is the lexicographic order of
-        their codes, row after row; rows that unpack alike share a key."""
-        return tuple([self.unpack(row, n) for row in rows])
+    def sequence(self, rows: Sequence[int], n: int) -> Sequence:
+        """The entries of ``rows`` of n lanes, row after row, as ``entries``
+        gives them: here one flat tuple of codes, ordered as the rows' are."""
+        unpack = self.unpack
+        return tuple(itertools.chain.from_iterable([unpack(row, n) for row in rows]))
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
         """The row u - c*v: the one row operation, of elimination and polynomials."""
@@ -480,13 +505,15 @@ class _XorFormat(RowFormat):
     def entries(self, row: int, n: int) -> Sequence:
         if self.width != 1:
             return self.unpack(row, n)
-        return f"{row:0{n}b}"[::-1]  # GF(2): the row's binary digits, lane 0 first
+        return bin(row | 1 << n)[:2:-1]  # GF(2): the n binary digits, lane 0 first
 
-    def lex_key(self, rows: Sequence[int], n: int) -> tuple | str:
+    def sequence(self, rows: Sequence[int], n: int) -> Sequence:
         if self.width != 1:
-            return super().lex_key(rows, n)
-        # GF(2): a row's binary digits, reversed, read lane 0 first
-        return "".join([f"{row:0{n}b}"[::-1] for row in rows])
+            return super().sequence(rows, n)
+        whole = 0  # GF(2): the rows joined n lanes apart, read in one call
+        for row in reversed(rows):
+            whole = whole << n | row
+        return self.entries(whole, len(rows) * n)
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
         if c == 1:
@@ -523,7 +550,7 @@ class _ModFormat(RowFormat):
     def entries(self, row: int, n: int) -> bytes:
         return row.to_bytes(n, "little")
 
-    def lex_key(self, rows: Sequence[int], n: int) -> bytes:
+    def sequence(self, rows: Sequence[int], n: int) -> bytes:
         return b"".join([row.to_bytes(n, "little") for row in rows])
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
@@ -747,10 +774,16 @@ class Polynomial:
 
     def to_string(self) -> str:
         """Canonical comma-separated coefficient string (ascending powers)."""
-        if not self.row:
-            return "0"
-        codes = self.to_codes()
-        return ",".join(map(self.field.texts(codes)[0].__getitem__, codes))
+        return Polynomial.to_strings([self])[0]
+
+    @staticmethod
+    def to_strings(polys: Sequence["Polynomial"]) -> list[str]:
+        """``to_string`` of polynomials over one field: their coefficients
+        map through the field's one table of text (``GF.texts``)."""
+        if not polys:
+            return []
+        plain = polys[0].field.texts()[0]
+        return [",".join(map(plain.__getitem__, c)) or "0" for c in _coefficients(polys)]
 
     @classmethod
     def from_string(cls, field: GF, text: str) -> "Polynomial":
@@ -799,13 +832,24 @@ class Polynomial:
 
     def display(self) -> str:
         """Human-readable rendering such as ``1 + X + X^2``; never parsed back."""
-        if not self.row:
-            return "0"
-        codes = self.to_codes()
-        _, shown, factor = self.field.texts(codes)
-        terms = [shown[codes[0]]] if codes[0] else []
-        terms += [factor[c] + ("X" if i == 1 else f"X^{i}") for i, c in enumerate(codes) if c and i]
-        return " + ".join(terms)
+        return Polynomial.displays([self])[0]
+
+    @staticmethod
+    def displays(polys: Sequence["Polynomial"]) -> list[str]:
+        """``display`` of polynomials over one field: each coefficient maps
+        through its power's table of terms (``GF.texts``), "" dropped."""
+        if not polys:
+            return []
+        coeffs = _coefficients(polys)
+        terms = polys[0].field.texts(max(map(len, coeffs)))[1]
+        return [" + ".join(filter(None, map(operator.getitem, terms, c))) or "0" for c in coeffs]
+
+
+def _coefficients(polys: Sequence[Polynomial]) -> list[Sequence]:
+    """Each polynomial's coefficients, read once (``RowFormat.entries``)."""
+    gf = polys[0].field
+    entries, w = gf.format.entries, gf.width
+    return [entries(f.row, -(-f.row.bit_length() // w)) for f in polys]
 
 
 _NO_BRACKETS = str.maketrans("", "", "[]")

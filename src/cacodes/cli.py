@@ -17,9 +17,12 @@ and every document (stdout, ``--out`` and the error objects) is printed as
 the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``: two-space indent,
 sorted keys, ASCII escapes.  One writer prints them on every Python version:
 ``_emit`` streams a document in pieces, one per key, one per codeword and one
-per row of a table, and writes each codeword's text straight off its packed
-RREF rows, so no CLI path builds a ``to_json`` list.  The payload is built whole before the first byte
-is written; a write that fails on the stream leaves part of the document
+per row of a table.  A codeword's text is written off its entry sequence
+(``Subspace.entries``, which its code also sorts by) in one join, and a list
+of polynomials' text through the field's tables of text
+(``Polynomial.to_strings`` and ``displays``), so no CLI path builds a
+``to_json`` list.  The payload is built whole before the first byte is
+written; a write that fails on the stream leaves part of the document
 written.  Exit codes: 0 success, 1 domain error (JSON error object on
 stdout) or a stdout that cannot be written (one line on stderr), 2 usage
 error (argparse).
@@ -41,7 +44,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from . import __version__
-from .algebra import GF, Polynomial
+from .algebra import GF, Polynomial, TextTable
 from .channel import ChannelConfig, simulate
 from .errors import DegreeTooLarge, DomainError, NonPositive, ParseError
 from .families import (
@@ -104,8 +107,9 @@ def _pieces(x, pad: str) -> Iterator[str]:
         yield "\n" + pad + "}"
     elif _is_streamed(x):
         inner, lead = pad + "  ", "[\n"
-        for value in x:
-            yield lead + inner + _dump(value, inner)
+        texts = _codewords(x, inner) if type(x[0]) is Subspace else map(_dump, x, itertools.repeat(inner))
+        for text in texts:
+            yield lead + inner + text
             lead = ",\n"
         yield "\n" + pad + "]"
     else:
@@ -131,39 +135,46 @@ def _dump(x, pad: str) -> str:
     if kind is bool or kind is float or x is None:
         return json.dumps(x)
     if kind is Subspace:
-        return _codeword(x, pad)
+        return next(_codewords([x], pad))
     if kind is dict:
         return "".join(_pieces(x, pad)) if x else "{}"
     if kind is list or kind is tuple:
         if not x:
             return "[]"
-        inner = pad + "  "
-        if set(map(type, x)) == {int}:
+        inner, kinds = pad + "  ", set(map(type, x))
+        if kinds == {int}:
             items = map(int.__repr__, x)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, x)
         else:
             items = [_dump(value, inner) for value in x]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _codeword(s: Subspace, pad: str) -> str:
-    """``_dump(s.to_json(), pad)``, written straight off the packed RREF rows."""
-    rows = s.row_entries()
-    if not rows:
-        return "[]"
+def _codewords(words: list[Subspace], pad: str) -> Iterator[str]:
+    """``_dump(s.to_json(), pad)`` of each codeword of a list over one field
+    and n, off its entry sequence (``Subspace.entries``): one C-level ``map``
+    through a table of each entry's text and the separator after it, one for
+    the rows' last entries, and one join."""
+    field, n = words[0].field, words[0].ambient_n
     row_pad = pad + "  "
     entry_pad = row_pad + "  "
-    if type(rows[0]) is str:  # GF(2): each digit is its entry's text
-        texts = rows
-    elif s.field.m == 1:
-        texts = [map(int.__repr__, row) for row in rows]
-    else:  # an entry of GF(p^m) is the list of its m digits: one text per code
-        decode, codes = s.field.decode, set(itertools.chain.from_iterable(rows))
-        text = {c: _dump(list(decode(c)), entry_pad) for c in codes}
-        texts = [map(text.__getitem__, row) for row in rows]
-    head, sep, tail = "[\n" + entry_pad, ",\n" + entry_pad, "\n" + row_pad + "]"
-    rows_text = (",\n" + row_pad).join([head + sep.join(t) + tail for t in texts])
-    return "[\n" + row_pad + rows_text + "\n" + pad + "]"
+    head, close = "[\n" + row_pad + "[\n" + entry_pad, "\n" + row_pad + "]\n" + pad + "]"
+    between, new_row = ",\n" + entry_pad, "\n" + row_pad + "],\n" + row_pad + "[\n" + entry_pad
+    # str gives a code's text and a GF(2) digit's; a GF(p^m) entry is a list
+    text = str if field.m == 1 else lambda code: _dump(list(field.decode(code)), entry_pad)
+    inside = TextTable(lambda key: text(key) + between)
+    last = TextTable(lambda key: text(key) + new_row)
+    for s in words:
+        entries = s.entries()
+        if not entries:
+            yield "[]"
+            continue
+        texts = [head, *map(inside.__getitem__, entries)]
+        texts[n::n] = map(last.__getitem__, entries[n - 1 :: n])
+        texts[-1] = texts[-1][: -len(new_row)] + close
+        yield "".join(texts)
 
 
 def _load_code_file(path: str) -> tuple[GrassmannianCode, dict]:
@@ -214,8 +225,8 @@ def _cmd_build_code(args) -> dict:
         "t": t,
         "g": g.to_string(),
         "g_display": g.display(),
-        "family": [f.to_string() for f in members],
-        "family_display": [f.display() for f in members],
+        "family": Polynomial.to_strings(members),
+        "family_display": Polynomial.displays(members),
         "size": len(members),
         "expected_size": expected_uniform_gcd_size(args.k, t, field),
         "n": 2 * args.k,
@@ -332,8 +343,8 @@ def _cmd_search_max(args) -> dict:
         "t": args.t,
         "budget": args.budget,
         "size": len(members),
-        "family": [f.to_string() for f in members],
-        "family_display": [f.display() for f in members],
+        "family": Polynomial.to_strings(members),
+        "family_display": Polynomial.displays(members),
     }
     if max_gcd is not None:
         payload["max_gcd_degree"] = max_gcd

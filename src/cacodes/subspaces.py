@@ -55,11 +55,11 @@ class Subspace:
     ``basis`` unpacks them into a matrix of codes on request.
     """
 
-    __slots__ = ("field", "ambient_n", "_echelon")
+    __slots__ = ("field", "ambient_n", "_echelon", "_entries")
 
     def __init__(self, field: GF, ambient_n: int, rows: Iterable[Sequence[int]] = ()):
         rows = MatrixGF(field, rows, ncols=ambient_n).rows
-        self.field, self.ambient_n = field, ambient_n
+        self.field, self.ambient_n, self._entries = field, ambient_n, None
         self._echelon = Echelon(field, ambient_n, rows).reduce()
 
     @classmethod
@@ -72,7 +72,7 @@ class Subspace:
         """The span of an echelon's rows; the subspace keeps the echelon,
         back-substituted into the RREF unless ``reduced`` says it already is."""
         sub = cls.__new__(cls)
-        sub.field, sub.ambient_n = ech.field, ech.ncols
+        sub.field, sub.ambient_n, sub._entries = ech.field, ech.ncols, None
         sub._echelon = ech if reduced else ech.reduce()
         return sub
 
@@ -114,11 +114,13 @@ class Subspace:
     def __hash__(self):
         return hash(self._identity())
 
-    def row_entries(self) -> list:
-        """Each RREF row's entries in its format's quickest form, a str of
-        digits over GF(2) (``RowFormat.entries``): what a writer reads."""
-        entries, n = self.field.format.entries, self.ambient_n
-        return [entries(row, n) for row in self._echelon.rows]
+    def entries(self) -> Sequence:
+        """The RREF rows' entries, row after row (``RowFormat.sequence``),
+        ordered as ``sort_key`` is: codes sort by it and writers read it.
+        Read on first use and kept: the subspace never changes."""
+        if self._entries is None:
+            self._entries = self.field.format.sequence(self._echelon.rows, self.ambient_n)
+        return self._entries
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """The RREF rows unpacked to codes: lexicographic order on them is that
@@ -338,9 +340,9 @@ class GrassmannianCode:
     Codewords are kept sorted by their canonical basis (lexicographic on the
     flattened RREF entries, the order of ``Subspace.sort_key``) and
     deduplicated; ``duplicates_removed`` records how many inputs collapsed
-    onto an earlier codeword.  The order is read off the packed rows
-    (``RowFormat.lex_key``), so over GF(2) and GF(p), p <= 13, building a
-    code unpacks no codeword.
+    onto an earlier codeword.  The order is that of each codeword's entry
+    sequence (``Subspace.entries``), so over GF(2) and GF(p), p <= 13,
+    building a code unpacks no codeword.
     """
 
     __slots__ = (
@@ -353,12 +355,11 @@ class GrassmannianCode:
         self.ambient_n = ambient_n
         seen = {}
         total = 0
-        key = field.format.lex_key
         for s in subspaces:
             if s.field != field or s.ambient_n != ambient_n:
                 raise AmbientMismatch("codeword from a different ambient space")
             total += 1
-            seen.setdefault(key(s._echelon.rows, ambient_n), s)
+            seen.setdefault(s.entries(), s)
         self.codewords: tuple[Subspace, ...] = tuple(
             seen[k] for k in sorted(seen)
         )

@@ -284,6 +284,29 @@ def _digits(code: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(code // p**i % p for i in range(m))
 
 
+def poly_text(codes, p: int, m: int) -> str:
+    """The polynomial string of ascending coefficient codes, "0" for none:
+    each code's residue, or over GF(p^m) its m base-p digits, lowest first,
+    in brackets, the coefficients separated by commas."""
+    if m == 1:
+        return ",".join(str(c) for c in codes) or "0"
+    return ",".join("[" + ",".join(map(str, _digits(c, p, m))) + "]" for c in codes) or "0"
+
+
+def poly_display(codes, p: int, m: int) -> str:
+    """The display of ascending coefficient codes: the nonzero terms c X^i
+    joined by " + ", with X for X^1, no X^0, a coefficient over GF(p^m) as
+    its digits in parentheses and a coefficient 1 left out before a power
+    of X (over GF(p) only, where it reads "1"); "0" for no terms."""
+    terms = []
+    for i, c in enumerate(codes):
+        if c:
+            coeff = str(c) if m == 1 else "(" + ",".join(map(str, _digits(c, p, m))) + ")"
+            power = "" if i == 0 else "X" if i == 1 else f"X^{i}"
+            terms.append(power if power and coeff == "1" else coeff + power)
+    return " + ".join(terms) or "0"
+
+
 @functools.cache
 def gfq_tables(p: int, modulus: tuple[int, ...]) -> tuple[list[list[int]], list[list[int]]]:
     """The addition and multiplication tables of GF(p^m), indexed [a][b].

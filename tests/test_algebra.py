@@ -735,3 +735,31 @@ def test_from_strings_raises_what_the_first_faulty_text_raises(field):
 def test_display_coefficients():
     assert Polynomial(F3, [2, 0, 2]).display() == "2 + 2X^2"
     assert Polynomial(F3, [0, 1]).display() == "X"
+
+
+POLY_TEXT_FIELDS = [F2, F3, F5, GF(11), GF(13), GF(17), F4, GF(2, 3), GF(3, 2)]
+
+
+@pytest.mark.parametrize("field", POLY_TEXT_FIELDS, ids=str)
+def test_polynomial_texts_match_the_oracle(field):
+    # degrees 0-12, the zero polynomial, non-monic leading coefficients and
+    # every code of the field, the two-character ones of GF(11), GF(13) and
+    # GF(17) included, in lists of one length and of mixed lengths
+    rng = random.Random(f"polynomial text over {field}")
+    seen = set()
+    for trial in range(40):
+        polys = [Polynomial(field)] * (trial % 3 == 0)
+        for _ in range(rng.randint(1, 12)):
+            degree = rng.randint(0, 12) if trial % 2 else 6
+            codes = [rng.randrange(field.q) for _ in range(degree)] + [rng.randrange(1, field.q)]
+            polys.append(Polynomial.from_codes(field, codes))
+        rng.shuffle(polys)
+        codes = [f.to_codes() for f in polys]
+        seen.update(itertools.chain.from_iterable(codes))
+        texts = Polynomial.to_strings(polys)
+        assert texts == [oracles.poly_text(c, field.p, field.m) for c in codes]
+        assert Polynomial.displays(polys) == [oracles.poly_display(c, field.p, field.m) for c in codes]
+        assert [(f.to_string(), f.display()) for f in polys] == list(zip(texts, Polynomial.displays(polys)))
+        assert Polynomial.from_strings(field, texts) == polys
+    assert seen == set(range(field.q))
+    assert Polynomial.to_strings([]) == Polynomial.displays([]) == []

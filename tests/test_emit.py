@@ -1,7 +1,7 @@
 """The pinned output format: every document is printed as the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)``, by the one writer in ``cli``,
-which streams a document in pieces and writes each codeword straight off its
-packed RREF rows; ``to_json`` with ``json.dumps`` is the slow reference."""
+which streams a document in pieces and writes each codeword off its entry
+sequence; ``to_json`` with ``json.dumps`` is the slow reference."""
 
 import io
 import json
@@ -151,9 +151,10 @@ def test_a_write_fault_leaves_the_text_before_it():
     assert out.getvalue() == '{\n  "a": 1,\n  "b": '
 
 
-# -- codewords straight off their packed rows --------------------------------------------
+# -- codewords off their entry sequences ------------------------------------------------
 
-FIELDS = [GF(2), GF(3), GF(11), GF(17), GF(2, 2), GF(3, 2)]
+# GF(13) prints codes 10-12 as two characters, GF(2^3) an entry as a list of three digits
+FIELDS = [GF(2), GF(3), GF(11), GF(13), GF(17), GF(2, 2), GF(2, 3), GF(3, 2)]
 
 
 def random_subspace(rng, field, n, dim):
@@ -187,9 +188,10 @@ def test_codewords_print_as_their_to_json_layout(field):
         codes.append(random_code(rng, field, n, rng.randrange(1, 8)))  # mixed dimensions
         codes.append(random_code(rng, field, n, 4, dims=[0, n]))  # zero and whole space
         codes.append(random_code(rng, field, 2 * n, 6, dims=[n]))  # constant dimension
-    seen = set()
+    seen, printed = set(), set()
     for code in codes:
         seen.update(s.dim for s in code)
+        printed.update(c for s in code for row in s.sort_key() for c in row)
         doc = {"code": {"codewords": list(code), "n": code.ambient_n, "q": field.spec}}
         out = io.StringIO()
         cli._emit(doc, out)
@@ -197,6 +199,7 @@ def test_codewords_print_as_their_to_json_layout(field):
         for s in code:
             assert cli._dump(s, "  ") == cli._dump(s.to_json(), "  ")
     assert 0 in seen and len(seen) > 3
+    assert printed == set(range(field.q))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.spec)

@@ -306,10 +306,9 @@ KEY_FIELDS = [F2, GF(2, 2), GF(2, 3), F3, GF(13), GF(17), GF(3, 2)]
 
 @pytest.mark.parametrize("field", KEY_FIELDS, ids=str)
 def test_codeword_order_is_sort_key_order(field):
-    # mixed dimensions, zero subspaces and duplicates: the packed key orders
-    # and merges codewords exactly as their unpacked sort keys do
+    # mixed dimensions, zero subspaces and duplicates: the entry sequence
+    # orders and merges codewords exactly as their unpacked sort keys do
     rng = random.Random(field.q)
-    key = field.format.lex_key
     for _ in range(25):
         n = rng.randint(0, 6)
         subs = [random_subspace(field, n, rng, max_rows=n) for _ in range(rng.randint(1, 10))]
@@ -320,8 +319,13 @@ def test_codeword_order_is_sort_key_order(field):
         assert [s.sort_key() for s in code] == expected
         assert code.duplicates_removed == len(subs) - len(expected)
         for a, b in itertools.combinations(subs, 2):
-            ka, kb = key(a._echelon.rows, n), key(b._echelon.rows, n)
+            ka, kb = a.entries(), b.entries()
             assert (ka < kb, ka == kb) == (a.sort_key() < b.sort_key(), a == b)
+        for s in subs:
+            flat = [c for row in s.sort_key() for c in row]
+            if field.q == 2:  # each row's binary digits, lane 0 first, joined
+                assert s.entries() == "".join(f"{row:0{n}b}"[::-1] for row in s._echelon.rows)
+            assert list(s.entries()) == (list(map(str, flat)) if field.q == 2 else flat)
 
 
 def test_json_round_trip_exact():
