@@ -23,12 +23,10 @@ response (the coefficients of X^(k-1)), for many rules at once in one wide
 row, and derives every preimage from it by one shift and one row operation
 on packed rows; the preimages start with the k unit vectors, so they
 already are the kernel's RREF.  ``LinearCA.kernel`` is its one-rule case.
-At n = 2k that basis is the lift [I_k | M] whose column k is (-a_0, ...,
--a_{k-1}), and ``kernel_rules`` reads the rules back off a list of
-subspaces, the kernel's inverse: it sets every candidate's rows side by
-side in one wide row and runs each candidate's CA on it in one pass, a row
-operation per column j and value of a_j, each masked to the candidates
-whose a_j has that value.  ``kernel_rule`` is that pass on one subspace.
+At n = 2k that basis is the lift [I_k | M], column c of M holding
+X^(k+c) mod f, and ``kernel_rules``, the kernel's inverse, reads each rule
+off column k and checks the other columns by the recurrence of X times
+one, on the code's side-by-side layout (``subspaces._BlockLayout``).
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from .errors import (
     SeedLengthMismatch,
 )
 from .linalg import Echelon, MatrixGF
-from .subspaces import MAX_AMBIENT_N, Subspace
+from .subspaces import MAX_AMBIENT_N, GrassmannianCode, Subspace, _BlockLayout, _chosen_blocks
 
 
 class LinearRule:
@@ -220,30 +218,24 @@ def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
     unit = math.lcm(8, w)  # a block of whole lanes and whole bytes splits at byte bounds
     span = -(-(n + k - 1) * w // unit) * unit // 8
     spread, pivots = ((1 << k * w) - 1) // mask, range(0, k * w, w)
-    cut = ((1 << n * w) - 1).to_bytes(span, "little")
     size = 1 if type(fmt) is RowFormat else len(rules)  # rules to a group
-    starts = bytearray(size * span)
-    starts[::span] = bytes([1]) * size
-    ones = int.from_bytes(starts, "little")  # 1 at the start of every block
+    ones = int.from_bytes(b"\x01".ljust(span, b"\0") * size, "little")  # 1 at each block's start
     lane, low = ones * mask, ones * spread * mask  # lane 0, and lanes 0..k-1, of every block
-    keep = int.from_bytes(cut * size, "little")  # lanes 0..n-1 of every block
-    whole = (ones << 8 * span) - ones  # every bit of every block
+    keep = ones * ((1 << n * w) - 1)  # lanes 0..n-1 of every block
     out: list[Subspace] = []
     for first in range(0, len(rules), size):
         chosen = rules[first : first + size]
         lower = int.from_bytes(b"".join([f.row.to_bytes(span, "little") for f in chosen]), "little")
         lower &= low  # every rule but its X^k
         codes = [fmt.unpack(f.row, k + 1)[:k] for f in chosen]
-        if size == 1:  # one rule: its a_j holds its one block, and its u_i is one code
-            held, lanes = [{a: whole} if a else {} for a in codes[0]], None
+        if size == 1:  # one rule: its a_j holds all of its row (-1), and its u_i is one code
+            held, lanes = [{a: -1} if a else {} for a in codes[0]], None
         else:
             held, lanes = [], {}  # value v -> the blocks whose a_j = v; the lanes j where v is
             for j, column in enumerate(zip(*codes)):
                 held.append({})
                 for v in set(column) - {0}:
-                    starts[::span] = bytes(map(v.__eq__, column))
-                    at = int.from_bytes(starts, "little")
-                    held[j][v] = blocks = (at << 8 * span) - at
+                    held[j][v] = blocks = _chosen_blocks(bytes(map(v.__eq__, column)), span)
                     lanes[v] = lanes.get(v, 0) | blocks & lane << j * w
         rem, u = ones << (k - 1) * w, 0  # X^(k-1) mod f = X^(k-1)
         for i in range(k - 1, n + k - 1):
@@ -278,18 +270,17 @@ def kernel_rule(sub: Subspace) -> Polynomial | None:
 
 def kernel_rules(subs: Sequence[Subspace]) -> list[Polynomial | None]:
     """``kernel_rule`` of each subspace, in order; all of one field and one
-    ambient n = 2k, as a code's codewords are.
+    ambient n = 2k, as a code's codewords are.  A ``GrassmannianCode`` is
+    such a sequence, and lends the layout it keeps (``block_layout``).
 
-    A candidate has dim k >= 1 and f = X^k - sum_j v_j X^j, v_j lane k of its
-    RREF row j, with a_0 = -v_0 != 0.  f's kernel has dimension k too, so it
-    is the candidate when f's CA sends the candidate's k rows to zero.  Every
-    candidate's rows sit side by side in one wide row, one block each of
-    whole lanes and whole bytes, and the CA runs once on it: output cell i
-    of a block is x_(i+k) - sum_j v_j x_(i+j), so the wide row shifted k
-    lanes down, less, for each j < k and each value v != 0, v times the row
-    shifted j lanes down and masked to the blocks of the candidates whose
-    v_j = v.  A candidate whose k blocks come out zero on their n - k output
-    lanes is its rule's kernel.
+    A candidate has pivots 0..k-1, so its RREF is [I_k | M], and v_0 != 0,
+    v_j = M[j][0].  It is the kernel of f = X^k - sum_j v_j X^j exactly
+    when column c of M holds X^(k+c) mod f: column 0 does, and times X the
+    columns obey M[j][c+1] = M[j-1][c] + v_j M[k-1][c], M[-1] = 0.  Over
+    the packed formats all candidates are checked in one pass over their
+    ``subspaces._BlockLayout``, where block i of W_j holds row j of
+    candidate i's M (``_broken``).  Over the per-entry format, whose row
+    operation unpacks every lane, each is checked alone on its own rows.
     """
     out: list[Polynomial | None] = [None] * len(subs)
     if not subs:
@@ -297,39 +288,43 @@ def kernel_rules(subs: Sequence[Subspace]) -> list[Polynomial | None]:
     gf, n = subs[0].field, subs[0].ambient_n
     if any(s.field != gf or s.ambient_n != n for s in subs):
         raise AmbientMismatch("subspaces of different ambient spaces")
-    k, w, fmt = n // 2, gf.width, gf.format
-    shift, picked, values = k * w, [], []
-    for i, s in enumerate(subs):
-        rows = s._echelon.rows
-        if n == 2 * k == 2 * len(rows) > 0 and rows[0] >> shift & gf.mask:
-            picked.append(i)
-            values.append([r >> shift & gf.mask for r in rows])
-    if not picked:
+    k, w, fmt, neg = n // 2, gf.width, gf.format, gf.neg
+    shift, pivots = k * w, list(range(k))
+    picked = [i for i, s in enumerate(subs) if s._echelon.pivots == pivots]
+    if n != 2 * k or not k or not picked:
         return out
-    unit = math.lcm(8, w)  # a block of whole lanes and whole bytes splits at byte bounds
-    block = -(-n * w // unit) * unit // 8
-    span, size, images = k * block, len(picked), []
-    # the per-entry format's row operation unpacks every lane, so there a
-    # wide row would cost one pass per value a column holds: one candidate each
-    group = 1 if type(fmt) is RowFormat else size
-    for first in range(0, size, group):
-        chosen, columns = picked[first : first + group], zip(*values[first : first + group])
-        wide = int.from_bytes(
-            b"".join([r.to_bytes(block, "little") for i in chosen for r in subs[i]._echelon.rows]),
-            "little",
-        )
-        acc, starts = wide >> shift, bytearray(len(chosen) * span)
-        for j, column in enumerate(columns):
-            moved = wide >> j * w
-            for v in set(column) - {0}:
-                starts[::span] = bytes(map(v.__eq__, column))  # 1 at each chosen candidate's start
-                ones = int.from_bytes(starts, "little")
-                acc = fmt.sub_scaled(acc, v, moved & (ones << 8 * span) - ones)  # its span's bits
-        low = ((1 << (n - k) * w) - 1).to_bytes(block, "little") * (len(chosen) * k)
-        acc &= int.from_bytes(low, "little")
-        images += _chunks(acc.to_bytes(len(chosen) * span, "little"), len(chosen))
-    zero, lead = bytes(span), 1 << shift
-    for i, vs, image in zip(picked, values, images):
-        if image == zero:
+    values = [[r >> shift & gf.mask for r in subs[i]._echelon.rows] for i in picked]
+    low = (1 << (k - 1) * w) - 1  # lanes 0..k-2 of a row of M
+    if type(fmt) is RowFormat:  # each candidate alone, its values masked by -1 to all of a row
+        kept = [not _broken([r >> shift for r in subs[i]._echelon.rows],
+                            [{neg(v): -1} if v else {} for v in vs], fmt.sub_scaled, w) & low
+                for i, vs in zip(picked, values)]
+    else:
+        shared = isinstance(subs, GrassmannianCode) and len(picked) == len(subs)
+        layout = subs.block_layout() if shared else _BlockLayout([subs[i] for i in picked])
+        held = [  # -v -> the blocks of the candidates whose v_j is v
+            {neg(v): _chosen_blocks(bytes(map(v.__eq__, c)), layout.block) for v in set(c) - {0}}
+            for c in zip(*values)
+        ]
+        broken = _broken(layout.rows, held, fmt.sub_scaled, w) & layout.ones * low
+        kept = [not any(b) for b in layout.split(broken.to_bytes(layout.length, "little"))]
+    lead = 1 << shift
+    for i, vs, ok in zip(picked, values, kept):
+        if ok and vs[0]:
             out[i] = Polynomial._from_row(gf, fmt.sub_scaled(lead, 1, fmt.pack(vs)))  # X^k - V
     return out
+
+
+def _broken(rows: list[int], held: list[dict[int, int]], sub_scaled, w: int) -> int:
+    """Where the column recurrence fails, ORed over j: row j of M shifted one
+    lane down XOR row j-1 plus v_j times row k-1, one ``sub_scaled`` by -v of
+    the bits ``held[j][-v]`` of row k-1 for each value v.  Only the low k-1
+    lanes of a block count (rows of M side by side, a block each)."""
+    last, above, acc = rows[-1], 0, 0
+    for row, values in zip(rows, held):
+        expect = above  # M[j-1][c] + v_j M[k-1][c] in lane c
+        for c, where in values.items():
+            expect = sub_scaled(expect, c, last & where)
+        acc |= row >> w ^ expect
+        above = row
+    return acc

@@ -48,7 +48,7 @@ from .errors import (
     TooManyErasures,
 )
 from .linalg import Echelon
-from .subspaces import GrassmannianCode, Subspace, _joint_rank
+from .subspaces import GrassmannianCode, Subspace, _BlockLayout, _joint_rank
 
 _MAX_REDRAWS = 256  # per needed vector; failure means a broken RNG, not bad luck
 # Against the eliminations it replaces (Python 3.11, 2-core x86-64), the walk
@@ -172,16 +172,15 @@ def _nearest(
     """``decode_min_distance``'s search for U spanned by ``dim_u`` independent
     packed ``rows``: the least distance, and by index the exact distances of
     codeword ``first`` and of every codeword at the least distance."""
-    words, q = code.codewords, code.field.q
+    words = code.codewords
     word, nearest = words[first], code.nearest_distances()
     best = 2 * _joint_rank(word, rows) - word.dim - dim_u
     exact = {first: best}
     if 2 * best < nearest[first]:
         return best, exact  # every other codeword is more than 2 best from it
     per_word = 0 if type(code.field.format) is RowFormat else _WALK_STEPS_PER_CODEWORD
-    budget, layout = per_word * len(words), None
-    if dim_u <= budget.bit_length() and (q**dim_u - 1) // (q - 1) <= budget:
-        layout = code.block_layout()
+    walk = _BlockLayout.fits(code.field.q, dim_u, per_word * len(words))
+    layout = code.block_layout() if walk else None
     if layout is not None:
         distances = [word.dim + dim_u - 2 * meet for meet in layout.meets(rows)]
         best = min(distances)

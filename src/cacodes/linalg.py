@@ -8,8 +8,9 @@ holds valid codes builds through ``MatrixGF.from_codes``, and
 ``MatrixGF.from_json`` is the per-entry checker of the code file layout,
 which names the first fault of a stored codeword that the load paths
 (``subspaces.GrassmannianCode.from_json``, ``Subspace.from_json``) refuse.
-``Echelon.from_rows`` takes the load paths' packed rows: it holds rows that
-already are an RREF as they are and eliminates any others.
+``Echelon.from_rrefs`` takes the load paths' packed rows: one pass checks
+that every codeword's rows already are an RREF on one pivot set and holds
+them as they are; ``Echelon.from_rows`` eliminates any other rows.
 ``Echelon.extend`` (``insert`` for one row) is the one elimination
 routine: RREF, rank, null spaces and the subspace layer all grow an echelon
 row by row.  An echelon holds each row packed into one Python int, in the
@@ -31,7 +32,9 @@ null space has dimension deg(gcd(f, g)).
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from typing import Iterable, Sequence
 
 from .algebra import GF, GFElement, Polynomial, check_residue
@@ -223,39 +226,45 @@ class Echelon:
             self.extend(map(field.format.pack, rows))
 
     @classmethod
-    def from_rref(
-        cls, field: GF, ncols: int, rows: list[int], offsets: Iterable[int] | None = None
-    ) -> "Echelon":
+    def from_rref(cls, field: GF, ncols: int, rows: list[int], offsets: Iterable[int]) -> "Echelon":
         """An echelon that holds packed rows which already are an RREF, in
-        ascending pivot order; each pivot is read off its row's lowest lane,
-        unless ``offsets`` gives the bit offsets of the pivot lanes."""
+        ascending pivot order, pivoting on the lanes at bit ``offsets``."""
         ech = cls.__new__(cls)
         ech.field, ech.ncols, ech._rows, ech._pivots = field, ncols, rows, None
-        if offsets is None:
-            w = field.width
-            ech._held = {((row & -row).bit_length() - 1) // w * w: row for row in rows}
-        else:
-            ech._held = dict(zip(offsets, rows))
+        ech._held = dict(zip(offsets, rows))
         return ech
 
     @classmethod
     def from_rows(cls, field: GF, ncols: int, rows: list[int]) -> "Echelon":
-        """The reduced echelon of packed rows.  Rows that already are an RREF
-        in ascending pivot order are held as they are: one pass checks that
-        each is nonzero, that the pivots ascend, and that on the lanes where
-        the rows pivot each row is 1 at its own pivot and 0 at the others.
-        Any other rows are eliminated and reduced."""
-        if all(rows):
-            ech = cls.from_rref(field, ncols, rows)
-            held = ech._held  # pivot offset -> row, in row order
-            lanes = sum([field.mask << offset for offset in held])
-            if len(held) == len(rows) and list(held) == sorted(held) and all(
-                [row & lanes == 1 << offset for offset, row in held.items()]
-            ):
-                return ech
+        """The reduced echelon of packed rows: held as they are when they
+        already are an RREF (``from_rrefs``), else eliminated and reduced."""
+        echelons = cls.from_rrefs(field, ncols, rows, len(rows))
+        if echelons:
+            return echelons[0]
         ech = cls(field, ncols)
         ech.extend(rows)
         return ech.reduce()
+
+    @classmethod
+    def from_rrefs(cls, field: GF, ncols: int, rows: list[int], size: int) -> list[Echelon] | None:
+        """The echelons of packed rows taken ``size`` at a time, when every
+        group is an RREF on the pivots of the first, else None; nothing is
+        eliminated.  The pivots are the lowest nonzero lanes of the first
+        group's rows and must ascend; one C-level pass over all rows checks
+        that each is 0 below its own pivot, 1 at it and 0 at the others."""
+        head, w = rows[:size], field.width
+        if not size or len(head) < size or not all(head):  # n = 0 packs no row
+            return None
+        offsets = [((row & -row).bit_length() - 1) // w * w for row in head]
+        lanes = sum([field.mask << offset for offset in offsets])
+        masks = itertools.cycle([lanes | (1 << o) - 1 for o in offsets])  # pivots and below
+        units = itertools.cycle([1 << o for o in offsets])
+        if offsets != sorted(set(offsets)) or not all(
+            map(operator.eq, map(operator.and_, rows, masks), units)
+        ):
+            return None
+        return [cls.from_rref(field, ncols, rows[i : i + size], offsets)
+                for i in range(0, len(rows), size)]
 
     @property
     def rank(self) -> int:

@@ -24,15 +24,17 @@ codewords side by side and one C-level test for coinciding blocks.  Where
 the walk costs more than the pairs' eliminations, and where the codewords
 do not all share one pivot set (mixed dimensions, arbitrary subspaces), each
 pair's stacked bases are eliminated instead.  The side-by-side layout is
-kept per code (``GrassmannianCode.block_layout``), and its walk also gives
-the channel's decoder dim(C_i intersect U) for all N codewords at once.
+kept per code (``GrassmannianCode.block_layout``): its walk also gives the
+channel's decoder dim(C_i intersect U) for all N codewords at once, its
+rows let ``ca.kernel_rules`` check every codeword's rule in one pass, and
+it alone sizes a walk (``_BlockLayout.fits``) and reads dimensions off
+step counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -219,6 +221,15 @@ def _joint_rank(a: Subspace, rows: Iterable[int], cap: float = math.inf) -> int:
     return a._echelon.copy().extend(rows, cap)
 
 
+def _chosen_blocks(chosen: bytes, block: int) -> int:
+    """Every bit of the i-th run of ``block`` bytes where ``chosen[i]`` is 1,
+    and none where it is 0: the mask of chosen blocks of a wide row."""
+    starts = bytearray(len(chosen) * block)
+    starts[::block] = chosen  # 1 at the start of each chosen block
+    ones = int.from_bytes(starts, "little")
+    return (ones << 8 * block) - ones
+
+
 class _BlockLayout:
     """Codewords of one pivot set side by side, each in a block of wide ints.
 
@@ -229,7 +240,9 @@ class _BlockLayout:
     split at its bounds.
     """
 
-    __slots__ = ("field", "size", "offsets", "shift", "block", "length", "rows", "ones", "split")
+    __slots__ = (
+        "field", "size", "offsets", "shift", "block", "length", "rows", "ones", "split", "level",
+    )
 
     def __init__(self, words: Sequence[Subspace]):
         first = words[0]._echelon
@@ -245,6 +258,15 @@ class _BlockLayout:
         self.rows = [int.from_bytes(b"".join(column), "little") for column in zip(*packed)]
         self.ones = int.from_bytes(b"\x01".ljust(block, b"\0") * self.size, "little")
         self.split = struct.Struct(f"{block}s" * self.size).unpack
+        q = gf.q  # a walk of dimension d takes (q^d - 1)/(q - 1) steps, and level reads d off them
+        self.level = {(q**d - 1) // (q - 1): d for d in range(len(self.rows) + 1)}
+
+    @staticmethod
+    def fits(q: int, d: int, budget: int) -> bool:
+        """A walk over the (q^d - 1)/(q - 1) projective vectors of GF(q)^d
+        takes at most ``budget`` steps; bit lengths compared first, so a
+        long d costs no power."""
+        return d <= budget.bit_length() and (q**d - 1) // (q - 1) <= budget
 
     def walk(self, rows: Sequence[int]) -> Iterator[int]:
         """sum x_j rows[j] once for each projective x (first nonzero x_j = 1):
@@ -288,9 +310,7 @@ class _BlockLayout:
             if zero in blocks:
                 for i in itertools.compress(index, map(zero.__eq__, blocks)):
                     counts[i] += 1
-        q = self.field.q
-        level = {(q**d - 1) // (q - 1): d for d in range(len(rows) + 1)}
-        return list(map(level.__getitem__, counts))
+        return list(map(self.level.__getitem__, counts))
 
 
 def _shared_pivot_table(layout: _BlockLayout) -> tuple[tuple[int, ...], ...]:
@@ -312,11 +332,7 @@ def _shared_pivot_table(layout: _BlockLayout) -> tuple[tuple[int, ...], ...]:
                 for i, j in itertools.combinations((*group, last[b]), 2):
                     table[j][i] += 1
     # (q^d - 1)/(q - 1) projective x coincide on a pair that meets in dimension d
-    q = layout.field.q
-    level = {(q**d - 1) // (q - 1): d for d in range(len(layout.rows))}
-    for i, row in enumerate(table):
-        table[i] = tuple(map(level.__getitem__, row))
-    return tuple(table)
+    return tuple([tuple(map(layout.level.__getitem__, row)) for row in table])
 
 
 @dataclass(frozen=True)
@@ -421,10 +437,9 @@ class GrassmannianCode:
         eliminates each pair's stacked bases.
         """
         if self._pairwise is None:
-            words, q, k = self.codewords, self.field.q, self.constant_dim or 0
+            words, k = self.codewords, self.constant_dim or 0
             c = 1 if type(self.field.format) is RowFormat else 4
-            budget = c * k * (len(words) - 1) // 2
-            walk = k <= budget.bit_length() and (q**k - 1) // (q - 1) <= budget
+            walk = _BlockLayout.fits(self.field.q, k, c * k * (len(words) - 1) // 2)
             layout = self.block_layout() if walk else None
             if layout is not None:
                 self._pairwise = _shared_pivot_table(layout)
@@ -447,11 +462,12 @@ class GrassmannianCode:
     def rules(self) -> tuple[Polynomial | None, ...]:
         """The rule whose kernel at n = 2k each codeword is, or None where
         there is none, in codeword order: one ``ca.kernel_rules`` pass over
-        the code.  Computed on first use and kept: the codewords never change."""
+        the code, which reads its ``block_layout``.  Computed on first use and
+        kept: the codewords never change."""
         if self._rules is None:
             from .ca import kernel_rules  # ca builds on this module
 
-            self._rules = tuple(kernel_rules(self.codewords))
+            self._rules = tuple(kernel_rules(self))
         return self._rules
 
     def params(self) -> CodeParams:
@@ -485,12 +501,9 @@ class GrassmannianCode:
         The codewords load in one pass: the checks of ``Subspace.from_json``
         run once over the rows of all of them and one ``RowFormat.pack_rows``
         call packs every row.  When every codeword has as many rows as the
-        first, the lowest nonzero lanes of the first one's rows ascend, and
-        each row j is 1 on the j-th of those lanes, 0 below it and 0 on the
-        others, every codeword is an RREF of those pivots: one C-level
-        ``map`` over all rows checks it, and each codeword's rows go to
-        ``Echelon.from_rref``.
-        Any other code gives each codeword's share of the packed rows to
+        first, ``Echelon.from_rrefs`` checks in one pass that all are RREFs
+        on the first one's pivots and holds them as they are.  Any other
+        code gives each codeword's share of the packed rows to
         ``Echelon.from_rows``.  A code that fails a check is loaded again one
         codeword at a time by ``Subspace.from_json``, so the first malformed
         codeword is named and its error reads as it always has.
@@ -514,28 +527,10 @@ class GrassmannianCode:
             return cls(field, n, [Subspace.from_json(field, n, word) for word in words])
         packed = field.format.pack_rows(digits, len(rows)) if digits else []
         sizes = set(map(len, words))
-        echelons = _one_pivot_set(field, n, packed, sizes.pop()) if len(sizes) == 1 else None
+        echelons = Echelon.from_rrefs(field, n, packed, sizes.pop()) if len(sizes) == 1 else None
         if echelons is None:
             ends = itertools.accumulate(map(len, words))
             echelons = [Echelon.from_rows(field, n, packed[end - len(word) : end])
                         for word, end in zip(words, ends)]
         return cls(field, n, [Subspace.from_echelon(ech, reduced=True) for ech in echelons])
 
-
-def _one_pivot_set(field: GF, n: int, packed: list[int], size: int) -> list[Echelon] | None:
-    """The echelons of codewords stored as ``packed`` rows, ``size`` rows
-    each, when all are RREFs on the lowest lanes of the first one's rows,
-    else None; nothing is eliminated."""
-    head, w = packed[:size], field.width
-    if not size or len(head) < size or not all(head):  # n = 0 packs no row
-        return None
-    offsets = [((row & -row).bit_length() - 1) // w * w for row in head]
-    lanes = sum([field.mask << offset for offset in offsets])
-    masks = itertools.cycle([lanes | (1 << o) - 1 for o in offsets])  # pivots and below
-    units = itertools.cycle([1 << o for o in offsets])
-    if offsets != sorted(set(offsets)) or not all(
-        map(operator.eq, map(operator.and_, packed, masks), units)
-    ):
-        return None
-    return [Echelon.from_rref(field, n, packed[i : i + size], offsets)
-            for i in range(0, len(packed), size)]

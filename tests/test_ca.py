@@ -16,7 +16,9 @@ from cacodes.errors import (
     NotBipermutive,
     SeedLengthMismatch,
 )
-from cacodes.subspaces import MAX_AMBIENT_N, Subspace
+from cacodes import subspaces
+from cacodes.families import CAFamily, code_from_family, uniform_gcd_family
+from cacodes.subspaces import MAX_AMBIENT_N, GrassmannianCode, Subspace
 
 import oracles
 
@@ -490,6 +492,68 @@ def test_kernel_rules_match_the_per_codeword_reference(field, size):
         assert kernel_rules(subs) == [None] * len(subs)
     assert kernel_rules([Subspace(field, 0)] * 3) == [None] * 3
     assert kernel_rules([]) == []
+
+
+# every row format, and k = 1..4: each entry of M, column 0 and k - 1 and
+# row 0 (where M[-1] = 0) and k - 1 included, changed by every nonzero value
+PLANT_FIELDS = (F2, F3, GF(5), GF(2, 2), GF(17), GF(3, 2))
+
+
+def planted_faults(field, k, rng):
+    """Kernels at n = 2k, each also with one entry of its M changed, and
+    RREFs [L | I_k] whose pivots are not 0..k-1 (L of rank r < k on rows
+    0..r-1) but whose column k reads v = e_0, the valid v of X^k - 1."""
+    n, out = 2 * k, []
+    deltas = range(1, field.q) if field.q < 10 else rng.sample(range(1, field.q), 4)
+    for f in some_rules(field, k, rng, limit=2):
+        m = [list(r[k:]) for r in LinearCA(f, n).kernel().basis.rows]
+        out.append(lift(field, m))
+        for j, c, delta in itertools.product(range(k), range(k), deltas):
+            changed = [list(r) for r in m]
+            changed[j][c] = field.add(changed[j][c], delta)
+            out.append(lift(field, changed))
+    for r in range(k):
+        pivots = sorted(rng.sample(range(k), r))
+        left = [[int(c == p) if c <= p or c in pivots else rng.randrange(field.q)
+                 for c in range(k)] for p in pivots]
+        left += [[0] * k] * (k - r)
+        rows = [row + [int(c == j) for c in range(k)] for j, row in enumerate(left)]
+        sub = Subspace(field, n, rows)
+        assert sub._echelon.pivots != list(range(k)) and sub.basis.rows[0][k] == 1
+        out.append(sub)
+    return out
+
+
+@pytest.mark.parametrize("field", PLANT_FIELDS, ids=str)
+def test_kernel_rules_catch_every_single_entry_fault(field):
+    # side by side (a list, a code of one pivot set, a code of mixed pivot
+    # sets) and alone, each subspace gets the rule that the CA route gives it
+    rng = random.Random(f"planted faults over GF({field.spec})")
+    for k in (1, 2, 3, 4):
+        subs = planted_faults(field, k, rng)
+        want = [annihilation_rule(s) for s in subs]
+        assert kernel_rules(subs) == want
+        assert [kernel_rules([s])[0] for s in subs] == want
+        assert any(want) and None in want
+        lifts = [s for s in subs if s._echelon.pivots == list(range(k))]
+        for code in (GrassmannianCode(field, 2 * k, subs), GrassmannianCode(field, 2 * k, lifts)):
+            assert code.rules == tuple(map(annihilation_rule, code))
+
+
+@pytest.mark.parametrize("field", [F2, F3, GF(2, 2), GF(5)], ids=str)
+def test_a_codes_rules_read_the_layout_of_its_table(field, monkeypatch):
+    # on the packed formats the table builds the code's one side-by-side
+    # layout, and the rules read it: no second ``_BlockLayout`` is built
+    calls, init = [], subspaces._BlockLayout.__init__
+    monkeypatch.setattr(subspaces._BlockLayout, "__init__",
+                        lambda self, words: calls.append(len(words)) or init(self, words))
+    for k in (2, 3, 4):
+        members = uniform_gcd_family(k, Polynomial.from_codes(field, (1,)))[0]
+        code = code_from_family(CAFamily(members))
+        code.pairwise_intersection_dims()
+        assert calls == [len(code)]
+        assert set(code.rules) == set(members) and calls == [len(code)]
+        calls.clear()
 
 
 def test_kernel_rules_take_one_ambient_space():

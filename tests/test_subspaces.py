@@ -596,6 +596,18 @@ def test_lifts_over_a_per_entry_field_take_the_stacked_route(field, k, size, mon
     check_table(code, monkeypatch)
 
 
+def test_a_walk_fits_its_budget_to_the_step():
+    # (q^d - 1)/(q - 1) steps fit a budget of exactly that many, and not one fewer
+    fits = subspaces._BlockLayout.fits
+    for q in (2, 3, 4, 5, 9, 17, 2**31 - 1):
+        assert fits(q, 0, 0)
+        for d in range(1, 12):
+            steps = (q**d - 1) // (q - 1)
+            assert fits(q, d, steps) and fits(q, d, steps + 1)
+            assert not fits(q, d, steps - 1)
+    assert not fits(2, 1000, 2**999)
+
+
 def test_a_long_lift_over_a_large_prime_takes_the_stacked_route(monkeypatch):
     # (q^k - 1)/(q - 1) has 31,000 bits here: the rule compares bit lengths
     # first.  The rows go in packed, already an RREF: [I | 0] and one lane of
@@ -603,8 +615,9 @@ def test_a_long_lift_over_a_large_prime_takes_the_stacked_route(monkeypatch):
     field, k = GF(2**31 - 1), 1000
     rows = [1 << i * field.width for i in range(k)]
     other = [rows[0] | 5 << k * field.width, *rows[1:]]
+    pivots = range(0, k * field.width, field.width)
     code = GrassmannianCode(field, k + 1, [
-        Subspace.from_echelon(Echelon.from_rref(field, k + 1, r), reduced=True)
+        Subspace.from_echelon(Echelon.from_rref(field, k + 1, r, pivots), reduced=True)
         for r in (rows, other)
     ])
     walked = count_calls(monkeypatch, "_shared_pivot_table")
