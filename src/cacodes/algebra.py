@@ -425,9 +425,11 @@ class RowFormat:
     side by side in one C-level call and split them, the per-entry format
     packs row by row, as its packing is quadratic in a row's length.
     Packing trusts its codes to lie in [0, q) and its digits in [0, p).
+    ``wide`` marks the packed formats, on which rows side by side pay.
     """
 
     __slots__ = ("field", "width", "mask")
+    wide = False
 
     def __init__(self, field: GF):
         self.field, self.width, self.mask = field, field.width, field.mask
@@ -487,6 +489,7 @@ class _XorFormat(RowFormat):
     # c * x for a lane x = sum_i x_i 2^i is XOR_i x_i * (c * 2^i): the bits x_i
     # of every lane at once, times the code c * 2^i, which fits in the lane
     __slots__ = ("times",)
+    wide = True
 
     def __init__(self, field: GF):
         super().__init__(field)
@@ -533,6 +536,7 @@ _MOD_LANE_MAX_P = 13  # largest p with p * (p - 1) < 256: u + (p - c)*v fits a b
 
 class _ModFormat(RowFormat):
     __slots__ = ("p", "reduce")
+    wide = True
 
     def __init__(self, field: GF):
         super().__init__(field)
@@ -1083,7 +1087,7 @@ class FactorTable:
             low, high = n * w, (n + 1) * w  # the bit lengths of degree n
             found = [f for f in self.irreducibles if low < f.row.bit_length() <= high and f.row & gf.mask]
             return found[:count], [self._factors_of(f.row, []) for f in watch]
-        if type(fmt) is RowFormat:  # its row operation steps through every lane
+        if not fmt.wide:  # its row operation steps through every lane
             return FactorTable(gf, n).scan(n, count, watch)
         size = q ** (n - 1)  # the candidates with one constant term
 

@@ -19,23 +19,21 @@ linear recurring sequences with feedback polynomial equal to the rule.
 The remainders X^i mod f, f the rule polynomial, obey the same recurrence,
 so cell i of the j-th unit-seed preimage is the coefficient of X^j in
 X^i mod f.  ``kernels`` computes one sequence per rule, the impulse
-response (the coefficients of X^(k-1)), for many rules at once in one wide
-row, and derives every preimage from it by one shift and one row operation
-on packed rows; the preimages start with the k unit vectors, so they
-already are the kernel's RREF.  ``LinearCA.kernel`` is its one-rule case.
-At n = 2k that basis is the lift [I_k | M], column c of M holding
-X^(k+c) mod f, and ``kernel_rules``, the kernel's inverse, reads each rule
-off column k and checks the other columns by the recurrence of X times
-one, on the code's side-by-side layout (``subspaces._BlockLayout``).
+response (the coefficients of X^(k-1)), and derives every preimage from it
+by one shift and one row operation on packed rows; the preimages start with
+the k unit vectors, so they already are the kernel's RREF.
+``LinearCA.kernel`` is its one-rule case.  At n = 2k that basis is the lift
+[I_k | M], column c of M holding X^(k+c) mod f, and ``kernel_rules``, the
+kernel's inverse, reads each rule off column k and checks the other columns
+by the recurrence of X times one.  Over a ``RowFormat.wide`` format both
+take all rules or codewords at once, a block each (``subspaces._Blocks``).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Sequence
 
-from .algebra import GF, GFElement, Polynomial, RowFormat, _chunks
+from .algebra import GF, GFElement, Polynomial
 from .errors import (
     AmbientMismatch,
     DegreeZero,
@@ -44,7 +42,7 @@ from .errors import (
     SeedLengthMismatch,
 )
 from .linalg import Echelon, MatrixGF
-from .subspaces import MAX_AMBIENT_N, GrassmannianCode, Subspace, _BlockLayout, _chosen_blocks
+from .subspaces import MAX_AMBIENT_N, GrassmannianCode, Subspace, _BlockLayout, _Blocks
 
 
 class LinearRule:
@@ -193,18 +191,17 @@ def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
     cut to n lanes.  The first k remainders are the unit vectors, so the
     rows already are the reduced basis and go into the subspace as they are.
 
-    Every rule's recurrence runs at once, in one wide row of blocks of whole
-    lanes and whole bytes, one per rule, each holding the rule's remainder
-    X^i mod f in its low k lanes.  A step takes u_i, lane k-1 of every
-    block, shifts the row one lane up and subtracts u_i f from every block:
-    u_i spread over the k lanes by one product, then for each value v a
-    lane of the rules takes, v times it, masked to the lanes where the rules
-    hold v.  The rows come out of the collected u as wide rows too, one row
-    operation per value of a_(j+1), masked to the blocks of the rules that
-    hold it, and split into blocks at byte bounds in one C-level pass, so
-    the work stays linear in the number of rules.  Over the per-entry
-    format, whose row operation unpacks every lane, each rule runs alone,
-    and its u_i is one code: one row operation with the whole rule.
+    Every rule's recurrence runs at once, in one wide row of blocks, one per
+    rule (``subspaces._Blocks``), each holding the rule's remainder X^i mod f
+    in its low k lanes.  A step takes u_i, lane k-1 of every block, shifts
+    the row one lane up and subtracts u_i f from every block: u_i spread
+    over the k lanes by one product, then for each value v a lane of the
+    rules takes, v times it, masked to the lanes where the rules hold v.
+    The rows come out of the collected u as wide rows too, one row operation
+    per value of a_(j+1), masked to the blocks of the rules that hold it
+    (``_Blocks.masks``), and split at the blocks' byte bounds, so the work
+    stays linear in the number of rules.  Over the per-entry format each rule
+    runs alone, and its u_i is one code: one row operation with the rule.
     """
     if not rules:
         return []
@@ -215,29 +212,23 @@ def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
     if not k < n <= MAX_AMBIENT_N:
         raise LengthMismatch(f"lattice length {n} is outside {k + 1}..{MAX_AMBIENT_N}")
     fmt, w, mask, sub_scaled = gf.format, gf.width, gf.mask, gf.format.sub_scaled
-    unit = math.lcm(8, w)  # a block of whole lanes and whole bytes splits at byte bounds
-    span = -(-(n + k - 1) * w // unit) * unit // 8
+    blocks = _Blocks(w, n + k - 1, len(rules) if fmt.wide else 1)  # a group's rules side by side
     spread, pivots = ((1 << k * w) - 1) // mask, range(0, k * w, w)
-    size = 1 if type(fmt) is RowFormat else len(rules)  # rules to a group
-    ones = int.from_bytes(b"\x01".ljust(span, b"\0") * size, "little")  # 1 at each block's start
-    lane, low = ones * mask, ones * spread * mask  # lane 0, and lanes 0..k-1, of every block
-    keep = ones * ((1 << n * w) - 1)  # lanes 0..n-1 of every block
+    lane, low = blocks.ones * mask, blocks.ones * spread * mask  # lanes 0, and 0..k-1, of a block
+    keep = blocks.ones * ((1 << n * w) - 1)  # lanes 0..n-1 of every block
     out: list[Subspace] = []
-    for first in range(0, len(rules), size):
-        chosen = rules[first : first + size]
-        lower = int.from_bytes(b"".join([f.row.to_bytes(span, "little") for f in chosen]), "little")
-        lower &= low  # every rule but its X^k
+    for first in range(0, len(rules), blocks.size):
+        chosen = rules[first : first + blocks.size]
+        lower = blocks.join([f.row for f in chosen]) & low  # every rule but its X^k
         codes = [fmt.unpack(f.row, k + 1)[:k] for f in chosen]
-        if size == 1:  # one rule: its a_j holds all of its row (-1), and its u_i is one code
+        if blocks.size == 1:  # one rule: a_j holds all of its row (-1), and u_i is one code
             held, lanes = [{a: -1} if a else {} for a in codes[0]], None
-        else:
-            held, lanes = [], {}  # value v -> the blocks whose a_j = v; the lanes j where v is
-            for j, column in enumerate(zip(*codes)):
-                held.append({})
-                for v in set(column) - {0}:
-                    held[j][v] = blocks = _chosen_blocks(bytes(map(v.__eq__, column)), span)
-                    lanes[v] = lanes.get(v, 0) | blocks & lane << j * w
-        rem, u = ones << (k - 1) * w, 0  # X^(k-1) mod f = X^(k-1)
+        else:  # value v -> the blocks whose a_j = v (``masks``); the lanes j where v is
+            held, lanes = blocks.masks(zip(*codes)), {}
+            for j, values in enumerate(held):
+                for v, where in values.items():
+                    lanes[v] = lanes.get(v, 0) | where & lane << j * w
+        rem, u = blocks.ones << (k - 1) * w, 0  # X^(k-1) mod f = X^(k-1)
         for i in range(k - 1, n + k - 1):
             carry = rem >> (k - 1) * w & lane  # u_i
             u |= carry << i * w
@@ -250,16 +241,12 @@ def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
         row, rows = u, [u & keep]
         for values in reversed(held[1:]):  # a_(k-1), ..., a_1
             row >>= w
-            for v, blocks in values.items():
-                row = sub_scaled(row, gf.neg(v), u & blocks)
+            for v, where in values.items():
+                row = sub_scaled(row, gf.neg(v), u & where)
             rows.append(row & keep)
-        rows.reverse()
-        data = b"".join([r.to_bytes(size * span, "little") for r in rows])
-        cells = list(map(int.from_bytes, _chunks(data, k * size), itertools.repeat("little")))
-        out += [  # row j of rule b is cell j * size + b
-            Subspace.from_echelon(Echelon.from_rref(gf, n, cells[b::size], pivots), reduced=True)
-            for b in range(len(chosen))
-        ]
+        for rule in zip(*[blocks.split(r.to_bytes(blocks.length, "little")) for r in rows[::-1]]):
+            ech = Echelon.from_rref(gf, n, [int.from_bytes(c, "little") for c in rule], pivots)
+            out.append(Subspace.from_echelon(ech, reduced=True))  # block b of each row: rule b
     return out
 
 
@@ -277,10 +264,10 @@ def kernel_rules(subs: Sequence[Subspace]) -> list[Polynomial | None]:
     v_j = M[j][0].  It is the kernel of f = X^k - sum_j v_j X^j exactly
     when column c of M holds X^(k+c) mod f: column 0 does, and times X the
     columns obey M[j][c+1] = M[j-1][c] + v_j M[k-1][c], M[-1] = 0.  Over
-    the packed formats all candidates are checked in one pass over their
-    ``subspaces._BlockLayout``, where block i of W_j holds row j of
-    candidate i's M (``_broken``).  Over the per-entry format, whose row
-    operation unpacks every lane, each is checked alone on its own rows.
+    the packed formats (``RowFormat.wide``) all candidates are checked in one
+    pass over their ``subspaces._BlockLayout``, where block i of W_j holds
+    row j of candidate i's M and ``masks`` picks the blocks of each v_j
+    (``_broken``).  Over the per-entry format each is checked alone.
     """
     out: list[Polynomial | None] = [None] * len(subs)
     if not subs:
@@ -295,17 +282,14 @@ def kernel_rules(subs: Sequence[Subspace]) -> list[Polynomial | None]:
         return out
     values = [[r >> shift & gf.mask for r in subs[i]._echelon.rows] for i in picked]
     low = (1 << (k - 1) * w) - 1  # lanes 0..k-2 of a row of M
-    if type(fmt) is RowFormat:  # each candidate alone, its values masked by -1 to all of a row
+    if not fmt.wide:  # each candidate alone, its values masked by -1 to all of a row
         kept = [not _broken([r >> shift for r in subs[i]._echelon.rows],
                             [{neg(v): -1} if v else {} for v in vs], fmt.sub_scaled, w) & low
                 for i, vs in zip(picked, values)]
     else:
         shared = isinstance(subs, GrassmannianCode) and len(picked) == len(subs)
         layout = subs.block_layout() if shared else _BlockLayout([subs[i] for i in picked])
-        held = [  # -v -> the blocks of the candidates whose v_j is v
-            {neg(v): _chosen_blocks(bytes(map(v.__eq__, c)), layout.block) for v in set(c) - {0}}
-            for c in zip(*values)
-        ]
+        held = [{neg(v): where for v, where in d.items()} for d in layout.masks(zip(*values))]
         broken = _broken(layout.rows, held, fmt.sub_scaled, w) & layout.ones * low
         kept = [not any(b) for b in layout.split(broken.to_bytes(layout.length, "little"))]
     lead = 1 << shift

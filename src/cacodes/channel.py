@@ -21,7 +21,7 @@ distance found so far.  Past the radius, on a code of one pivot set, one
 walk over U's (q^dim U - 1)/(q - 1) projective combinations gives every
 codeword's distance at once, over the block layout that the pairwise table
 walks (``subspaces._BlockLayout``), where that walk measured cheaper: at most
-``_WALK_STEPS_PER_CODEWORD`` steps a codeword, on the packed formats only.
+``_WALK_STEPS_PER_CODEWORD`` steps a codeword, where the format is ``wide``.
 ``simulate`` decodes each received space's packed rows with the decoder's
 core, ``_nearest``, and builds no ``TrialResult``.
 
@@ -38,7 +38,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .algebra import RowFormat
 from .errors import (
     BudgetExceeded,
     EmptyCode,
@@ -178,7 +177,7 @@ def _nearest(
     exact = {first: best}
     if 2 * best < nearest[first]:
         return best, exact  # every other codeword is more than 2 best from it
-    per_word = 0 if type(code.field.format) is RowFormat else _WALK_STEPS_PER_CODEWORD
+    per_word = _WALK_STEPS_PER_CODEWORD if code.field.format.wide else 0
     walk = _BlockLayout.fits(code.field.q, dim_u, per_word * len(words))
     layout = code.block_layout() if walk else None
     if layout is not None:

@@ -26,9 +26,10 @@ do not all share one pivot set (mixed dimensions, arbitrary subspaces), each
 pair's stacked bases are eliminated instead.  The side-by-side layout is
 kept per code (``GrassmannianCode.block_layout``): its walk also gives the
 channel's decoder dim(C_i intersect U) for all N codewords at once, its
-rows let ``ca.kernel_rules`` check every codeword's rule in one pass, and
-it alone sizes a walk (``_BlockLayout.fits``) and reads dimensions off
-step counts.
+rows let ``ca.kernel_rules`` check every codeword's rule in one pass, it
+alone sizes a walk (``_BlockLayout.fits``) and reads dimensions off step
+counts, and its base ``_Blocks`` sizes, joins, masks and splits every wide
+row, ``ca.kernels``' too.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import GF, Polynomial, RowFormat
+from .algebra import GF, Polynomial
 from .errors import AmbientMismatch, EmptyCode, ParseError, TooFewCodewords
 from .linalg import Echelon, MatrixGF
 
@@ -221,43 +222,55 @@ def _joint_rank(a: Subspace, rows: Iterable[int], cap: float = math.inf) -> int:
     return a._echelon.copy().extend(rows, cap)
 
 
-def _chosen_blocks(chosen: bytes, block: int) -> int:
-    """Every bit of the i-th run of ``block`` bytes where ``chosen[i]`` is 1,
-    and none where it is 0: the mask of chosen blocks of a wide row."""
-    starts = bytearray(len(chosen) * block)
-    starts[::block] = chosen  # 1 at the start of each chosen block
-    ones = int.from_bytes(starts, "little")
-    return (ones << 8 * block) - ones
+class _Blocks:
+    """``size`` blocks of ``lanes`` lanes of ``width`` bits side by side in one
+    wide int, each rounded up to whole lanes and whole bytes: no row operation
+    crosses a block, and the bytes of a wide row split at its bounds."""
+
+    __slots__ = ("size", "block", "length", "ones", "split")
+
+    def __init__(self, width: int, lanes: int, size: int):
+        unit = math.lcm(8, width)
+        block = self.block = -(-lanes * width // unit) * unit // 8  # bytes
+        self.size, self.length = size, block * size
+        self.ones = int.from_bytes(b"\x01".ljust(block, b"\0") * size, "little")  # 1 at each start
+        self.split = struct.Struct(f"{block}s" * size).unpack
+
+    def join(self, rows: Iterable[int]) -> int:
+        """The wide row that holds row i in block i."""
+        return int.from_bytes(b"".join([r.to_bytes(self.block, "little") for r in rows]), "little")
+
+    def masks(self, columns: Iterable[Sequence[int]]) -> list[dict[int, int]]:
+        """Per column, one value a block: nonzero v -> every bit of the blocks that hold v."""
+        out, block, starts = [], self.block, bytearray(self.length)
+        for column in columns:
+            out.append({})
+            for v in set(column) - {0}:
+                starts[::block] = bytes(map(v.__eq__, column))  # 1 at each chosen block's start
+                ones = int.from_bytes(starts, "little")
+                out[-1][v] = (ones << 8 * block) - ones
+        return out
 
 
-class _BlockLayout:
+class _BlockLayout(_Blocks):
     """Codewords of one pivot set side by side, each in a block of wide ints.
 
     Row j of every codeword, shifted past the leading columns where all are
     pivots, sits in block i of one wide row W_j, so X = sum x_j W_j holds
-    x R_i in block i, R_i the RREF rows of codeword i.  A block is whole
-    lanes and whole bytes: no row operation crosses it, and the bytes of X
-    split at its bounds.
+    x R_i in block i, R_i the RREF rows of codeword i.
     """
 
-    __slots__ = (
-        "field", "size", "offsets", "shift", "block", "length", "rows", "ones", "split", "level",
-    )
+    __slots__ = ("field", "offsets", "shift", "rows", "level")
 
     def __init__(self, words: Sequence[Subspace]):
         first = words[0]._echelon
         gf = self.field = first.field
-        self.size, pivots = len(words), set(first.pivots)
-        self.offsets = [c * gf.width for c in first.pivots]
+        self.offsets, pivots = [c * gf.width for c in first.pivots], set(first.pivots)
         skip = next(c for c in itertools.count() if c not in pivots)
-        unit = math.lcm(8, gf.width)
-        block = self.block = -(-(first.ncols - skip) * gf.width // unit) * unit // 8  # bytes
+        super().__init__(gf.width, first.ncols - skip, len(words))
         shift = self.shift = skip * gf.width
-        self.length = block * self.size
-        packed = [[(r >> shift).to_bytes(block, "little") for r in s._echelon.rows] for s in words]
-        self.rows = [int.from_bytes(b"".join(column), "little") for column in zip(*packed)]
-        self.ones = int.from_bytes(b"\x01".ljust(block, b"\0") * self.size, "little")
-        self.split = struct.Struct(f"{block}s" * self.size).unpack
+        columns = zip(*[s._echelon.rows for s in words])  # row j of every codeword
+        self.rows = [self.join([r >> shift for r in column]) for column in columns]
         q = gf.q  # a walk of dimension d takes (q^d - 1)/(q - 1) steps, and level reads d off them
         self.level = {(q**d - 1) // (q - 1): d for d in range(len(self.rows) + 1)}
 
@@ -331,8 +344,9 @@ def _shared_pivot_table(layout: _BlockLayout) -> tuple[tuple[int, ...], ...]:
             for b, group in groups.items():
                 for i, j in itertools.combinations((*group, last[b]), 2):
                     table[j][i] += 1
-    # (q^d - 1)/(q - 1) projective x coincide on a pair that meets in dimension d
-    return tuple([tuple(map(layout.level.__getitem__, row)) for row in table])
+    for i, row in enumerate(table):  # in place: the two tables are never held at once
+        table[i] = tuple(map(layout.level.__getitem__, row))  # d off (q^d - 1)/(q - 1) steps
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -438,7 +452,7 @@ class GrassmannianCode:
         """
         if self._pairwise is None:
             words, k = self.codewords, self.constant_dim or 0
-            c = 1 if type(self.field.format) is RowFormat else 4
+            c = 4 if self.field.format.wide else 1
             walk = _BlockLayout.fits(self.field.q, k, c * k * (len(words) - 1) // 2)
             layout = self.block_layout() if walk else None
             if layout is not None:

@@ -516,7 +516,7 @@ def test_scan_finds_the_sieves_and_the_oracles_irreducibles(field, d):
     # own degrees: all of them, then a prefix, in lexicographic order.  The
     # per-entry format scans past d by sieving, so there the sieve is no
     # second route, and each prefix would sieve again
-    table, packed = FactorTable(field, d), type(field.format) is not RowFormat
+    table, packed = FactorTable(field, d), field.format.wide
     sieve = FactorTable(field, 2 * d + 1 if packed else d)
     for n in range(1, 2 * d + 2):
         found, _ = table.scan(n)
@@ -620,6 +620,18 @@ def test_xor_format_low_has_bit_zero_of_every_lane():
             ones = sum(1 << j * m for j in range(n))
             for c, x in itertools.product(range(field.q), repeat=2):
                 assert field.format.sub_scaled(0, c, ones * x) == ones * field.mul(c, x)
+
+
+@pytest.mark.parametrize(
+    "field", [F2, F4, GF(2, 3), GF(2, 4), F3, F5, GF(13), GF(17), GF(3, 2), GF(5, 2), GF(2**31 - 1)],
+    ids=str,
+)
+def test_wide_holds_exactly_for_the_packed_formats(field):
+    # GF(2^m) (XOR lanes) and GF(p), p <= 13 (byte lanes) take rows side by
+    # side; every other field's row operation works entry by entry
+    packed = field.p == 2 or field.m == 1 and field.p <= 13
+    assert field.format.wide is packed
+    assert (type(field.format) is RowFormat) is not packed
 
 
 def test_units_and_zero_not_irreducible():

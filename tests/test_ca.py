@@ -344,6 +344,25 @@ def test_kernels_take_one_field_one_degree_and_a_length_past_it():
             kernels([f], n)
 
 
+@pytest.mark.parametrize("field", CA_FIELDS, ids=str)
+def test_kernels_join_every_rule_exactly_on_a_wide_format(field, monkeypatch):
+    # a packed format runs every rule in one group of blocks, joined once;
+    # the per-entry one runs each rule alone, in a group of one
+    sizes, joins = [], []
+    init, join = subspaces._Blocks.__init__, subspaces._Blocks.join
+    monkeypatch.setattr(subspaces._Blocks, "__init__", lambda self, w, lanes, size:
+                        sizes.append(size) or init(self, w, lanes, size))
+    monkeypatch.setattr(subspaces._Blocks, "join", lambda self, rows:
+                        joins.append(len(rows)) or join(self, rows))
+    rules = some_rules(field, 3, random.Random(f"groups over GF({field.spec})"), limit=12)
+    found = kernels(rules, 6)
+    packed = field.p == 2 or field.m == 1 and field.p <= 13
+    assert sizes == [len(rules) if packed else 1]
+    assert joins == ([len(rules)] if packed else [1] * len(rules))
+    monkeypatch.undo()
+    assert found == [LinearCA(f, 6).kernel() for f in rules]  # each rule alone
+
+
 def test_annihilates_exactly_the_subspaces_of_the_kernel():
     # the whole basis goes through the CA in one packed row, configurations
     # side by side; each must come out as the CA of that configuration alone

@@ -10,7 +10,7 @@ import pytest
 
 import cacodes.channel as channel_module
 from cacodes import subspaces
-from cacodes.algebra import GF, Polynomial, RowFormat
+from cacodes.algebra import GF, Polynomial
 from cacodes.channel import ChannelConfig, decode_min_distance, simulate, transmit
 from cacodes.errors import AmbientMismatch, EmptyCode, TooManyErasures
 from cacodes.families import CAFamily, code_from_family, uniform_gcd_family
@@ -441,7 +441,7 @@ def takes_route(code, dim_u):
     step a codeword, (q^dim U - 1)/(q - 1) <= N, over the packed formats;
     none over the per-entry one, so there only the zero space takes it."""
     q, shared = code.field.q, len({tuple(c._echelon.pivots) for c in code}) == 1
-    c = 0 if type(code.field.format) is RowFormat else 1
+    c = 1 if code.field.format.wide else 0
     return shared and (q**dim_u - 1) // (q - 1) <= c * len(code)
 
 
@@ -457,7 +457,7 @@ def route_codes(field, rng):
     """Codes of one pivot set: CA codes (on the packed formats, whose
     decoders take the route), random lifts, lifts whose pivots start past
     column 0, and over GF(2) all 16 lifts of GF(2)^2 into GF(2)^4."""
-    if type(field.format) is not RowFormat:
+    if field.format.wide:
         k = 4 if field.q == 2 else 3
         for g in ((1,), (1, 1)):
             yield code_from_family(CAFamily(uniform_gcd_family(k, Polynomial(field, g))[0]))
@@ -527,7 +527,7 @@ def test_side_by_side_decoder_matches_brute_force(field, monkeypatch):
                     routed.add(U.dim)
                 eliminated += past and not walks
     assert ties >= 5 and eliminated > 0 and 0 in routed
-    if type(field.format) is RowFormat:
+    if not field.format.wide:
         assert routed == {0}
     else:
         assert len(routed) >= 3

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cacodes.algebra import GF, Polynomial, RowFormat
+from cacodes.algebra import GF, Polynomial
 from cacodes.ca import LinearCA
 from cacodes.errors import AmbientMismatch, EmptyCode, TooFewCodewords
 from cacodes.linalg import Echelon, sylvester
@@ -413,7 +413,7 @@ def walks(code):
     c k (N - 1)/2 projective coefficient vectors, (q^k - 1)/(q - 1), where c
     is 1 on the per-entry row format and 4 on the packed ones."""
     q, k, size = code.field.q, code[0].dim, len(code)
-    c = 1 if type(code.field.format) is RowFormat else 4
+    c = 4 if code.field.format.wide else 1
     return len(pivot_sets(code)) == 1 and (q**k - 1) // (q - 1) <= c * k * (size - 1) / 2
 
 
@@ -592,8 +592,51 @@ def test_lifts_over_a_per_entry_field_take_the_stacked_route(field, k, size, mon
         Subspace(field, n, rref_rows(field, n, range(k), rng)) for _ in range(size)
     ])
     assert len(code) == size and k * (size - 1) / 2 < vectors <= 2 * k * (size - 1)
-    assert type(field.format) is RowFormat and not walks(code)
+    assert not field.format.wide and not walks(code)
     check_table(code, monkeypatch)
+
+
+# one field per lane width: 1, 2, 3, 5 and 8 bits
+BLOCK_FIELDS = [F2, GF(2, 2), GF(2, 3), GF(17), GF(5)]
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS, ids=str)
+def test_blocks_are_the_least_whole_lanes_and_bytes_and_round_trip(field):
+    # a block is the fewest bytes that are also whole lanes and hold them
+    # all; row i goes into block i and comes back out of it alone
+    rng, w = random.Random(f"blocks over GF({field.spec})"), field.width
+    for lanes in (1, 2, 5, 9):
+        for size in (1, 2, 7):
+            blocks = subspaces._Blocks(w, lanes, size)
+            assert blocks.block * 8 % w == 0 and blocks.block * 8 >= lanes * w
+            assert all(b * 8 % w or b * 8 < lanes * w for b in range(blocks.block))
+            assert blocks.size == size and blocks.length == size * blocks.block
+            assert blocks.ones == sum(1 << 8 * blocks.block * i for i in range(size))
+            for rows in ([0] * size, [(1 << lanes * w) - 1] * size,
+                         [rng.getrandbits(lanes * w) for _ in range(size)]):
+                wide = blocks.join(rows)
+                assert wide < 1 << 8 * blocks.length
+                parts = blocks.split(wide.to_bytes(blocks.length, "little"))
+                assert [int.from_bytes(b, "little") for b in parts] == rows
+
+
+@pytest.mark.parametrize("field", BLOCK_FIELDS, ids=str)
+def test_blocks_masks_hold_every_block_of_each_value(field):
+    # against a block-by-block reference: value v maps to all the bits of
+    # each block whose entry is v, and to none of any other block
+    rng = random.Random(f"block masks over GF({field.spec})")
+    for lanes, size in ((1, 1), (3, 2), (4, 7), (2, 40)):
+        blocks = subspaces._Blocks(field.width, lanes, size)
+        full = (1 << 8 * blocks.block) - 1
+        columns = [[rng.randrange(field.q) for _ in range(size)] for _ in range(4)]
+        columns += [[0] * size, [1] * size, [0] * (size - 1) + [field.q - 1]]
+        got = blocks.masks(columns)
+        assert len(got) == len(columns)
+        for column, held in zip(columns, got):
+            assert set(held) == set(column) - {0}
+            for v, where in held.items():
+                want = [full << 8 * blocks.block * i for i, x in enumerate(column) if x == v]
+                assert where == sum(want)
 
 
 def test_a_walk_fits_its_budget_to_the_step():
