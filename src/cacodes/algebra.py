@@ -426,6 +426,9 @@ class RowFormat:
     packs row by row, as its packing is quadratic in a row's length.
     Packing trusts its codes to lie in [0, q) and its digits in [0, p).
     ``wide`` marks the packed formats, on which rows side by side pay.
+    ``add`` is u + v, ``sub_scaled`` by -1: over GF(2^m) it is
+    ``operator.xor`` itself, so a loop that only adds rows (a walk's steps)
+    runs with no Python frame.
     """
 
     __slots__ = ("field", "width", "mask")
@@ -475,6 +478,10 @@ class RowFormat:
             return self.pack([(x - c * y) % p for x, y in pairs])
         return self.pack([gf.sub(x, gf.mul(c, y)) for x, y in pairs])
 
+    def add(self, u: int, v: int) -> int:
+        """The row u + v, ``sub_scaled`` by -1: a walk's step (XOR over GF(2^m))."""
+        return self.sub_scaled(u, self.field.neg(1), v)
+
 
 _BINARY = bytes.maketrans(b"\x00\x01", b"01")  # digit bytes to the text int() reads
 
@@ -490,6 +497,7 @@ class _XorFormat(RowFormat):
     # of every lane at once, times the code c * 2^i, which fits in the lane
     __slots__ = ("times",)
     wide = True
+    add = staticmethod(operator.xor)  # no Python frame: ``itertools.accumulate`` runs in C
 
     def __init__(self, field: GF):
         super().__init__(field)
@@ -559,6 +567,12 @@ class _ModFormat(RowFormat):
 
     def sub_scaled(self, u: int, c: int, v: int) -> int:
         x = u + (self.p - c) * v  # no lane carries, so x has the longer row's lanes
+        return int.from_bytes(
+            x.to_bytes(x.bit_length() + 7 >> 3, "little").translate(self.reduce), "little"
+        )
+
+    def add(self, u: int, v: int) -> int:
+        x = u + v  # ``sub_scaled`` by p - 1, in one frame
         return int.from_bytes(
             x.to_bytes(x.bit_length() + 7 >> 3, "little").translate(self.reduce), "little"
         )
@@ -1020,9 +1034,10 @@ class FactorTable:
         degree D at most, are tested side by side: lane b of the i-th column
         row holds the coefficient of X^i in the b-th, and for each
         irreducible p with 2 deg p <= D one Horner pass over the columns
-        (``_horner``) gives every f mod p at once.  Only an f whose lane
-        comes out zero is divided by p, as often as p divides it, until its
-        cofactor is in the table.  A cofactor left outside has no factor of
+        (``_horner``) gives every f mod p at once; X needs none, as it
+        divides exactly the f whose constant lane is zero.  Only an f whose
+        lane comes out zero is divided by p, as often as p divides it, until
+        its cofactor is in the table.  A cofactor left outside has no factor of
         degree <= D / 2, so it is irreducible.
         """
         monic = [f.monic() for f in polys]
@@ -1038,13 +1053,17 @@ class FactorTable:
             top, size = max([degrees[b] for b in pending]), len(pending)
             flat = [c for b in pending for c in fmt.unpack(rows[b], top + 1)]
             steps = [(1, fmt.pack(flat[i :: top + 1])) for i in reversed(range(top + 1))]
-            zero = fmt.entries(0, 1)[0]
+            zero, x = fmt.entries(0, 1)[0], 1 << fmt.width
             for p in self.irreducibles:
                 e = p.degree
                 if 2 * e > top:
                     break  # irr is sorted by degree
-                rest = functools.reduce(operator.or_, _horner(fmt, p.row, [0] * e, steps))
-                for b in itertools.compress(pending, map(zero.__eq__, fmt.entries(rest, size))):
+                if p.row == x:  # X divides exactly the rows whose constant lane is zero
+                    hits = [not rows[b] & fmt.mask for b in pending]
+                else:
+                    rest = functools.reduce(operator.or_, _horner(fmt, p.row, [0] * e, steps))
+                    hits = map(zero.__eq__, fmt.entries(rest, size))
+                for b in itertools.compress(pending, hits):
                     divisors[b].append(p)
         return list(map(self._factors_of, rows, divisors))
 
@@ -1171,8 +1190,9 @@ def _horner(
     lower = [(i, c) for i, c in enumerate(fmt.unpack(p, e + 1)[:e]) if c]
     r = list(r)
     for copies, column in steps:
-        if copies > 1:
-            r = [x and sum([x << i * bits for i in range(copies)]) for x in r]
+        if copies > 1:  # every row is below 1 << bits: times the repunit, no copy overlaps
+            repunit = ((1 << copies * bits) - 1) // ((1 << bits) - 1)
+            r = [x * repunit for x in r]
             bits *= copies
         carry = r.pop()
         r.insert(0, column)

@@ -213,7 +213,7 @@ def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
         raise LengthMismatch(f"lattice length {n} is outside {k + 1}..{MAX_AMBIENT_N}")
     fmt, w, mask, sub_scaled = gf.format, gf.width, gf.mask, gf.format.sub_scaled
     blocks = _Blocks(w, n + k - 1, len(rules) if fmt.wide else 1)  # a group's rules side by side
-    spread, pivots = ((1 << k * w) - 1) // mask, range(0, k * w, w)
+    spread, offsets, pivots = ((1 << k * w) - 1) // mask, range(0, k * w, w), list(range(k))
     lane, low = blocks.ones * mask, blocks.ones * spread * mask  # lanes 0, and 0..k-1, of a block
     keep = blocks.ones * ((1 << n * w) - 1)  # lanes 0..n-1 of every block
     out: list[Subspace] = []
@@ -245,7 +245,8 @@ def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
                 row = sub_scaled(row, gf.neg(v), u & where)
             rows.append(row & keep)
         for rule in zip(*[blocks.split(r.to_bytes(blocks.length, "little")) for r in rows[::-1]]):
-            ech = Echelon.from_rref(gf, n, [int.from_bytes(c, "little") for c in rule], pivots)
+            basis = [int.from_bytes(c, "little") for c in rule]
+            ech = Echelon.from_rref(gf, n, basis, offsets, pivots)  # one pivot list for all
             out.append(Subspace.from_echelon(ech, reduced=True))  # block b of each row: rule b
     return out
 
@@ -273,7 +274,8 @@ def kernel_rules(subs: Sequence[Subspace]) -> list[Polynomial | None]:
     if not subs:
         return out
     gf, n = subs[0].field, subs[0].ambient_n
-    if any(s.field != gf or s.ambient_n != n for s in subs):
+    code = isinstance(subs, GrassmannianCode)  # its constructor checked every codeword
+    if not code and any(s.field != gf or s.ambient_n != n for s in subs):
         raise AmbientMismatch("subspaces of different ambient spaces")
     k, w, fmt, neg = n // 2, gf.width, gf.format, gf.neg
     shift, pivots = k * w, list(range(k))
@@ -287,7 +289,7 @@ def kernel_rules(subs: Sequence[Subspace]) -> list[Polynomial | None]:
                             [{neg(v): -1} if v else {} for v in vs], fmt.sub_scaled, w) & low
                 for i, vs in zip(picked, values)]
     else:
-        shared = isinstance(subs, GrassmannianCode) and len(picked) == len(subs)
+        shared = code and len(picked) == len(subs)
         layout = subs.block_layout() if shared else _BlockLayout([subs[i] for i in picked])
         held = [{neg(v): where for v, where in d.items()} for d in layout.masks(zip(*values))]
         broken = _broken(layout.rows, held, fmt.sub_scaled, w) & layout.ones * low

@@ -50,11 +50,17 @@ from .linalg import Echelon
 from .subspaces import GrassmannianCode, Subspace, _BlockLayout, _joint_rank
 
 _MAX_REDRAWS = 256  # per needed vector; failure means a broken RNG, not bad luck
-# Against the eliminations it replaces (Python 3.11, 2-core x86-64), the walk
-# won at 0.02 to 1 step a codeword on CA codes of 8 to 175 codewords over
-# GF(2), GF(3), GF(2^2), GF(5), GF(7) and GF(2^3) (up to 7x), broke even at 1.4
-# to 2.9 and lost from 3.3; it lost about 2 us of a 10 us decode on 5-codeword
-# GF(2) codes, and over the per-entry format it lost from 0.04.
+# Against the eliminations it replaces (Python 3.11, 2-core x86-64, 30 trials a
+# setting past the unique-decoding radius), with a walk step one C-level add
+# and key read: on build-code codes of 5 to 175 codewords over GF(2), GF(3),
+# GF(2^2), GF(5), GF(7) and GF(2^3) the walk won 1.03 to 11.6x at 0.006 to 1
+# step a codeword and lost 1.3 to 1.5x on the 3 of GF(2) k = 3; at 1.15 to 1.9
+# it won 1.1 to 2.8x on 8 to 23 codewords and lost up to 1.2x on 5.  On random
+# families of 3 to 12 codewords it lost up to 2.9x below 1 step a codeword
+# where U lies near the sent codeword (the table then prunes most
+# eliminations) and won up to 3.4x where U lies far, so no bound on steps
+# alone does better.  Over the per-entry format, whose steps unpack every
+# lane, it lost from 0.04.
 _WALK_STEPS_PER_CODEWORD = 1
 # 100,000 trials take 5 to 12 s (Python 3.11, 2-core x86-64): 5.2 and 8.5 s
 # inside the unique-decoding radius at one erasure and one error (GF(2^2)
@@ -181,7 +187,8 @@ def _nearest(
     walk = _BlockLayout.fits(code.field.q, dim_u, per_word * len(words))
     layout = code.block_layout() if walk else None
     if layout is not None:
-        distances = [word.dim + dim_u - 2 * meet for meet in layout.meets(rows)]
+        dims = word.dim + dim_u  # one pivot set: every codeword has word's dimension
+        distances = [dims - 2 * meet for meet in layout.meets(rows)]
         best = min(distances)
         return best, {i: d for i, d in enumerate(distances) if d == best or i == first}
     table, anchor = code.pairwise_intersection_dims(), first

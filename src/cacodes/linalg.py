@@ -226,11 +226,14 @@ class Echelon:
             self.extend(map(field.format.pack, rows))
 
     @classmethod
-    def from_rref(cls, field: GF, ncols: int, rows: list[int], offsets: Iterable[int]) -> "Echelon":
+    def from_rref(cls, field: GF, ncols: int, rows: list[int], offsets: Iterable[int],
+                  pivots: list[int] | None = None) -> "Echelon":
         """An echelon that holds packed rows which already are an RREF, in
-        ascending pivot order, pivoting on the lanes at bit ``offsets``."""
+        ascending pivot order, pivoting on the lanes at bit ``offsets``;
+        ``pivots``, their columns, is held as it is (echelons of one pivot
+        set may share one list: no echelon changes it)."""
         ech = cls.__new__(cls)
-        ech.field, ech.ncols, ech._rows, ech._pivots = field, ncols, rows, None
+        ech.field, ech.ncols, ech._rows, ech._pivots = field, ncols, rows, pivots
         ech._held = dict(zip(offsets, rows))
         return ech
 
@@ -251,7 +254,8 @@ class Echelon:
         group is an RREF on the pivots of the first, else None; nothing is
         eliminated.  The pivots are the lowest nonzero lanes of the first
         group's rows and must ascend; one C-level pass over all rows checks
-        that each is 0 below its own pivot, 1 at it and 0 at the others."""
+        that each is 0 below its own pivot, 1 at it and 0 at the others.
+        Every echelon holds the one list of those pivot columns."""
         head, w = rows[:size], field.width
         if not size or len(head) < size or not all(head):  # n = 0 packs no row
             return None
@@ -263,7 +267,8 @@ class Echelon:
             map(operator.eq, map(operator.and_, rows, masks), units)
         ):
             return None
-        return [cls.from_rref(field, ncols, rows[i : i + size], offsets)
+        pivots = [offset // w for offset in offsets]  # one list, every echelon's
+        return [cls.from_rref(field, ncols, rows[i : i + size], offsets, pivots)
                 for i in range(0, len(rows), size)]
 
     @property

@@ -511,6 +511,39 @@ def test_factor_all_matches_trial_division_one_at_a_time(field, d, count):
 
 
 @pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
+def test_factor_all_reads_x_off_the_constant_lane(field, d):
+    # X^e times cofactors whose constant term is nonzero, past the table's
+    # degree so they go side by side: X divides exactly the rows whose
+    # constant lane is zero, and comes first, e times; cofactors whose lane
+    # 1 is zero, and ones whose lane 1 is not, tell the lanes apart
+    rng = random.Random(f"factor_all X {field.spec}")
+    table = FactorTable(field, d)
+    irreducibles = sorted(
+        (c for n in range(1, d + 1) for c in oracles.irreducibles(n, field.p, modulus(field))),
+        key=lambda c: (len(c), c),
+    )
+    atoms = [f for f in table.irreducibles if f.row & field.mask]
+    x, polys = P(field, 0, 1), []
+    for e in range(4):
+        for _ in range(6):
+            f = Polynomial.from_codes(field, (rng.randrange(1, field.q),)) * x**e
+            for a in rng.sample(atoms, len(atoms)):
+                if f.degree + a.degree <= 2 * d + 1 and rng.random() < 0.7:
+                    f = f * a
+            polys.append(f)
+    polys += [x**e * P(field, 1, 0, 1) for e in range(4) if e + 2 <= 2 * d + 1]
+    polys += [x**e * P(field, 1, 1) for e in range(1, 4) if e + 1 <= 2 * d + 1]
+    assert any(f.degree > d and not f.row & field.mask for f in polys)
+    for f, factors in zip(polys, table.factor_all(polys)):
+        monic = oracle_monic(field, f.to_codes())
+        e = next(i for i, c in enumerate(monic) if c)
+        assert [g.to_codes() for g in factors] == oracles.trial_factor(
+            monic, irreducibles, field.p, modulus(field)
+        )
+        assert factors[:e] == [x] * e and x not in factors[e:]
+
+
+@pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
 def test_scan_finds_the_sieves_and_the_oracles_irreducibles(field, d):
     # each degree the table's passes reach, d + 1 .. 2d + 1, and the table's
     # own degrees: all of them, then a prefix, in lexicographic order.  The

@@ -278,6 +278,26 @@ def test_a_build_code_document_takes_the_one_pivot_set_pass(monkeypatch):
         assert [s._echelon.rows for s in code] == [s._echelon.rows for s in want]
 
 
+def test_one_load_builds_its_pivot_list_once(monkeypatch):
+    # the one pass gives every echelon the one pivot list it computed, so the
+    # layout and rule recovery compare that list and sort no codeword's
+    # pivot offsets: ``sorted`` runs once in ``linalg``, for the pass's check
+    for field in (GF(2), GF(3), GF(2, 2), GF(3, 2)):
+        members = uniform_gcd_family(3, Polynomial.from_codes(field, (1,)))[0]
+        document = json.loads(json.dumps(code_from_family(CAFamily(members)).to_json()))
+        sorts = []
+        monkeypatch.setattr(linalg, "sorted", lambda *a: sorts.append(1) or sorted(*a),
+                            raising=False)
+        code = GrassmannianCode.from_json(document)
+        assert code.block_layout() is not None
+        rules = code.rules
+        monkeypatch.undo()
+        assert len(sorts) == 1
+        assert len({id(s._echelon.pivots) for s in code}) == 1
+        assert code[0]._echelon.pivots == [0, 1, 2]
+        assert sorted(map(str, rules)) == sorted(map(str, members))
+
+
 # -- malformed codewords name their fault as the per-entry checker does --------------
 
 

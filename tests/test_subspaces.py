@@ -546,6 +546,80 @@ def test_block_layout_meets_each_codeword_as_the_oracle_does(field):
     assert (0, 0) in seen and any(d > 0 for d, _ in seen)
 
 
+# (field, k, lanes, block bytes): lifts [I_k | M] of GF(q)^(k + lanes), whose
+# blocks hold M's lanes only.  One case per block size the key view reads:
+# 1 byte as the step's bytes, 2, 4 and 8 as machine integers, 3, 5 and 6
+# split; GF(2) at k <= 8 and at k = 9..16 (n = 2k), and over GF(2^2),
+# GF(2^3), GF(3) and GF(5)
+KEY_CASES = [
+    (F2, 5, 5, 1), (F2, 8, 8, 1), (F2, 9, 9, 2), (F2, 13, 13, 2), (F2, 16, 16, 2),
+    (F2, 3, 24, 3), (F2, 4, 32, 4), (F2, 3, 40, 5), (F2, 4, 64, 8),
+    (GF(2, 2), 3, 4, 1), (GF(2, 2), 4, 8, 2), (GF(2, 2), 2, 12, 3), (GF(2, 2), 3, 16, 4),
+    (GF(2, 2), 2, 20, 5), (GF(2, 2), 3, 32, 8),
+    (GF(2, 3), 3, 8, 3), (GF(2, 3), 2, 16, 6),
+    (F3, 4, 1, 1), (F3, 3, 2, 2), (F3, 4, 3, 3), (F3, 3, 4, 4), (F3, 3, 5, 5), (F3, 4, 8, 8),
+    (GF(5), 3, 1, 1), (GF(5), 3, 2, 2), (GF(5), 2, 3, 3), (GF(5), 3, 4, 4), (GF(5), 2, 5, 5),
+    (GF(5), 3, 8, 8),
+]
+
+
+def planted_lifts(field, k, lanes, rng):
+    """Codes of lifts [I_k | M_i] whose blocks coincide by plan, k >= 2:
+    random M_i with two near twins of M_0, one other only in the top lane of
+    one row and one only in lane 0; a sunflower, every M_i sharing its first
+    t rows; interleaved groups, M_i sharing row 0 with i mod 3 and row 1 with
+    i mod 2, so several groups coincide at one step; and pairs sharing row 0,
+    tied groups of two."""
+    q, n = field.q, k + lanes
+
+    def row():
+        return [rng.randrange(q) for _ in range(lanes)]
+
+    def lifts(ms):
+        unit = [[int(i == j) for i in range(k)] for j in range(k)]
+        return GrassmannianCode(field, n, [Subspace(field, n, [e + r for e, r in zip(unit, m)])
+                                           for m in ms])
+
+    random_ms = [[row() for _ in range(k)] for _ in range(6)]
+    for lane in (lanes - 1, 0):
+        twin, r = [list(x) for x in random_ms[0]], rng.randrange(k)
+        twin[r][lane] = rng.choice([v for v in range(q) if v != twin[r][lane]])
+        random_ms.append(twin)
+    core = [row() for _ in range(rng.randint(1, k - 1))]
+    values = [row() for _ in range(9)]
+    return [
+        lifts(random_ms),
+        lifts([core + [row() for _ in range(k - len(core))] for _ in range(6)]),
+        lifts([[values[i % 3], values[3 + i % 2], *[row() for _ in range(k - 2)]]
+               for i in range(9)]),
+        lifts([[values[5 + i // 2], *[row() for _ in range(k - 1)]] for i in range(8)]),
+    ]
+
+
+@pytest.mark.parametrize("field, k, lanes, block", KEY_CASES, ids=str)
+def test_keyed_walks_pair_and_meet_as_the_stacked_route_does(field, k, lanes, block):
+    # the table and dim(C_i intersect U) off the blocks' keys, against each
+    # pair's and each codeword's stacked elimination (``_joint_rank``), where
+    # blocks coincide by plan; U inside one codeword, through the rows a
+    # group shares, across the near twins, and random
+    rng = random.Random(f"keyed walks over GF({field.spec}) {k} {lanes}")
+    for code in planted_lifts(field, k, lanes, rng):
+        words, layout = code.codewords, code.block_layout()
+        assert len(words) > 1 and layout.block == block
+        assert subspaces._shared_pivot_table(layout) == stacked_table(code)
+        n, ones = code.ambient_n, [1] * k
+        cases = [Subspace(field, n, rows) for rows in (
+            words[0].basis.rows[:2],  # inside one codeword
+            [w.basis.rows[0] for w in words[:3]],  # the row 0 a group may share
+            [words[0].combination(ones), words[1].combination(ones)],
+            [rng.choice(words).combination([rng.randrange(field.q) for _ in range(k)])],
+        )]
+        cases += [random_subspace(field, n, rng, max_rows=3) for _ in range(2)]
+        for U in cases:
+            rows = U._echelon.rows
+            assert layout.meets(rows) == [w.dim + U.dim - _joint_rank(w, rows) for w in words]
+
+
 @pytest.mark.parametrize("field", TABLE_FIELDS, ids=lambda f: f.spec)
 def test_mixed_pivot_table_takes_the_stacked_route(field, monkeypatch):
     rng = random.Random(f"mixed pivots over GF({field.spec})")
