@@ -986,11 +986,12 @@ class FactorTable:
     Moebius function: the irreducibles it finds count them independently of
     Gauss's formula.  ``factor_all`` reads each polynomial of a list off the
     table, or finds its small factors for all of them at once by Horner
-    passes over their coefficient columns; ``factor`` is one polynomial's.
-    ``scan`` finds the irreducibles of a degree up to 2d + 1 by the same
-    Horner passes, run over every monic candidate of that degree side by
-    side, so a table of about q^d polynomials reaches degree 2d + 1.  ``irreducibles`` and the factor lists hold
-    ``Polynomial``s; the table's own loops stay on rows.
+    passes over their coefficient columns: the one factoring route.
+    ``scan`` only finds irreducibles: those of a degree up to 2d + 1, by the
+    same Horner passes run over every monic candidate of that degree side by
+    side, so a table of about q^d polynomials reaches degree 2d + 1.
+    ``irreducibles`` and the factor lists hold ``Polynomial``s; the table's
+    own loops stay on rows.
     Nothing is kept beyond the table's own life.  A table of more than
     ``MAX_FACTOR_TABLE`` polynomials is refused (``BudgetExceeded``), and so
     is a scan of more candidates.
@@ -1019,10 +1020,6 @@ class FactorTable:
                     factors[_mul_rows(fmt, p, f)] = (i, *fs)
         self.irreducibles = [Polynomial._from_row(field, p) for p in irr]
         self._factors = factors
-
-    def factor(self, f: Polynomial) -> list[Polynomial]:
-        """The monic irreducible factors of f, with multiplicity: ``factor_all([f])[0]``."""
-        return self.factor_all([f])[0]
 
     def factor_all(self, polys: Sequence[Polynomial]) -> list[list[Polynomial]]:
         """The monic irreducible factors of each polynomial, with multiplicity.
@@ -1067,13 +1064,9 @@ class FactorTable:
                     divisors[b].append(p)
         return list(map(self._factors_of, rows, divisors))
 
-    def scan(
-        self, n: int, count: int | None = None, watch: Sequence[Polynomial] = ()
-    ) -> tuple[list[Polynomial], list[list[Polynomial]]]:
+    def scan(self, n: int, count: int | None = None) -> list[Polynomial]:
         """The first ``count`` (by default all) monic irreducibles of degree n
-        with a nonzero constant term, in lexicographic order, 1 <= n <= 2d + 1;
-        and the factors of each ``watch`` polynomial (monic, of degree n, with
-        a nonzero constant term) as ``factor_all`` gives them.
+        with a nonzero constant term, in lexicographic order, 1 <= n <= 2d + 1.
 
         Degrees up to d are read off the table.  Above it the candidates are
         tested side by side, none built before it is found: lane b of a row
@@ -1085,29 +1078,21 @@ class FactorTable:
         a_0, lays its rows side by side, q copies (q - 1 for a_0 != 0), and
         adds the column that holds one value of the coefficient in each copy:
         no column is built per candidate, and a step costs the lanes it has.
-        A lane no p zeroes is irreducible.  A watched polynomial's small factors
-        are the p that zeroed its lane, each then divided out as often as it
-        divides.  The per-entry format's row operation steps through every
-        lane, so there a pass costs more than a sieve to degree n, which is
-        taken instead.  A scan of more than ``MAX_FACTOR_TABLE`` candidates is
-        refused (``BudgetExceeded``) before any row is built.
+        A lane no p zeroes is irreducible.  The per-entry format's row
+        operation steps through every lane, so there a pass costs more than a
+        sieve to degree n, which is read instead.  A scan of more than
+        ``MAX_FACTOR_TABLE`` candidates is refused (``BudgetExceeded``) before
+        any row is built.
         """
         gf, fmt, w, q = self.field, self.field.format, self.field.width, self.field.q
         if not 1 <= n <= 2 * self.d + 1:
             raise InvalidDegree(f"cannot scan degree {n} from a table to {self.d}")
         check_budget(gf, n, f"a scan of GF({gf.spec}) at degree {n} tests")
-        looks = []  # (lane, position in watch)
-        for i, f in enumerate(watch):
-            codes = f.to_codes()
-            if len(codes) != n + 1 or codes[-1] != 1 or not codes[0]:
-                raise InvalidDegree(f"cannot watch {f.to_string()} in a scan of degree {n}")
-            looks.append((functools.reduce(lambda b, a: b * q + a, codes[1:n], codes[0] - 1), i))
-        if n <= self.d:
+        if n <= self.d or not fmt.wide:  # per entry, a row operation steps through every lane
+            sieve = self if n <= self.d else FactorTable(gf, n)
             low, high = n * w, (n + 1) * w  # the bit lengths of degree n
-            found = [f for f in self.irreducibles if low < f.row.bit_length() <= high and f.row & gf.mask]
-            return found[:count], [self._factors_of(f.row, []) for f in watch]
-        if not fmt.wide:  # its row operation steps through every lane
-            return FactorTable(gf, n).scan(n, count, watch)
+            found = [f for f in sieve.irreducibles if low < f.row.bit_length() <= high and f.row & gf.mask]
+            return found[:count]
         size = q ** (n - 1)  # the candidates with one constant term
 
         def column(lanes: int, values: Iterable[int]) -> int:  # copy i of the lanes holds values[i]
@@ -1119,7 +1104,6 @@ class FactorTable:
         ones = column(size * (q - 1), [1])
         bits = range(1, (q - 1).bit_length())  # a code's bits, above the lowest
         one, hit = fmt.entries(1, 1)[0], 0  # bit 0 of each lane some p zeroes
-        divisors: list[list[Polynomial]] = [[] for _ in watch]
         for p in self.irreducibles:
             e = (p.row.bit_length() - 1) // w
             if 2 * e > n:
@@ -1127,13 +1111,7 @@ class FactorTable:
             if p.row == 1 << w:
                 continue  # X
             rest = functools.reduce(operator.or_, _horner(fmt, p.row, [1] + [0] * (e - 1), steps, w))
-            zeros = ones & ~functools.reduce(operator.or_, [rest >> i for i in bits], rest)
-            hit |= zeros
-            if looks:
-                flags = fmt.entries(zeros, size * (q - 1))
-                for lane, i in looks:
-                    if flags[lane] == one:
-                        divisors[i].append(p)
+            hit |= ones & ~functools.reduce(operator.or_, [rest >> i for i in bits], rest)
         alive = fmt.entries(ones ^ hit, size * (q - 1))
         found = []
         for lane in itertools.islice(itertools.compress(itertools.count(), map(one.__eq__, alive)), count):
@@ -1142,7 +1120,7 @@ class FactorTable:
                 lane, a = divmod(lane, q)
                 row = row << w | a
             found.append(Polynomial._from_row(gf, row << w | lane + 1))
-        return found, [self._factors_of(f.row, ps) for f, ps in zip(watch, divisors)]
+        return found
 
     def _factors_of(self, row: int, divisors: Sequence[Polynomial]) -> list[Polynomial]:
         """The factors of a monic row, given the table irreducibles up to half

@@ -18,11 +18,11 @@ one and gives each its degree; a pair it does not list is coprime.
 ``gcd_profile`` fills the full pairwise table from it.  ``analyze`` prints
 the intersection table, which comes from linear algebra alone, and checks
 a listed family against it through the map.  Each construction returns its
-members with their largest degree, read off its own index: ``uniform_gcd_family`` over the factorizations of
-its cofactors that its table's scan of degree k - t gave, ``search_max_family``
-over the pairs of the clique it found on the compatibility graph that
-index gave.  ``code_from_family`` takes every member's kernel in one
-``ca.kernels`` pass.
+members with their largest degree, read off its own index:
+``uniform_gcd_family`` over its cofactors, irreducibles it found and
+products of two, so factored already; ``search_max_family`` over the
+pairs of the clique it found on the compatibility graph that index gave.
+``code_from_family`` takes every member's kernel in one ``ca.kernels`` pass.
 ``poly_gcd`` stays as the independent route of ``verify_family`` and the
 tests.
 
@@ -333,11 +333,10 @@ def uniform_gcd_family(
     r - i above r/2 is scanned for its first |I'_i| irreducibles only, and
     degree r for all of them (``FactorTable.scan``).  More than
     ``MAX_FACTOR_TABLE`` candidates at degree r are refused before the table
-    is built.  The maximum comes off the degree-r scan too:
-    gcd(g*h1, g*h2) = g * gcd(h1, h2), so it is deg g plus the largest deg gcd
-    of two cofactors.  An irreducible cofactor is its own factorization, as
-    the scan found no factor of it, and the products are factored off the
-    same scan's passes; g is never factored.
+    is built.  gcd(g*h1, g*h2) = g * gcd(h1, h2), so the maximum is deg g
+    plus the largest deg gcd of two cofactors, read off factorizations that
+    need no factoring: an irreducible is its own, and a product u * v of two
+    found irreducibles is [u, v], a square when u = v.  g is never factored.
     """
     t = _gcd_degree(k, g)
     r = k - t
@@ -345,16 +344,17 @@ def uniform_gcd_family(
         return (g,), None
     check_budget(g.field, r, f"a family of GF({g.field.spec}) at cofactor degree {r} scans")
     table = FactorTable(g.field, r // 2)
-    products = []
+    pairs: list[tuple[Polynomial, Polynomial]] = []
     for i in range(1, r // 2 + 1):
-        low = table.scan(i)[0]
-        products += [u * v for u, v in zip(low, table.scan(r - i, len(low))[0])]
-    top, factored = table.scan(r, watch=products)
+        low = table.scan(i)
+        pairs += zip(low, table.scan(r - i, len(low)))
+    top = table.scan(r)
     entries = g.field.format.entries  # in the order of the codes, at one degree
-    members = tuple(sorted((g * h for h in top + products), key=lambda f: entries(f.row, k + 1)))
+    cofactors = top + [u * v for u, v in pairs]
+    members = tuple(sorted((g * h for h in cofactors), key=lambda f: entries(f.row, k + 1)))
     if len(members) < 2:
         return members, None
-    shared = _shared_degrees([[h] for h in top] + factored)
+    shared = _shared_degrees([[h] for h in top] + pairs)
     return members, t + max(shared.values(), default=0)
 
 

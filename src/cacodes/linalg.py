@@ -6,9 +6,9 @@ routes (transition matrices, null spaces, Sylvester matrices), not the load
 path: ``MatrixGF(field, rows)`` validates each entry, code that already
 holds valid codes builds through ``MatrixGF.from_codes``, and
 ``MatrixGF.from_json`` is the per-entry checker of the code file layout,
-which names the first fault of a stored codeword that the load paths
-(``subspaces.GrassmannianCode.from_json``, ``Subspace.from_json``) refuse.
-``Echelon.from_rrefs`` takes the load paths' packed rows: one pass checks
+which names the first fault of a stored codeword that the one load path
+(``subspaces._load``) refuses.
+``Echelon.from_rrefs`` takes the load path's packed rows: one pass checks
 that every codeword's rows already are an RREF on one pivot set and holds
 them as they are; ``Echelon.from_rows`` eliminates any other rows.
 ``Echelon.extend`` (``insert`` for one row) is the one elimination

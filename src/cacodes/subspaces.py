@@ -163,32 +163,47 @@ class Subspace:
 
     @classmethod
     def from_json(cls, field: GF, ambient_n: int, data: Sequence) -> "Subspace":
-        """Parse the ``to_json`` layout: the load path of one stored codeword.
-
-        A few C-level passes over the whole codeword check what
-        ``MatrixGF.from_json`` checks entry by entry: a list of row lists of
-        ``ambient_n`` entries, each an integer in [0, p) and no bool (over
-        GF(p^m), a list of m such digits).  The digits pack straight into rows
-        (``RowFormat.pack_rows``), which ``Echelon.from_rows`` holds as they
-        are when they already are the RREF.  A codeword that fails a check
-        goes to ``MatrixGF.from_json`` only to have its first fault named, so
-        each error reads as it always has.
-        """
-        digits = _stored_digits(field, ambient_n, data)
-        if digits is None:
-            MatrixGF.from_json(field, data, ncols=ambient_n)  # raises, naming the fault
-            raise ParseError("a codeword failed the load checks but not the per-entry ones")
-        rows = field.format.pack_rows(digits, len(data)) if digits else []
-        return cls.from_echelon(Echelon.from_rows(field, ambient_n, rows), reduced=True)
+        """Parse the ``to_json`` layout: the load of one stored codeword,
+        ``_load`` of a code of one."""
+        return _load(field, ambient_n, [data])[0]
 
 
-def _stored_digits(field: GF, n: int, data) -> list | None:
-    """The base-p digits of stored rows (one codeword's, or all of a code's),
-    row after row and entry after entry, or None when ``data`` is no list of
-    n-entry rows of digits in [0, p)."""
-    if not (isinstance(data, list) and _all_are(list, data) and set(map(len, data)) <= {n}):
+def _load(field: GF, n: int, words: list) -> list[Subspace]:
+    """The subspaces of stored codewords: the one load path.
+
+    A few C-level passes over the rows of all of them check what
+    ``MatrixGF.from_json`` checks entry by entry: lists of row lists of n
+    entries, each an integer in [0, p) and no bool (over GF(p^m), a list of
+    m such digits).  One ``RowFormat.pack_rows`` call packs every row.  When
+    every codeword has as many rows as the first, ``Echelon.from_rrefs``
+    checks in one pass that all are RREFs on the first one's pivots and
+    holds them as they are; else each codeword's share of the packed rows
+    goes to ``Echelon.from_rows``.  When a check fails, the codewords go to
+    ``MatrixGF.from_json`` in turn only to have the first fault named, so
+    each error reads as it always has.
+    """
+    rows = list(itertools.chain.from_iterable(words)) if _all_are(list, words) else None
+    digits = None if rows is None else _stored_digits(field, n, rows)
+    if digits is None:
+        for word in words:
+            MatrixGF.from_json(field, word, ncols=n)  # raises at the first fault
+        raise ParseError("a codeword failed the load checks but not the per-entry ones")
+    packed = field.format.pack_rows(digits, len(rows)) if digits else []
+    sizes = set(map(len, words))
+    echelons = Echelon.from_rrefs(field, n, packed, sizes.pop()) if len(sizes) == 1 else None
+    if echelons is None:
+        ends = itertools.accumulate(map(len, words))
+        echelons = [Echelon.from_rows(field, n, packed[end - len(word) : end])
+                    for word, end in zip(words, ends)]
+    return [Subspace.from_echelon(ech, reduced=True) for ech in echelons]
+
+
+def _stored_digits(field: GF, n: int, rows: list) -> list | None:
+    """The base-p digits of stored rows, row after row and entry after
+    entry, or None when some row is no list of n entries of digits in [0, p)."""
+    if not (_all_are(list, rows) and set(map(len, rows)) <= {n}):
         return None
-    digits = list(itertools.chain.from_iterable(data))
+    digits = list(itertools.chain.from_iterable(rows))
     if field.m > 1:
         if not (_all_are(list, digits) and set(map(len, digits)) <= {field.m}):
             return None
@@ -538,15 +553,8 @@ class GrassmannianCode:
     def from_json(cls, data: dict) -> "GrassmannianCode":
         """Parse the code file format; a malformed document is a ``ParseError``.
 
-        The codewords load in one pass: the checks of ``Subspace.from_json``
-        run once over the rows of all of them and one ``RowFormat.pack_rows``
-        call packs every row.  When every codeword has as many rows as the
-        first, ``Echelon.from_rrefs`` checks in one pass that all are RREFs
-        on the first one's pivots and holds them as they are.  Any other
-        code gives each codeword's share of the packed rows to
-        ``Echelon.from_rows``.  A code that fails a check is loaded again one
-        codeword at a time by ``Subspace.from_json``, so the first malformed
-        codeword is named and its error reads as it always has.
+        The codewords load in one pass of ``_load``, the one load path, which
+        names the first malformed codeword when a check fails.
         """
         for key in ("q", "n", "codewords"):
             if key not in data:
@@ -561,16 +569,5 @@ class GrassmannianCode:
         if not isinstance(words, list):
             raise ParseError(f"codewords {words!r} is not a list")
         field = GF.from_spec(q)
-        rows = list(itertools.chain.from_iterable(words)) if _all_are(list, words) else None
-        digits = None if rows is None else _stored_digits(field, n, rows)
-        if digits is None:
-            return cls(field, n, [Subspace.from_json(field, n, word) for word in words])
-        packed = field.format.pack_rows(digits, len(rows)) if digits else []
-        sizes = set(map(len, words))
-        echelons = Echelon.from_rrefs(field, n, packed, sizes.pop()) if len(sizes) == 1 else None
-        if echelons is None:
-            ends = itertools.accumulate(map(len, words))
-            echelons = [Echelon.from_rows(field, n, packed[end - len(word) : end])
-                        for word, end in zip(words, ends)]
-        return cls(field, n, [Subspace.from_echelon(ech, reduced=True) for ech in echelons])
+        return cls(field, n, _load(field, n, words))
 

@@ -437,7 +437,7 @@ def test_factorizations_multiply_back_into_oracle_irreducibles(field, d):
         polys.append(f)
     polys.append(Polynomial.from_codes(field, [field.q - 1] * (2 * d + 2)))  # not monic over q > 2
     for f in polys:
-        factors = table.factor(f)
+        factors = table.factor_all([f])[0]
         product = (1,)
         for g in factors:
             assert irreducible(g.to_codes())
@@ -449,9 +449,9 @@ def test_factorizations_multiply_back_into_oracle_irreducibles(field, d):
 def test_factor_table_refuses_what_it_cannot_factor():
     table = FactorTable(F2, 2)
     with pytest.raises(InvalidDegree):
-        table.factor(P(F2, *[1] * 7))  # degree 6 > 2 * 2 + 1
+        table.factor_all([P(F2, *[1] * 7)])  # degree 6 > 2 * 2 + 1
     with pytest.raises(InvalidDegree):
-        table.factor(Polynomial(F2))
+        table.factor_all([Polynomial(F2)])
     for bad in (P(F2, *[1] * 7), Polynomial(F2)):  # anywhere in a list
         with pytest.raises(InvalidDegree):
             table.factor_all([P(F2, 1, 1, 0, 1), bad, P(F2, 1, 1)])
@@ -507,7 +507,7 @@ def test_factor_all_matches_trial_division_one_at_a_time(field, d, count):
             assert is_irreducible(g)
             product = oracles.omul(product, g.to_codes(), field.p, modulus(field))
         assert product == monic
-    assert [table.factor(f) for f in polys[:12]] == got[:12]
+    assert [table.factor_all([f])[0] for f in polys[:12]] == got[:12]
 
 
 @pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
@@ -552,42 +552,41 @@ def test_scan_finds_the_sieves_and_the_oracles_irreducibles(field, d):
     table, packed = FactorTable(field, d), field.format.wide
     sieve = FactorTable(field, 2 * d + 1 if packed else d)
     for n in range(1, 2 * d + 2):
-        found, _ = table.scan(n)
+        found = table.scan(n)
         codes = [f.to_codes() for f in found]
         assert codes == sorted(codes)
         assert set(codes) == {c for c in oracles.irreducibles(n, field.p, modulus(field)) if c[0]}
         if packed or n <= d:
             assert found == [f for f in sieve.irreducibles if f.degree == n and f.row & field.mask]
             for count in (0, 1, len(found) // 3):
-                assert table.scan(n, count)[0] == found[:count]
+                assert table.scan(n, count) == found[:count]
 
 
 @pytest.mark.parametrize("field, d", FACTOR_CASES, ids=lambda v: str(v))
 def test_scan_factors_what_it_watches_as_factor_all_does(field, d):
-    # monic polynomials of the top degree with a nonzero constant term:
-    # products of irreducibles with squares, cubes and shared factors, as the
+    # factor_all, the one factoring route, on monic polynomials of the top
+    # degree with a nonzero constant term: products of irreducibles the
+    # table and a scan found, with squares, cubes and shared factors, as the
     # uniform-GCD construction's products are, and irreducibles themselves
     rng = random.Random(f"scan watch {field.spec}")
     n, table = 2 * d + 1, FactorTable(field, d)
     atoms = [f for f in table.irreducibles if f.row & field.mask]
-    atoms += table.scan(n - 1, 4)[0] if n - 1 > d else []
+    atoms += table.scan(n - 1, 4) if n - 1 > d else []
     top = sorted(c for c in oracles.irreducibles(n, field.p, modulus(field)) if c[0])
-    watch = [Polynomial.from_codes(field, c) for c in top[:3]]
-    while len(watch) < 40:
+    polys = [Polynomial.from_codes(field, c) for c in top[:3]]
+    while len(polys) < 40:
         f = Polynomial.from_codes(field, (1,))
         for a in rng.sample(atoms, len(atoms)):
             power = rng.choice([1, 1, 2, 3])
             if f.degree + power * a.degree <= n:
                 f = f * a**power
         if f.degree == n:
-            watch.append(f)
-    _, factored = table.scan(n, 0, watch)
-    assert factored == table.factor_all(watch)
+            polys.append(f)
     irreducibles = sorted(
         (c for e in range(1, d + 1) for c in oracles.irreducibles(e, field.p, modulus(field))),
         key=lambda c: (len(c), c),
     )
-    for f, factors in zip(watch, factored):
+    for f, factors in zip(polys, table.factor_all(polys)):
         assert [g.to_codes() for g in factors] == oracles.trial_factor(
             f.to_codes(), irreducibles, field.p, modulus(field)
         )
@@ -598,13 +597,6 @@ def test_scan_refuses_what_it_cannot_reach():
     for n in (0, 6):
         with pytest.raises(InvalidDegree):
             table.scan(n)
-    for n in (2, 4):  # read off the table, and scanned
-        for bad in (P(F2, *[0] + [1] * n), P(F2, *[1] * n)):  # a zero constant term, degree n - 1
-            with pytest.raises(InvalidDegree):
-                table.scan(n, watch=[bad])
-    bad = P(GF(17), 1, 1, 2)  # not monic, over the per-entry format
-    with pytest.raises(InvalidDegree):
-        FactorTable(GF(17), 1).scan(2, watch=[bad])
     with pytest.raises(BudgetExceeded):  # 2^17 candidates, refused before any row
         FactorTable(F2, 8).scan(17)
 

@@ -193,7 +193,8 @@ def test_gcd_profile_matches_poly_gcd_on_random_families(field, k):
 def test_compatibility_matches_poly_gcd_graph_for_every_t(field, k):
     vertices = enumerate_rule_polynomials(k, field)
     table = _gcd_table(vertices)
-    shared = _shared_degrees(map(FactorTable(field, k).factor, vertices))
+    factors = FactorTable(field, k)
+    shared = _shared_degrees(factors.factor_all([f])[0] for f in vertices)
     for t in range(k + 1):
         expected = [0] * len(vertices)
         for i, row in enumerate(table):
@@ -494,6 +495,16 @@ def _uniform_gcd_cases():
     yield 8, P(F2, 1, 0, 1, 0, 1, 0, 1)  # (X+1)^6: deg g > 2r + 1 = 5, and shared
     yield 5, P(F3, 2, 0, 1, 1, 1)  # deg g = 4 > 2r + 1 = 3
     yield 5, P(GF(5), 1, 1, 1, 1, 1)  # deg g = 4 > 2r + 1 = 3
+    # per-entry fields, whose scans read a sieve: odd r, and even r with a
+    # square cofactor (over GF(3^2), t = 0 with k <= 3 would take the ids of
+    # the GF(2^2) cases)
+    for k in (1, 2, 3):
+        yield k, P(GF(17), 1)
+    for k in (2, 3):
+        yield k, P(GF(17), 1, 1)
+    yield 4, P(GF(3, 2), 1)
+    for k in (2, 3, 4):
+        yield k, P(GF(3, 2), 2, 1)
 
 
 @pytest.mark.parametrize("k, g", list(_uniform_gcd_cases()), ids=str)

@@ -13,7 +13,7 @@
   as a load of one ``Subspace.from_json`` per codeword names it.
 * ``RowFormat.pack_rows`` packs each row as ``pack`` does, one row or
   thousands.
-* A valid code file loads in one pass, ``Subspace.from_json`` never called,
+* A valid code file loads in one pass, ``MatrixGF.from_json`` never called,
   to the codewords of the word-by-word load; n = 0 and an empty code
   round-trip too.
 * A code keeps each codeword's ``kernel_rule``, computed once, in one
@@ -448,8 +448,8 @@ def test_a_valid_code_loads_in_one_pass(field, monkeypatch):
         {"q": field.spec, "n": 2, "codewords": [[], []]},
     ]
     wants = [load_word_by_word(document) for document in documents]
-    calls, original = [], Subspace.from_json
-    monkeypatch.setattr(Subspace, "from_json", lambda *a: calls.append(1) or original(*a))
+    calls, original = [], MatrixGF.from_json
+    monkeypatch.setattr(MatrixGF, "from_json", lambda *a, **k: calls.append(1) or original(*a, **k))
     for document, want in zip(documents, wants):
         code = GrassmannianCode.from_json(document)
         assert [(s._echelon.rows, s._echelon.pivots) for s in code] == [
@@ -457,7 +457,7 @@ def test_a_valid_code_loads_in_one_pass(field, monkeypatch):
         ]
         assert (code.constant_dim, code.duplicates_removed) == (want.constant_dim, want.duplicates_removed)
     assert calls == []
-    # a malformed code takes the word-by-word route
+    # a malformed code is checked word by word, up to its first fault
     with pytest.raises(DomainError):  # the second codeword's row is too long
         GrassmannianCode.from_json({"q": field.spec, "n": 2, "codewords": [
             stored(field, [[0, 1]]), stored(field, [[0, 1, 0]]), stored(field, [[1, 1]])
