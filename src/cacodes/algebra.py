@@ -1095,13 +1095,18 @@ class FactorTable:
             return found[:count]
         size = q ** (n - 1)  # the candidates with one constant term
 
-        def column(lanes: int, values: Iterable[int]) -> int:  # copy i of the lanes holds values[i]
-            ones = ((1 << lanes * w) - 1) // fmt.mask
-            return sum([v * ones << i * lanes * w for i, v in enumerate(values)])
+        def step(lanes: int, values: Sequence[int]) -> tuple[int, int]:
+            """(repunit, column) that lay rows of ``lanes`` lanes once per value:
+            a 1 where each copy starts, and values[i] in every lane of copy i."""
+            shift, repunit, column = lanes * w, 0, 0
+            ones = ((1 << shift) - 1) // fmt.mask
+            for v in reversed(values):
+                repunit, column = repunit << shift | 1, column << shift | v * ones
+            return repunit, column
 
-        steps = [(q, column(q**s, range(q))) for s in range(n - 1)]  # a_(n-1), ..., a_1
-        steps.append((q - 1, column(size, range(1, q))))  # a_0 != 0
-        ones = column(size * (q - 1), [1])
+        steps = [step(q**s, range(q)) for s in range(n - 1)]  # a_(n-1), ..., a_1
+        steps.append(step(size, range(1, q)))  # a_0 != 0
+        ones = step(size * (q - 1), [1])[1]
         bits = range(1, (q - 1).bit_length())  # a code's bits, above the lowest
         one, hit = fmt.entries(1, 1)[0], 0  # bit 0 of each lane some p zeroes
         for p in self.irreducibles:
@@ -1110,7 +1115,7 @@ class FactorTable:
                 break  # irr is sorted by degree
             if p.row == 1 << w:
                 continue  # X
-            rest = functools.reduce(operator.or_, _horner(fmt, p.row, [1] + [0] * (e - 1), steps, w))
+            rest = functools.reduce(operator.or_, _horner(fmt, p.row, [1] + [0] * (e - 1), steps))
             hit |= ones & ~functools.reduce(operator.or_, [rest >> i for i in bits], rest)
         alive = fmt.entries(ones ^ hit, size * (q - 1))
         found = []
@@ -1150,28 +1155,24 @@ def check_budget(field: GF, d: int, what: str) -> None:
         )
 
 
-def _horner(
-    fmt: RowFormat, p: int, r: list[int], steps: Iterable[tuple[int, int]], bits: int = 0
-) -> list[int]:
+def _horner(fmt: RowFormat, p: int, r: list[int], steps: Iterable[tuple[int, int]]) -> list[int]:
     """Horner's rule modulo the monic row p on many polynomials side by side.
 
     ``r`` holds the deg p coefficient rows of their remainders so far, lane b
-    the b-th polynomial's, and each step (copies, column), from the highest
+    the b-th polynomial's, and each step (repunit, column), from the highest
     coefficient down, takes r <- r X + column mod p: X^e = -(p_0 + ... +
-    p_(e-1) X^(e-1)) mod p, one row operation per nonzero p_i.  With copies
-    > 1, the rows are first laid that many times side by side, ``bits`` bits
-    apart, and ``bits`` grows as the rows do: the column then gives each
-    copy its own value of the next coefficient.
+    p_(e-1) X^(e-1)) mod p, one row operation per nonzero p_i.  A repunit
+    other than 1, a 1 where each copy starts, first lays every row (below
+    the copies' spacing) that many times side by side: the column then
+    gives each copy its own value of the next coefficient.
     """
     w, sub_scaled = fmt.width, fmt.sub_scaled
     e = (p.bit_length() - 1) // w
     lower = [(i, c) for i, c in enumerate(fmt.unpack(p, e + 1)[:e]) if c]
     r = list(r)
-    for copies, column in steps:
-        if copies > 1:  # every row is below 1 << bits: times the repunit, no copy overlaps
-            repunit = ((1 << copies * bits) - 1) // ((1 << bits) - 1)
+    for repunit, column in steps:
+        if repunit != 1:
             r = [x * repunit for x in r]
-            bits *= copies
         carry = r.pop()
         r.insert(0, column)
         if carry:

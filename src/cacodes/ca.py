@@ -21,7 +21,8 @@ so cell i of the j-th unit-seed preimage is the coefficient of X^j in
 X^i mod f.  ``kernels`` computes one sequence per rule, the impulse
 response (the coefficients of X^(k-1)), and derives every preimage from it
 by one shift and one row operation on packed rows; the preimages start with
-the k unit vectors, so they already are the kernel's RREF.
+the k unit vectors, so they already are the kernel's RREF, as the one check
+of packed rows (``Echelon.from_rrefs``) confirms.
 ``LinearCA.kernel`` is its one-rule case.  At n = 2k that basis is the lift
 [I_k | M], column c of M holding X^(k+c) mod f, and ``kernel_rules``, the
 kernel's inverse, reads each rule off column k and checks the other columns
@@ -189,7 +190,8 @@ def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
     them all: X^(i+1) mod f reads c_ij = c_(i+1),(j+1) + a_(j+1) u_i, so row
     k-1 is u and row j is row j+1 shifted one lane down plus a_(j+1) u, each
     cut to n lanes.  The first k remainders are the unit vectors, so the
-    rows already are the reduced basis and go into the subspace as they are.
+    rows already are the reduced basis, as one ``Echelon.from_rrefs`` pass
+    over every rule's rows checks.
 
     Every rule's recurrence runs at once, in one wide row of blocks, one per
     rule (``subspaces._Blocks``), each holding the rule's remainder X^i mod f
@@ -213,10 +215,10 @@ def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
         raise LengthMismatch(f"lattice length {n} is outside {k + 1}..{MAX_AMBIENT_N}")
     fmt, w, mask, sub_scaled = gf.format, gf.width, gf.mask, gf.format.sub_scaled
     blocks = _Blocks(w, n + k - 1, len(rules) if fmt.wide else 1)  # a group's rules side by side
-    spread, offsets, pivots = ((1 << k * w) - 1) // mask, range(0, k * w, w), list(range(k))
+    spread = ((1 << k * w) - 1) // mask
     lane, low = blocks.ones * mask, blocks.ones * spread * mask  # lanes 0, and 0..k-1, of a block
     keep = blocks.ones * ((1 << n * w) - 1)  # lanes 0..n-1 of every block
-    out: list[Subspace] = []
+    basis: list[int] = []  # row j of rule b's kernel at k b + j
     for first in range(0, len(rules), blocks.size):
         chosen = rules[first : first + blocks.size]
         lower = blocks.join([f.row for f in chosen]) & low  # every rule but its X^k
@@ -245,21 +247,14 @@ def kernels(rules: Sequence[Polynomial], n: int) -> list[Subspace]:
                 row = sub_scaled(row, gf.neg(v), u & where)
             rows.append(row & keep)
         for rule in zip(*[blocks.split(r.to_bytes(blocks.length, "little")) for r in rows[::-1]]):
-            basis = [int.from_bytes(c, "little") for c in rule]
-            ech = Echelon.from_rref(gf, n, basis, offsets, pivots)  # one pivot list for all
-            out.append(Subspace.from_echelon(ech, reduced=True))  # block b of each row: rule b
-    return out
-
-
-def kernel_rule(sub: Subspace) -> Polynomial | None:
-    """The rule f whose kernel at n = 2k is ``sub``, k = dim ``sub``; else None."""
-    return kernel_rules([sub])[0]
+            basis += [int.from_bytes(c, "little") for c in rule]  # block b of each row: rule b
+    return list(map(Subspace.from_echelon, Echelon.from_rrefs(gf, n, basis, [k] * len(rules))))
 
 
 def kernel_rules(subs: Sequence[Subspace]) -> list[Polynomial | None]:
-    """``kernel_rule`` of each subspace, in order; all of one field and one
-    ambient n = 2k, as a code's codewords are.  A ``GrassmannianCode`` is
-    such a sequence, and lends the layout it keeps (``block_layout``).
+    """The rule f whose kernel at n = 2k is each subspace, k = dim, else None,
+    in order; all of one field and one ambient n = 2k, as a code's codewords
+    are.  A ``GrassmannianCode`` lends the layout it keeps (``block_layout``).
 
     A candidate has pivots 0..k-1, so its RREF is [I_k | M], and v_0 != 0,
     v_j = M[j][0].  It is the kernel of f = X^k - sum_j v_j X^j exactly

@@ -168,7 +168,7 @@ def transmit(V: Subspace, cfg: ChannelConfig, trial: int) -> Subspace:
     _extend_independent(
         ech, lambda: _random_ambient_vector(V.field, V.ambient_n, rng), inject
     )
-    return Subspace.from_echelon(ech)
+    return Subspace.from_echelon(ech.reduce())
 
 
 def _nearest(

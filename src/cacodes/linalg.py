@@ -8,9 +8,9 @@ holds valid codes builds through ``MatrixGF.from_codes``, and
 ``MatrixGF.from_json`` is the per-entry checker of the code file layout,
 which names the first fault of a stored codeword that the one load path
 (``subspaces._load``) refuses.
-``Echelon.from_rrefs`` takes the load path's packed rows: one pass checks
-that every codeword's rows already are an RREF on one pivot set and holds
-them as they are; ``Echelon.from_rows`` eliminates any other rows.
+``Echelon.from_rrefs`` is the one way from packed rows to echelons (a code
+load's, a batch of kernels'): it holds the groups that already are an RREF
+as they are, one pass checking a whole batch, and eliminates any other.
 ``Echelon.extend`` (``insert`` for one row) is the one elimination
 routine: RREF, rank, null spaces and the subspace layer all grow an echelon
 row by row.  An echelon holds each row packed into one Python int, in the
@@ -211,7 +211,7 @@ class Echelon:
     both derived on demand and kept until the next row goes in.  No row
     operation changes a held row; ``reduce`` back-substitutes them into the
     RREF in place.  ``copy`` seeds a new echelon with the held rows without
-    repacking, and ``from_rref`` with packed rows already in RREF.
+    repacking, and ``from_rrefs`` builds echelons of packed rows.
     """
 
     __slots__ = ("field", "ncols", "_held", "_rows", "_pivots")
@@ -226,50 +226,41 @@ class Echelon:
             self.extend(map(field.format.pack, rows))
 
     @classmethod
-    def from_rref(cls, field: GF, ncols: int, rows: list[int], offsets: Iterable[int],
-                  pivots: list[int] | None = None) -> "Echelon":
-        """An echelon that holds packed rows which already are an RREF, in
-        ascending pivot order, pivoting on the lanes at bit ``offsets``;
-        ``pivots``, their columns, is held as it is (echelons of one pivot
-        set may share one list: no echelon changes it)."""
-        ech = cls.__new__(cls)
-        ech.field, ech.ncols, ech._rows, ech._pivots = field, ncols, rows, pivots
-        ech._held = dict(zip(offsets, rows))
-        return ech
-
-    @classmethod
-    def from_rows(cls, field: GF, ncols: int, rows: list[int]) -> "Echelon":
-        """The reduced echelon of packed rows: held as they are when they
-        already are an RREF (``from_rrefs``), else eliminated and reduced."""
-        echelons = cls.from_rrefs(field, ncols, rows, len(rows))
-        if echelons:
-            return echelons[0]
-        ech = cls(field, ncols)
-        ech.extend(rows)
-        return ech.reduce()
-
-    @classmethod
-    def from_rrefs(cls, field: GF, ncols: int, rows: list[int], size: int) -> list[Echelon] | None:
-        """The echelons of packed rows taken ``size`` at a time, when every
-        group is an RREF on the pivots of the first, else None; nothing is
-        eliminated.  The pivots are the lowest nonzero lanes of the first
-        group's rows and must ascend; one C-level pass over all rows checks
-        that each is 0 below its own pivot, 1 at it and 0 at the others.
-        Every echelon holds the one list of those pivot columns."""
-        head, w = rows[:size], field.width
-        if not size or len(head) < size or not all(head):  # n = 0 packs no row
-            return None
-        offsets = [((row & -row).bit_length() - 1) // w * w for row in head]
+    def from_rrefs(cls, field: GF, ncols: int, rows: list[int], sizes: list[int]) -> list[Echelon]:
+        """The reduced echelons of packed rows taken ``sizes[i]`` at a time:
+        the one way from packed rows to echelons.  Groups of one size that
+        are all RREFs on the pivots of the first are held as they are.  The
+        pivots are the lowest nonzero lanes of the first group's rows and
+        must ascend; one C-level pass over all rows checks that each is 0
+        below its own pivot, 1 at it and 0 at the others, and every echelon
+        holds the one list of those pivot columns.  Otherwise each group is
+        taken on its own: held if it passes the same check, else eliminated
+        and reduced."""
+        size, w = sizes[0] if sizes else 0, field.width
+        head = rows[:size] if set(sizes) == {size} else []
+        # fewer than ``size`` when a row is zero or missing (n = 0 packs no row)
+        offsets = [((row & -row).bit_length() - 1) // w * w for row in head if row]
         lanes = sum([field.mask << offset for offset in offsets])
         masks = itertools.cycle([lanes | (1 << o) - 1 for o in offsets])  # pivots and below
         units = itertools.cycle([1 << o for o in offsets])
-        if offsets != sorted(set(offsets)) or not all(
+        if not size or len(offsets) < size or offsets != sorted(set(offsets)) or not all(
             map(operator.eq, map(operator.and_, rows, masks), units)
         ):
-            return None
+            if len(sizes) != 1:
+                ends = itertools.accumulate(sizes)
+                return [ech for size, end in zip(sizes, ends)
+                        for ech in cls.from_rrefs(field, ncols, rows[end - size : end], [size])]
+            ech = cls(field, ncols)
+            ech.extend(rows)
+            return [ech.reduce()]
         pivots = [offset // w for offset in offsets]  # one list, every echelon's
-        return [cls.from_rref(field, ncols, rows[i : i + size], offsets, pivots)
-                for i in range(0, len(rows), size)]
+        out = []
+        for i in range(0, size * len(sizes), size):
+            ech = cls.__new__(cls)
+            ech.field, ech.ncols, ech._rows, ech._pivots = field, ncols, rows[i : i + size], pivots
+            ech._held = dict(zip(offsets, ech._rows))
+            out.append(ech)
+        return out
 
     @property
     def rank(self) -> int:

@@ -2,7 +2,9 @@
 
 A subspace is one packed RREF: the echelon of its unique RREF basis, each
 row one int in the format that (field, n) fixes, so two objects hold equal
-rows exactly when they describe the same subspace.  The distance
+rows exactly when they describe the same subspace.  Stored codewords
+(``_load``) and CA kernels (``ca.kernels``) alike become echelons through
+``Echelon.from_rrefs``, which checks their rows.  The distance
 
     d(A, B) = dim A + dim B - 2 dim(A intersect B)
 
@@ -70,15 +72,15 @@ class Subspace:
     @classmethod
     def from_matrix(cls, rows: MatrixGF) -> "Subspace":
         """Span of the rows of a matrix, canonicalized."""
-        return cls.from_echelon(Echelon(rows.field, rows.ncols, rows.rows))
+        return cls.from_echelon(Echelon(rows.field, rows.ncols, rows.rows).reduce())
 
     @classmethod
-    def from_echelon(cls, ech: Echelon, reduced: bool = False) -> "Subspace":
-        """The span of an echelon's rows; the subspace keeps the echelon,
-        back-substituted into the RREF unless ``reduced`` says it already is."""
+    def from_echelon(cls, ech: Echelon) -> "Subspace":
+        """The span of an echelon's rows, which already are an RREF
+        (``Echelon.reduce``, ``Echelon.from_rrefs``); the subspace keeps it."""
         sub = cls.__new__(cls)
         sub.field, sub.ambient_n, sub._entries = ech.field, ech.ncols, None
-        sub._echelon = ech if reduced else ech.reduce()
+        sub._echelon = ech
         return sub
 
     @property
@@ -174,13 +176,11 @@ def _load(field: GF, n: int, words: list) -> list[Subspace]:
     A few C-level passes over the rows of all of them check what
     ``MatrixGF.from_json`` checks entry by entry: lists of row lists of n
     entries, each an integer in [0, p) and no bool (over GF(p^m), a list of
-    m such digits).  One ``RowFormat.pack_rows`` call packs every row.  When
-    every codeword has as many rows as the first, ``Echelon.from_rrefs``
-    checks in one pass that all are RREFs on the first one's pivots and
-    holds them as they are; else each codeword's share of the packed rows
-    goes to ``Echelon.from_rows``.  When a check fails, the codewords go to
-    ``MatrixGF.from_json`` in turn only to have the first fault named, so
-    each error reads as it always has.
+    m such digits).  One ``RowFormat.pack_rows`` call packs every row, and
+    one ``Echelon.from_rrefs`` call holds each codeword's share of them as
+    it is when it already is an RREF, else eliminates it.  When a check
+    fails, the codewords go to ``MatrixGF.from_json`` in turn only to have
+    the first fault named, so each error reads as it always has.
     """
     rows = list(itertools.chain.from_iterable(words)) if _all_are(list, words) else None
     digits = None if rows is None else _stored_digits(field, n, rows)
@@ -189,13 +189,8 @@ def _load(field: GF, n: int, words: list) -> list[Subspace]:
             MatrixGF.from_json(field, word, ncols=n)  # raises at the first fault
         raise ParseError("a codeword failed the load checks but not the per-entry ones")
     packed = field.format.pack_rows(digits, len(rows)) if digits else []
-    sizes = set(map(len, words))
-    echelons = Echelon.from_rrefs(field, n, packed, sizes.pop()) if len(sizes) == 1 else None
-    if echelons is None:
-        ends = itertools.accumulate(map(len, words))
-        echelons = [Echelon.from_rows(field, n, packed[end - len(word) : end])
-                    for word, end in zip(words, ends)]
-    return [Subspace.from_echelon(ech, reduced=True) for ech in echelons]
+    echelons = Echelon.from_rrefs(field, n, packed, list(map(len, words)))
+    return list(map(Subspace.from_echelon, echelons))
 
 
 def _stored_digits(field: GF, n: int, rows: list) -> list | None:

@@ -193,18 +193,27 @@ def test_field_axioms_exhaustive(field):
 @pytest.mark.parametrize("field", [GF(7, 4), GF(11, 4)], ids=lambda f: f.spec)
 def test_products_and_inverses_reduce_by_the_modulus(field):
     # GF(7^4) multiplies through its exp/log tables, GF(11^4) (q > 4096)
-    # through polynomials over GF(p); the oracle convolves the coefficient
-    # vectors and divides by the modulus
+    # through polynomials over GF(p), and adds and negates digit by digit;
+    # the oracle convolves the coefficient vectors and divides by the
+    # modulus, and adds and negates them over GF(p)
     p, mod = field.p, field.modulus.to_codes()
 
     def reduced(a, b):
         return oracles.odivmod(oracles.omul(field.decode(a), field.decode(b), p), mod, p)[1]
 
+    def digits(a):
+        return oracles.trim(field.decode(a))
+
     rng = random.Random(field.q)
     for _ in range(300):
         a, b = rng.randrange(field.q), rng.randrange(1, field.q)
-        assert oracles.trim(field.decode(field.mul(a, b))) == reduced(a, b)
+        assert digits(field.mul(a, b)) == reduced(a, b)
         assert reduced(b, field.inv(b)) == (1,)
+        assert digits(field.add(a, b)) == oracles.oadd(field.decode(a), field.decode(b), p)
+        assert digits(field.neg(a)) == oracles.oneg(field.decode(a), p)
+        assert digits(field.sub(a, b)) == oracles.oadd(
+            field.decode(a), oracles.oneg(field.decode(b), p), p
+        )
 
 
 def test_element_operators():

@@ -16,8 +16,8 @@
 * A valid code file loads in one pass, ``MatrixGF.from_json`` never called,
   to the codewords of the word-by-word load; n = 0 and an empty code
   round-trip too.
-* A code keeps each codeword's ``kernel_rule``, computed once, in one
-  ``kernel_rules`` call.
+* A code keeps each codeword's rule, computed once, in one ``kernel_rules``
+  call.
 """
 
 import itertools
@@ -29,10 +29,10 @@ import pytest
 
 from cacodes import ca, linalg
 from cacodes.algebra import GF, Polynomial
-from cacodes.ca import LinearCA, kernel_rule
+from cacodes.ca import LinearCA, kernel_rules
 from cacodes.cli import main
 from cacodes.errors import DomainError
-from cacodes.families import CAFamily, code_from_family, uniform_gcd_family
+from cacodes.families import CAFamily, code_from_family, enumerate_rule_polynomials, uniform_gcd_family
 from cacodes.linalg import Echelon, MatrixGF
 from cacodes.subspaces import GrassmannianCode, Subspace
 
@@ -258,24 +258,119 @@ def test_a_fault_in_a_one_pivot_set_code_loads_as_word_by_word(field, kind):
 
 def test_a_build_code_document_takes_the_one_pivot_set_pass(monkeypatch):
     # every codeword's rows are checked by one pass and held as an RREF:
-    # nothing is eliminated, and no codeword goes to ``Echelon.from_rows``
+    # one ``Echelon.from_rrefs`` call, which splits into no group of its own
+    # and eliminates nothing
     for field in (GF(2), GF(3), GF(2, 2), GF(3, 2)):
         members = uniform_gcd_family(3, Polynomial.from_codes(field, (1,)))[0]
         document = json.loads(json.dumps(code_from_family(CAFamily(members)).to_json()))
         want = load_word_by_word(document)
-        calls = {"from_rows": 0, "from_rref": 0}
-        for name in calls:
-            original = getattr(Echelon, name).__func__
-
-            def counted(cls, *args, name=name, original=original):
-                calls[name] += 1
-                return original(cls, *args)
-
-            monkeypatch.setattr(Echelon, name, classmethod(counted))
+        calls = count_the_one_door(monkeypatch)
         code = GrassmannianCode.from_json(document)
         monkeypatch.undo()
-        assert calls == {"from_rows": 0, "from_rref": len(members)}
+        assert calls == {"from_rrefs": 1, "extend": 0}
         assert [s._echelon.rows for s in code] == [s._echelon.rows for s in want]
+
+
+def count_the_one_door(monkeypatch):
+    """Count the ``Echelon.from_rrefs`` calls, its own per-group calls
+    included, and the ``Echelon.extend`` calls, until ``monkeypatch.undo``."""
+    calls = {"from_rrefs": 0, "extend": 0}
+    from_rrefs, extend = Echelon.from_rrefs.__func__, Echelon.extend
+
+    def door(cls, *args):
+        calls["from_rrefs"] += 1
+        return from_rrefs(cls, *args)
+
+    def eliminated(self, *args):
+        calls["extend"] += 1
+        return extend(self, *args)
+
+    monkeypatch.setattr(Echelon, "from_rrefs", classmethod(door))
+    monkeypatch.setattr(Echelon, "extend", eliminated)
+    return calls
+
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(3, 2), GF(17)], ids=lambda f: f.spec)
+def test_a_faulty_group_of_a_uniform_batch_is_eliminated_alone(field, monkeypatch):
+    # a batch of RREFs on one pivot set is held with one pivot list; with a
+    # fault in one group, every group is taken on its own: the faulty one
+    # is eliminated and reduced unless it is an RREF on pivots of its own,
+    # and every other group is held as it is
+    rng = random.Random(f"one faulty group over GF({field.spec})")
+    pack = field.format.pack
+    for kind in [kind for kind in PLANTED if field.q > 2 or kind != "pivot entry 2"]:
+        if kind in ("one row fewer", "rows twice"):
+            continue  # a group of another size, as the mixed sizes test has
+        for _ in range(6):
+            n = rng.randint(3, 7)
+            pivots = sorted(rng.sample(range(n), rng.randint(2, n - 1)))
+            if pivots == list(range(len(pivots))):
+                pivots[-1] = n - 1  # a column below the last pivot that is none
+            words = one_pivot_set_rrefs(field, n, pivots, rng.randint(2, 6), rng)
+            rows = [pack(r) for word in words for r in word]
+            calls = count_the_one_door(monkeypatch)
+            echelons = Echelon.from_rrefs(field, n, rows, [len(pivots)] * len(words))
+            monkeypatch.undo()
+            assert calls == {"from_rrefs": 1, "extend": 0}
+            assert [e.rows for e in echelons] == [[pack(r) for r in word] for word in words]
+            assert len({id(e.pivots) for e in echelons}) == 1 and echelons[0].pivots == pivots
+            victim = rng.randrange(len(words))
+            words[victim] = planted(field, n, pivots, words[victim], kind, rng)
+            rows = [pack(r) for word in words for r in word]
+            calls = count_the_one_door(monkeypatch)
+            echelons = Echelon.from_rrefs(field, n, rows, [len(pivots)] * len(words))
+            monkeypatch.undo()
+            want = [eliminated(field, n, stored(field, word)) for word in words]
+            assert [(e.rows, e.pivots) for e in echelons] == want
+            held = want[victim][0] == [pack(r) for r in words[victim]]  # an RREF of its own
+            assert calls == {"from_rrefs": 1 + len(words), "extend": int(not held)}
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(3, 2), GF(17)], ids=lambda f: f.spec)
+def test_groups_of_mixed_sizes_each_take_their_own_route(field, monkeypatch):
+    # empty groups give zero echelons, RREFs are held and any other rows are
+    # eliminated and reduced, group by group, in order
+    rng = random.Random(f"mixed sizes over GF({field.spec})")
+    pack = field.format.pack
+    for sizes in ([], [0], [0, 0, 0], [1, 0], [0, 3, 0, 1, 2], [2, 0, 2, 5, 0]):
+        n = 6
+        words = []
+        for size in sizes:
+            word = random_rows(field, n, rng, size)
+            if rng.random() < 0.5:  # an RREF, as stored codewords usually are
+                word = [list(r) for r in Subspace(field, n, word).basis.rows]
+                word += random_rows(field, n, rng, size - len(word))  # a spare row eliminated
+            words.append(word)
+        rows = [pack(r) for word in words for r in word]
+        calls = count_the_one_door(monkeypatch)
+        echelons = Echelon.from_rrefs(field, n, rows, sizes)
+        monkeypatch.undo()
+        want = [eliminated(field, n, stored(field, word)) for word in words]
+        assert [(e.rows, e.pivots) for e in echelons] == want
+        assert [e.ncols for e in echelons] == [n] * len(sizes)
+        kept = sum(w[0] == [pack(r) for r in word] and bool(word) for w, word in zip(want, words))
+        assert calls["extend"] == len(sizes) - kept
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(3, 2), GF(17)], ids=lambda f: f.spec)
+def test_kernels_go_through_the_one_door_once(field, monkeypatch):
+    # packed formats build every rule's kernel in one wide pass, and the
+    # per-entry format (GF(3^2), GF(17)) one rule at a time; either way all
+    # kernels go to one ``Echelon.from_rrefs`` call, which eliminates none
+    rng = random.Random(f"kernels through the door over GF({field.spec})")
+    for k in (1, 2, 3):
+        every = enumerate_rule_polynomials(k, field)
+        rules = rng.sample(every, min(6, len(every)))
+        for n in (k + 1, 2 * k, 3 * k + 1):
+            calls = count_the_one_door(monkeypatch)
+            subs = ca.kernels(rules, n)
+            monkeypatch.undo()
+            assert calls == {"from_rrefs": 1, "extend": 0}
+            assert len({id(s._echelon.pivots) for s in subs}) == 1
+            assert subs[0]._echelon.pivots == list(range(k))
+            assert subs == [Subspace.from_matrix(LinearCA(f, n).transition_matrix().nullspace_basis())
+                            for f in rules]
 
 
 def test_one_load_builds_its_pivot_list_once(monkeypatch):
@@ -497,7 +592,7 @@ def test_a_code_keeps_each_codewords_rule(monkeypatch):
             monkeypatch.setattr(ca, "kernel_rules", lambda subs: calls.append(1) or original(subs))
             assert code.rules is code.rules and len(calls) == 1
             monkeypatch.undo()
-            assert code.rules == tuple(kernel_rule(word) for word in code)
+            assert code.rules == tuple(kernel_rules([word])[0] for word in code)
         assert set(ca_code.rules) == set(family)
         assert all(LinearCA(f, n).kernel() == w for f, w in zip(ca_code.rules, ca_code))
 

@@ -732,11 +732,9 @@ def test_a_long_lift_over_a_large_prime_takes_the_stacked_route(monkeypatch):
     field, k = GF(2**31 - 1), 1000
     rows = [1 << i * field.width for i in range(k)]
     other = [rows[0] | 5 << k * field.width, *rows[1:]]
-    pivots = range(0, k * field.width, field.width)
-    code = GrassmannianCode(field, k + 1, [
-        Subspace.from_echelon(Echelon.from_rref(field, k + 1, r, pivots), reduced=True)
-        for r in (rows, other)
-    ])
+    code = GrassmannianCode(field, k + 1, map(
+        Subspace.from_echelon, Echelon.from_rrefs(field, k + 1, rows + other, [k, k])
+    ))
     walked = count_calls(monkeypatch, "_shared_pivot_table")
     pairs = count_calls(monkeypatch, "_joint_rank")
     assert code.pairwise_intersection_dims() == ((), (k - 1,))
