@@ -4,8 +4,8 @@ The pipeline, bottom to top:
 
 * ``algebra``   exact GF(p^m) and polynomial arithmetic, GCDs, irreducibility
 * ``linalg``    RREF / rank / null spaces / Sylvester matrices
-* ``ca``        linear cellular automata and their kernels (LFSR preimages)
 * ``subspaces`` canonical subspaces, the subspace metric, Grassmannian codes
+* ``ca``        linear cellular automata and their kernels (LFSR preimages)
 * ``families``  rule families, GCD-based distance prediction, counting, search
 * ``channel``   operator-channel simulation with a min-distance decoder
 * ``cli``       the ``cacodes`` command-line tool wiring it all together

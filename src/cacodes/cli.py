@@ -58,7 +58,7 @@ from .families import (
     shared_gcd_degrees,
     uniform_gcd_family,
 )
-from .ca import LinearCA
+from .ca import LinearCA, kernel_rules
 from .subspaces import GrassmannianCode, Subspace
 
 
@@ -266,10 +266,13 @@ def _cmd_analyze(args) -> dict:
 def _family_check(code: GrassmannianCode, spec, family, inter) -> dict:
     """Whether the listed family generates the code, and its predicted D.
 
-    Read in codeword order, the family's pairs that share a factor line up
-    with the intersection table ``inter``.  Every listed degree is at least
-    1, so the pairs agree with the whole table when each listed degree is
-    its entry and the table has no other nonzero entry.
+    It does when every codeword is the kernel of a rule (``kernel_rules``)
+    and the rules are the listed members: one field and one set of packed
+    rows, both sides distinct.  Read in codeword order, the rules' pairs
+    that share a factor line up with the intersection table ``inter``.
+    Every listed degree is at least 1, so the pairs agree with the whole
+    table when each listed degree is its entry and the table has no other
+    nonzero entry.
     """
     if not isinstance(spec, str) or not isinstance(family, list) or not all(
         isinstance(s, str) for s in family
@@ -277,13 +280,16 @@ def _family_check(code: GrassmannianCode, spec, family, inter) -> dict:
         raise ParseError("a build-code document needs a string q and a family of strings")
     field = code.field if spec == code.field.spec else GF.from_spec(spec)
     listed = CAFamily(Polynomial.from_strings(field, family))
-    ordered = listed.reordered(code.rules)
-    check = {"family": family, "consistent": ordered is not None}
+    rules = kernel_rules(code)
+    match = None not in rules and field == code.field and (
+        {f.row for f in rules} == {f.row for f in listed}
+    )
+    check = {"family": family, "consistent": match}
     if len(listed) >= 2:
-        shared = shared_gcd_degrees(listed if ordered is None else ordered)
+        shared = shared_gcd_degrees(rules if match else listed.members)
         check["predicted_min_distance"] = 2 * listed.k - 2 * max(shared.values(), default=0)
         check["consistent"] = (
-            ordered is not None
+            match
             and all([inter[j][i] == e for (i, j), e in shared.items()])
             and sum([len(row) - row.count(0) for row in inter]) == len(shared)
         )

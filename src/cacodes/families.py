@@ -14,13 +14,13 @@ list, each polynomial once, and deg gcd(f, g) is the sum of
 min(multiplicity) * degree over the shared irreducible factors.  One index
 of shared factors (``_shared_degrees``) visits only the pairs that share
 one and gives each its degree; a pair it does not list is coprime.
-``shared_gcd_degrees`` is that sparse map for a family, and
-``gcd_profile`` fills the full pairwise table from it.  ``analyze`` prints
-the intersection table, which comes from linear algebra alone, and checks
-a listed family against it through the map.  Each construction returns its
-members with their largest degree, read off its own index:
-``uniform_gcd_family`` over its cofactors, irreducibles it found and
-products of two, so factored already; ``search_max_family`` over the
+``shared_gcd_degrees`` is that sparse map for any rules of one degree, and
+``gcd_profile`` fills a family's full pairwise table from it.  ``analyze``
+prints the intersection table, which comes from linear algebra alone, and
+checks it against the map of the rules its codewords recover.  Each
+construction returns its members with their largest degree, read off its
+own index: ``uniform_gcd_family`` over its cofactors, irreducibles it found
+and products of two, so factored already; ``search_max_family`` over the
 pairs of the clique it found on the compatibility graph that index gave.
 ``code_from_family`` takes every member's kernel in one ``ca.kernels`` pass.
 ``poly_gcd`` stays as the independent route of ``verify_family`` and the
@@ -108,19 +108,6 @@ class CAFamily:
         self.k = int(k)
         self.members = polys
 
-    def reordered(self, order: Sequence[Polynomial | None]) -> "CAFamily | None":
-        """The family with its members in the order of ``order``, or None when
-        ``order`` is not the members as a set; nothing is validated again.
-        The members are matched by field and packed row."""
-        gf = self.field
-        if len(order) != len(self.members) or not all(
-            [f is not None and (f.field is gf or f.field == gf) for f in order]
-        ) or {f.row for f in order} != {f.row for f in self.members}:
-            return None
-        fam = CAFamily.__new__(CAFamily)
-        fam.field, fam.k, fam.members = gf, self.k, tuple(order)
-        return fam
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -161,9 +148,11 @@ class GcdProfile:
 _SIEVE_LIMIT = 4096  # largest q^(k // 2): the size of the table that factors degree k
 
 
-def shared_gcd_degrees(fam: CAFamily) -> dict[tuple[int, int], int]:
-    """deg gcd(f_i, f_j) of each pair i < j of members that share a factor;
-    a pair that is absent is coprime.
+def shared_gcd_degrees(members: Sequence[Polynomial]) -> dict[tuple[int, int], int]:
+    """deg gcd(f_i, f_j) of each pair i < j of rules that share a factor,
+    the rules of one field and one degree k: a family's members, or the
+    rules of a code's codewords in codeword order.  A pair that is absent is
+    coprime.
 
     N factorizations instead of N(N-1)/2 GCDs: a table to degree k // 2
     factors the members of degree k side by side, one Horner pass over all
@@ -172,9 +161,9 @@ def shared_gcd_degrees(fam: CAFamily) -> dict[tuple[int, int], int]:
     table grows like q^(k/2) whatever the family's size, so past
     ``_SIEVE_LIMIT`` (GF(2) from k = 26) each pair's GCD is taken instead.
     """
-    members, d = fam.members, fam.k // 2
-    if fam.field.q**d <= _SIEVE_LIMIT:
-        return _shared_degrees(FactorTable(fam.field, d).factor_all(members))
+    field, d = members[0].field, members[0].degree // 2
+    if field.q**d <= _SIEVE_LIMIT:
+        return _shared_degrees(FactorTable(field, d).factor_all(members))
     pairs = itertools.combinations(range(len(members)), 2)
     return {(i, j): e for i, j in pairs if (e := int(poly_gcd(members[i], members[j]).degree))}
 
@@ -185,7 +174,7 @@ def gcd_profile(fam: CAFamily) -> GcdProfile:
     if len(fam) < 2:
         raise TooFewMembers("a GCD profile needs at least two members")
     rows = [[0] * i for i in range(len(fam))]
-    for (i, j), e in shared_gcd_degrees(fam).items():
+    for (i, j), e in shared_gcd_degrees(fam.members).items():
         rows[j][i] = e
     return GcdProfile.from_table(tuple(map(tuple, rows)))
 

@@ -44,7 +44,7 @@ import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import GF, Polynomial
+from .algebra import GF
 from .errors import AmbientMismatch, EmptyCode, ParseError, TooFewCodewords
 from .linalg import Echelon, MatrixGF
 
@@ -406,7 +406,7 @@ class GrassmannianCode:
 
     __slots__ = (
         "field", "ambient_n", "codewords", "constant_dim", "duplicates_removed", "_pairwise",
-        "_nearest", "_rules", "_layout",
+        "_nearest", "_layout",
     )
 
     def __init__(self, field: GF, ambient_n: int, subspaces: Iterable[Subspace]):
@@ -427,7 +427,6 @@ class GrassmannianCode:
         self.constant_dim = dims.pop() if len(dims) == 1 else None
         self._pairwise: tuple[tuple[int, ...], ...] | None = None
         self._nearest: tuple[int | float, ...] | None = None
-        self._rules: tuple[Polynomial | None, ...] | None = None
         self._layout: _BlockLayout | bool | None = None  # False: no one pivot set
 
     def __len__(self) -> int:
@@ -507,18 +506,6 @@ class GrassmannianCode:
             shared = bool(pivots) and pivots.count(pivots[0]) == len(pivots)
             self._layout = shared and _BlockLayout(self.codewords)
         return self._layout or None
-
-    @property
-    def rules(self) -> tuple[Polynomial | None, ...]:
-        """The rule whose kernel at n = 2k each codeword is, or None where
-        there is none, in codeword order: one ``ca.kernel_rules`` pass over
-        the code, which reads its ``block_layout``.  Computed on first use and
-        kept: the codewords never change."""
-        if self._rules is None:
-            from .ca import kernel_rules  # ca builds on this module
-
-            self._rules = tuple(kernel_rules(self))
-        return self._rules
 
     def params(self) -> CodeParams:
         """The [n, max dim, log_q size, min distance] parameter tuple."""

@@ -556,7 +556,7 @@ def test_kernel_rules_catch_every_single_entry_fault(field):
         assert any(want) and None in want
         lifts = [s for s in subs if s._echelon.pivots == list(range(k))]
         for code in (GrassmannianCode(field, 2 * k, subs), GrassmannianCode(field, 2 * k, lifts)):
-            assert code.rules == tuple(map(annihilation_rule, code))
+            assert kernel_rules(code) == list(map(annihilation_rule, code))
 
 
 @pytest.mark.parametrize("field", [F2, F3, GF(2, 2), GF(5)], ids=str)
@@ -571,7 +571,7 @@ def test_a_codes_rules_read_the_layout_of_its_table(field, monkeypatch):
         code = code_from_family(CAFamily(members))
         code.pairwise_intersection_dims()
         assert calls == [len(code)]
-        assert set(code.rules) == set(members) and calls == [len(code)]
+        assert set(kernel_rules(code)) == set(members) and calls == [len(code)]
         calls.clear()
 
 

@@ -301,6 +301,29 @@ def test_family_check_refuses_a_code_it_does_not_generate(capsys, tmp_path, q, n
     assert doc["family_check"]["consistent"] is False
 
 
+@pytest.mark.parametrize(
+    "q, order, consistent, distance",
+    [("3", -1, True, 6), ("3^1", 1, True, 6), ("5", 1, False, 4)],
+    ids=["reversed", "3^1 built apart", "5 on the same rows"],
+)
+def test_family_check_matches_rules_by_field_and_row(capsys, tmp_path, q, order, consistent, distance):
+    # a GF(3) build-code document's rules against its family listed reversed,
+    # over an equal field built apart, and over GF(5), whose members pack to
+    # the same rows; GF(5) finds a shared factor that GF(3) does not
+    status, doc = run_json(capsys, "build-code", "--q", "3", "--k", "3")
+    assert status == 0
+    family = doc["family"][::order]
+    rows = [Polynomial.from_string(GF.from_spec(q), f).row for f in family]
+    assert rows == [Polynomial.from_string(GF(3), f).row for f in family]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**doc, "q": q, "family": family}), encoding="utf-8")
+    status, out = run_json(capsys, "analyze", "--code", str(path))
+    assert status == 0
+    assert out["family_check"] == {
+        "family": family, "consistent": consistent, "predicted_min_distance": distance
+    }
+
+
 def generates_oracle(listed, code):
     """Slow reference of ``family_check.consistent``: the listed members'
     kernels are the codewords, and each pair's GCD degree is k - d/2, with d

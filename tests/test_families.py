@@ -68,14 +68,6 @@ def test_family_takes_equal_fields_built_apart():
     members = [P(GF(3), 1, 1, 1), P(GF(3), 2, 0, 1), P(GF(3), 1, 2, 1)]
     fam = CAFamily(members)
     assert fam.k == 2 and fam.members == tuple(members)
-    assert fam.reordered(members[::-1]).members == tuple(members[::-1])
-    assert fam.reordered(members[:2]) is None and fam.reordered([*members[:2], None]) is None
-    # matched by field and row: equal fields built apart match, another field
-    # with the same rows does not, and neither does a member listed twice
-    apart = [P(GF(3), 1, 2, 1), P(GF(3), 1, 1, 1), P(GF(3), 2, 0, 1)]
-    assert fam.reordered(apart).members == tuple(apart)
-    assert fam.reordered([P(GF(5), *f.to_codes()) for f in members]) is None
-    assert fam.reordered([members[0], *members[:2]]) is None
     for bad in (P(GF(3), 1, 1, 2), P(GF(3), 1, 1, 1, 1)):
         with pytest.raises((NotBipermutive, InvalidDegree)):
             CAFamily([*members, bad])

@@ -1,7 +1,10 @@
 """Structural properties of the implementation, checked from outside.
 
 * ``src/`` states its invariants as explicit checks, never ``assert``
-  (which ``python -O`` strips).
+  (which ``python -O`` strips), and each check raises its named
+  ``DomainError``.
+* Every import in ``src/cacodes`` points down the layers, function-level
+  imports included.
 * Values are validated once, where they enter: internal producers of
   polynomials, matrices and subspaces never go back through ``GF.code_of``,
   and parsed polynomials never through ``GF.element``.
@@ -25,21 +28,26 @@ import json
 import pathlib
 import sys
 
+import pytest
+
 import cacodes
 from cacodes import channel, subspaces
 from cacodes.algebra import GF, Polynomial, RowFormat, poly_gcd
 from cacodes.ca import LinearCA
 from cacodes.channel import ChannelConfig, decode_min_distance, simulate, transmit
 from cacodes.cli import main
+from cacodes.errors import AmbientMismatch, FieldMismatch, NonPositive
 from cacodes.families import (
     CAFamily,
     code_from_family,
+    enumerate_irreducibles,
+    enumerate_rule_polynomials,
     gcd_profile,
     search_max_family,
     uniform_gcd_family,
 )
 from cacodes.linalg import sylvester
-from cacodes.subspaces import GrassmannianCode, subspace_distance
+from cacodes.subspaces import GrassmannianCode, Subspace, subspace_distance
 
 SRC = pathlib.Path(cacodes.__file__).parent
 LAYERTRACE = pathlib.Path(__file__).parents[1] / "benchmarks" / "layertrace.py"
@@ -52,6 +60,68 @@ def test_no_assert_statements_in_src():
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert offenders == []
+
+
+F2, F3, F4 = GF(2), GF(3), GF(2, 2)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GrassmannianCode(F2, 4, [Subspace(F2, 4), Subspace(F2, 5)]), AmbientMismatch,
+         "codeword from a different ambient space"),
+        (lambda: Polynomial(F2, (1, 1)) + Polynomial(F3, (1, 1)), FieldMismatch,
+         "mixing polynomials over GF(2) and GF(3)"),
+        (lambda: sylvester(Polynomial(F2, (1, 1)), Polynomial(F3, (1, 1))), FieldMismatch,
+         "Sylvester matrix of polynomials over different fields"),
+        (lambda: F4.code_of(4), FieldMismatch, "code 4 out of range for GF(2^2)"),
+        (lambda: F4.code_of(F2.element(1)), FieldMismatch, "element of GF(2) used in GF(2^2)"),
+        (lambda: F4.element((1, 0, 1)), FieldMismatch,
+         "expected 2 coefficients for GF(2^2), got 3"),
+        (lambda: enumerate_irreducibles(0, F2), NonPositive, "degree must be >= 1, got 0"),
+        (lambda: enumerate_rule_polynomials(0, F2), NonPositive, "degree must be >= 1, got 0"),
+    ],
+    ids=["code of two ambient spaces", "sum across fields", "sylvester across fields",
+         "code out of range", "element of another field", "too many coefficients",
+         "irreducibles of degree 0", "rules of degree 0"],
+)
+def test_each_check_raises_its_named_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+# the modules of ``src/cacodes``, bottom to top; the package itself, which
+# ``cli`` reads its version from, imports every module but ``cli``
+LAYERS = ["errors", "algebra", "linalg", "subspaces", "ca", "families", "channel", "__init__", "cli"]
+
+
+def imported_modules(path):
+    """(line, module) of each import of a ``cacodes`` module in one source
+    file, function-level imports included; a name that no module file holds
+    is read from the package, ``__init__``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "cacodes"):
+            module = (node.module or "").removeprefix("cacodes").lstrip(".")
+            names = [module] if module else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.partition(".")[2] for alias in node.names
+                     if alias.name.split(".")[0] == "cacodes"]
+        else:
+            continue
+        for name in names:
+            yield node.lineno, name if (SRC / f"{name}.py").is_file() else "__init__"
+
+
+def test_every_import_points_down_the_layers():
+    assert sorted(path.stem for path in SRC.glob("*.py")) == sorted(LAYERS)
+    offenders = [
+        f"{name}.py:{line} imports {module}"
+        for layer, name in enumerate(LAYERS)
+        for line, module in imported_modules(SRC / f"{name}.py")
+        if LAYERS.index(module) >= layer
     ]
     assert offenders == []
 
